@@ -49,13 +49,16 @@ def _fail(message: str) -> "click.exceptions.Exit":
     return click.exceptions.Exit(USAGE)
 
 
-def _load(path: str) -> Document:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise _fail(str(exc))
-    result = modelfile.parse(text)
+
+
+def _load(path: str) -> Document:
+    result = modelfile.parse(_read(path))
     if not result.ok:
         for diag in result.diagnostics:
             click.echo(f"{path}:{diag}", err=True)
@@ -194,19 +197,18 @@ def fmea_rpn(ctx: Ctx, file: str, table: str) -> None:
 
 def _load_verdicts(path: str) -> dict[str, SecurityVerdict]:
     verdicts: dict[str, SecurityVerdict] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, value = line.rpartition("=")
-            if not sep:
-                raise _fail(f"{path}:{lineno}: expected '<adt name> = <verdict>'")
-            try:
-                verdicts[name.strip()] = SecurityVerdict(value.strip())
-            except ValueError:
-                options = ", ".join(v.value for v in SecurityVerdict)
-                raise _fail(f"{path}:{lineno}: verdict must be one of {options}")
+    for lineno, raw in enumerate(_read(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, sep, value = line.rpartition("=")
+        if not sep:
+            raise _fail(f"{path}:{lineno}: expected '<adt name> = <verdict>'")
+        try:
+            verdicts[name.strip()] = SecurityVerdict(value.strip())
+        except ValueError:
+            options = ", ".join(v.value for v in SecurityVerdict)
+            raise _fail(f"{path}:{lineno}: verdict must be one of {options}")
     return verdicts
 
 
@@ -233,8 +235,11 @@ def gsn_confidence(
     document = _load(file)
     model = _pick(document.gsns, model_name, "gsn model")
     verdicts = _load_verdicts(verdicts_path) if verdicts_path else {}
-    aggregate = aggregate_gsn(model)
-    linked = apply_security_links(model, verdicts)
+    try:
+        aggregate = aggregate_gsn(model)
+        linked = apply_security_links(model, verdicts)
+    except ValueError as exc:  # e.g. a goal cycle
+        raise _fail(str(exc))
     if ctx.machine:
         ctx.emit_json(
             {
@@ -334,8 +339,7 @@ def adt_eval(
         values = adteval.evaluate(tree, domain)
         verdict_value = None
         if policy_path:
-            with open(policy_path, encoding="utf-8") as handle:
-                policy = adteval.load_policy(handle.read())
+            policy = adteval.load_policy(_read(policy_path))
             verdict_value = adteval.verdict(tree, policy).value
     except adteval.EvaluationError as exc:
         raise _fail(str(exc))

@@ -52,22 +52,30 @@ def aggregate_gsn(model: GsnModel) -> AggregateResult:
     A goal's count is its own count plus the counts of all descendant goals;
     strategies and other node kinds are transparent.  Goals whose subtree
     carries no evidence at all get (0, 0), i.e. full uncertainty, plus a
-    warning.
+    warning.  One post-order walk sums each subtree once; a parent cycle
+    below a goal raises ``ValueError``.
     """
     warnings: list[Diagnostic] = []
-
-    def subtree_count(node_id: str) -> DefeaterCount:
-        node = model.node(node_id)
-        total = DefeaterCount(0, 0)
-        if node.kind is NodeKind.GOAL and node.defeaters is not None:
-            total = total + node.defeaters
-        for child in model.children(node_id):
-            total = total + subtree_count(child.id)
-        return total
-
+    totals: dict[str, DefeaterCount] = {}
     opinions: dict[str, GoalOpinion] = {}
     for goal in model.goals():
-        count = subtree_count(goal.id)
+        stack, on_path = [(goal.id, False)], set()
+        while stack:
+            node_id, children_done = stack.pop()
+            if children_done:
+                on_path.remove(node_id)
+                node = model.node(node_id)
+                own = DefeaterCount(0, 0)
+                if node.kind is NodeKind.GOAL and node.defeaters is not None:
+                    own = node.defeaters
+                totals[node_id] = sum((totals[c.id] for c in model.children(node_id)), own)
+            elif node_id in on_path:
+                raise ValueError(f"gsn {model.name!r}: cycle through node {node_id!r}")
+            elif node_id not in totals:
+                on_path.add(node_id)
+                stack.append((node_id, True))
+                stack.extend((c.id, False) for c in model.children(node_id))
+        count = totals[goal.id]
         if count.total == 0:
             warnings.append(
                 Diagnostic(

@@ -17,17 +17,16 @@ def compute_rpn(severity: int, occurrence: int, detection: int) -> int:
     return severity * occurrence * detection
 
 
-def rank_failures(table: FmeaTable) -> list[str]:
-    """Row ids by descending RPN; ties by severity descending, then row order.
+def ranked_rows(table: FmeaTable) -> list[FmeaRow]:
+    """Rows by descending RPN; ties by severity descending, then row order.
 
     Occurrence never enters the tie-break: it reflects fault likelihood, not
     attack likelihood, so it carries no weight for security prioritisation.
+    The sort is stable, so equal keys keep their row order.
     """
-    indexed = list(enumerate(table.rows))
-    indexed.sort(key=lambda pair: (-pair[1].rpn, -pair[1].severity, pair[0]))
-    return [row.id for _, row in indexed]
+    return sorted(table.rows, key=lambda row: (-row.rpn, -row.severity))
 
 
-def ranked_rows(table: FmeaTable) -> list[FmeaRow]:
-    by_id = {row.id: row for row in table.rows}
-    return [by_id[rid] for rid in rank_failures(table)]
+def rank_failures(table: FmeaTable) -> list[str]:
+    """Row ids in :func:`ranked_rows` order."""
+    return [row.id for row in ranked_rows(table)]

@@ -54,17 +54,3 @@ def minimize(family: set[CutSet]) -> set[CutSet]:
 def canonical_order(family: set[CutSet]) -> list[tuple[str, ...]]:
     """Stable report order: events sorted within sets, sets sorted as tuples."""
     return sorted(tuple(sorted(s)) for s in family)
-
-
-def satisfies(tree: FaultTree, events: set[str]) -> bool:
-    """Whether the given basic events trigger the top event (oracle semantics)."""
-
-    def evaluate(node: str) -> bool:
-        gate = tree.gate(node)
-        if gate is None:
-            return node in events
-        op, children = gate
-        values = (evaluate(c) for c in children)
-        return all(values) if op is GateOp.AND else any(values)
-
-    return evaluate(tree.top)

@@ -1,18 +1,25 @@
 """Shared domain types for safety and security assurance models.
 
-Everything here is an immutable value object.  Scalar types that feed the
-confidence arithmetic (ConfidenceTriple) enforce their invariants at
-construction time; structural types (GsnModel, FaultTree, ...) are built
-leniently by the parser and checked by :mod:`safsec.validate`, which turns
-invariant violations into located diagnostics instead of exceptions.
+Everything here is an immutable value object; lookup indexes are built once
+by ``cached_property``, outside the fields that ``==`` and ``hash`` compare.
+Scalar types that feed the confidence arithmetic (ConfidenceTriple) enforce
+their invariants at construction time; structural types (GsnModel,
+FaultTree, ...) are built leniently by the parser and checked by
+:mod:`safsec.validate`, which turns invariant violations into located
+diagnostics instead of exceptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union, get_args
+
+if TYPE_CHECKING:
+    from .adteval import VerdictPolicy
 
 SUM_TOLERANCE = 1e-9
 
@@ -192,14 +199,19 @@ class GsnModel:
     nodes: tuple[GsnNode, ...]
     security_links: tuple[SecurityLink, ...] = ()
 
-    def node(self, node_id: str) -> GsnNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+    @cached_property
+    def _by_id(self) -> dict[str, GsnNode]:
+        return {n.id: n for n in reversed(self.nodes)}  # first declaration wins
 
-    def has_node(self, node_id: str) -> bool:
-        return any(n.id == node_id for n in self.nodes)
+    @cached_property
+    def _by_parent(self) -> dict[Optional[str], list[GsnNode]]:
+        out: dict[Optional[str], list[GsnNode]] = {}
+        for n in self.nodes:
+            out.setdefault(n.parent, []).append(n)
+        return out
+
+    def node(self, node_id: str) -> GsnNode:
+        return self._by_id[node_id]
 
     def roots(self) -> list[GsnNode]:
         return [n for n in self.nodes if n.parent is None]
@@ -211,7 +223,7 @@ class GsnModel:
         return roots[0]
 
     def children(self, node_id: str) -> list[GsnNode]:
-        return [n for n in self.nodes if n.parent == node_id]
+        return list(self._by_parent.get(node_id, ()))
 
     def goals(self) -> list[GsnNode]:
         return [n for n in self.nodes if n.kind is NodeKind.GOAL]
@@ -227,15 +239,12 @@ class FaultTree:
     gates: tuple[tuple[str, GateOp, tuple[str, ...]], ...]
     basic_events: frozenset[str]
 
-    def gate(self, gate_id: str) -> Optional[tuple[GateOp, tuple[str, ...]]]:
-        for gid, op, children in self.gates:
-            if gid == gate_id:
-                return op, children
-        return None
+    @cached_property
+    def _gate_by_id(self) -> dict[str, tuple[GateOp, tuple[str, ...]]]:
+        return {gid: (op, kids) for gid, op, kids in reversed(self.gates)}  # first wins
 
-    @property
-    def gate_ids(self) -> set[str]:
-        return {gid for gid, _, _ in self.gates}
+    def gate(self, gate_id: str) -> Optional[tuple[GateOp, tuple[str, ...]]]:
+        return self._gate_by_id.get(gate_id)
 
 
 @dataclass(frozen=True)
@@ -302,12 +311,6 @@ class AttackDefenseTree:
                 yield from rec(f"{path}.c", node.counter)
 
         return rec("root", self.root)
-
-    def find_by_label(self, label: str) -> Optional[str]:
-        for path, node in self.walk():
-            if node.label == label:
-                return path
-        return None
 
 
 @dataclass(frozen=True)
@@ -377,10 +380,7 @@ class Thresholds:
 class SetPolicyAction:
     """Switch the verdict policy used for the scenario's ADT."""
 
-    unassessed: bool = False
-    attribute: str = ""
-    op: str = "<="
-    threshold: float = 0.0
+    policy: VerdictPolicy
 
 
 @dataclass(frozen=True)
@@ -422,40 +422,37 @@ class Document:
 
     blocks: tuple[Block, ...] = ()
 
-    def _by_name(self, cls) -> dict:
-        out = {}
+    @cached_property
+    def _by_kind(self) -> dict[type, Mapping[str, Block]]:
+        """Read-only blocks of each kind by name (requirements by id); last wins."""
+        out: dict[type, dict[str, Block]] = {kind: {} for kind in get_args(Block)}
         for b in self.blocks:
-            if isinstance(b, cls):
-                key = b.id if isinstance(b, Requirement) else b.name
-                out[key] = b
-        return out
+            out[type(b)][b.id if isinstance(b, Requirement) else b.name] = b
+        return {kind: MappingProxyType(named) for kind, named in out.items()}
 
     @property
-    def gsns(self) -> dict[str, GsnModel]:
-        return self._by_name(GsnModel)
+    def gsns(self) -> Mapping[str, GsnModel]:
+        return self._by_kind[GsnModel]
 
     @property
-    def adts(self) -> dict[str, AttackDefenseTree]:
-        return self._by_name(AttackDefenseTree)
+    def adts(self) -> Mapping[str, AttackDefenseTree]:
+        return self._by_kind[AttackDefenseTree]
 
     @property
-    def ftas(self) -> dict[str, FaultTree]:
-        return self._by_name(FaultTree)
+    def ftas(self) -> Mapping[str, FaultTree]:
+        return self._by_kind[FaultTree]
 
     @property
-    def fmeas(self) -> dict[str, FmeaTable]:
-        return self._by_name(FmeaTable)
+    def fmeas(self) -> Mapping[str, FmeaTable]:
+        return self._by_kind[FmeaTable]
 
     @property
-    def requirements(self) -> dict[str, Requirement]:
-        return self._by_name(Requirement)
+    def requirements(self) -> Mapping[str, Requirement]:
+        return self._by_kind[Requirement]
 
     @property
-    def scenarios(self) -> dict[str, Scenario]:
-        return self._by_name(Scenario)
-
-    def replace_block(self, old: Block, new: Block) -> "Document":
-        return Document(tuple(new if b is old else b for b in self.blocks))
+    def scenarios(self) -> Mapping[str, Scenario]:
+        return self._by_kind[Scenario]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..adteval import UNASSESSED, VerdictPolicy
 from ..model import (
     Actor,
     AddCounterAction,
@@ -547,7 +548,7 @@ class Parser:
         if tok.value == "set_policy":
             if self.at_ident("unassessed"):
                 self.advance()
-                return SetPolicyAction(unassessed=True)
+                return SetPolicyAction(UNASSESSED)
             attribute = self.expect_kv_ident("attribute").value
             self.expect_ident("op")
             self.expect_punct("=")
@@ -559,9 +560,15 @@ class Parser:
             self.expect_ident("threshold")
             self.expect_punct("=")
             threshold = self.expect_num()
-            return SetPolicyAction(
-                attribute=attribute, op=op_tok.value, threshold=threshold
+            prob_or = "max"
+            if self.at_ident("prob_or"):
+                self.advance()
+                self.expect_punct("=")
+                prob_or = self.expect_ident("max", "noisy_or").value
+            policy = VerdictPolicy(
+                attribute=attribute, op=op_tok.value, threshold=threshold, prob_or=prob_or
             )
+            return SetPolicyAction(policy)
         if tok.value == "add_counter":
             self.expect_ident("at")
             self.expect_punct("=")

@@ -183,12 +183,14 @@ def _print_scenario(scenario: Scenario) -> list[str]:
     ]
     for action in scenario.actions:
         if isinstance(action, SetPolicyAction):
-            if action.unassessed:
+            policy = action.policy
+            if policy.unassessed:
                 lines.append("  set_policy unassessed")
             else:
+                prob_or = "" if policy.prob_or == "max" else f" prob_or = {policy.prob_or}"
                 lines.append(
-                    f"  set_policy attribute = {action.attribute} "
-                    f'op = "{action.op}" threshold = {_num(action.threshold)}'
+                    f"  set_policy attribute = {policy.attribute} "
+                    f'op = "{policy.op}" threshold = {_num(policy.threshold)}{prob_or}'
                 )
         elif isinstance(action, AddCounterAction):
             node_lines = _print_adt_node(action.node, 1)

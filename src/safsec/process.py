@@ -109,18 +109,21 @@ def set_defeaters(
 
 def describe_action(action: ScenarioAction) -> str:
     if isinstance(action, SetPolicyAction):
-        if action.unassessed:
+        policy = action.policy
+        if policy.unassessed:
             return "set_policy unassessed"
-        return (
-            f"set_policy {action.attribute} {action.op} {action.threshold:g}"
-        )
+        prob_or = "" if policy.prob_or == "max" else f" {policy.prob_or}"
+        return f"set_policy {policy.attribute} {policy.op} {policy.threshold:g}{prob_or}"
     if isinstance(action, AddCounterAction):
         return f"add_counter {action.node.label!r} at {action.at_label!r}"
     return f"set_defeaters {action.goal_id} {action.outruled}/{action.total}"
 
 
 def _root_goal_id(model: GsnModel) -> str:
-    root = model.root()
+    try:
+        root = model.root()
+    except ValueError as exc:
+        raise ProcessError(str(exc))
     if root.kind is not NodeKind.GOAL:
         raise ProcessError(f"root node {root.id!r} of gsn {model.name!r} is not a goal")
     return root.id
@@ -144,9 +147,11 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
         linked = apply_security_links(model, {scenario.adt_name: v})
         return v, linked.triples[root_goal]
 
-    _, triple = current_triple()
-    initial = triple
-    if scenario.thresholds.met_by(triple):
+    try:
+        _, initial = current_triple()
+    except ValueError as exc:  # e.g. a goal cycle in the GSN model
+        raise ProcessError(str(exc))
+    if scenario.thresholds.met_by(initial):
         return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, (), "accepted")
 
     entries: list[RoundEntry] = []
@@ -155,14 +160,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
             break
         try:
             if isinstance(action, SetPolicyAction):
-                if action.unassessed:
-                    policy = adteval.UNASSESSED
-                else:
-                    policy = adteval.VerdictPolicy(
-                        attribute=action.attribute,
-                        op=action.op,
-                        threshold=action.threshold,
-                    )
+                policy = action.policy
             elif isinstance(action, AddCounterAction):
                 adt = attach_counter(adt, action.at_label, action.node)
             elif isinstance(action, SetDefeatersAction):
@@ -173,7 +171,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
             raise ProcessError(f"round {round_no}: {exc}")
         try:
             verdict, triple = current_triple()
-        except adteval.EvaluationError as exc:
+        except (adteval.EvaluationError, ValueError) as exc:
             raise ProcessError(f"round {round_no}: {exc}")
         entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
         if scenario.thresholds.met_by(triple):

@@ -7,7 +7,9 @@ independent of declaration order.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from graphlib import CycleError, TopologicalSorter
+from typing import Iterable, Optional
 
 from .model import (
     AdtNode,
@@ -57,11 +59,15 @@ def _err(message: str, context: str) -> Diagnostic:
     return Diagnostic(message, severity="error", context=context)
 
 
+def _duplicates(keys: Iterable[str]) -> list[str]:
+    return sorted(k for k, n in Counter(keys).items() if n > 1)
+
+
 def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
     ctx = f"gsn {model.name}"
     diags: list[Diagnostic] = []
     ids = [n.id for n in model.nodes]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    for dup in _duplicates(ids):
         diags.append(_err(f"duplicate node id {dup!r}", ctx))
 
     roots = model.roots()
@@ -100,16 +106,19 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
         if node.fmea_ref is not None and node.fmea_ref not in document.fmeas:
             diags.append(_err(f"unresolved fmea_ref {node.fmea_ref!r}", nctx))
 
-    # Cycle check over parent pointers: every node must reach a root.
-    for node in model.nodes:
-        seen = set()
-        cur: Optional[str] = node.id
-        while cur is not None and cur in known:
-            if cur in seen:
-                diags.append(_err(f"cycle through node {node.id!r}", ctx))
-                break
-            seen.add(cur)
+    # Cycle check over parent pointers: every node must reach a root.  Each
+    # chain is walked once: a node is cyclic iff its chain enters a loop.
+    cyclic: dict[str, bool] = {}
+    for start in known:
+        path: set[str] = set()
+        cur: Optional[str] = start
+        while cur in known and cur not in cyclic and cur not in path:
+            path.add(cur)
             cur = model.node(cur).parent
+        cyclic.update(dict.fromkeys(path, cur in path or cyclic.get(cur, False)))
+    for node in model.nodes:
+        if cyclic[node.id]:
+            diags.append(_err(f"cycle through node {node.id!r}", ctx))
 
     goal_ids = {n.id for n in model.goals()}
     linked: set[str] = set()
@@ -131,7 +140,7 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
     ctx = f"fta {tree.name}"
     diags: list[Diagnostic] = []
     gate_ids = [gid for gid, _, _ in tree.gates]
-    for dup in sorted({g for g in gate_ids if gate_ids.count(g) > 1}):
+    for dup in _duplicates(gate_ids):
         diags.append(_err(f"duplicate gate {dup!r}", ctx))
     for clash in sorted(set(gate_ids) & tree.basic_events):
         diags.append(_err(f"{clash!r} declared both gate and basic event", ctx))
@@ -144,26 +153,10 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
             if child not in declared:
                 diags.append(_err(f"gate {gid!r} references unknown node {child!r}", ctx))
 
-    # Cycle detection by DFS from each gate.
-    def has_cycle(start: str) -> bool:
-        stack, on_path = [(start, iter(tree.gate(start)[1] if tree.gate(start) else ()))], {start}
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                on_path.discard(node)
-                continue
-            if nxt in on_path:
-                return True
-            gate = tree.gate(nxt)
-            if gate is not None:
-                stack.append((nxt, iter(gate[1])))
-                on_path.add(nxt)
-        return False
-
-    cyclic = any(has_cycle(gid) for gid in gate_ids)
-    if cyclic:
+    # A cycle can only run through gates; a duplicate id is its first gate.
+    try:
+        TopologicalSorter({gid: tree.gate(gid)[1] for gid in gate_ids}).prepare()
+    except CycleError:
         diags.append(_err("fault tree contains a cycle", ctx))
         return diags
 
@@ -186,8 +179,7 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
 def _check_fmea(table: FmeaTable) -> list[Diagnostic]:
     ctx = f"fmea {table.name}"
     diags: list[Diagnostic] = []
-    ids = [r.id for r in table.rows]
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+    for dup in _duplicates(r.id for r in table.rows):
         diags.append(_err(f"duplicate row id {dup!r}", ctx))
     for row in table.rows:
         for p in row.problems:
@@ -218,8 +210,7 @@ def _check_adt_node(node: AdtNode, ctx: str, diags: list[Diagnostic]) -> None:
                 _err(f"countermeasure of {node.label!r} must have opposite actor", ctx)
             )
         _check_adt_node(node.counter, ctx, diags)
-    keys = [k for k, _ in node.attributes]
-    for dup in sorted({k for k in keys if keys.count(k) > 1}):
+    for dup in _duplicates(k for k, _ in node.attributes):
         diags.append(_err(f"duplicate attribute {dup!r} on {node.label!r}", ctx))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import string
 
+from safsec.adteval import UNASSESSED, VerdictPolicy
 from safsec.model import (
     Actor,
     AddCounterAction,
@@ -249,13 +250,16 @@ def random_document(rng: random.Random) -> "Document":
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         if roll < 0.3:
-            actions.append(SetPolicyAction(unassessed=True))
+            actions.append(SetPolicyAction(UNASSESSED))
         elif roll < 0.6:
             actions.append(
                 SetPolicyAction(
-                    attribute=rng.choice(["cost", "probability", "time"]),
-                    op=rng.choice(["<=", ">="]),
-                    threshold=rng.randint(0, 40) / 4.0,
+                    VerdictPolicy(
+                        attribute=rng.choice(["cost", "probability", "time"]),
+                        op=rng.choice(["<=", ">="]),
+                        threshold=rng.randint(0, 40) / 4.0,
+                        prob_or=rng.choice(["max", "noisy_or"]),
+                    )
                 )
             )
         elif roll < 0.8:

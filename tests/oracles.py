@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from itertools import chain, combinations, product
 
-from safsec.model import AdtNode, AttackDefenseTree, FaultTree, Refinement
+from safsec.model import (
+    AdtNode,
+    AttackDefenseTree,
+    FaultTree,
+    GsnModel,
+    GsnNode,
+    NodeKind,
+    Refinement,
+)
 
 
 def all_subsets(items):
@@ -29,6 +37,20 @@ def fault_tree_triggers(tree: FaultTree, events: frozenset[str]) -> bool:
         return all(results) if op.value == "AND" else any(results)
 
     return ev(tree.top)
+
+
+def naive_has_cycle(tree: FaultTree) -> bool:
+    """Depth-first search from every gate along gate children."""
+
+    def from_gate(node: str, on_path: tuple[str, ...]) -> bool:
+        if node in on_path:
+            return True
+        gate = tree.gate(node)
+        return gate is not None and any(
+            from_gate(child, on_path + (node,)) for child in gate[1]
+        )
+
+    return any(from_gate(gid, ()) for gid, _, _ in tree.gates)
 
 
 def brute_force_minimal_cut_sets(tree: FaultTree) -> set[frozenset[str]]:
@@ -101,3 +123,48 @@ def brute_force_min_cost(tree: AttackDefenseTree, attribute: str = "cost") -> fl
         return base
 
     return min(strategy_costs(tree.root))
+
+
+def _first_node(model: GsnModel, node_id: str) -> GsnNode:
+    return next(n for n in model.nodes if n.id == node_id)
+
+
+def naive_gsn_structure_problems(model: GsnModel) -> list[str]:
+    """Duplicate-id and parent-cycle messages, by counting and walking.
+
+    Every declaration walks its own parent chain (first declaration of each
+    id) and reports a cycle if the walk revisits an id.
+    """
+    ids = [n.id for n in model.nodes]
+    out = [f"duplicate node id {i!r}" for i in sorted({i for i in ids if ids.count(i) > 1})]
+    for node in model.nodes:
+        seen = []
+        cur = node.id
+        while cur is not None and cur in ids:
+            if cur in seen:
+                out.append(f"cycle through node {node.id!r}")
+                break
+            seen.append(cur)
+            cur = _first_node(model, cur).parent
+    return out
+
+
+def naive_subtree_counts(model: GsnModel) -> dict[str, tuple[int, int]]:
+    """(outruled, total) per goal, re-summing every subtree recursively.
+
+    A goal whose subtree runs into a parent cycle recurses forever and ends
+    in ``RecursionError``.
+    """
+
+    def subtree(node_id: str) -> tuple[int, int]:
+        node = _first_node(model, node_id)
+        outruled = total = 0
+        if node.kind is NodeKind.GOAL and node.defeaters is not None:
+            outruled, total = node.defeaters.outruled, node.defeaters.total
+        for child in model.nodes:
+            if child.parent == node_id:
+                o, t = subtree(child.id)
+                outruled, total = outruled + o, total + t
+        return outruled, total
+
+    return {n.id: subtree(n.id) for n in model.nodes if n.kind is NodeKind.GOAL}

@@ -330,6 +330,57 @@ class TestExportDot:
         assert result.exit_code == 2
 
 
+GOAL_LOOP = (
+    'gsn "L" {\n'
+    '  goal G1 "a" under G2 {\n    defeaters outruled = 1 total = 2\n  }\n'
+    '  goal G2 "b" under G1\n'
+    "}\n"
+    'adt "A" {\n  attack "x" {\n    attr probability = 0.5\n  }\n}\n'
+    'scenario "S" {\n  gsn = "L"\n  adt = "A"\n'
+    "  thresholds min_belief = 0.8 max_disbelief = 0.2 max_uncertainty = 0.1\n"
+    "  max_rounds = 1\n  set_policy unassessed\n}\n"
+)
+
+
+class TestMalformedInputExitsTwo:
+    """Each case ends in exit 2 with one stderr line and no traceback."""
+
+    def check(self, result, *expected):
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert all(text in line for text in expected), line
+        assert "Traceback" not in result.output
+
+    def test_missing_verdicts_file(self, runner, workdir):
+        result = run(
+            runner, workdir, "gsn", "confidence", workdir / "airbag.ssm",
+            "--model", "Airbag", "--verdicts", workdir / "nope.txt",
+        )
+        self.check(result, "nope.txt")
+
+    def test_missing_policy_file(self, runner, workdir):
+        result = run(
+            runner, workdir, "adt", "eval", workdir / "airbag.ssm",
+            "--adt", "Airbag Attack", "--attribute", "probability",
+            "--policy", workdir / "nope.txt",
+        )
+        self.check(result, "nope.txt")
+
+    def test_goal_loop_confidence(self, runner, workdir, tmp_path):
+        loop = tmp_path / "loop.ssm"
+        loop.write_text(GOAL_LOOP, encoding="utf-8")
+        result = run(runner, workdir, "gsn", "confidence", loop, "--model", "L")
+        self.check(result, "cycle through node")
+
+    def test_goal_loop_process(self, runner, workdir, tmp_path):
+        loop = tmp_path / "loop.ssm"
+        loop.write_text(GOAL_LOOP, encoding="utf-8")
+        result = run(runner, workdir, "process", "run", loop, "--scenario", "S")
+        self.check(result, "has 0 roots")
+
+
 class TestMachineFormatStability:
     def test_output_is_sorted_and_stable(self, runner, workdir):
         args = [

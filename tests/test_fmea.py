@@ -56,6 +56,12 @@ class TestRankFailures:
         table = FmeaTable(name="T", rows=(row("a", 5, 2, 2), row("b", 5, 2, 2)))
         assert rank_failures(table) == ["a", "b"]
 
+    def test_duplicate_ids_keep_every_row(self):
+        low, high = row("r1", 2, 2, 2), row("r1", 9, 9, 9)
+        table = FmeaTable(name="T", rows=(low, high, row("r2", 5, 5, 5)))
+        assert ranked_rows(table) == [high, table.rows[2], low]
+        assert rank_failures(table) == ["r1", "r2", "r1"]
+
     def test_empty_table(self):
         assert rank_failures(FmeaTable(name="T", rows=())) == []
 

@@ -1,9 +1,9 @@
 import random
 
 from generators import random_fault_tree
-from oracles import brute_force_minimal_cut_sets, fault_tree_triggers
+from oracles import brute_force_minimal_cut_sets
 
-from safsec.fta import canonical_order, cut_sets, minimal_cut_sets, satisfies
+from safsec.fta import canonical_order, cut_sets, minimal_cut_sets
 from safsec.model import FaultTree, GateOp
 
 
@@ -99,16 +99,3 @@ class TestMinimalCutSets:
             mcs = minimal_cut_sets(t)
             for cs in cut_sets(t):
                 assert any(m <= cs for m in mcs)
-
-
-def test_monotone_semantics():
-    # Adding events to a satisfying subset keeps it satisfying.
-    rng = random.Random(99)
-    for _ in range(100):
-        t = random_fault_tree(rng)
-        events = sorted(t.basic_events)
-        subset = {e for e in events if rng.random() < 0.5}
-        if satisfies(t, subset):
-            extra = subset | {rng.choice(events)} if events else subset
-            assert satisfies(t, extra)
-        assert satisfies(t, subset) == fault_tree_triggers(t, frozenset(subset))

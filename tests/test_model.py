@@ -4,8 +4,14 @@ from safsec.model import (
     Clause,
     ConfidenceTriple,
     DefeaterCount,
+    Document,
+    FaultTree,
+    GateOp,
+    GsnModel,
+    GsnNode,
     GuideWord,
     Literal,
+    NodeKind,
     VoterMeta,
 )
 
@@ -58,3 +64,52 @@ def test_clause_str():
     assert str(c) == "SigFire => !DoorLock"
     fact = Clause(body=(), head=Literal("On"))
     assert str(fact) == "=> On"
+
+
+class TestStructuralIndexes:
+    NODES = (
+        GsnNode("G1", NodeKind.GOAL, "first"),
+        GsnNode("S1", NodeKind.STRATEGY, "s", parent="G1"),
+        GsnNode("G1", NodeKind.GOAL, "second", parent="S1"),
+        GsnNode("G2", NodeKind.GOAL, "g2", parent="G1"),
+    )
+
+    def test_node_lookup_first_declaration_wins(self):
+        model = GsnModel("M", self.NODES)
+        assert model.node("G1").text == "first"
+        with pytest.raises(KeyError):
+            model.node("nope")
+
+    def test_children_list_every_declaration(self):
+        model = GsnModel("M", self.NODES)
+        assert [n.text for n in model.children("G1")] == ["s", "g2"]
+        assert [n.text for n in model.children("S1")] == ["second"]
+        assert model.children("G2") == []
+        model.children("G1").clear()  # callers get a copy of the index
+        assert len(model.children("G1")) == 2
+
+    def test_gate_lookup_first_declaration_wins(self):
+        tree = FaultTree(
+            "T",
+            "G",
+            (("G", GateOp.AND, ("a",)), ("G", GateOp.OR, ("b",))),
+            frozenset({"a", "b"}),
+        )
+        assert tree.gate("G") == (GateOp.AND, ("a",))
+        assert tree.gate("a") is None
+
+    def test_indexes_leave_equality_and_hash_alone(self):
+        used, fresh = GsnModel("M", self.NODES), GsnModel("M", self.NODES)
+        used.node("G1"), used.children("G1")
+        assert used == fresh and hash(used) == hash(fresh)
+        doc, other = Document((used,)), Document((fresh,))
+        assert doc.gsns["M"] is used
+        assert doc == other and hash(doc) == hash(other)
+
+    def test_document_later_block_of_a_name_wins(self):
+        first, second = GsnModel("M", self.NODES[:1]), GsnModel("M", self.NODES[:2])
+        doc = Document((first, second))
+        assert doc.gsns == {"M": second}
+        assert doc.ftas == {}
+        with pytest.raises(TypeError):
+            doc.gsns["X"] = first  # the index is read-only

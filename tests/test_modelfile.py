@@ -174,6 +174,42 @@ class TestScenarioParsing:
         assert len(scenario.actions) == 3
         assert scenario.thresholds.min_belief == 0.8
 
+    SCENARIO = (
+        'scenario "s" {{\n'
+        '  gsn = "g"\n  adt = "a"\n'
+        "  thresholds min_belief = 0.8 max_disbelief = 0.2 max_uncertainty = 0.1\n"
+        "  max_rounds = 3\n"
+        "{actions}"
+        "}}\n"
+    )
+
+    def test_prob_or_round_trip(self):
+        text = self.SCENARIO.format(
+            actions='  set_policy attribute = probability op = "<=" threshold = 0.1'
+            " prob_or = noisy_or\n"
+            '  set_policy attribute = probability op = "<=" threshold = 0.1\n'
+            '  set_policy attribute = cost op = ">=" threshold = 5 prob_or = max\n'
+        )
+        doc = parse(text).document
+        noisy, plain, explicit_max = doc.scenarios["s"].actions
+        assert noisy.policy.prob_or == "noisy_or"
+        assert plain.policy.prob_or == explicit_max.policy.prob_or == "max"
+        printed = print_document(doc)
+        # prob_or is printed only when it is not the default.
+        assert printed.count("prob_or") == 1
+        assert "threshold = 0.1 prob_or = noisy_or\n" in printed
+        assert parse(printed).document == doc
+
+    def test_bad_prob_or_rejected(self):
+        text = self.SCENARIO.format(
+            actions='  set_policy attribute = probability op = "<=" threshold = 0.1'
+            " prob_or = sum\n"
+        )
+        result = parse(text)
+        assert not result.ok
+        (diag,) = result.diagnostics
+        assert "noisy_or" in diag.message and diag.line == 6
+
     def test_bad_policy_op_rejected(self):
         text = (
             'scenario "s" {\n'

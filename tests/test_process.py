@@ -2,6 +2,7 @@
 
 import pytest
 
+from safsec.adteval import UNASSESSED, VerdictPolicy
 from safsec.confidence import SecurityVerdict
 from safsec.model import (
     Actor,
@@ -106,7 +107,7 @@ class TestAcceptanceAndExhaustion:
     def test_immediate_acceptance_runs_no_rounds(self):
         # Lax thresholds hold before any action is applied.
         doc, scenario = simple_document(
-            Thresholds(0.0, 1.0, 1.0), [SetPolicyAction(unassessed=True)]
+            Thresholds(0.0, 1.0, 1.0), [SetPolicyAction(UNASSESSED)]
         )
         transcript = run_process(doc, scenario)
         assert transcript.status == "accepted"
@@ -116,7 +117,7 @@ class TestAcceptanceAndExhaustion:
     def test_exhausted_when_no_action_helps(self):
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(unassessed=True)] * 3,
+            [SetPolicyAction(UNASSESSED)] * 3,
         )
         transcript = run_process(doc, scenario)
         assert transcript.status == "exhausted"
@@ -125,7 +126,7 @@ class TestAcceptanceAndExhaustion:
     def test_max_rounds_truncates_actions(self):
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(unassessed=True)] * 4,
+            [SetPolicyAction(UNASSESSED)] * 4,
             max_rounds=2,
         )
         transcript = run_process(doc, scenario)
@@ -136,11 +137,39 @@ class TestAcceptanceAndExhaustion:
         # Repeating the same action must keep producing the same triple.
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(attribute="probability", op="<=", threshold=0.5)] * 3,
+            [SetPolicyAction(VerdictPolicy(attribute="probability", op="<=", threshold=0.5))] * 3,
         )
         transcript = run_process(doc, scenario)
         triples = {e.triple for e in transcript.entries}
         assert len(triples) == 1
+
+    def test_set_policy_can_select_noisy_or(self):
+        leaf = AdtNode(actor=Actor.ATTACK, label="way", attributes=(("probability", 0.3),))
+        two_ways = AdtNode(
+            actor=Actor.ATTACK,
+            label="break in",
+            refinement=Refinement.OR,
+            children=(leaf, leaf),
+        )
+        outcomes = {}
+        for prob_or in ("max", "noisy_or"):
+            policy = VerdictPolicy(
+                attribute="probability", op="<=", threshold=0.4, prob_or=prob_or
+            )
+            doc, scenario = simple_document(
+                Thresholds(0.99, 0.01, 0.01), [SetPolicyAction(policy)]
+            )
+            doc = Document((doc.blocks[0], AttackDefenseTree("a", two_ways), scenario))
+            (entry,) = run_process(doc, scenario).entries
+            outcomes[prob_or] = (entry.action, entry.verdict)
+        # max keeps the worst single way (0.3); noisy-OR combines both (0.51).
+        assert outcomes == {
+            "max": ("set_policy probability <= 0.4", SecurityVerdict.ACCEPTABLE_RISK),
+            "noisy_or": (
+                "set_policy probability <= 0.4 noisy_or",
+                SecurityVerdict.UNACCEPTABLE_RISK,
+            ),
+        }
 
     def test_transcript_carries_the_note(self):
         doc, scenario = simple_document(Thresholds(0.0, 1.0, 1.0), [])
@@ -165,7 +194,7 @@ class TestErrors:
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
             [
-                SetPolicyAction(unassessed=True),
+                SetPolicyAction(UNASSESSED),
                 AddCounterAction(
                     at_label="no such node",
                     node=AdtNode(actor=Actor.DEFENSE, label="d"),

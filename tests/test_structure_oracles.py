@@ -1,0 +1,163 @@
+"""Indexed GSN and fault-tree passes agree with the naive oracles.
+
+The models are random and deliberately malformed: ids drawn from a small
+pool collide, parents may be unknown, and parent pointers or gate children
+may form cycles (through goals, or through non-goal nodes only).  Wherever
+the naive oracle returns, the indexed code must give the same answer; where
+the recursive oracle never returns (a goal whose subtree is a cycle), the
+indexed aggregation must raise ``ValueError`` instead.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import naive_gsn_structure_problems, naive_has_cycle, naive_subtree_counts
+from safsec.confidence import aggregate_gsn
+from safsec.model import (
+    DefeaterCount,
+    Document,
+    FaultTree,
+    GateOp,
+    GsnModel,
+    GsnNode,
+    NodeKind,
+)
+from safsec.validate import validate_model
+
+IDS = ["A", "B", "C", "D", "E", "F"]
+KINDS = list(NodeKind)
+
+
+@st.composite
+def gsn_nodes(draw):
+    kind = draw(st.sampled_from(KINDS))
+    total = draw(st.integers(0, 6))
+    defeaters = None
+    if kind is NodeKind.GOAL and draw(st.booleans()):
+        defeaters = DefeaterCount(draw(st.integers(0, total)), total)
+    return GsnNode(
+        id=draw(st.sampled_from(IDS)),
+        kind=kind,
+        text="t",
+        parent=draw(st.sampled_from([None, "missing", *IDS])),
+        defeaters=defeaters,
+    )
+
+
+def gsn(*spec: tuple) -> GsnModel:
+    """Model from (id, kind, parent[, outruled, total]) tuples."""
+    nodes = []
+    for node_id, kind, parent, *counts in spec:
+        defeaters = DefeaterCount(*counts) if counts else None
+        nodes.append(GsnNode(node_id, kind, "t", parent=parent, defeaters=defeaters))
+    return GsnModel("M", tuple(nodes))
+
+
+G, S, C = NodeKind.GOAL, NodeKind.STRATEGY, NodeKind.CONTEXT
+GOAL_CYCLE = gsn(("A", G, "B", 1, 2), ("B", G, "A"))
+NON_GOAL_CYCLE = gsn(("R", G, None, 1, 1), ("A", S, "B"), ("B", C, "A"), ("G", G, "A", 2, 3))
+DUPLICATES = gsn(("R", G, None, 1, 2), ("A", G, "R", 1, 1), ("A", G, "R", 3, 4), ("B", S, "A"))
+UNKNOWN_PARENT = gsn(("R", G, None), ("A", G, "missing", 2, 2))
+# A goal reaches the cycle only through a duplicate declaration of A.
+CYCLE_VIA_DUPLICATE = gsn(("R", G, None), ("A", S, "R"), ("A", S, "B"), ("B", S, "A"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(gsn_nodes(), min_size=1, max_size=9))
+@example([*GOAL_CYCLE.nodes])
+@example([*NON_GOAL_CYCLE.nodes])
+@example([*DUPLICATES.nodes])
+@example([*UNKNOWN_PARENT.nodes])
+@example([*CYCLE_VIA_DUPLICATE.nodes])
+def test_gsn_passes_match_naive_oracles(nodes):
+    model = GsnModel("M", tuple(nodes))
+
+    structural = sorted(
+        d.message
+        for d in validate_model(Document((model,)))
+        if d.message.startswith(("duplicate node id", "cycle through node"))
+    )
+    assert structural == sorted(naive_gsn_structure_problems(model))
+
+    try:
+        expected = naive_subtree_counts(model)
+    except RecursionError:
+        with pytest.raises(ValueError, match="cycle through node"):
+            aggregate_gsn(model)
+        return
+    got = aggregate_gsn(model).opinions
+    assert {g: (op.count.outruled, op.count.total) for g, op in got.items()} == expected
+
+
+def test_examples_cover_each_malformation():
+    assert "cycle through node 'A'" in naive_gsn_structure_problems(GOAL_CYCLE)
+    with pytest.raises(ValueError):
+        aggregate_gsn(GOAL_CYCLE)
+    # A non-goal cycle that no goal reaches is reported but not aggregated.
+    assert "cycle through node 'G'" in naive_gsn_structure_problems(NON_GOAL_CYCLE)
+    assert aggregate_gsn(NON_GOAL_CYCLE).opinions["R"].count == DefeaterCount(1, 1)
+    assert aggregate_gsn(DUPLICATES).opinions["R"].count == DefeaterCount(3, 4)
+    with pytest.raises(ValueError):
+        aggregate_gsn(CYCLE_VIA_DUPLICATE)
+
+
+@st.composite
+def fault_trees(draw):
+    events = ["e1", "e2", "e3"]
+    gate_ids = ["G0", "G1", "G2", "G3"]
+    gates = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(gate_ids),
+                st.sampled_from(list(GateOp)),
+                st.lists(st.sampled_from(gate_ids + events), min_size=1, max_size=3).map(tuple),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return FaultTree("T", gates[0][0], tuple(gates), frozenset(events))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fault_trees())
+@example(FaultTree("T", "G0", (("G0", GateOp.OR, ("G0",)),), frozenset()))
+@example(
+    FaultTree(
+        "T",
+        "G0",
+        (
+            ("G0", GateOp.AND, ("e1",)),
+            ("G1", GateOp.OR, ("G0",)),
+            ("G0", GateOp.OR, ("G1",)),  # ignored: a duplicate id's first gate wins
+        ),
+        frozenset({"e1"}),
+    )
+)
+def test_fault_tree_cycle_check_matches_per_gate_dfs(tree):
+    messages = [d.message for d in validate_model(Document((tree,)))]
+    assert ("fault tree contains a cycle" in messages) == naive_has_cycle(tree)
+    gate_ids = [gid for gid, _, _ in tree.gates]
+    duplicates = sorted({g for g in gate_ids if gate_ids.count(g) > 1})
+    assert [m for m in messages if m.startswith("duplicate gate")] == [
+        f"duplicate gate {g!r}" for g in duplicates
+    ]
+
+
+def chain(n: int) -> GsnModel:
+    nodes = [GsnNode("G0", G, "t", defeaters=DefeaterCount(1, 2))]
+    nodes += [
+        GsnNode(f"G{i}", G, "t", parent=f"G{i - 1}", defeaters=DefeaterCount(1, 2))
+        for i in range(1, n)
+    ]
+    return GsnModel("chain", tuple(nodes))
+
+
+def test_deep_chain_needs_no_recursion():
+    # Far deeper than the interpreter's recursion limit.
+    model = chain(10_000)
+    opinions = aggregate_gsn(model).opinions
+    assert opinions["G0"].count == DefeaterCount(10_000, 20_000)
+    assert opinions["G9999"].count == DefeaterCount(1, 2)
+    assert validate_model(Document((model,))) == []
