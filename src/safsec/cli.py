@@ -55,6 +55,16 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        raise _fail(f"{path}: not UTF-8 text ({exc})")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _fail(str(exc))
 
 
 def _load(path: str) -> Document:
@@ -136,7 +146,10 @@ def fta_cutsets(ctx: Ctx, file: str, tree: str, minimal: bool) -> None:
     """Print (minimal) cut sets of a fault tree."""
     document = _load(file)
     ft = _pick(document.ftas, tree, "fault tree")
-    family = fta_mod.minimal_cut_sets(ft) if minimal else fta_mod.cut_sets(ft)
+    try:
+        family = fta_mod.minimal_cut_sets(ft) if minimal else fta_mod.cut_sets(ft)
+    except ValueError as exc:  # a gate cycle
+        raise _fail(str(exc))
     ordered = fta_mod.canonical_order(family)
     if ctx.machine:
         ctx.emit_json(
@@ -144,7 +157,7 @@ def fta_cutsets(ctx: Ctx, file: str, tree: str, minimal: bool) -> None:
                 "command": "fta cutsets",
                 "tree": tree,
                 "minimal": minimal,
-                "cut_sets": [list(s) for s in ordered],
+                "cut_sets": ordered,
             }
         )
     else:
@@ -302,13 +315,11 @@ def derive_cmd(
         raise _fail(str(exc))
     rendered = modelfile.print_document(Document((tree,)))
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        _write(out, rendered)
     else:
         click.echo(rendered, nl=False)
     if dot_path:
-        with open(dot_path, "w", encoding="utf-8") as handle:
-            handle.write(dot.adt_to_dot(tree))
+        _write(dot_path, dot.adt_to_dot(tree))
 
 
 @main.group()

@@ -112,8 +112,12 @@ def voter_attack_subtree(meta: VoterMeta, mode: GuideWord) -> AdtNode:
 
 def fta_attack_subtree(tree: FaultTree) -> Optional[AdtNode]:
     """Attack fragment triggering the tree's top event via any minimal cut set."""
+    try:
+        family = fta_mod.minimal_cut_sets(tree)
+    except ValueError as exc:  # a gate cycle
+        raise DerivationError(str(exc)) from exc
     fragments: list[AdtNode] = []
-    for cut in fta_mod.canonical_order(fta_mod.minimal_cut_sets(tree)):
+    for cut in fta_mod.canonical_order(family):
         if len(cut) == 1:
             fragments.append(_leaf(f"trigger {cut[0]}"))
         else:
@@ -160,9 +164,16 @@ def fmea_attack_subtree(table: FmeaTable) -> list[AdtNode]:
 
 
 def _nearest_hazard_ancestor(model: GsnModel, node: GsnNode) -> Optional[str]:
+    seen: set[str] = set()
     cur = node.parent
     while cur is not None:
-        ancestor = model.node(cur)
+        if cur in seen:
+            raise DerivationError(f"node {node.id!r}: parent cycle through {cur!r}")
+        seen.add(cur)
+        try:
+            ancestor = model.node(cur)
+        except KeyError:
+            raise DerivationError(f"node {node.id!r}: unknown ancestor {cur!r}") from None
         if ancestor.kind is NodeKind.GOAL and ancestor.hazard is not None:
             return ancestor.id
         cur = ancestor.parent
@@ -187,12 +198,13 @@ def derive_adt(
         if sol.fmea_ref is not None and sol.fmea_ref not in fmea_tables:
             raise DerivationError(f"solution {sol.id!r}: unresolved fmea_ref {sol.fmea_ref!r}")
 
+    anchored = [(sol, _nearest_hazard_ancestor(model, sol)) for sol in solutions]
     branches: list[AdtNode] = []
     for goal in hazard_goals:
         hazard = goal.hazard
         assert hazard is not None
         fragments: list[AdtNode] = []
-        for sol in solutions:
+        for sol, anchor in anchored:
             # Voters cross-cut by trace; FTA/FMEA fragments attach under the
             # hazard goal they argue for (strategies in between are skipped).
             if (
@@ -201,7 +213,7 @@ def derive_adt(
                 and hazard.mechanism in (GuideWord.TRIGGER, GuideWord.STOPPING)
             ):
                 fragments.append(voter_attack_subtree(sol.voter, hazard.mechanism))
-            if _nearest_hazard_ancestor(model, sol) != goal.id:
+            if anchor != goal.id:
                 continue
             if sol.fta_ref is not None:
                 fragment = fta_attack_subtree(fault_trees[sol.fta_ref])

@@ -39,6 +39,31 @@ def fault_tree_triggers(tree: FaultTree, events: frozenset[str]) -> bool:
     return ev(tree.top)
 
 
+def naive_cut_sets(tree: FaultTree) -> set[frozenset[str]]:
+    """Raw cut-set family by plain recursion, re-expanding shared gates.
+
+    A gate cycle recurses forever and ends in ``RecursionError``.
+    """
+
+    def expand(node: str) -> set[frozenset[str]]:
+        gate = tree.gate(node)
+        if gate is None:
+            return {frozenset({node})}
+        op, children = gate
+        families = [expand(child) for child in children]
+        if op.value == "OR":
+            out: set[frozenset[str]] = set()
+            for fam in families:
+                out |= fam
+            return out
+        combined = {frozenset()}
+        for fam in families:
+            combined = {a | b for a, b in product(combined, fam)}
+        return combined
+
+    return expand(tree.top)
+
+
 def naive_has_cycle(tree: FaultTree) -> bool:
     """Depth-first search from every gate along gate children."""
 

@@ -1,8 +1,13 @@
 """End-to-end CLI behavior: exit codes, text output, machine output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import safsec
 from click.testing import CliRunner
 
 from safsec.cli import main
@@ -342,6 +347,21 @@ GOAL_LOOP = (
 )
 
 
+CYCLIC_FTA = (
+    'fta "C" {\n  top T\n  gate T OR [G1, A]\n  gate G1 AND [T, B]\n'
+    "  event A\n  event B\n}\n"
+)
+# A hazard goal and a solution whose parent chain is set by ``parent``.
+HAZARD_GSN = (
+    'gsn "H" {{\n'
+    '  goal G1 "hazard" {{\n    hazard impact = low mechanism = trigger trace = X\n  }}\n'
+    '  strategy S1 "a" under {parent}\n'
+    '  strategy S2 "b" under S1\n'
+    '  solution SOL "s" under S1 {{\n    fta_ref = "C"\n  }}\n'
+    "}}\n"
+)
+
+
 class TestMalformedInputExitsTwo:
     """Each case ends in exit 2 with one stderr line and no traceback."""
 
@@ -379,6 +399,59 @@ class TestMalformedInputExitsTwo:
         loop.write_text(GOAL_LOOP, encoding="utf-8")
         result = run(runner, workdir, "process", "run", loop, "--scenario", "S")
         self.check(result, "has 0 roots")
+
+    @pytest.mark.parametrize("minimal", [[], ["--minimal"]])
+    def test_cyclic_fault_tree_cutsets(self, runner, workdir, tmp_path, minimal):
+        cyclic = tmp_path / "cyclic.ssm"
+        cyclic.write_text(CYCLIC_FTA, encoding="utf-8")
+        result = run(runner, workdir, "fta", "cutsets", cyclic, "--tree", "C", *minimal)
+        self.check(result, "cycle through gate 'T'")
+
+    def test_cyclic_fault_tree_derive(self, runner, workdir, tmp_path):
+        cyclic = tmp_path / "cyclic.ssm"
+        cyclic.write_text(CYCLIC_FTA + HAZARD_GSN.format(parent="G1"), encoding="utf-8")
+        result = run(runner, workdir, "derive", "adt", cyclic, "--gsn", "H")
+        self.check(result, "cycle through gate 'T'")
+
+    def test_parent_cycle_derive_finishes(self, tmp_path):
+        # A child process with a timeout, so a walk that never ends fails the
+        # test instead of hanging the suite.
+        model = tmp_path / "ancestry.ssm"
+        model.write_text(CYCLIC_FTA + HAZARD_GSN.format(parent="S2"), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(safsec.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "SAFSEC_COLOR": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "safsec.cli", "derive", "adt", str(model), "--gsn", "H"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: node 'SOL': parent cycle through")
+
+    @pytest.mark.parametrize("side", ["model", "verdicts", "policy"])
+    def test_non_utf8_file(self, runner, workdir, tmp_path, side):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"gsn \xff\n")
+        model = bad if side == "model" else workdir / "airbag.ssm"
+        if side == "policy":
+            args = ["adt", "eval", model, "--adt", "Airbag Attack",
+                    "--attribute", "probability", "--policy", bad]
+        else:
+            args = ["gsn", "confidence", model, "--model", "Airbag"]
+            if side == "verdicts":
+                args += ["--verdicts", bad]
+        result = run(runner, workdir, *args)
+        self.check(result, "bad.bin", "not UTF-8")
+
+    @pytest.mark.parametrize("flag", ["--out", "--dot"])
+    def test_unwritable_derive_output(self, runner, workdir, tmp_path, flag):
+        target = tmp_path / "nonexistent" / "x.out"
+        args = ["derive", "adt", workdir / "airbag.ssm", "--gsn", "Airbag", flag, target]
+        if flag == "--dot":
+            args += ["--out", tmp_path / "x.ssm"]
+        result = run(runner, workdir, *args)
+        self.check(result, "x.out")
 
 
 class TestMachineFormatStability:

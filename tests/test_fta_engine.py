@@ -1,0 +1,161 @@
+"""The memoised, stack-based cut-set expansion agrees with the naive oracles.
+
+Random trees share gates, repeat children and redeclare gate ids (the first
+declaration wins, as in ``FaultTree.gate``).  Where the recursive oracle
+returns, raw families must be identical and minimal families must match the
+brute-force minimal cut sets; where it never returns (a gate cycle), the
+engine must raise ``ValueError`` instead.
+"""
+
+import time
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_minimal_cut_sets, naive_cut_sets
+from safsec.fta import cut_sets, minimal_cut_sets, minimize
+from safsec.model import FaultTree, GateOp
+
+EVENTS = ["e0", "e1", "e2", "e3", "e4"]
+OPS = list(GateOp)
+
+
+def tree(top, gates, events=EVENTS):
+    return FaultTree("T", top, tuple(gates), frozenset(events))
+
+
+@st.composite
+def dag_fault_trees(draw):
+    """Acyclic first declarations (children have higher indices), then
+    redeclarations of the same ids that may point anywhere."""
+    n = draw(st.integers(1, 6))
+    first = []
+    for g in range(n):
+        pool = EVENTS + [f"G{i}" for i in range(g + 1, n)]
+        kids = draw(st.lists(st.sampled_from(pool), max_size=4))
+        first.append((f"G{g}", draw(st.sampled_from(OPS)), tuple(kids)))
+    ids = [gid for gid, _, _ in first]
+    redeclared = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ids),
+                st.sampled_from(OPS),
+                st.lists(st.sampled_from(ids + EVENTS), max_size=3).map(tuple),
+            ),
+            max_size=3,
+        )
+    )
+    return tree("G0", draw(st.permutations(first)) + redeclared)
+
+
+@st.composite
+def cyclic_fault_trees(draw):
+    ids = ["G0", "G1", "G2", "G3"]
+    gates = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ids),
+                st.sampled_from(OPS),
+                st.lists(st.sampled_from(ids + EVENTS[:3]), max_size=3).map(tuple),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return tree(gates[0][0], gates)
+
+
+SHARED = tree(
+    "G0",
+    [
+        ("G0", GateOp.AND, ("G1", "G2", "G1")),
+        ("G1", GateOp.OR, ("G3", "e0")),
+        ("G2", GateOp.OR, ("G3", "e1")),
+        ("G3", GateOp.AND, ("e2", "e3")),
+    ],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_fault_trees())
+@example(SHARED)
+@example(tree("G0", [("G0", GateOp.AND, ())]))
+@example(tree("G0", [("G0", GateOp.OR, ())]))
+def test_engine_matches_oracles_on_dags(t):
+    raw = naive_cut_sets(t)
+    assert cut_sets(t) == raw
+    mcs = brute_force_minimal_cut_sets(t)
+    assert minimal_cut_sets(t) == mcs
+    assert minimize(raw) == mcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_fault_trees())
+@example(tree("G0", [("G0", GateOp.OR, ("G0",))]))
+@example(tree("G0", [("G0", GateOp.AND, ("e0", "G1")), ("G1", GateOp.OR, ("e1", "G0"))]))
+def test_gate_cycle_raises_value_error(t):
+    try:
+        raw = naive_cut_sets(t)
+    except RecursionError:
+        for expand in (cut_sets, minimal_cut_sets):
+            with pytest.raises(ValueError, match="cycle through gate"):
+                expand(t)
+        return
+    assert cut_sets(t) == raw
+    assert minimal_cut_sets(t) == minimize(raw)
+
+
+def chain(n, *, close_cycle=False):
+    """G0 AND [G1, a], ..., with the last gate an OR over a and b."""
+    gates = [(f"G{i}", GateOp.AND, (f"G{i + 1}", "a")) for i in range(n - 1)]
+    last = ("G0", "a") if close_cycle else ("a", "b")
+    gates.append((f"G{n - 1}", GateOp.OR, last))
+    return tree("G0", gates, ["a", "b"])
+
+
+def test_deep_chain_needs_no_recursion():
+    # Far deeper than the interpreter's recursion limit.
+    t = chain(10_000)
+    assert cut_sets(t) == {frozenset("a"), frozenset("ab")}
+    assert minimal_cut_sets(t) == {frozenset("a")}
+
+
+def test_deep_cycle_names_the_gate():
+    t = chain(10_000, close_cycle=True)
+    with pytest.raises(ValueError, match="cycle through gate 'G0'"):
+        minimal_cut_sets(t)
+
+
+def test_equal_size_sets_need_no_subset_test():
+    tests = 0
+
+    class Counted(frozenset):
+        def __le__(self, other):
+            nonlocal tests
+            tests += 1
+            return frozenset.__le__(self, other)
+
+    same_size = [Counted({f"a{i}", f"b{j}"}) for i in range(20) for j in range(20)]
+    assert minimize(same_size) == set(same_size)
+    assert tests == 0
+    # A smaller kept set is tested against each larger candidate.
+    assert minimize([*same_size, Counted({"a0"})]) == {
+        s for s in same_size if "a0" not in s
+    } | {frozenset({"a0"})}
+    assert tests == len(same_size)
+
+
+def and_of_ors(k):
+    gates = [("T", GateOp.AND, tuple(f"O{i}" for i in range(k)))]
+    gates += [(f"O{i}", GateOp.OR, (f"a{i}", f"b{i}")) for i in range(k)]
+    return tree("T", gates, [f"{c}{i}" for i in range(k) for c in "ab"])
+
+
+def test_and_of_14_minimal_family_is_fast():
+    start = time.perf_counter()
+    family = minimal_cut_sets(and_of_ors(14))
+    elapsed = time.perf_counter() - start
+    assert len(family) == 2**14
+    assert all(len(s) == 14 for s in family)
+    assert elapsed < 5.0, f"AND-of-14 took {elapsed:.2f} s"
