@@ -250,7 +250,7 @@ def gsn_confidence(
     verdicts = _load_verdicts(verdicts_path) if verdicts_path else {}
     try:
         aggregate = aggregate_gsn(model)
-        linked = apply_security_links(model, verdicts)
+        linked = apply_security_links(model, aggregate, verdicts)
     except ValueError as exc:  # e.g. a goal cycle
         raise _fail(str(exc))
     if ctx.machine:

@@ -118,16 +118,16 @@ class LinkedOpinions:
 
 
 def apply_security_links(
-    model: GsnModel, verdicts: dict[str, SecurityVerdict]
+    model: GsnModel, aggregate: AggregateResult, verdicts: dict[str, SecurityVerdict]
 ) -> LinkedOpinions:
     """Report each goal's aggregated triple, updated where a link applies.
 
-    A goal carrying a security link gets its aggregated triple passed through
+    ``aggregate`` is :func:`aggregate_gsn` of ``model``.  A goal carrying a
+    security link gets its aggregated triple passed through
     :func:`update_confidence` with the linked ADT's verdict; a missing verdict
     counts as no assessment.  Other goals keep their evidence aggregates,
     including ancestors of linked goals.
     """
-    aggregate = aggregate_gsn(model)
     triples: dict[str, ConfidenceTriple] = {}
     applied: dict[str, SecurityVerdict] = {}
     for goal_id, opinion in aggregate.opinions.items():

@@ -3,8 +3,9 @@
 A scenario names a GSN model and an ADT, acceptance thresholds on the root
 goal's confidence triple, and one action per round.  Each round applies its
 action, re-evaluates the ADT under the current verdict policy, folds the
-verdict into the freshly aggregated evidence triple (updates never compound
-across rounds), and stops as soon as the thresholds hold.
+verdict into the aggregated evidence triple (updates never compound across
+rounds; the model is re-aggregated only after a round changes its defeater
+counts), and stops as soon as the thresholds hold.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import adteval
-from .confidence import SecurityVerdict, apply_security_links
+from .confidence import (
+    AggregateResult,
+    SecurityVerdict,
+    aggregate_gsn,
+    apply_security_links,
+)
 from .model import (
     AddCounterAction,
     AdtNode,
@@ -141,10 +147,14 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
 
     policy = adteval.UNASSESSED
     root_goal = _root_goal_id(model)
+    aggregate: Optional[AggregateResult] = None  # of ``model``; None once stale
 
     def current_triple() -> tuple[SecurityVerdict, ConfidenceTriple]:
+        nonlocal aggregate
         v = adteval.verdict(adt, policy)
-        linked = apply_security_links(model, {scenario.adt_name: v})
+        if aggregate is None:
+            aggregate = aggregate_gsn(model)
+        linked = apply_security_links(model, aggregate, {scenario.adt_name: v})
         return v, linked.triples[root_goal]
 
     try:
@@ -167,6 +177,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
                 model = set_defeaters(
                     model, action.goal_id, action.outruled, action.total
                 )
+                aggregate = None
         except (ProcessError, ValueError) as exc:
             raise ProcessError(f"round {round_no}: {exc}")
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations, product
 
+from safsec.conflicts import ContradictionWitness
 from safsec.model import (
     AdtNode,
     AttackDefenseTree,
@@ -122,6 +123,57 @@ def brute_force_contradictory_assignments(
         if any((s, True) in derived and (s, False) in derived for s in signals):
             out.append(assignment)
     return out
+
+
+def naive_forward_chain(rules, facts):
+    """The rescanning loop: every pass re-tests each unfired rule's body."""
+    derived = set(facts)
+    fired = []
+    fired_set = set()
+    changed = True
+    while changed:
+        changed = False
+        for idx, ac in enumerate(rules):
+            if idx in fired_set:
+                continue
+            if all((lit.signal, lit.positive) in derived for lit in ac.clause.body):
+                fired.append(ac)
+                fired_set.add(idx)
+                head = (ac.clause.head.signal, ac.clause.head.positive)
+                if head not in derived:
+                    derived.add(head)
+                changed = True
+    return derived, fired
+
+
+def naive_find_contradictions(rules) -> list[ContradictionWitness]:
+    """One :func:`naive_forward_chain` per input assignment, in pattern order."""
+    witnesses = []
+    n = len(rules.inputs)
+    for pattern in range(2**n):
+        assignment = {
+            sig: bool((pattern >> i) & 1) for i, sig in enumerate(rules.inputs)
+        }
+        facts = {(sig, value) for sig, value in assignment.items()}
+        derived, fired = naive_forward_chain(rules.rules, facts)
+        signals = {sig for sig, _ in derived}
+        conflicted = sorted(
+            sig for sig in signals if (sig, True) in derived and (sig, False) in derived
+        )
+        if conflicted:
+            involved = tuple(
+                sorted({ac.requirement_id for ac in fired if ac.requirement_id})
+            )
+            witnesses.append(
+                ContradictionWitness(
+                    input_assignment=assignment,
+                    derived_atoms=frozenset(derived),
+                    conflicted_signal=conflicted[0],
+                    involved_requirements=involved,
+                    fired_clauses=tuple(ac.clause for ac in fired),
+                )
+            )
+    return witnesses
 
 
 def brute_force_min_cost(tree: AttackDefenseTree, attribute: str = "cost") -> float:

@@ -470,3 +470,59 @@ class TestMachineFormatStability:
         assert first == second
         payload = json.loads(first)
         assert list(payload) == sorted(payload)
+
+
+class TestAggregateOnce:
+    """Each GSN model is aggregated once per command, and once more per round
+    that changes its defeater counts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import safsec.cli
+        import safsec.confidence
+        import safsec.process
+
+        original = safsec.confidence.aggregate_gsn
+        made = []
+
+        def counting(model):
+            made.append(model.name)
+            return original(model)
+
+        for module in (safsec.confidence, safsec.cli, safsec.process):
+            monkeypatch.setattr(module, "aggregate_gsn", counting)
+        return made
+
+    def test_gsn_confidence_aggregates_once(self, runner, workdir, calls):
+        for fmt in ("text", "machine"):
+            calls.clear()
+            result = run(
+                runner, workdir, "--format", fmt, "gsn", "confidence",
+                workdir / "airbag.ssm", "--model", "Airbag",
+            )
+            assert result.exit_code == 0, result.output
+            assert calls == ["Airbag"]
+
+    def test_process_run_reaggregates_after_set_defeaters_only(
+        self, runner, workdir, tmp_path, calls
+    ):
+        scenario = """
+scenario "Defeaters" {
+  gsn = "Airbag"
+  adt = "Airbag Attack"
+  thresholds min_belief = 0.99 max_disbelief = 0.01 max_uncertainty = 0.01
+  max_rounds = 5
+  set_defeaters goal = G2 outruled = 7 total = 8
+  set_policy unassessed
+  set_defeaters goal = G3 outruled = 10 total = 10
+  set_policy attribute = probability op = "<=" threshold = 0.1
+}
+"""
+        f = tmp_path / "defeaters.ssm"
+        f.write_text(load_bundled("airbag.ssm") + scenario, encoding="utf-8")
+        for name, set_defeaters_rounds in (("Airbag Hardening", 0), ("Defeaters", 2)):
+            calls.clear()
+            result = run(runner, workdir, "process", "run", f, "--scenario", name)
+            assert result.exit_code in (0, 1), result.output
+            assert "round 3" in result.output
+            assert len(calls) == 1 + set_defeaters_rounds, name

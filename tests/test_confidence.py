@@ -193,19 +193,23 @@ class TestApplySecurityLinks:
         )
 
     def test_acceptable_verdict_applied_at_linked_goal(self):
+        model = self.model()
         linked = apply_security_links(
-            self.model(), {"A": SecurityVerdict.ACCEPTABLE_RISK}
+            model, aggregate_gsn(model), {"A": SecurityVerdict.ACCEPTABLE_RISK}
         )
         assert linked.triples["G0"].rounded() == (0.90, 0.07, 0.03)
 
     def test_goal_without_link_unchanged(self):
+        model = self.model()
         linked = apply_security_links(
-            self.model(), {"A": SecurityVerdict.ACCEPTABLE_RISK}
+            model, aggregate_gsn(model), {"A": SecurityVerdict.ACCEPTABLE_RISK}
         )
         assert linked.triples["G1"] == ConfidenceTriple(0, 0, 1)
 
     def test_missing_verdict_means_no_assessment(self):
-        linked = apply_security_links(self.model(), {})
-        base = aggregate_gsn(self.model()).opinions["G0"].triple
+        model = self.model()
+        aggregate = aggregate_gsn(model)
+        linked = apply_security_links(model, aggregate, {})
+        base = aggregate.opinions["G0"].triple
         assert linked.triples["G0"].uncertainty > base.uncertainty
         assert linked.verdicts["G0"] is SecurityVerdict.NO_ASSESSMENT
