@@ -1,5 +1,9 @@
-"""Golden outputs: every CLI command x output format x bundled model file.
+"""Golden outputs: every CLI command x output format x model file.
 
+The model files are the bundled ones plus ``extra.ssm`` (an FMEA table,
+goals without defeater evidence, countermeasures and a scenario that runs
+out of rounds).  Beside that matrix sit the error paths (exit 2) in both
+formats, and the coloured text lines as a colour terminal receives them.
 The expected exit codes, stdout, stderr and written files live in
 ``golden/cli.json``.  Regenerate them (only on purpose, when an output is
 meant to change) with::
@@ -24,6 +28,76 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 VERDICTS = "verdicts.txt"
 POLICY = "policy.txt"
 DOT_OUT = "derived.dot"
+EXTRA = """\
+# Inputs the bundled files lack: an FMEA table, goals declared out of id
+# order, a goal without defeater evidence, an ADT with a countermeasure and
+# a scenario that runs out of rounds.
+
+gsn "Thin" {
+  goal G1 "Door stays shut when it should"
+  goal G3 "Lock holds" under G1 {
+    defeaters outruled = 1 total = 4
+  }
+  goal G2 "No evidence yet" under G1
+  security_link under G3 adt = "Door" weight = 1
+}
+
+adt "Door" {
+  attack OR "open door" {
+    attack "pick lock" {
+      attr probability = 0.2
+      attr cost = 5
+      attr time = 3
+      counter defense "alarm" {
+        attr probability = 0.5
+        attr cost = 4
+        attr time = 2
+      }
+    }
+    attack AND "force door" {
+      attack "pry frame" {
+        attr probability = 0.4
+        attr cost = 2
+        attr time = 1
+      }
+      attack "break hinge" {
+        attr probability = 0.5
+        attr cost = 3
+        attr time = 4
+      }
+    }
+  }
+}
+
+fmea "Valves" {
+  row V1 function = "open valve" mode = loss_of_function severity = 7 occurrence = 3 detection = 4
+  row V2 function = "close valve" mode = erroneous severity = 9 occurrence = 2 detection = 8
+}
+
+scenario "Stuck" {
+  gsn = "Thin"
+  adt = "Door"
+  thresholds min_belief = 0.9 max_disbelief = 0.05 max_uncertainty = 0.05
+  max_rounds = 1
+  set_policy unassessed
+  set_policy attribute = probability op = "<=" threshold = 0.5
+}
+"""
+# Side files for the error paths, an invalid model and the second verdict colour.
+SIDE_FILES = {
+    VERDICTS: "# every bundled ADT judged unacceptable\nAirbag Attack = unacceptable_risk\n",
+    POLICY: "attribute = probability\nop = <=\nthreshold = 0.1\n",
+    "policy_lax.txt": "attribute = probability\nop = <=\nthreshold = 0.5\n",
+    "verdicts_no_eq.txt": "Airbag Attack unacceptable_risk\n",
+    "verdicts_bad_value.txt": "Airbag Attack = maybe\n",
+    "policy_bad_key.txt": "attribute = probability\ncolour = red\n",
+    "broken.ssm": 'gsn "Broken" {\n  goal G1\n',
+    "invalid.ssm": 'gsn "Loop" {\n  goal G1 "a"\n  goal G1 "b" under G1\n}\n',
+}
+
+
+def _sources() -> dict[str, str]:
+    return {**{name: load_bundled(name) for name in BUNDLED}, "extra.ssm": EXTRA}
 
 
 def _names(mapping) -> list[str]:
@@ -35,8 +109,8 @@ def _names(mapping) -> list[str]:
 def cases() -> dict[str, list[str]]:
     """Case id -> argv (without ``--format``), in a fixed order."""
     out: dict[str, list[str]] = {}
-    for file in BUNDLED:
-        doc = parse(load_bundled(file)).document
+    for file, text in _sources().items():
+        doc = parse(text).document
         stem = file[: -len(".ssm")]
 
         def add(*argv: str) -> None:
@@ -63,31 +137,77 @@ def cases() -> dict[str, list[str]]:
             add("process", "run", file, "--scenario", scenario)
         for model in sorted({**doc.gsns, **doc.adts, **doc.ftas}) or ["none"]:
             add("export", "dot", file, "--model", model)
+
+    def error(*argv: str) -> None:
+        out[f"error: {' '.join(argv)}"] = list(argv)
+
+    # An unknown name of each block kind, where the file has some.
+    error("fta", "cutsets", "servertheft.ssm", "--tree", "nope")
+    error("fmea", "rpn", "extra.ssm", "--table", "nope")
+    error("gsn", "confidence", "airbag.ssm", "--model", "nope")
+    error("derive", "adt", "airbag.ssm", "--gsn", "nope")
+    error("adt", "eval", "airbag.ssm", "--adt", "nope", "--attribute", "cost")
+    error("process", "run", "airbag.ssm", "--scenario", "nope")
+    error("export", "dot", "airbag.ssm", "--model", "nope")
+    error("validate", "missing.ssm")
+    error("validate", "broken.ssm")
+    error("fta", "cutsets", "broken.ssm", "--tree", "ServerTheft")
+    error("gsn", "confidence", "airbag.ssm", "--model", "Airbag",
+          "--verdicts", "verdicts_no_eq.txt")
+    error("gsn", "confidence", "airbag.ssm", "--model", "Airbag",
+          "--verdicts", "verdicts_bad_value.txt")
+    error("adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute",
+          "probability", "--policy", "policy_bad_key.txt")
+    error("adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute", "bogus")
+    out["finding: validate invalid.ssm"] = ["validate", "invalid.ssm"]
     return out
 
 
+# Text output that carries colour: run on a colour terminal, SAFSEC_COLOR unset.
+COLOR_CASES = {
+    "airbag: validate airbag.ssm": ["validate", "airbag.ssm"],
+    "extra: gsn confidence extra.ssm --model Thin":
+        ["gsn", "confidence", "extra.ssm", "--model", "Thin"],
+    "airbag: adt eval airbag.ssm --adt Airbag Attack --attribute probability --policy policy.txt":
+        ["adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute",
+         "probability", "--policy", POLICY],
+    "airbag: adt eval airbag.ssm --adt Airbag Attack --attribute probability --policy policy_lax.txt":
+        ["adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute",
+         "probability", "--policy", "policy_lax.txt"],
+    "building: conflicts building.ssm": ["conflicts", "building.ssm"],
+    "building_revised: conflicts building_revised.ssm":
+        ["conflicts", "building_revised.ssm"],
+    "airbag: process run airbag.ssm --scenario Airbag Hardening":
+        ["process", "run", "airbag.ssm", "--scenario", "Airbag Hardening"],
+    "extra: process run extra.ssm --scenario Stuck":
+        ["process", "run", "extra.ssm", "--scenario", "Stuck"],
+}
+
+
 def _write_inputs(directory: Path) -> None:
-    for name in BUNDLED:
-        (directory / name).write_text(load_bundled(name), encoding="utf-8")
-    (directory / VERDICTS).write_text(
-        "# every bundled ADT judged unacceptable\nAirbag Attack = unacceptable_risk\n",
-        encoding="utf-8",
-    )
-    (directory / POLICY).write_text(
-        "attribute = probability\nop = <=\nthreshold = 0.1\n", encoding="utf-8"
-    )
+    for name, text in {**_sources(), **SIDE_FILES}.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
-def run_case(directory: Path, fmt: str, argv: list[str]) -> dict:
-    """Run one command inside ``directory`` (relative paths keep output stable)."""
+def run_case(directory: Path, mode: str, argv: list[str]) -> dict:
+    """Run one command inside ``directory`` (relative paths keep output stable).
+
+    ``mode`` is ``text`` or ``machine`` (the ``--format``, colour off), or
+    ``color``: text on a colour terminal with ``SAFSEC_COLOR`` unset.
+    """
     dot_file = directory / DOT_OUT
     if dot_file.exists():
         dot_file.unlink()
+    color = mode == "color"
+    fmt = "text" if color else mode
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         result = CliRunner().invoke(
-            main, ["--format", fmt, *argv], env={"SAFSEC_COLOR": "0"}
+            main,
+            ["--format", fmt, *argv],
+            env={"SAFSEC_COLOR": None if color else "0"},
+            color=color,
         )
     finally:
         os.chdir(cwd)
@@ -100,7 +220,11 @@ def run_case(directory: Path, fmt: str, argv: list[str]) -> dict:
 
 
 CASES = cases()
-GOLDEN_IDS = [(case, fmt) for case in CASES for fmt in ("text", "machine")]
+ARGV = {
+    **{(case, fmt): argv for case, argv in CASES.items() for fmt in ("text", "machine")},
+    **{(case, "color"): argv for case, argv in COLOR_CASES.items()},
+}
+GOLDEN_IDS = list(ARGV)
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +243,9 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(f"{fmt} | {case}" for case, fmt in GOLDEN_IDS)
 
 
-@pytest.mark.parametrize("case, fmt", GOLDEN_IDS)
-def test_cli_output_matches_golden(golden, inputs, case, fmt):
-    assert run_case(inputs, fmt, CASES[case]) == golden[f"{fmt} | {case}"]
+@pytest.mark.parametrize("case, mode", GOLDEN_IDS)
+def test_cli_output_matches_golden(golden, inputs, case, mode):
+    assert run_case(inputs, mode, ARGV[case, mode]) == golden[f"{mode} | {case}"]
 
 
 if __name__ == "__main__":
@@ -131,9 +255,8 @@ if __name__ == "__main__":
         directory = Path(tmp)
         _write_inputs(directory)
         frozen = {
-            f"{fmt} | {case}": run_case(directory, fmt, argv)
-            for case, argv in CASES.items()
-            for fmt in ("text", "machine")
+            f"{mode} | {case}": run_case(directory, mode, argv)
+            for (case, mode), argv in ARGV.items()
         }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
