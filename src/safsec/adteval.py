@@ -100,6 +100,10 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
                     f"leaf {node.label!r} has no {domain.key!r} attribute "
                     f"and the domain defines no default"
                 )
+        elif not node.children:
+            raise EvaluationError(
+                f"{node.refinement.value} node {node.label!r} has no children"
+            )
         else:
             child_values = [
                 rec(f"{path}.{i}", child) for i, child in enumerate(node.children)

@@ -1,17 +1,20 @@
 """Command-line interface over ``.ssm`` model files.
 
-Exit codes: 0 success, 1 analysis finding (invariant violation,
-contradiction, thresholds unmet), 2 usage or parse error.  ``--format
-machine`` emits canonical JSON for scripting; ``SAFSEC_COLOR=0`` disables
-color in text output.
+Each analysis command computes its result once and builds one payload dict.
+``--format machine`` prints that payload as canonical JSON (sorted keys, two
+space indent): the machine output *is* the payload.  Text output is a
+rendering of the same payload, line by line, so the two formats cannot
+disagree.  The exit code comes from the payload's finding: 0 success, 1
+analysis finding (invariant violation, contradiction, thresholds unmet), 2
+usage, parse or analysis error, reported as one ``error:`` line on stderr.
+``SAFSEC_COLOR=0`` disables color in text output.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional
 
 import click
 
@@ -19,81 +22,100 @@ from . import adteval, conflicts as conflicts_mod, derive, dot, fmea as fmea_mod
 from . import fta as fta_mod
 from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
-from .model import Document
+from .model import AttackDefenseTree, Document, FaultTree, GsnModel
 from .validate import validate_model
 
 FINDING, USAGE = 1, 2
 
+# What ends a command with exit 2 and one line: the engines' errors, and the
+# file system's when a model or side file cannot be read or written.
+ERRORS = (ValueError, OSError, derive.DerivationError, adteval.EvaluationError,
+          process_mod.ProcessError)
 
-class Ctx:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.color = os.environ.get("SAFSEC_COLOR", "1") != "0"
-
-    @property
-    def machine(self) -> bool:
-        return self.fmt == "machine"
-
-    def emit_json(self, payload: dict) -> None:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
-
-    def echo(self, text: str, fg: Optional[str] = None) -> None:
-        if fg and self.color:
-            click.secho(text, fg=fg)
-        else:
-            click.echo(text)
-
-
-def _fail(message: str) -> "click.exceptions.Exit":
-    click.echo(f"error: {message}", err=True)
-    return click.exceptions.Exit(USAGE)
+Lines = Iterable[tuple[str, Optional[str]]]  # (text line, colour or None)
 
 
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise _fail(str(exc))
     except UnicodeDecodeError as exc:
-        raise _fail(f"{path}: not UTF-8 text ({exc})")
+        raise ValueError(f"{path}: not UTF-8 text ({exc})")
 
 
 def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _fail(str(exc))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
-def _load(path: str) -> Document:
+# Block kind named in messages -> that kind's blocks of a document by name.
+_BLOCKS: dict[str, Callable[[Document], Any]] = {
+    "fault tree": lambda d: d.ftas,
+    "fmea table": lambda d: d.fmeas,
+    "gsn model": lambda d: d.gsns,
+    "adt": lambda d: d.adts,
+    "scenario": lambda d: d.scenarios,
+    # ``export dot``: a GSN model shadows an ADT, and an ADT a fault tree.
+    "model": lambda d: {**d.ftas, **d.adts, **d.gsns},
+}
+_TO_DOT = {GsnModel: dot.gsn_to_dot, AttackDefenseTree: dot.adt_to_dot, FaultTree: dot.fta_to_dot}
+
+
+def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
+    """The document parsed from ``path`` and, given a ``kind`` of
+    :data:`_BLOCKS`, its block of that kind named ``name``."""
     result = modelfile.parse(_read(path))
     if not result.ok:
         for diag in result.diagnostics:
             click.echo(f"{path}:{diag}", err=True)
         raise click.exceptions.Exit(USAGE)
-    assert result.document is not None
-    return result.document
+    document = result.document
+    if not kind:
+        return document, None
+    blocks = _BLOCKS[kind](document)
+    if name not in blocks:
+        known = ", ".join(sorted(blocks)) or "none"
+        raise ValueError(f"unknown {kind} {name!r} (available: {known})")
+    return document, blocks[name]
 
 
-def _pick(mapping: dict, name: str, what: str):
-    try:
-        return mapping[name]
-    except KeyError:
-        known = ", ".join(sorted(mapping)) or "none"
-        raise _fail(f"unknown {what} {name!r} (available: {known})")
-
-
-def _triple_dict(triple, rounded: bool) -> dict:
-    if rounded:
-        b, d, u = triple.rounded()
+def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False) -> None:
+    """Print ``payload`` as JSON or as ``render``'s text lines; exit 1 on a finding."""
+    if click.get_current_context().obj == "machine":
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        b, d, u = triple.belief, triple.disbelief, triple.uncertainty
-    return {"belief": b, "disbelief": d, "uncertainty": u}
+        for line, colour in render(payload):
+            click.echo(click.style(line, fg=colour) if colour else line)
+    if finding:
+        raise click.exceptions.Exit(FINDING)
 
 
-@click.group()
+def _triple_dict(triple) -> dict:
+    return {
+        "belief": triple.belief,
+        "disbelief": triple.disbelief,
+        "uncertainty": triple.uncertainty,
+    }
+
+
+def _bdu(triple: dict) -> str:
+    """A payload triple as text, rounded to two places."""
+    b, d, u = (round(triple[k], 2) for k in ("belief", "disbelief", "uncertainty"))
+    return f"B={b:.2f} D={d:.2f} U={u:.2f}"
+
+
+class _Main(click.Group):
+    """The root group: the one place that maps :data:`ERRORS` to exit 2."""
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise click.exceptions.Exit(USAGE)
+
+
+@click.group(cls=_Main)
 @click.option(
     "--format",
     "fmt",
@@ -104,108 +126,99 @@ def _triple_dict(triple, rounded: bool) -> dict:
 @click.pass_context
 def main(ctx: click.Context, fmt: str) -> None:
     """Safety/security assurance analyses over .ssm model files."""
-    ctx.obj = Ctx(fmt)
+    ctx.obj = fmt
+    if os.environ.get("SAFSEC_COLOR", "1") == "0":
+        ctx.color = False  # click strips the styles when it writes
+
+
+def _group(name: str, help: str) -> click.Group:
+    group = click.Group(name, help=help)
+    main.add_command(group)
+    return group
+
+
+fta = _group("fta", "Fault tree analyses.")
+fmea = _group("fmea", "FMEA analyses.")
+gsn = _group("gsn", "GSN confidence analyses.")
+adt = _group("adt", "Attack-defense tree analyses.")
+process_group = _group("process", "Scripted collaborative assessment scenarios.")
+export_group = _group("export", "Export models to other formats.")
+
+
+def _text_validate(p: dict, file: str) -> Lines:
+    for diag in p["diagnostics"]:
+        yield f"{file}: {diag}", None
+    if p["ok"]:
+        yield "ok", "green"
 
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.pass_obj
-def validate(ctx: Ctx, file: str) -> None:
+def validate(file: str) -> None:
     """Check every model invariant in FILE."""
-    document = _load(file)
+    document, _ = _load(file)
     diags = validate_model(document)
-    errors = [d for d in diags if d.severity == "error"]
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "validate",
-                "ok": not errors,
-                "diagnostics": [str(d) for d in diags],
-            }
-        )
-    else:
-        for diag in diags:
-            ctx.echo(f"{file}: {diag}")
-        if not errors:
-            ctx.echo("ok", fg="green")
-    if errors:
-        raise click.exceptions.Exit(FINDING)
+    ok = not any(d.severity == "error" for d in diags)
+    payload = {
+        "command": "validate",
+        "ok": ok,
+        "diagnostics": [str(d) for d in diags],
+    }
+    _emit(payload, lambda p: _text_validate(p, file), finding=not ok)
 
 
-@main.group()
-def fta() -> None:
-    """Fault tree analyses."""
+def _text_cutsets(p: dict) -> Lines:
+    for cut in p["cut_sets"]:
+        yield "{" + ", ".join(cut) + "}", None
 
 
 @fta.command("cutsets")
 @click.argument("file", type=click.Path())
 @click.option("--tree", required=True, help="Fault tree name.")
 @click.option("--minimal", is_flag=True, help="Report minimal cut sets only.")
-@click.pass_obj
-def fta_cutsets(ctx: Ctx, file: str, tree: str, minimal: bool) -> None:
+def fta_cutsets(file: str, tree: str, minimal: bool) -> None:
     """Print (minimal) cut sets of a fault tree."""
-    document = _load(file)
-    ft = _pick(document.ftas, tree, "fault tree")
-    try:
-        family = fta_mod.minimal_cut_sets(ft) if minimal else fta_mod.cut_sets(ft)
-    except ValueError as exc:  # a gate cycle
-        raise _fail(str(exc))
-    ordered = fta_mod.canonical_order(family)
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "fta cutsets",
-                "tree": tree,
-                "minimal": minimal,
-                "cut_sets": ordered,
-            }
-        )
-    else:
-        for cut in ordered:
-            ctx.echo("{" + ", ".join(cut) + "}")
+    _, ft = _load(file, "fault tree", tree)
+    family = fta_mod.minimal_cut_sets(ft) if minimal else fta_mod.cut_sets(ft)
+    payload = {
+        "command": "fta cutsets",
+        "tree": tree,
+        "minimal": minimal,
+        "cut_sets": fta_mod.canonical_order(family),
+    }
+    _emit(payload, _text_cutsets)
 
 
-@main.group()
-def fmea() -> None:
-    """FMEA analyses."""
+def _text_rpn(p: dict) -> Lines:
+    yield "rank  rpn  sev  occ* det  id (function)", None
+    for rank, r in enumerate(p["rows"], start=1):
+        yield (
+            f"{rank:>4}  {r['rpn']:>3}  {r['severity']:>3}  {r['occurrence']:>3} "
+            f"{r['detection']:>3}  {r['id']} ({r['function']})"
+        ), None
+    yield "* occurrence is not security-relevant; shown for completeness", None
 
 
 @fmea.command("rpn")
 @click.argument("file", type=click.Path())
 @click.option("--table", required=True, help="FMEA table name.")
-@click.pass_obj
-def fmea_rpn(ctx: Ctx, file: str, table: str) -> None:
+def fmea_rpn(file: str, table: str) -> None:
     """Print the table ranked by risk priority number."""
-    document = _load(file)
-    tbl = _pick(document.fmeas, table, "fmea table")
-    rows = fmea_mod.ranked_rows(tbl)
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "fmea rpn",
-                "table": table,
-                "rows": [
-                    {
-                        "id": r.id,
-                        "function": r.function,
-                        "mode": r.failure_mode.value,
-                        "severity": r.severity,
-                        "occurrence": r.occurrence,
-                        "detection": r.detection,
-                        "rpn": r.rpn,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    else:
-        ctx.echo("rank  rpn  sev  occ* det  id (function)")
-        for rank, r in enumerate(rows, start=1):
-            ctx.echo(
-                f"{rank:>4}  {r.rpn:>3}  {r.severity:>3}  {r.occurrence:>3} "
-                f"{r.detection:>3}  {r.id} ({r.function})"
-            )
-        ctx.echo("* occurrence is not security-relevant; shown for completeness")
+    _, tbl = _load(file, "fmea table", table)
+    rows = [
+        {
+            "id": r.id,
+            "function": r.function,
+            "mode": r.failure_mode.value,
+            "severity": r.severity,
+            "occurrence": r.occurrence,
+            "detection": r.detection,
+            "rpn": r.rpn,
+        }
+        for r in fmea_mod.ranked_rows(tbl)
+    ]
+    payload = {"command": "fmea rpn", "table": table, "rows": rows}
+    _emit(payload, _text_rpn)
 
 
 def _load_verdicts(path: str) -> dict[str, SecurityVerdict]:
@@ -216,18 +229,26 @@ def _load_verdicts(path: str) -> dict[str, SecurityVerdict]:
             continue
         name, sep, value = line.rpartition("=")
         if not sep:
-            raise _fail(f"{path}:{lineno}: expected '<adt name> = <verdict>'")
+            raise ValueError(f"{path}:{lineno}: expected '<adt name> = <verdict>'")
         try:
             verdicts[name.strip()] = SecurityVerdict(value.strip())
         except ValueError:
             options = ", ".join(v.value for v in SecurityVerdict)
-            raise _fail(f"{path}:{lineno}: verdict must be one of {options}")
+            raise ValueError(f"{path}:{lineno}: verdict must be one of {options}")
     return verdicts
 
 
-@main.group()
-def gsn() -> None:
-    """GSN confidence analyses."""
+def _text_confidence(p: dict) -> Lines:
+    for warning in p["warnings"]:
+        yield warning, "yellow"
+    for goal_id, goal in p["goals"].items():
+        line = (
+            f"{goal_id}: {goal['outruled']}/{goal['total']} defeaters "
+            f"-> {_bdu(goal['reported'])}"
+        )
+        if goal["verdict"] is not None:
+            line += f" (security: {goal['verdict']})"
+        yield line, None
 
 
 @gsn.command("confidence")
@@ -240,55 +261,31 @@ def gsn() -> None:
     default=None,
     help="File of '<adt name> = <verdict>' lines; missing means no assessment.",
 )
-@click.pass_obj
-def gsn_confidence(
-    ctx: Ctx, file: str, model_name: str, verdicts_path: Optional[str]
-) -> None:
+def gsn_confidence(file: str, model_name: str, verdicts_path: Optional[str]) -> None:
     """Per-goal defeater aggregates and confidence triples."""
-    document = _load(file)
-    model = _pick(document.gsns, model_name, "gsn model")
+    _, model = _load(file, "gsn model", model_name)
     verdicts = _load_verdicts(verdicts_path) if verdicts_path else {}
-    try:
-        aggregate = aggregate_gsn(model)
-        linked = apply_security_links(model, aggregate, verdicts)
-    except ValueError as exc:  # e.g. a goal cycle
-        raise _fail(str(exc))
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "gsn confidence",
-                "model": model_name,
-                "goals": {
-                    goal_id: {
-                        "outruled": op.count.outruled,
-                        "total": op.count.total,
-                        "aggregate": _triple_dict(op.triple, rounded=False),
-                        "reported": _triple_dict(
-                            linked.triples[goal_id], rounded=False
-                        ),
-                        "verdict": (
-                            linked.verdicts[goal_id].value
-                            if goal_id in linked.verdicts
-                            else None
-                        ),
-                    }
-                    for goal_id, op in sorted(aggregate.opinions.items())
-                },
-                "warnings": [str(w) for w in linked.warnings],
-            }
-        )
-        return
-    for warning in linked.warnings:
-        ctx.echo(str(warning), fg="yellow")
-    for goal_id, op in aggregate.opinions.items():
-        b, d, u = linked.triples[goal_id].rounded()
-        line = (
-            f"{goal_id}: {op.count.outruled}/{op.count.total} defeaters "
-            f"-> B={b:.2f} D={d:.2f} U={u:.2f}"
-        )
-        if goal_id in linked.verdicts:
-            line += f" (security: {linked.verdicts[goal_id].value})"
-        ctx.echo(line)
+    aggregate = aggregate_gsn(model)
+    linked = apply_security_links(model, aggregate, verdicts)
+    goals = {
+        goal_id: {
+            "outruled": op.count.outruled,
+            "total": op.count.total,
+            "aggregate": _triple_dict(op.triple),
+            "reported": _triple_dict(linked.triples[goal_id]),
+            "verdict": (
+                linked.verdicts[goal_id].value if goal_id in linked.verdicts else None
+            ),
+        }
+        for goal_id, op in aggregate.opinions.items()
+    }
+    payload = {
+        "command": "gsn confidence",
+        "model": model_name,
+        "goals": goals,
+        "warnings": [str(w) for w in linked.warnings],
+    }
+    _emit(payload, _text_confidence)
 
 
 @main.command("derive")
@@ -297,22 +294,12 @@ def gsn_confidence(
 @click.option("--gsn", "gsn_name", required=True, help="Source GSN model name.")
 @click.option("--out", type=click.Path(), default=None, help="Write .ssm here.")
 @click.option("--dot", "dot_path", type=click.Path(), default=None, help="Write DOT here.")
-@click.pass_obj
 def derive_cmd(
-    ctx: Ctx,
-    kind: str,
-    file: str,
-    gsn_name: str,
-    out: Optional[str],
-    dot_path: Optional[str],
+    kind: str, file: str, gsn_name: str, out: Optional[str], dot_path: Optional[str]
 ) -> None:
     """Derive the preliminary attack tree from a GSN model."""
-    document = _load(file)
-    model = _pick(document.gsns, gsn_name, "gsn model")
-    try:
-        tree = derive.derive_adt(model, document.ftas, document.fmeas)
-    except derive.DerivationError as exc:
-        raise _fail(str(exc))
+    document, model = _load(file, "gsn model", gsn_name)
+    tree = derive.derive_adt(model, document.ftas, document.fmeas)
     rendered = modelfile.print_document(Document((tree,)))
     if out:
         _write(out, rendered)
@@ -322,9 +309,12 @@ def derive_cmd(
         _write(dot_path, dot.adt_to_dot(tree))
 
 
-@main.group()
-def adt() -> None:
-    """Attack-defense tree analyses."""
+def _text_adt(p: dict) -> Lines:
+    for path, node in p["values"].items():
+        yield f"{path}: {node['label']} = {node['value']:g}", None
+    if p["verdict"] is not None:
+        colour = "green" if p["verdict"] == "acceptable_risk" else "red"
+        yield f"verdict: {p['verdict']}", colour
 
 
 @adt.command("eval")
@@ -338,43 +328,48 @@ def adt() -> None:
     default=None,
     help="Threshold policy file; adds a verdict to the output.",
 )
-@click.pass_obj
-def adt_eval(
-    ctx: Ctx, file: str, adt_name: str, attribute: str, policy_path: Optional[str]
-) -> None:
+def adt_eval(file: str, adt_name: str, attribute: str, policy_path: Optional[str]) -> None:
     """Evaluate an ADT bottom-up in an attribute domain."""
-    document = _load(file)
-    tree = _pick(document.adts, adt_name, "adt")
-    try:
-        domain = adteval.get_domain(attribute)
-        values = adteval.evaluate(tree, domain)
-        verdict_value = None
-        if policy_path:
-            policy = adteval.load_policy(_read(policy_path))
-            verdict_value = adteval.verdict(tree, policy).value
-    except adteval.EvaluationError as exc:
-        raise _fail(str(exc))
-    labels = {path: node.label for path, node in tree.walk()}
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "adt eval",
-                "adt": adt_name,
-                "attribute": attribute,
-                "values": {
-                    path: {"label": labels[path], "value": value}
-                    for path, value in sorted(values.items())
-                },
-                "root": values["root"],
-                "verdict": verdict_value,
-            }
-        )
-        return
-    for path, _ in tree.walk():
-        ctx.echo(f"{path}: {labels[path]} = {values[path]:g}")
-    if verdict_value is not None:
-        fg = "green" if verdict_value == "acceptable_risk" else "red"
-        ctx.echo(f"verdict: {verdict_value}", fg=fg)
+    _, tree = _load(file, "adt", adt_name)
+    values = adteval.evaluate(tree, adteval.get_domain(attribute))
+    verdict_value = None
+    if policy_path:
+        policy = adteval.load_policy(_read(policy_path))
+        verdict_value = adteval.verdict(tree, policy).value
+    payload = {
+        "command": "adt eval",
+        "adt": adt_name,
+        "attribute": attribute,
+        "values": {
+            path: {"label": node.label, "value": values[path]}
+            for path, node in tree.walk()
+        },
+        "root": values["root"],
+        "verdict": verdict_value,
+    }
+    _emit(payload, _text_adt)
+
+
+def _text_conflicts(p: dict) -> Lines:
+    if not p["candidates"]:
+        yield "no conflict candidates (no shared signals)", None
+    witnesses: dict[tuple, list[dict]] = {}
+    for w in p["contradictions"]:
+        witnesses.setdefault(tuple(w["pair"]), []).append(w)
+    for first, second in p["candidates"]:
+        pair = f"{first} / {second}"
+        if (first, second) not in witnesses:
+            yield f"{pair}: consistent", "green"
+        for w in witnesses.get((first, second), ()):
+            assign = ", ".join(
+                f"{k}={'true' if v else 'false'}" for k, v in w["assignment"].items()
+            )
+            yield (
+                f"{pair}: CONTRADICTION on {w['conflicted_signal']} under {{{assign}}}",
+                "red",
+            )
+            for clause in w["fired_clauses"]:
+                yield f"  fired: {clause}", None
 
 
 @main.command("conflicts")
@@ -384,139 +379,73 @@ def adt_eval(
     is_flag=True,
     help="Pair requirements sharing any signal, not just clause heads.",
 )
-@click.pass_obj
-def conflicts_cmd(ctx: Ctx, file: str, wide_candidates: bool) -> None:
+def conflicts_cmd(file: str, wide_candidates: bool) -> None:
     """Find and confirm conflicts between requirements."""
-    document = _load(file)
-    reqs = list(document.requirements.values())
-    candidates = conflicts_mod.conflict_candidates(reqs, wide=wide_candidates)
+    document, _ = _load(file)
     by_id = document.requirements
-    reports = []
-    try:
-        for first, second in candidates:
-            reports.append(conflicts_mod.check_pair(by_id[first], by_id[second]))
-    except ValueError as exc:
-        raise _fail(str(exc))
-    found = any(not r.consistent for r in reports)
-    if ctx.machine:
-        ctx.emit_json(
-            {
-                "command": "conflicts",
-                "candidates": [list(c) for c in candidates],
-                "contradictions": [
-                    {
-                        "pair": [r.first, r.second],
-                        "assignment": dict(sorted(w.input_assignment.items())),
-                        "conflicted_signal": w.conflicted_signal,
-                        "involved_requirements": list(w.involved_requirements),
-                        "fired_clauses": [str(c) for c in w.fired_clauses],
-                    }
-                    for r in reports
-                    for w in r.witnesses
-                ],
-            }
-        )
-    else:
-        if not candidates:
-            ctx.echo("no conflict candidates (no shared signals)")
-        for report in reports:
-            pair = f"{report.first} / {report.second}"
-            if report.consistent:
-                ctx.echo(f"{pair}: consistent", fg="green")
-                continue
-            for w in report.witnesses:
-                assign = ", ".join(
-                    f"{k}={'true' if v else 'false'}"
-                    for k, v in sorted(w.input_assignment.items())
-                )
-                ctx.echo(
-                    f"{pair}: CONTRADICTION on {w.conflicted_signal} "
-                    f"under {{{assign}}}",
-                    fg="red",
-                )
-                for clause in w.fired_clauses:
-                    ctx.echo(f"  fired: {clause}")
-    if found:
-        raise click.exceptions.Exit(FINDING)
+    candidates = conflicts_mod.conflict_candidates(list(by_id.values()), wide=wide_candidates)
+    reports = [conflicts_mod.check_pair(by_id[a], by_id[b]) for a, b in candidates]
+    contradictions = [
+        {
+            "pair": [r.first, r.second],
+            "assignment": dict(sorted(w.input_assignment.items())),
+            "conflicted_signal": w.conflicted_signal,
+            "involved_requirements": list(w.involved_requirements),
+            "fired_clauses": [str(c) for c in w.fired_clauses],
+        }
+        for r in reports
+        for w in r.witnesses
+    ]
+    payload = {
+        "command": "conflicts",
+        "candidates": [list(c) for c in candidates],
+        "contradictions": contradictions,
+    }
+    _emit(payload, _text_conflicts, finding=bool(contradictions))
 
 
-@main.group("process")
-def process_group() -> None:
-    """Scripted collaborative assessment scenarios."""
+def _text_process(p: dict) -> Lines:
+    yield f"# {p['note']}", None
+    yield f"initial: {_bdu(p['initial'])}", None
+    for e in p["rounds"]:
+        yield f"round {e['round']}: {e['action']} -> {e['verdict']}, {_bdu(e['triple'])}", None
+    yield f"status: {p['status']}", "green" if p["status"] == "accepted" else "red"
 
 
 @process_group.command("run")
 @click.argument("file", type=click.Path())
 @click.option("--scenario", "scenario_name", required=True, help="Scenario name.")
-@click.pass_obj
-def process_run(ctx: Ctx, file: str, scenario_name: str) -> None:
+def process_run(file: str, scenario_name: str) -> None:
     """Replay a scenario until thresholds hold or rounds run out."""
-    document = _load(file)
-    scenario = _pick(document.scenarios, scenario_name, "scenario")
-    try:
-        transcript = process_mod.run_process(document, scenario)
-    except process_mod.ProcessError as exc:
-        raise _fail(str(exc))
-    if ctx.machine:
-        ctx.emit_json(
+    document, scenario = _load(file, "scenario", scenario_name)
+    transcript = process_mod.run_process(document, scenario)
+    payload = {
+        "command": "process run",
+        "scenario": scenario_name,
+        "note": transcript.note,
+        "initial": _triple_dict(transcript.initial_triple),
+        "rounds": [
             {
-                "command": "process run",
-                "scenario": scenario_name,
-                "note": transcript.note,
-                "initial": _triple_dict(transcript.initial_triple, rounded=False),
-                "rounds": [
-                    {
-                        "round": e.round,
-                        "action": e.action,
-                        "verdict": e.verdict.value,
-                        "triple": _triple_dict(e.triple, rounded=False),
-                    }
-                    for e in transcript.entries
-                ],
-                "status": transcript.status,
-                "final": _triple_dict(transcript.final_triple, rounded=False),
+                "round": e.round,
+                "action": e.action,
+                "verdict": e.verdict.value,
+                "triple": _triple_dict(e.triple),
             }
-        )
-    else:
-        ctx.echo(f"# {transcript.note}")
-        b, d, u = transcript.initial_triple.rounded()
-        ctx.echo(f"initial: B={b:.2f} D={d:.2f} U={u:.2f}")
-        for e in transcript.entries:
-            b, d, u = e.triple.rounded()
-            ctx.echo(
-                f"round {e.round}: {e.action} -> {e.verdict.value}, "
-                f"B={b:.2f} D={d:.2f} U={u:.2f}"
-            )
-        fg = "green" if transcript.status == "accepted" else "red"
-        ctx.echo(f"status: {transcript.status}", fg=fg)
-    if transcript.status != "accepted":
-        raise click.exceptions.Exit(FINDING)
-
-
-@main.group("export")
-def export_group() -> None:
-    """Export models to other formats."""
+            for e in transcript.entries
+        ],
+        "status": transcript.status,
+        "final": _triple_dict(transcript.final_triple),
+    }
+    _emit(payload, _text_process, finding=transcript.status != "accepted")
 
 
 @export_group.command("dot")
 @click.argument("file", type=click.Path())
 @click.option("--model", "model_name", required=True, help="Model name (gsn, adt, or fta).")
-@click.pass_obj
-def export_dot(ctx: Ctx, file: str, model_name: str) -> None:
+def export_dot(file: str, model_name: str) -> None:
     """Render a named model as Graphviz DOT on stdout."""
-    document = _load(file)
-    if model_name in document.gsns:
-        rendered = dot.gsn_to_dot(document.gsns[model_name])
-    elif model_name in document.adts:
-        rendered = dot.adt_to_dot(document.adts[model_name])
-    elif model_name in document.ftas:
-        rendered = dot.fta_to_dot(document.ftas[model_name])
-    else:
-        known = sorted({**document.gsns, **document.adts, **document.ftas})
-        raise _fail(
-            f"unknown model {model_name!r} (available: {', '.join(known) or 'none'})"
-        )
-    click.echo(rendered, nl=False)
+    _, model = _load(file, "model", model_name)
+    click.echo(_TO_DOT[type(model)](model), nl=False)
 
 
 if __name__ == "__main__":

@@ -361,6 +361,32 @@ HAZARD_GSN = (
     "}}\n"
 )
 
+# A GSN goal linked to ``{adt}`` and a scenario that assesses it in round 1.
+LINKED_SCENARIO = (
+    'gsn "M" {{\n'
+    '  goal G1 "top" {{\n    defeaters outruled = 1 total = 2\n  }}\n'
+    '  security_link under G1 adt = "{adt}" weight = 1\n'
+    "{extra_link}"
+    "}}\n"
+    "{adt_block}"
+    'scenario "S" {{\n  gsn = "M"\n  adt = "{adt}"\n'
+    "  thresholds min_belief = 0.9 max_disbelief = 0.05 max_uncertainty = 0.05\n"
+    '  max_rounds = 2\n  set_policy attribute = probability op = "<=" threshold = 0.1\n}}\n'
+)
+LEAF_ADT = 'adt "A" {\n  attack "x" {\n    attr probability = 0.5\n  }\n}\n'
+
+
+def childless(refinement: str) -> str:
+    return LINKED_SCENARIO.format(
+        adt="T", extra_link="",
+        adt_block=f'adt "T" {{\n  attack {refinement} "root" {{ }}\n}}\n',
+    )
+
+
+TWO_LINKS = LINKED_SCENARIO.format(
+    adt="A", extra_link='  security_link under G1 adt = "A" weight = 2\n', adt_block=LEAF_ADT
+)
+
 
 class TestMalformedInputExitsTwo:
     """Each case ends in exit 2 with one stderr line and no traceback."""
@@ -444,6 +470,34 @@ class TestMalformedInputExitsTwo:
         result = run(runner, workdir, *args)
         self.check(result, "bad.bin", "not UTF-8")
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("refinement", ["AND", "OR"])
+    def test_childless_adt_node_eval(self, runner, workdir, tmp_path, refinement, fmt):
+        model = tmp_path / "childless.ssm"
+        model.write_text(childless(refinement), encoding="utf-8")
+        result = run(runner, workdir, "--format", fmt, "adt", "eval", model,
+                     "--adt", "T", "--attribute", "probability")
+        self.check(result, f"{refinement} node 'root' has no children")
+
+    @pytest.mark.parametrize("refinement", ["AND", "OR"])
+    def test_childless_adt_node_process(self, runner, workdir, tmp_path, refinement):
+        model = tmp_path / "childless.ssm"
+        model.write_text(childless(refinement), encoding="utf-8")
+        result = run(runner, workdir, "process", "run", model, "--scenario", "S")
+        self.check(result, f"round 1: {refinement} node 'root' has no children")
+
+    def test_two_security_links_confidence(self, runner, workdir, tmp_path):
+        model = tmp_path / "links.ssm"
+        model.write_text(TWO_LINKS, encoding="utf-8")
+        result = run(runner, workdir, "gsn", "confidence", model, "--model", "M")
+        self.check(result, "gsn 'M': multiple security links on goal 'G1'")
+
+    def test_two_security_links_process(self, runner, workdir, tmp_path):
+        model = tmp_path / "links.ssm"
+        model.write_text(TWO_LINKS, encoding="utf-8")
+        result = run(runner, workdir, "process", "run", model, "--scenario", "S")
+        self.check(result, "gsn 'M': multiple security links on goal 'G1'")
+
     @pytest.mark.parametrize("flag", ["--out", "--dot"])
     def test_unwritable_derive_output(self, runner, workdir, tmp_path, flag):
         target = tmp_path / "nonexistent" / "x.out"
@@ -452,6 +506,13 @@ class TestMalformedInputExitsTwo:
             args += ["--out", tmp_path / "x.ssm"]
         result = run(runner, workdir, *args)
         self.check(result, "x.out")
+
+
+def test_safsec_color_0_wins_on_a_colour_terminal(runner, workdir):
+    result = runner.invoke(
+        main, ["validate", str(workdir / "airbag.ssm")], env={"SAFSEC_COLOR": "0"}, color=True
+    )
+    assert (result.exit_code, result.output) == (0, "ok\n")
 
 
 class TestMachineFormatStability:

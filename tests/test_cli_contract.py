@@ -1,0 +1,190 @@
+"""The CLI's exit-code contract on mutated bundled models.
+
+Every command, in both formats, on a bundled ``.ssm`` file after a few
+random edits, must end with exit 0, 1 or 2 and never with an uncaught
+exception.  Exit 2 comes with one ``error:`` line on stderr, or, for a file
+that does not parse, one ``file:line:col`` diagnostic per line.  Exit 1 is
+a finding: ``validate`` with errors, ``conflicts`` with a contradiction or
+``process run`` running out of rounds.
+
+The edits drop, duplicate or move lines, point a GSN node's parent at
+another node (parent cycles), add a gate to a gate's inputs (gate cycles),
+empty an ADT refinement and push numbers out of range.  Deeper nesting is
+left out: an ADT a thousand levels deep still overflows the recursive
+parser.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from safsec.cli import main
+from safsec.modelfile import parse
+
+from conftest import load_bundled
+
+BUNDLED = ("airbag.ssm", "servertheft.ssm", "building.ssm", "building_revised.ssm")
+SOURCES = {name: load_bundled(name).splitlines() for name in BUNDLED}
+MODEL = "model.ssm"
+VERDICTS = "verdicts.txt"
+POLICY = "policy.txt"
+
+GSN_NODE = re.compile(r"^(\s*(?:goal|strategy|solution|context)\s+(\w+)\s+\"[^\"]*\")(.*)$")
+GATE = re.compile(r"^(\s*gate\s+(\w+)\s+(?:AND|OR)\s+\[)(.*)(\].*)$")
+REFINED = re.compile(r"^(\s*(?:attack|defense)\s+(?:AND|OR)\s+\"[^\"]*\")\s*\{\s*$")
+NUMBER = re.compile(r"(?<=[=\s])-?\d+(?:\.\d+)?(?=\s|$)")
+OUT_OF_RANGE = ("-1", "-0.5", "0", "1.5", "2", "1000000", "99999999999999999999")
+
+
+def commands(name: str) -> list[list[str]]:
+    """Every command over the bundled file ``name``'s blocks (argv after --format)."""
+    doc = parse(load_bundled(name)).document
+    out = [["validate", MODEL], ["conflicts", MODEL], ["conflicts", MODEL, "--wide-candidates"]]
+    for tree in doc.ftas:
+        out += [["fta", "cutsets", MODEL, "--tree", tree],
+                ["fta", "cutsets", MODEL, "--tree", tree, "--minimal"]]
+    for table in doc.fmeas:
+        out.append(["fmea", "rpn", MODEL, "--table", table])
+    for model in doc.gsns:
+        out += [["gsn", "confidence", MODEL, "--model", model],
+                ["gsn", "confidence", MODEL, "--model", model, "--verdicts", VERDICTS],
+                ["derive", "adt", MODEL, "--gsn", model]]
+    for adt in doc.adts:
+        out += [["adt", "eval", MODEL, "--adt", adt, "--attribute", attribute]
+                for attribute in ("cost", "probability", "time", "time_sequential")]
+        out.append(["adt", "eval", MODEL, "--adt", adt, "--attribute", "probability",
+                    "--policy", POLICY])
+    for scenario in doc.scenarios:
+        out.append(["process", "run", MODEL, "--scenario", scenario])
+    for model in {**doc.gsns, **doc.adts, **doc.ftas}:
+        out.append(["export", "dot", MODEL, "--model", model])
+    return out
+
+
+COMMANDS = {name: commands(name) for name in BUNDLED}
+
+
+def _emptied(lines: list[str], j: int) -> list[str]:
+    """``lines`` with the children of the AND/OR node opened on line ``j`` removed."""
+    depth, end = 0, len(lines) - 1
+    for i in range(j, len(lines)):
+        depth += lines[i].count("{") - lines[i].count("}")
+        if depth == 0:
+            end = i
+            break
+    return lines[:j] + [REFINED.match(lines[j]).group(1) + " { }"] + lines[end + 1:]
+
+
+AIRBAG = SOURCES["airbag.ssm"]
+EMPTIED_AIRBAG = "\n".join(_emptied(AIRBAG, AIRBAG.index('  attack OR "Attack Airbag" {'))) + "\n"
+
+
+@st.composite
+def mutation(draw, lines: list[str]) -> list[str]:
+    """``lines`` after one random edit (unchanged when the edit has no target)."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(
+        ["drop", "duplicate", "move", "parent", "gate", "empty", "number"]))
+    if not lines:
+        return lines
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "move":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+    elif kind == "parent":
+        nodes = [(j, m) for j, m in enumerate(map(GSN_NODE.match, lines)) if m]
+        if nodes:
+            j, m = draw(st.sampled_from(nodes))
+            parent = draw(st.sampled_from([n.group(2) for _, n in nodes]))
+            rest = re.sub(r"^\s*under\s+\w+", "", m.group(3))
+            lines[j] = f"{m.group(1)} under {parent}{rest}"
+    elif kind == "gate":
+        gates = [(j, m) for j, m in enumerate(map(GATE.match, lines)) if m]
+        if gates:
+            j, m = draw(st.sampled_from(gates))
+            extra = draw(st.sampled_from([g.group(2) for _, g in gates]))
+            lines[j] = f"{m.group(1)}{m.group(3)}, {extra}{m.group(4)}"
+    elif kind == "empty":
+        refined = [j for j, line in enumerate(lines) if REFINED.match(line)]
+        if refined:
+            lines = _emptied(lines, draw(st.sampled_from(refined)))
+    else:
+        numbered = [j for j, line in enumerate(lines) if NUMBER.search(line)]
+        if numbered:
+            j = draw(st.sampled_from(numbered))
+            value = draw(st.sampled_from(OUT_OF_RANGE))
+            lines[j] = NUMBER.sub(value, lines[j], count=1)
+    return lines
+
+
+@st.composite
+def mutated_model(draw) -> tuple[str, str]:
+    name = draw(st.sampled_from(BUNDLED))
+    lines = SOURCES[name]
+    for _ in range(draw(st.integers(1, 3))):
+        lines = draw(mutation(lines))
+    return name, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("contract")
+    (directory / VERDICTS).write_text("Airbag Attack = unacceptable_risk\n", encoding="utf-8")
+    (directory / POLICY).write_text(
+        "attribute = probability\nop = <=\nthreshold = 0.1\n", encoding="utf-8"
+    )
+    return directory
+
+
+# Command -> (is its machine payload a finding, text that marks a finding).
+FINDINGS = {
+    "validate": (lambda p: not p["ok"], ": error: "),
+    "conflicts": (lambda p: bool(p["contradictions"]), "CONTRADICTION"),
+    "process run": (lambda p: p["status"] == "exhausted", "status: exhausted"),
+}
+
+
+def check_contract(argv: list[str], fmt: str, result) -> None:
+    where = f"{fmt} {' '.join(argv)}: exit {result.exit_code}\n{result.output}"
+    assert result.exception is None or isinstance(result.exception, SystemExit), where
+    assert result.exit_code in (0, 1, 2), where
+    if result.exit_code == 2:
+        lines = result.stderr.splitlines()
+        assert lines, where
+        if not all(line.startswith(f"{MODEL}:") for line in lines):
+            assert len(lines) == 1 and lines[0].startswith("error: "), where
+    elif result.exit_code == 1:
+        command = argv[0] if argv[0] in FINDINGS else " ".join(argv[:2])
+        assert command in FINDINGS, where
+        is_finding, marker = FINDINGS[command]
+        if fmt == "machine":
+            assert is_finding(json.loads(result.stdout)), where
+        else:
+            assert marker in result.stdout, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_model())
+# A childless refinement once ended ``adt eval`` and ``process run`` in a
+# TypeError from an empty ``reduce``.
+@example(("airbag.ssm", EMPTIED_AIRBAG))
+def test_every_command_keeps_the_exit_code_contract(workdir, case):
+    name, text = case
+    (workdir / MODEL).write_text(text, encoding="utf-8")
+    runner = CliRunner()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        for argv in COMMANDS[name]:
+            for fmt in ("text", "machine"):
+                result = runner.invoke(main, ["--format", fmt, *argv],
+                                       env={"SAFSEC_COLOR": "0"})
+                check_contract(argv, fmt, result)
+

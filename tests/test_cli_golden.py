@@ -163,24 +163,25 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+def _stem(argv: list[str]) -> str:
+    return next(arg for arg in argv if arg.endswith(".ssm"))[: -len(".ssm")]
+
+
 # Text output that carries colour: run on a colour terminal, SAFSEC_COLOR unset.
 COLOR_CASES = {
-    "airbag: validate airbag.ssm": ["validate", "airbag.ssm"],
-    "extra: gsn confidence extra.ssm --model Thin":
+    f"{_stem(argv)}: {' '.join(argv)}": argv
+    for argv in (
+        ["validate", "airbag.ssm"],
         ["gsn", "confidence", "extra.ssm", "--model", "Thin"],
-    "airbag: adt eval airbag.ssm --adt Airbag Attack --attribute probability --policy policy.txt":
         ["adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute",
          "probability", "--policy", POLICY],
-    "airbag: adt eval airbag.ssm --adt Airbag Attack --attribute probability --policy policy_lax.txt":
         ["adt", "eval", "airbag.ssm", "--adt", "Airbag Attack", "--attribute",
          "probability", "--policy", "policy_lax.txt"],
-    "building: conflicts building.ssm": ["conflicts", "building.ssm"],
-    "building_revised: conflicts building_revised.ssm":
+        ["conflicts", "building.ssm"],
         ["conflicts", "building_revised.ssm"],
-    "airbag: process run airbag.ssm --scenario Airbag Hardening":
         ["process", "run", "airbag.ssm", "--scenario", "Airbag Hardening"],
-    "extra: process run extra.ssm --scenario Stuck":
         ["process", "run", "extra.ssm", "--scenario", "Stuck"],
+    )
 }
 
 

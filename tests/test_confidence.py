@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -213,3 +214,10 @@ class TestApplySecurityLinks:
         base = aggregate.opinions["G0"].triple
         assert linked.triples["G0"].uncertainty > base.uncertainty
         assert linked.verdicts["G0"] is SecurityVerdict.NO_ASSESSMENT
+
+    def test_two_links_on_one_goal_rejected(self):
+        model = replace(self.model(), security_links=(
+            SecurityLink("G0", "A", 2.0), SecurityLink("G0", "B", 1.0),
+        ))
+        with pytest.raises(ValueError, match="gsn 'M': multiple security links on goal 'G0'"):
+            apply_security_links(model, aggregate_gsn(model), {})
