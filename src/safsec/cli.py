@@ -22,7 +22,7 @@ from . import adteval, conflicts as conflicts_mod, derive, dot, fmea as fmea_mod
 from . import fta as fta_mod
 from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
-from .model import AttackDefenseTree, Document, FaultTree, GsnModel
+from .model import AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel
 from .validate import validate_model
 
 FINDING, USAGE = 1, 2
@@ -100,7 +100,7 @@ def _triple_dict(triple) -> dict:
 
 def _bdu(triple: dict) -> str:
     """A payload triple as text, rounded to two places."""
-    b, d, u = (round(triple[k], 2) for k in ("belief", "disbelief", "uncertainty"))
+    b, d, u = ConfidenceTriple(**triple).rounded()
     return f"B={b:.2f} D={d:.2f} U={u:.2f}"
 
 

@@ -508,11 +508,16 @@ class TestMalformedInputExitsTwo:
         self.check(result, "x.out")
 
 
-def test_safsec_color_0_wins_on_a_colour_terminal(runner, workdir):
-    result = runner.invoke(
-        main, ["validate", str(workdir / "airbag.ssm")], env={"SAFSEC_COLOR": "0"}, color=True
-    )
-    assert (result.exit_code, result.output) == (0, "ok\n")
+@pytest.mark.parametrize("argv, last_line", [
+    (["validate"], "ok"),
+    (["process", "run", "--scenario", "Airbag Hardening"], "status: accepted"),
+])
+def test_safsec_color_0_wins_on_a_colour_terminal(runner, workdir, argv, last_line):
+    argv = [*argv[:2], str(workdir / "airbag.ssm"), *argv[2:]]
+    result = runner.invoke(main, argv, env={"SAFSEC_COLOR": "0"}, color=True)
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1] == last_line
+    assert "\x1b" not in result.output
 
 
 class TestMachineFormatStability:
