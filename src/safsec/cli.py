@@ -6,8 +6,9 @@ space indent): the machine output *is* the payload.  Text output is a
 rendering of the same payload, line by line, so the two formats cannot
 disagree.  The exit code comes from the payload's finding: 0 success, 1
 analysis finding (invariant violation, contradiction, thresholds unmet), 2
-usage, parse or analysis error, reported as one ``error:`` line on stderr.
-``SAFSEC_COLOR=0`` disables color in text output.
+usage, parse or analysis error.  Exit 2 writes one ``error:`` line to
+stderr, or one ``file:line:col`` diagnostic per line for a file that does
+not parse.  ``SAFSEC_COLOR=0`` disables color in text output.
 """
 
 from __future__ import annotations
