@@ -486,16 +486,14 @@ class TestMalformedInputExitsTwo:
         result = run(runner, workdir, "process", "run", model, "--scenario", "S")
         self.check(result, f"round 1: {refinement} node 'root' has no children")
 
-    def test_two_security_links_confidence(self, runner, workdir, tmp_path):
+    @pytest.mark.parametrize("command, option", [
+        (["gsn", "confidence"], ["--model", "M"]),
+        (["process", "run"], ["--scenario", "S"]),
+    ])
+    def test_two_security_links(self, runner, workdir, tmp_path, command, option):
         model = tmp_path / "links.ssm"
         model.write_text(TWO_LINKS, encoding="utf-8")
-        result = run(runner, workdir, "gsn", "confidence", model, "--model", "M")
-        self.check(result, "gsn 'M': multiple security links on goal 'G1'")
-
-    def test_two_security_links_process(self, runner, workdir, tmp_path):
-        model = tmp_path / "links.ssm"
-        model.write_text(TWO_LINKS, encoding="utf-8")
-        result = run(runner, workdir, "process", "run", model, "--scenario", "S")
+        result = run(runner, workdir, *command, model, *option)
         self.check(result, "gsn 'M': multiple security links on goal 'G1'")
 
     @pytest.mark.parametrize("flag", ["--out", "--dot"])
