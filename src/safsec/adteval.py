@@ -92,6 +92,10 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
 
     def rec(path: str, node: AdtNode) -> float:
         if node.refinement is Refinement.LEAF:
+            if node.children:
+                raise EvaluationError(
+                    f"node {node.label!r} has children but no AND/OR refinement"
+                )
             value = node.attribute(domain.key)
             if value is None:
                 value = domain.leaf_default

@@ -228,8 +228,15 @@ class GsnModel:
     def goals(self) -> list[GsnNode]:
         return [n for n in self.nodes if n.kind is NodeKind.GOAL]
 
+    @cached_property
+    def _links_by_goal(self) -> dict[str, list[SecurityLink]]:
+        out: dict[str, list[SecurityLink]] = {}
+        for link in self.security_links:
+            out.setdefault(link.goal_id, []).append(link)
+        return out
+
     def links_for(self, goal_id: str) -> list[SecurityLink]:
-        return [l for l in self.security_links if l.goal_id == goal_id]
+        return list(self._links_by_goal.get(goal_id, ()))
 
 
 @dataclass(frozen=True)

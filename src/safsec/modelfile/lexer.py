@@ -1,107 +1,75 @@
-"""Tokenizer for the ``.ssm`` model format."""
+"""Tokenizer for the ``.ssm`` model format.
+
+One master pattern with a named group per token kind (the "Writing a
+Tokenizer" recipe in Python's ``re`` documentation) skips the blanks and
+``#`` comments in front of a token and matches the token; the name of the
+group that matched is its kind.  The last groups match only where the text
+is wrong and turn into `LexError`s.  Tokens carry a character offset, not a
+line and column: `position` computes those, and only for a diagnostic.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import Iterator, NamedTuple
 
-PUNCT = {"{", "}", "[", "]", "=", ",", "&", "!"}
+_BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<ARROW>=>)"
+    r"|(?P<PUNCT>[{}\[\]=,&!])"
+    rf'|(?P<STRING>"{_BODY}")'
+    rf'|(?P<OPEN>"){_BODY}'  # a string that stops short of its closing quote
+    r"|(?P<FLOAT>\d+\.\d+)"
+    r"|(?P<DOT>\d+\.)"  # a number that ends in its decimal point
+    r"|(?P<INT>\d+)"
+    r"|(?P<IDENT>\w+)"  # may start on a non-decimal digit such as ``²``: checked below
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))"
+)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 class LexError(Exception):
-    def __init__(self, message: str, line: int, column: int):
+    def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.column = column
+        self.offset = offset
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT STRING INT FLOAT PUNCT ARROW EOF
     value: str
-    line: int
-    column: int
+    offset: int
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of the character at ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> Iterator[Token]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "=" and i + 1 < n and text[i + 1] == ">":
-            yield Token("ARROW", "=>", start_line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch in PUNCT or ch == "=":
-            yield Token("PUNCT", ch, start_line, start_col)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise LexError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated escape", line, col)
-                    esc = text[i + 1]
-                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-                    if mapped is None:
-                        raise LexError(f"unknown escape \\{esc}", line, col)
-                    out.append(mapped)
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            yield Token("STRING", "".join(out), start_line, start_col)
-            continue
-        if ch.isdigit():
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            lexeme = text[i:j]
-            if lexeme.endswith("."):
-                raise LexError(f"malformed number {lexeme!r}", start_line, start_col)
-            yield Token("FLOAT" if seen_dot else "INT", lexeme, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield Token("IDENT", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        raise LexError(f"unexpected character {ch!r}", start_line, start_col)
-    yield Token("EOF", "", line, col)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        value = m[kind]
+        if kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+        elif kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            raise LexError(f"unexpected character {value[0]!r}", offset)
+        elif kind == "DOT":
+            raise LexError(f"malformed number {value!r}", offset)
+        elif kind == "OPEN":
+            end = m.end()
+            if not text.startswith("\\", end):
+                raise LexError("unterminated string", offset)
+            escape = text[end + 1 : end + 2]
+            if escape in ("", "\n"):
+                raise LexError("unterminated escape", end)
+            raise LexError(f"unknown escape \\{escape}", end)
+        yield Token(kind, value, offset)
+        if kind == "EOF":
+            return

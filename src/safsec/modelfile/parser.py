@@ -1,14 +1,17 @@
 """Recursive-descent parser for the ``.ssm`` model format.
 
-Diagnostics carry line/column of the offending token.  Parsing aborts after
-20 errors.  Syntax errors inside a block skip ahead to the next top-level
-block keyword so that independent blocks still get checked.
+Diagnostics carry line/column of the offending token.  Tokens hold only a
+character offset; `_record_at` turns it into a line and column with
+`lexer.position`, so positions are computed only for the errors reported.
+Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
+the next top-level block keyword so that independent blocks still get
+checked.  Every ``key = value`` pair is read by `Parser.expect_kv`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..adteval import UNASSESSED, VerdictPolicy
 from ..model import (
@@ -43,7 +46,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import LexError, Token, tokenize
+from .lexer import LexError, Token, position, tokenize
 
 MAX_ERRORS = 20
 BLOCK_KEYWORDS = {"gsn", "adt", "fta", "fmea", "requirement", "scenario"}
@@ -72,13 +75,14 @@ class _SyntaxError(Exception):
 
 class Parser:
     def __init__(self, text: str):
+        self.text = text
         self.diagnostics: list[Diagnostic] = []
+        self.pos = 0
         try:
             self.tokens = list(tokenize(text))
         except LexError as exc:
-            self.tokens = [Token("EOF", "", exc.line, exc.column)]
-            self._record(exc.message, exc.line, exc.column)
-        self.pos = 0
+            self.tokens = [Token("EOF", "", exc.offset)]
+            self._record_at(exc.message, self.tokens[0])
 
     # --- token utilities -------------------------------------------------
 
@@ -94,6 +98,10 @@ class Parser:
     def at_ident(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.value in words
+
+    def at_punct(self, value: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "PUNCT" and tok.value == value
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
         tok = self.peek()
@@ -128,20 +136,19 @@ class Parser:
             raise _SyntaxError(f"expected {value!r}, got {tok.value or tok.kind!r}", tok)
         return self.advance()
 
-    def expect_kv_ident(self, key: str) -> Token:
+    def expect_kv(self, key: str, read: Optional[Callable] = None):
+        """Read ``key = value``; ``read`` reads the value (default: an IDENT token)."""
         self.expect_ident(key)
         self.expect_punct("=")
-        return self.expect("IDENT")
+        return read() if read is not None else self.expect("IDENT")
 
-    def _record(self, message: str, line: int, column: int) -> None:
+    def _record_at(self, message: str, tok: Token) -> None:
+        line, column = position(self.text, tok.offset)
         self.diagnostics.append(
             Diagnostic(message, severity="error", line=line, column=column)
         )
         if len(self.diagnostics) >= MAX_ERRORS:
             raise _Abort()
-
-    def _record_at(self, message: str, tok: Token) -> None:
-        self._record(message, tok.line, tok.column)
 
     def _skip_to_next_block(self) -> None:
         depth = 0
@@ -149,15 +156,11 @@ class Parser:
             tok = self.peek()
             if tok.kind == "EOF":
                 return
-            if tok.kind == "PUNCT" and tok.value == "{":
+            if self.at_punct("{"):
                 depth += 1
-            elif tok.kind == "PUNCT" and tok.value == "}":
+            elif self.at_punct("}"):
                 depth = max(0, depth - 1)
-            elif (
-                tok.kind == "IDENT"
-                and tok.value in BLOCK_KEYWORDS
-                and depth == 0
-            ):
+            elif self.at_ident(*BLOCK_KEYWORDS) and depth == 0:
                 return
             self.advance()
 
@@ -209,7 +212,7 @@ class Parser:
         nodes: list[GsnNode] = []
         links: list[SecurityLink] = []
         under_refs: list[tuple[str, Token]] = []
-        while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             if self.at_ident("goal", "strategy", "solution", "context"):
                 node, under_tok = self._parse_gsn_node()
                 nodes.append(node)
@@ -243,37 +246,25 @@ class Parser:
             under_tok = self.expect("IDENT")
             parent = under_tok.value
         defeaters = hazard = voter = fta_ref = fmea_ref = None
-        if self.peek().kind == "PUNCT" and self.peek().value == "{":
+        if self.at_punct("{"):
             self.advance()
-            while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
+            while not self.at_punct("}"):
                 attr = self.expect("IDENT")
                 if attr.value == "defeaters":
-                    self.expect_ident("outruled")
-                    self.expect_punct("=")
-                    outruled = self.expect_int()
-                    self.expect_ident("total")
-                    self.expect_punct("=")
-                    total = self.expect_int()
+                    outruled = self.expect_kv("outruled", self.expect_int)
+                    total = self.expect_kv("total", self.expect_int)
                     defeaters = DefeaterCount(outruled, total)
                 elif attr.value == "hazard":
-                    impact = self._enum(
-                        Impact, self.expect_kv_ident("impact"), "impact level"
-                    )
-                    mech = self._enum(
-                        GuideWord, self.expect_kv_ident("mechanism"), "guide word"
-                    )
-                    trace = self.expect_kv_ident("trace").value
+                    impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
+                    mech = self._enum(GuideWord, self.expect_kv("mechanism"), "guide word")
+                    trace = self.expect_kv("trace").value
                     hazard = HazardMeta(impact=impact, mechanism=mech, trace=trace)
                 elif attr.value == "voter":
-                    self.expect_ident("signals")
-                    self.expect_punct("=")
-                    signals = self._parse_id_list()
-                    self.expect_ident("threshold")
-                    self.expect_punct("=")
-                    threshold = self.expect_int()
-                    trace = self.expect_kv_ident("trace").value
+                    signals = self.expect_kv("signals", self._parse_id_list)
+                    threshold = self.expect_kv("threshold", self.expect_int)
+                    trace = self.expect_kv("trace").value
                     voter = VoterMeta(
-                        signals=tuple(signals), threshold=threshold, trace=trace
+                        signals=tuple(t.value for t in signals), threshold=threshold, trace=trace
                     )
                 elif attr.value == "fta_ref":
                     self.expect_punct("=")
@@ -303,20 +294,16 @@ class Parser:
         self.expect_ident("security_link")
         self.expect_ident("under")
         goal_id = self.expect("IDENT").value
-        self.expect_ident("adt")
-        self.expect_punct("=")
-        adt_name = self.expect_string()
-        self.expect_ident("weight")
-        self.expect_punct("=")
-        weight = self.expect_num()
+        adt_name = self.expect_kv("adt", self.expect_string)
+        weight = self.expect_kv("weight", self.expect_num)
         return SecurityLink(goal_id=goal_id, adt_name=adt_name, weight=weight)
 
-    def _parse_id_list(self) -> list[str]:
+    def _parse_id_list(self) -> list[Token]:
         self.expect_punct("[")
-        ids = [self.expect("IDENT").value]
-        while self.peek().kind == "PUNCT" and self.peek().value == ",":
+        ids = [self.expect("IDENT")]
+        while self.at_punct(","):
             self.advance()
-            ids.append(self.expect("IDENT").value)
+            ids.append(self.expect("IDENT"))
         self.expect_punct("]")
         return ids
 
@@ -329,17 +316,12 @@ class Parser:
         gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
         events: list[str] = []
         child_refs: list[Token] = []
-        while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             if self.at_ident("gate"):
                 self.advance()
                 gate_id = self.expect("IDENT").value
                 op = GateOp(self.expect_ident("AND", "OR").value)
-                self.expect_punct("[")
-                child_tokens = [self.expect("IDENT")]
-                while self.peek().kind == "PUNCT" and self.peek().value == ",":
-                    self.advance()
-                    child_tokens.append(self.expect("IDENT"))
-                self.expect_punct("]")
+                child_tokens = self._parse_id_list()
                 child_refs.extend(child_tokens)
                 gates.append((gate_id, op, tuple(t.value for t in child_tokens)))
             elif self.at_ident("event"):
@@ -372,30 +354,16 @@ class Parser:
         while self.at_ident("row"):
             self.advance()
             row_id = self.expect("IDENT").value
-            self.expect_ident("function")
-            self.expect_punct("=")
-            function = self.expect_string()
-            mode = self._enum(
-                FailureMode, self.expect_kv_ident("mode"), "failure mode"
-            )
-            self.expect_ident("severity")
-            self.expect_punct("=")
-            severity = self.expect_int()
-            self.expect_ident("occurrence")
-            self.expect_punct("=")
-            occurrence = self.expect_int()
-            self.expect_ident("detection")
-            self.expect_punct("=")
-            detection = self.expect_int()
+            function = self.expect_kv("function", self.expect_string)
+            mode = self._enum(FailureMode, self.expect_kv("mode"), "failure mode")
+            severity = self.expect_kv("severity", self.expect_int)
+            occurrence = self.expect_kv("occurrence", self.expect_int)
+            detection = self.expect_kv("detection", self.expect_int)
             effect = cause = ""
             if self.at_ident("effect"):
-                self.advance()
-                self.expect_punct("=")
-                effect = self.expect_string()
+                effect = self.expect_kv("effect", self.expect_string)
             if self.at_ident("cause"):
-                self.advance()
-                self.expect_punct("=")
-                cause = self.expect_string()
+                cause = self.expect_kv("cause", self.expect_string)
             rows.append(
                 FmeaRow(
                     id=row_id,
@@ -414,23 +382,19 @@ class Parser:
     def _parse_requirement(self) -> Requirement:
         self.expect_ident("requirement")
         req_id = self.expect("IDENT").value
-        kind = self._enum(
-            RequirementKind, self.expect_kv_ident("kind"), "requirement kind"
-        )
-        trace = self.expect_kv_ident("trace").value
+        kind = self._enum(RequirementKind, self.expect_kv("kind"), "requirement kind")
+        trace = self.expect_kv("trace").value
         self.expect_punct("{")
-        inputs: list[str] = []
+        inputs: list[Token] = []
         if self.at_ident("inputs"):
-            self.advance()
-            self.expect_punct("=")
-            inputs = self._parse_id_list()
+            inputs = self.expect_kv("inputs", self._parse_id_list)
         clauses: list[Clause] = []
         while self.at_ident("clause"):
             self.advance()
             body: list[Literal] = []
             if self.peek().kind != "ARROW":
                 body.append(self._parse_literal())
-                while self.peek().kind == "PUNCT" and self.peek().value == "&":
+                while self.at_punct("&"):
                     self.advance()
                     body.append(self._parse_literal())
             self.expect("ARROW")
@@ -442,12 +406,12 @@ class Parser:
             kind=kind,
             trace=trace,
             clauses=tuple(clauses),
-            inputs=frozenset(inputs),
+            inputs=frozenset(t.value for t in inputs),
         )
 
     def _parse_literal(self) -> Literal:
         positive = True
-        if self.peek().kind == "PUNCT" and self.peek().value == "!":
+        if self.at_punct("!"):
             self.advance()
             positive = False
         return Literal(signal=self.expect("IDENT").value, positive=positive)
@@ -470,9 +434,9 @@ class Parser:
         counter: Optional[AdtNode] = None
         attributes: list[tuple[str, float]] = []
         impact: Optional[Impact] = None
-        if self.peek().kind == "PUNCT" and self.peek().value == "{":
+        if self.at_punct("{"):
             self.advance()
-            while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
+            while not self.at_punct("}"):
                 if self.at_ident("attack", "defense"):
                     children.append(self._parse_adt_node())
                 elif self.at_ident("counter"):
@@ -488,9 +452,7 @@ class Parser:
                     self.expect_punct("=")
                     attributes.append((key, self.expect_num()))
                 elif self.at_ident("impact"):
-                    self.advance()
-                    self.expect_punct("=")
-                    impact = self._enum(Impact, self.expect("IDENT"), "impact level")
+                    impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
                 else:
                     raise _SyntaxError(
                         f"expected adt item, got {self.peek().value or self.peek().kind!r}",
@@ -511,27 +473,15 @@ class Parser:
         self.expect_ident("scenario")
         name = self.expect_string()
         self.expect_punct("{")
-        self.expect_ident("gsn")
-        self.expect_punct("=")
-        gsn_name = self.expect_string()
-        self.expect_ident("adt")
-        self.expect_punct("=")
-        adt_name = self.expect_string()
+        gsn_name = self.expect_kv("gsn", self.expect_string)
+        adt_name = self.expect_kv("adt", self.expect_string)
         self.expect_ident("thresholds")
-        self.expect_ident("min_belief")
-        self.expect_punct("=")
-        min_belief = self.expect_num()
-        self.expect_ident("max_disbelief")
-        self.expect_punct("=")
-        max_disbelief = self.expect_num()
-        self.expect_ident("max_uncertainty")
-        self.expect_punct("=")
-        max_uncertainty = self.expect_num()
-        self.expect_ident("max_rounds")
-        self.expect_punct("=")
-        max_rounds = self.expect_int()
+        min_belief = self.expect_kv("min_belief", self.expect_num)
+        max_disbelief = self.expect_kv("max_disbelief", self.expect_num)
+        max_uncertainty = self.expect_kv("max_uncertainty", self.expect_num)
+        max_rounds = self.expect_kv("max_rounds", self.expect_int)
         actions: list[ScenarioAction] = []
-        while not (self.peek().kind == "PUNCT" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             actions.append(self._parse_action())
         self.expect_punct("}")
         return Scenario(
@@ -549,17 +499,13 @@ class Parser:
             if self.at_ident("unassessed"):
                 self.advance()
                 return SetPolicyAction(UNASSESSED)
-            attribute = self.expect_kv_ident("attribute").value
-            self.expect_ident("op")
-            self.expect_punct("=")
-            op_tok = self.expect("STRING")
+            attribute = self.expect_kv("attribute").value
+            op_tok = self.expect_kv("op", lambda: self.expect("STRING"))
             if op_tok.value not in ("<=", ">="):
                 raise _SyntaxError(
                     f"op must be \"<=\" or \">=\", got {op_tok.value!r}", op_tok
                 )
-            self.expect_ident("threshold")
-            self.expect_punct("=")
-            threshold = self.expect_num()
+            threshold = self.expect_kv("threshold", self.expect_num)
             prob_or = "max"
             if self.at_ident("prob_or"):
                 self.advance()
@@ -570,20 +516,12 @@ class Parser:
             )
             return SetPolicyAction(policy)
         if tok.value == "add_counter":
-            self.expect_ident("at")
-            self.expect_punct("=")
-            at_label = self.expect_string()
+            at_label = self.expect_kv("at", self.expect_string)
             node = self._parse_adt_node()
             return AddCounterAction(at_label=at_label, node=node)
-        self.expect_ident("goal")
-        self.expect_punct("=")
-        goal_id = self.expect("IDENT").value
-        self.expect_ident("outruled")
-        self.expect_punct("=")
-        outruled = self.expect_int()
-        self.expect_ident("total")
-        self.expect_punct("=")
-        total = self.expect_int()
+        goal_id = self.expect_kv("goal").value
+        outruled = self.expect_kv("outruled", self.expect_int)
+        total = self.expect_kv("total", self.expect_int)
         return SetDefeatersAction(goal_id=goal_id, outruled=outruled, total=total)
 
 

@@ -7,7 +7,9 @@ implementations they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain, combinations, product
+from typing import Iterator
 
 from safsec.conflicts import ContradictionWitness
 from safsec.model import (
@@ -245,3 +247,113 @@ def naive_subtree_counts(model: GsnModel) -> dict[str, tuple[int, int]]:
         return outruled, total
 
     return {n.id: subtree(n.id) for n in model.nodes if n.kind is NodeKind.GOAL}
+
+
+NAIVE_PUNCT = {"{", "}", "[", "]", "=", ",", "&", "!"}
+
+
+class NaiveLexError(Exception):
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+@dataclass(frozen=True)
+class NaiveToken:
+    kind: str  # IDENT STRING INT FLOAT PUNCT ARROW EOF
+    value: str
+    line: int
+    column: int
+
+
+def naive_tokenize(text: str) -> Iterator[NaiveToken]:
+    """The character-by-character ``.ssm`` tokenizer the regex lexer replaced.
+
+    Positions are counted by hand as it walks.  It differs from
+    ``safsec.modelfile.lexer.tokenize`` in three places, each pinned by a test
+    in ``test_lexer.py``: a number starts on ``str.isdigit()`` (so on ``²``), a
+    backslash before a newline is an "unknown escape", and the column is
+    not advanced over a comment (so an EOF after a final comment is misplaced).
+    """
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch == "=" and i + 1 < n and text[i + 1] == ">":
+            yield NaiveToken("ARROW", "=>", start_line, start_col)
+            i += 2
+            col += 2
+            continue
+        if ch in NAIVE_PUNCT or ch == "=":
+            yield NaiveToken("PUNCT", ch, start_line, start_col)
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            i += 1
+            col += 1
+            out: list[str] = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise NaiveLexError("unterminated string", start_line, start_col)
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise NaiveLexError("unterminated escape", line, col)
+                    esc = text[i + 1]
+                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
+                    if mapped is None:
+                        raise NaiveLexError(f"unknown escape \\{esc}", line, col)
+                    out.append(mapped)
+                    i += 2
+                    col += 2
+                    continue
+                out.append(c)
+                i += 1
+                col += 1
+            yield NaiveToken("STRING", "".join(out), start_line, start_col)
+            continue
+        if ch.isdigit():
+            j = i
+            seen_dot = False
+            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            lexeme = text[i:j]
+            if lexeme.endswith("."):
+                raise NaiveLexError(f"malformed number {lexeme!r}", start_line, start_col)
+            yield NaiveToken("FLOAT" if seen_dot else "INT", lexeme, start_line, start_col)
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            yield NaiveToken("IDENT", text[i:j], start_line, start_col)
+            col += j - i
+            i = j
+            continue
+        raise NaiveLexError(f"unexpected character {ch!r}", start_line, start_col)
+    yield NaiveToken("EOF", "", line, col)

@@ -486,6 +486,16 @@ class TestMalformedInputExitsTwo:
         result = run(runner, workdir, "process", "run", model, "--scenario", "S")
         self.check(result, f"round 1: {refinement} node 'root' has no children")
 
+    def test_leaf_adt_node_with_children_eval(self, runner, workdir, tmp_path):
+        model = tmp_path / "leaf.ssm"
+        model.write_text(
+            'adt "T" {\n  attack "root" {\n    attack "x" { attr probability = 0.5 }\n  }\n}\n',
+            encoding="utf-8",
+        )
+        result = run(runner, workdir, "adt", "eval", model, "--adt", "T",
+                     "--attribute", "probability")
+        self.check(result, "node 'root' has children but no AND/OR refinement")
+
     @pytest.mark.parametrize("command, option", [
         (["gsn", "confidence"], ["--model", "M"]),
         (["process", "run"], ["--scenario", "S"]),
@@ -504,6 +514,19 @@ class TestMalformedInputExitsTwo:
             args += ["--out", tmp_path / "x.ssm"]
         result = run(runner, workdir, *args)
         self.check(result, "x.out")
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ('fmea "F" { row R1 function = "f" mode = erroneous severity = ² }\n',
+     "1:62: error: unexpected character '²'"),
+    ('adt "a\\\n', "1:7: error: unterminated escape"),
+])
+def test_lex_error_is_one_diagnostic_line(runner, workdir, tmp_path, text, diagnostic):
+    model = tmp_path / "lex.ssm"
+    model.write_text(text, encoding="utf-8")
+    result = run(runner, workdir, "validate", model)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"{model}:{diagnostic}"]
 
 
 @pytest.mark.parametrize("argv, last_line", [

@@ -1,0 +1,133 @@
+"""The ``.ssm`` tokenizer: exact error positions, and agreement with the
+character-by-character reference lexer except for three pinned fixes."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from safsec.modelfile import parse
+from safsec.modelfile.lexer import LexError, position, tokenize
+
+from oracles import NaiveLexError, naive_tokenize
+
+# Token characters, every character class the lexer treats differently, and
+# the characters behind the three deviations (``²``, ``\\`` + newline, ``#``).
+PIECES = list("{}[]=,&!") + ["=>", '"', "\\", ".", "0", "7", "٣", "²", "a", "Z", "_", "n",
+                             "t", "é", " ", "#", "\t", "\r", "\n", "\x0b"]
+
+
+def lex(text):
+    """New lexer: tokens as (kind, value, (line, column)) and the error, if any."""
+    tokens = []
+    try:
+        for tok in tokenize(text):
+            tokens.append((tok.kind, tok.value, position(text, tok.offset)))
+    except LexError as exc:
+        return tokens, (exc.message, position(text, exc.offset))
+    return tokens, None
+
+
+def naive_lex(text):
+    tokens = []
+    try:
+        for tok in naive_tokenize(text):
+            tokens.append((tok.kind, tok.value, (tok.line, tok.column)))
+    except NaiveLexError as exc:
+        return tokens, (exc.message, (exc.line, exc.column))
+    return tokens, None
+
+
+def deviation(text, old, new):
+    """Which of the three known fixes explains ``old != new`` (None: none does)."""
+    (old_tokens, old_error), (new_tokens, new_error) = old, new
+    k = 0
+    while k < min(len(old_tokens), len(new_tokens)) and old_tokens[k] == new_tokens[k]:
+        k += 1
+    if old_error is None and new_error is None and k == len(old_tokens) - 1 == len(new_tokens) - 1:
+        last_line = text.rsplit("\n", 1)[-1]
+        (_, _, (line, column)), (_, _, new_position) = old_tokens[k], new_tokens[k]
+        if last_line[column - 1 : column] == "#" and new_position == (line, len(last_line) + 1):
+            return "EOF after a final comment"
+    if (old_tokens == new_tokens and new_error is not None and old_error is not None
+            and old_error == ("unknown escape \\\n", new_error[1])
+            and new_error[0] == "unterminated escape"):
+        return "backslash before a newline"
+    # The reference lexer read a number (or a malformed one) with a
+    # non-decimal digit in it; the new one stops with an error inside it.
+    if k < len(old_tokens):
+        kind, lexeme, (line, column) = old_tokens[k]
+    elif old_error is not None and old_error[0].startswith("malformed number '"):
+        kind, lexeme, (line, column) = "FLOAT", old_error[0][18:-1], old_error[1]
+    else:
+        return None
+    span = [(line, c) for c in range(column, column + len(lexeme))]
+    if (kind in ("INT", "FLOAT") and any(c.isdigit() and not c.isdecimal() for c in lexeme)
+            and new_error is not None and new_error[1] in span
+            and all(pos in span for _, _, pos in new_tokens[k:])):
+        return "number with a non-decimal digit"
+    return None
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
+def test_agrees_with_reference_lexer_but_for_three_fixes(text):
+    old, new = naive_lex(text), lex(text)
+    assert old == new or deviation(text, old, new), (old, new)
+
+
+class TestDeviationsFromReference:
+    def test_superscript_digit_is_an_unexpected_character(self):
+        text = 'fmea "F" { row R1 function = "f" mode = erroneous severity = ² }'
+        column = text.index("²") + 1
+        assert ("INT", "²") in [tok[:2] for tok in naive_lex(text)[0]]
+        assert lex(text)[1] == ("unexpected character '²'", (1, column))
+        (diag,) = parse(text).diagnostics
+        assert (diag.message, diag.line, diag.column) == ("unexpected character '²'", 1, column)
+
+    @pytest.mark.parametrize("text, column", [("5²", 2), ("x ²5", 3), ("½", 1)])
+    def test_non_decimal_digit_in_a_number_or_starting_a_word(self, text, column):
+        assert lex(text)[1] == (f"unexpected character {text[column - 1]!r}", (1, column))
+
+    def test_identifiers_continue_and_numbers_run_on_any_decimal_digit(self):
+        assert lex("a²½ ٣.٣ ٣") == ([("IDENT", "a²½", (1, 1)), ("FLOAT", "٣.٣", (1, 5)),
+                                    ("INT", "٣", (1, 9)), ("EOF", "", (1, 10))], None)
+
+    def test_backslash_before_newline_is_an_unterminated_escape(self):
+        text = 'adt "a\\\n'
+        assert naive_lex(text)[1] == ("unknown escape \\\n", (1, 7))
+        assert lex(text)[1] == ("unterminated escape", (1, 7))
+        (diag,) = parse(text).diagnostics
+        assert str(diag) == "1:7: error: unterminated escape"
+
+    def test_eof_after_final_comment_is_at_end_of_line(self):
+        text = 'adt "t" {\n  attack "x"\n# end'
+        assert naive_lex(text)[0][-1] == ("EOF", "", (3, 1))
+        assert lex(text)[0][-1] == ("EOF", "", (3, 6))
+        (diag,) = parse(text).diagnostics
+        assert str(diag) == "3:6: error: expected '}', got 'EOF'"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ('gsn "a\\', "unterminated escape", 1, 7),
+    ('gsn "m" {\n  goal G "a\\qb"\n}', "unknown escape \\q", 2, 12),
+    ("fta \"t\" {\n  top 1.\n}", "malformed number '1.'", 2, 7),
+    ("fta \"t\" {\n  top 1.2.3\n}", "unexpected character '.'", 2, 10),
+    ('gsn "m" {\n  goal G "x" ?\n}', "unexpected character '?'", 2, 14),
+    ('gsn "m" {\n  goal G "x" \x0b\n}', "unexpected character '\\x0b'", 2, 14),
+    ('gsn "m" {\n  goal G "x\n}', "unterminated string", 2, 10),
+    ('gsn "m" {\n  goal G "x', "unterminated string", 2, 10),
+])
+def test_lex_error_positions(text, message, line, column):
+    (diag,) = parse(text).diagnostics
+    assert (diag.message, diag.line, diag.column) == (message, line, column)
+
+
+def test_escapes_are_decoded_only_where_valid():
+    (tok, _) = tokenize(r'"a\n\t\"\\b\\n"')
+    assert (tok.kind, tok.value, tok.offset) == ("STRING", 'a\n\t"\\b\\n', 0)
+
+
+def test_position_counts_characters_from_one():
+    text = "ab\n\ncé\n"
+    assert [position(text, i) for i in range(len(text) + 1)] == [
+        (1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2), (3, 3), (4, 1)]
