@@ -1,10 +1,13 @@
 """Command-line interface over ``.ssm`` model files.
 
 Each analysis command computes its result once and builds one payload dict.
-``--format machine`` prints that payload as canonical JSON (sorted keys, two
-space indent): the machine output *is* the payload.  Text output is a
-rendering of the same payload, line by line, so the two formats cannot
-disagree.  The exit code comes from the payload's finding: 0 success, 1
+``--format machine`` prints that payload as canonical JSON: the machine
+output *is* the payload, in the bytes of ``json.dumps(payload,
+sort_keys=True, indent=2)``.  CPython writes an indented document in pure
+Python, which took a third to a half of a large request, so `_dumps`
+writes the same bytes with each container of scalars encoded in one C call.  Text
+output is a rendering of the same payload, line by line, so the two formats
+cannot disagree.  The exit code comes from the payload's finding: 0 success, 1
 analysis finding (invariant violation, contradiction, thresholds unmet), 2
 usage, parse or analysis error.  Exit 2 writes one ``error:`` line to
 stderr, or one ``file:line:col`` diagnostic per line for a file that does
@@ -13,8 +16,11 @@ not parse.  ``SAFSEC_COLOR=0`` disables color in text output.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Optional
 
 import click
@@ -80,10 +86,64 @@ def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     return document, blocks[name]
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(indent: str) -> json.JSONEncoder:
+    """The C encoder, writing the items of one container on lines starting ``indent``."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=("," + indent, ": "))
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON to ``out``, at the indent that ``newline`` ends with."""
+    inner = newline + "  "
+    if not isinstance(value, _CONTAINERS) or not value:
+        out.append(_encoder(inner).encode(value))
+        return
+    is_dict = isinstance(value, dict)
+    if not is_dict:
+        try:  # a list of strings: the encoder raises TypeError on anything else
+            strings = ("," + inner).join(map(encode_basestring_ascii, value))
+        except TypeError:
+            pass
+        else:
+            out.append("[" + inner + strings + newline + "]")
+            return
+    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        text = _encoder(inner).encode(value)  # a leaf: one C call, brackets re-indented
+        out.append(text[0] + inner + text[1:-1] + newline + text[-1])
+        return
+    if is_dict:
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+    else:
+        items = zip(repeat(""), value)
+    out.append("{" if is_dict else "[")
+    separator = inner
+    for key, item in items:
+        out.append(separator + key)
+        separator = "," + inner
+        _write_json(item, inner, out)
+    out.append(newline + ("}" if is_dict else "]"))
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    CPython encodes with an ``indent`` in pure Python only.  This writer
+    recurses over the containers that hold containers and hands every other
+    value (a scalar, an empty container, or a *leaf*: a container of scalars
+    only) to the C encoder in one call.  Dict keys are strings.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
 def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False) -> None:
     """Print ``payload`` as JSON or as ``render``'s text lines; exit 1 on a finding."""
     if click.get_current_context().obj == "machine":
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(_dumps(payload))
     else:
         for line, colour in render(payload):
             click.echo(click.style(line, fg=colour) if colour else line)

@@ -344,10 +344,15 @@ class Clause:
     def signals(self) -> set[str]:
         return {lit.signal for lit in self.body} | {self.head.signal}
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The clause as a model file writes it after ``clause``; rendered once."""
         if not self.body:
             return f"=> {self.head}"
         return " & ".join(map(str, self.body)) + f" => {self.head}"
+
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,10 @@ def tokenize(text: str) -> Iterator[Token]:
             escape = text[end + 1 : end + 2]
             if escape in ("", "\n"):
                 raise LexError("unterminated escape", end)
-            raise LexError(f"unknown escape \\{escape}", end)
+            # A non-printable character (VT, U+2028, ...) is shown escaped, so
+            # that the diagnostic stays on one line.
+            shown = "\\" + escape if escape.isprintable() else repr(escape)[1:-1]
+            raise LexError(f"unknown escape {shown}", end)
         yield Token(kind, value, offset)
         if kind == "EOF":
             return

@@ -6,7 +6,6 @@ from ..model import (
     AddCounterAction,
     AdtNode,
     AttackDefenseTree,
-    Clause,
     Document,
     FaultTree,
     FmeaTable,
@@ -122,13 +121,6 @@ def _print_fmea(table: FmeaTable) -> list[str]:
     return lines
 
 
-def _print_clause(clause: Clause) -> str:
-    if clause.body:
-        body = " & ".join(str(lit) for lit in clause.body)
-        return f"clause {body} => {clause.head}"
-    return f"clause => {clause.head}"
-
-
 def _print_requirement(req: Requirement) -> list[str]:
     lines = [
         f"requirement {req.id} kind = {req.kind.value} trace = {req.trace} {{"
@@ -136,7 +128,7 @@ def _print_requirement(req: Requirement) -> list[str]:
     if req.inputs:
         lines.append(f"  inputs = [{', '.join(sorted(req.inputs))}]")
     for clause in req.clauses:
-        lines.append(f"  {_print_clause(clause)}")
+        lines.append(f"  clause {clause.text}")
     lines.append("}")
     return lines
 

@@ -520,6 +520,8 @@ class TestMalformedInputExitsTwo:
     ('fmea "F" { row R1 function = "f" mode = erroneous severity = ² }\n',
      "1:62: error: unexpected character '²'"),
     ('adt "a\\\n', "1:7: error: unterminated escape"),
+    ('adt "a\\\x0bb" {}\n', "1:7: error: unknown escape \\x0b"),
+    ('adt "a\\\u2028b" {}\n', "1:7: error: unknown escape \\u2028"),
 ])
 def test_lex_error_is_one_diagnostic_line(runner, workdir, tmp_path, text, diagnostic):
     model = tmp_path / "lex.ssm"

@@ -5,7 +5,9 @@ random edits, must end with exit 0, 1 or 2 and never with an uncaught
 exception.  Exit 2 comes with one ``error:`` line on stderr, or, for a file
 that does not parse, one ``file:line:col`` diagnostic per line.  Exit 1 is
 a finding: ``validate`` with errors, ``conflicts`` with a contradiction or
-``process run`` running out of rounds.
+``process run`` running out of rounds.  Machine output that is JSON (every
+command but ``derive`` and ``export``) must read as
+``json.dumps(payload, sort_keys=True, indent=2)`` writes it.
 
 The edits drop, duplicate or move lines, point a GSN node's parent at
 another node (parent cycles), add a gate to a gate's inputs (gate cycles),
@@ -169,6 +171,9 @@ def check_contract(argv: list[str], fmt: str, result) -> None:
             assert is_finding(json.loads(result.stdout)), where
         else:
             assert marker in result.stdout, where
+    if fmt == "machine" and result.exit_code in (0, 1) and argv[0] not in ("derive", "export"):
+        canonical = json.dumps(json.loads(result.stdout), sort_keys=True, indent=2) + "\n"
+        assert result.stdout == canonical, where
 
 
 @settings(max_examples=60, deadline=None)

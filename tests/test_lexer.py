@@ -1,5 +1,5 @@
 """The ``.ssm`` tokenizer: exact error positions, and agreement with the
-character-by-character reference lexer except for three pinned fixes."""
+character-by-character reference lexer except for four pinned fixes."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,10 @@ from safsec.modelfile.lexer import LexError, position, tokenize
 from oracles import NaiveLexError, naive_tokenize
 
 # Token characters, every character class the lexer treats differently, and
-# the characters behind the three deviations (``²``, ``\\`` + newline, ``#``).
+# the characters behind the four deviations (``²``, ``\\`` + newline, ``#``,
+# ``\\`` + a non-printable character).
 PIECES = list("{}[]=,&!") + ["=>", '"', "\\", ".", "0", "7", "٣", "²", "a", "Z", "_", "n",
-                             "t", "é", " ", "#", "\t", "\r", "\n", "\x0b"]
+                             "t", "é", " ", "#", "\t", "\r", "\n", "\x0b", "\u2028"]
 
 
 def lex(text):
@@ -38,7 +39,7 @@ def naive_lex(text):
 
 
 def deviation(text, old, new):
-    """Which of the three known fixes explains ``old != new`` (None: none does)."""
+    """Which of the four known fixes explains ``old != new`` (None: none does)."""
     (old_tokens, old_error), (new_tokens, new_error) = old, new
     k = 0
     while k < min(len(old_tokens), len(new_tokens)) and old_tokens[k] == new_tokens[k]:
@@ -52,6 +53,11 @@ def deviation(text, old, new):
             and old_error == ("unknown escape \\\n", new_error[1])
             and new_error[0] == "unterminated escape"):
         return "backslash before a newline"
+    if old_tokens == new_tokens and old_error and new_error and old_error[1] == new_error[1]:
+        char = old_error[0][-1]
+        if (old_error[0] == "unknown escape \\" + char and not char.isprintable()
+                and new_error[0] == "unknown escape " + char.encode("unicode_escape").decode()):
+            return "non-printable character after a backslash"
     # The reference lexer read a number (or a malformed one) with a
     # non-decimal digit in it; the new one stops with an error inside it.
     if k < len(old_tokens):
@@ -70,7 +76,7 @@ def deviation(text, old, new):
 
 @settings(max_examples=3000, deadline=None)
 @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
-def test_agrees_with_reference_lexer_but_for_three_fixes(text):
+def test_agrees_with_reference_lexer_but_for_four_fixes(text):
     old, new = naive_lex(text), lex(text)
     assert old == new or deviation(text, old, new), (old, new)
 
@@ -99,6 +105,15 @@ class TestDeviationsFromReference:
         (diag,) = parse(text).diagnostics
         assert str(diag) == "1:7: error: unterminated escape"
 
+    @pytest.mark.parametrize("char, shown", [("\x0b", "\\x0b"), ("\x1c", "\\x1c"),
+                                             ("\x85", "\\x85"), ("\u2028", "\\u2028")])
+    def test_non_printable_escape_is_shown_escaped(self, char, shown):
+        text = f'adt "a\\{char}b" {{}}'
+        assert naive_lex(text)[1] == (f"unknown escape \\{char}", (1, 7))
+        assert lex(text)[1] == (f"unknown escape {shown}", (1, 7))
+        (diag,) = parse(text).diagnostics
+        assert str(diag).splitlines() == [f"1:7: error: unknown escape {shown}"]
+
     def test_eof_after_final_comment_is_at_end_of_line(self):
         text = 'adt "t" {\n  attack "x"\n# end'
         assert naive_lex(text)[0][-1] == ("EOF", "", (3, 1))
@@ -110,6 +125,9 @@ class TestDeviationsFromReference:
 @pytest.mark.parametrize("text, message, line, column", [
     ('gsn "a\\', "unterminated escape", 1, 7),
     ('gsn "m" {\n  goal G "a\\qb"\n}', "unknown escape \\q", 2, 12),
+    ('gsn "m" {\n  goal G "a\\ b"\n}', "unknown escape \\ ", 2, 12),
+    ('gsn "m" {\n  goal G "a\\\x0cb"\n}', "unknown escape \\x0c", 2, 12),
+    ('gsn "m" {\n  goal G "a\\\u2029b"\n}', "unknown escape \\u2029", 2, 12),
     ("fta \"t\" {\n  top 1.\n}", "malformed number '1.'", 2, 7),
     ("fta \"t\" {\n  top 1.2.3\n}", "unexpected character '.'", 2, 10),
     ('gsn "m" {\n  goal G "x" ?\n}', "unexpected character '?'", 2, 14),

@@ -1,0 +1,102 @@
+"""The machine-output writer against its oracle, ``json.dumps(sort_keys=True, indent=2)``.
+
+``cli._dumps`` encodes containers of scalars in one call to the C encoder
+and re-indents their brackets; every value it writes must come out byte for
+byte as the standard library's indenting encoder writes it.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from safsec.cli import _dumps
+
+
+class Record(dict):
+    pass
+
+
+class Row(list):
+    pass
+
+
+def oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# Characters that JSON escapes or that look like its syntax.
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é",
+                          "\U0001f600", "\u2028", "]", "[", ",", "}", ":", "a", "Z"])
+STRINGS = st.text(TRICKY, max_size=6) | st.text(max_size=4)
+NUMBERS = (st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+           | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
+SCALARS = st.none() | st.booleans() | NUMBERS | STRINGS
+
+
+def containers(children):
+    items = st.lists(children, max_size=5)
+    fields = st.dictionaries(STRINGS, children, max_size=5)
+    return (items | items.map(tuple) | items.map(Row)
+            | fields | fields.map(Record) | st.lists(STRINGS, max_size=5))
+
+
+VALUES = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES)
+def test_writer_matches_indenting_encoder(value):
+    assert _dumps(value) == oracle(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(STRINGS, VALUES, max_size=6))
+def test_payload_dict_matches_indenting_encoder(payload):
+    assert _dumps(payload) == oracle(payload)
+
+
+@pytest.mark.parametrize("value", [[], {}, (), Row(), Record(), [[]], {"a": {}}, [[], [()]],
+                                   {"": [{"": []}]}])
+def test_empty_containers_at_every_depth(value):
+    assert _dumps(value) == oracle(value)
+
+
+# One payload of each command's shape, as the CLI builds it (tuples included).
+SHAPES = {
+    "validate": {"command": "validate", "ok": False,
+                 "diagnostics": ["error: goal 'G1' has no parent \"x\"", "warning: é"]},
+    "fta cutsets": {"command": "fta cutsets", "tree": "T", "minimal": True,
+                    "cut_sets": [("A", "B"), ("C",), ("D\\", "E\n")]},
+    "fmea rpn": {"command": "fmea rpn", "table": "F", "rows": [
+        {"id": "R1", "function": "f", "mode": "erroneous", "severity": 9, "occurrence": 3,
+         "detection": 2, "rpn": 54}]},
+    "gsn confidence": {"command": "gsn confidence", "model": "M", "warnings": [], "goals": {
+        "G1": {"outruled": 14, "total": 18, "verdict": "acceptable_risk",
+               "aggregate": {"belief": 0.7, "disbelief": 0.2, "uncertainty": 0.1},
+               "reported": {"belief": 0.7000000000000001, "disbelief": 0.2,
+                            "uncertainty": 0.09999999999999998}},
+        "G2": {"outruled": 0, "total": 0, "verdict": None,
+               "aggregate": {"belief": 0.0, "disbelief": 0.0, "uncertainty": 1.0},
+               "reported": {"belief": 0.0, "disbelief": 0.0, "uncertainty": 1.0}}}},
+    "adt eval": {"command": "adt eval", "adt": "A", "attribute": "cost", "root": math.inf,
+                 "verdict": None, "values": {"root": {"label": "steal", "value": math.inf},
+                                             "root.0": {"label": "pick", "value": 5.0}}},
+    "conflicts": {"command": "conflicts", "candidates": [["R1", "R2"]], "contradictions": [
+        {"pair": ["R1", "R2"], "assignment": {"In0": True, "In1": False},
+         "conflicted_signal": "Lock", "involved_requirements": ["R1", "R2"],
+         "fired_clauses": ["In0 => A0", "!In1 & A0 => Lock"]}]},
+    "conflicts, none": {"command": "conflicts", "candidates": [], "contradictions": []},
+    "process run": {"command": "process run", "scenario": "S", "note": "n", "status": "accepted",
+                    "initial": {"belief": 0.5, "disbelief": 0.25, "uncertainty": 0.25},
+                    "final": {"belief": 1, "disbelief": 0, "uncertainty": 0},
+                    "rounds": [{"round": 1, "action": "add_counter", "verdict": "acceptable_risk",
+                                "triple": {"belief": 1, "disbelief": 0, "uncertainty": 0}}]},
+}
+
+
+@pytest.mark.parametrize("payload", SHAPES.values(), ids=SHAPES)
+def test_command_payload_shapes(payload):
+    assert _dumps(payload) == oracle(payload)

@@ -66,6 +66,13 @@ def test_clause_str():
     assert str(fact) == "=> On"
 
 
+def test_clause_text_is_rendered_once_outside_equality():
+    used = Clause(body=(Literal("A"), Literal("B", positive=False)), head=Literal("C"))
+    fresh = Clause(body=(Literal("A"), Literal("B", positive=False)), head=Literal("C"))
+    assert str(used) is used.text is str(used) == "A & !B => C"
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
 class TestStructuralIndexes:
     NODES = (
         GsnNode("G1", NodeKind.GOAL, "first"),
