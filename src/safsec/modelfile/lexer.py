@@ -1,17 +1,24 @@
 """Tokenizer for the ``.ssm`` model format.
 
-One master pattern with a named group per token kind (the "Writing a
-Tokenizer" recipe in Python's ``re`` documentation) skips the blanks and
-``#`` comments in front of a token and matches the token; the name of the
-group that matched is its kind.  The last groups match only where the text
-is wrong and turn into `LexError`s.  Tokens carry a character offset, not a
-line and column: `position` computes those, and only for a diagnostic.
+`scan` cuts the text with one `re.split` over `_SCAN`, all in C: group 1 is
+a valid token, group 2 a lexical error.  It gives two columns, token texts
+and kinds (told by the first character), or None on a lexical error.  STRING
+texts keep their quotes, so only an IDENT can equal a keyword and only a
+PUNCT a punctuation mark; `string_value` decodes them.  `tokenize` is the
+exact reference, run only for diagnostics: one master pattern with a named
+group per kind (the "Writing a Tokenizer" recipe in Python's ``re`` docs)
+yields `Token`s with a character offset, or raises `LexError`; `position`
+turns an offset into a line and column.  Both patterns skip the blanks and
+``#`` comments in front of a token, then match at every position (EOF at
+the end of the text, a catch-all ``.`` last), so a match never backtracks
+into a run of ``#``, which would take time exponential in its length.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 _BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
 _TOKEN = re.compile(
@@ -27,6 +34,16 @@ _TOKEN = re.compile(
     r"|(?P<EOF>\Z)"
     r"|(?P<BAD>.))"
 )
+# `_TOKEN`'s valid alternatives, in its order.  Its DOT reads here as an INT
+# and a ``.``, an error; an IDENT on a digit such as ``²`` is caught by `scan`.
+_SCAN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    rf'(?:(=>|[{{}}\[\]=,&!]|"{_BODY}"|\d+\.\d+|\d+|\w+|\Z)|(.))'
+)
+_FIRST = {  # a token's kind by its first character, for ASCII; "=>" is a PUNCT
+    **dict.fromkeys("{}[]=,&!", "PUNCT"), '"': "STRING", **dict.fromkeys("0123456789", "NUM"),
+    **{c: "IDENT" for c in map(chr, range(128)) if c.isalpha() or c == "_"},
+}
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
@@ -49,15 +66,36 @@ def position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def string_value(raw: str) -> str:
+    """The text of a STRING token without its quotes and with escapes decoded."""
+    value = raw[1:-1]
+    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value) if "\\" in value else value
+
+
+def scan(text: str) -> Optional[tuple[list[str], list[str]]]:
+    """The texts and kinds (IDENT, STRING, NUM, PUNCT) of the tokens of
+    ``text`` and a final ``("", "EOF")``, or None where `tokenize` raises."""
+    parts = _SCAN.split(text)
+    if any(parts[2::3]):
+        return None
+    values = parts[1::3]
+    del values[values.index("") :]  # the end of the text matches once or twice
+    kinds = list(map(_FIRST.get, map(itemgetter(0), values)))
+    if None in kinds:  # a token starts on a non-ASCII character; ``²`` is an error
+        kinds = [kind or ("NUM" if v[0].isdecimal() else "IDENT" if v[0].isalpha() else "")
+                 for kind, v in zip(kinds, values)]
+        if "" in kinds:
+            return None
+    return values + [""], kinds + ["EOF"]
+
+
 def tokenize(text: str) -> Iterator[Token]:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         offset = m.start(kind)
         value = m[kind]
         if kind == "STRING":
-            value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value)
+            value = string_value(value)
         elif kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
             raise LexError(f"unexpected character {value[0]!r}", offset)
         elif kind == "DOT":

@@ -1,8 +1,9 @@
 """Recursive-descent parser for the ``.ssm`` model format.
 
-Diagnostics carry line/column of the offending token.  Tokens hold only a
-character offset; `_record_at` turns it into a line and column with
-`lexer.position`, so positions are computed only for the errors reported.
+A token is an index into the columns of texts and kinds that `lexer.scan`
+gives; keywords and punctuation are told by their text alone.  Diagnostics
+carry line/column of the offending token.  Only the first diagnostic runs
+`lexer.tokenize`, for the offsets of the tokens or for a lexical error.
 Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
 the next top-level block keyword so that independent blocks still get
 checked.  Every ``key = value`` pair is read by `Parser.expect_kv`.
@@ -46,7 +47,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import LexError, Token, position, tokenize
+from .lexer import LexError, position, scan, string_value, tokenize
 
 MAX_ERRORS = 20
 BLOCK_KEYWORDS = {"gsn", "adt", "fta", "fmea", "requirement", "scenario"}
@@ -67,7 +68,7 @@ class _Abort(Exception):
 
 
 class _SyntaxError(Exception):
-    def __init__(self, message: str, token: Token):
+    def __init__(self, message: str, token: int):
         super().__init__(message)
         self.message = message
         self.token = token
@@ -78,62 +79,72 @@ class Parser:
         self.text = text
         self.diagnostics: list[Diagnostic] = []
         self.pos = 0
-        try:
-            self.tokens = list(tokenize(text))
-        except LexError as exc:
-            self.tokens = [Token("EOF", "", exc.offset)]
-            self._record_at(exc.message, self.tokens[0])
+        self._offsets: Optional[list[int]] = None  # token offsets, for diagnostics only
+        columns = scan(text)
+        self.values, self.kinds = columns or ([""], ["EOF"])
+        if columns is None:
+            try:
+                list(tokenize(text))  # raises the LexError
+            except LexError as exc:
+                self._offsets = [exc.offset]
+                self._record_at(exc.message, 0)
 
     # --- token utilities -------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def _kind(self, tok: int) -> str:
+        """The `Token.kind` of a token: INT and FLOAT for NUM, ARROW for ``=>``."""
+        kind, value = self.kinds[tok], self.values[tok]
+        if kind == "NUM":
+            return "FLOAT" if "." in value else "INT"
+        return "ARROW" if value == "=>" else kind
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+    def _got(self, tok: int) -> str:
+        value, kind = self.values[tok], self.kinds[tok]
+        return repr((string_value(value) if kind == "STRING" else value) or kind)
+
+    def advance(self) -> int:
+        tok = self.pos
+        if self.kinds[tok] != "EOF":
+            self.pos = tok + 1
         return tok
 
     def at_ident(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value in words
+        return self.values[self.pos] in words
 
     def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.value == value
+        return self.values[self.pos] == value
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            raise _SyntaxError(f"expected {want!r}, got {tok.value or tok.kind!r}", tok)
+    def expect(self, kind: str) -> int:
+        tok = self.pos
+        if self.kinds[tok] != kind and self._kind(tok) != kind:
+            raise _SyntaxError(f"expected {kind!r}, got {self._got(tok)}", tok)
         return self.advance()
 
-    def expect_ident(self, *values: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or (values and tok.value not in values):
+    def expect_ident(self, *values: str) -> int:
+        tok = self.pos
+        if self.kinds[tok] != "IDENT" or (values and self.values[tok] not in values):
             want = " or ".join(repr(v) for v in values) if values else "identifier"
-            raise _SyntaxError(f"expected {want}, got {tok.value or tok.kind!r}", tok)
+            raise _SyntaxError(f"expected {want}, got {self._got(tok)}", tok)
         return self.advance()
 
     def expect_string(self) -> str:
-        return self.expect("STRING").value
+        return string_value(self.values[self.expect("STRING")])
 
     def expect_int(self) -> int:
-        return int(self.expect("INT").value)
+        tok = self.expect("INT")
+        try:
+            return int(self.values[tok])
+        except ValueError:  # longer than ``sys.get_int_max_str_digits()``
+            raise _SyntaxError(f"integer too long ({len(self.values[tok])} digits)", tok)
 
     def expect_num(self) -> float:
-        tok = self.peek()
-        if tok.kind not in ("INT", "FLOAT"):
-            raise _SyntaxError(f"expected number, got {tok.value or tok.kind!r}", tok)
-        self.advance()
-        return float(tok.value)
+        if self.kinds[self.pos] != "NUM":
+            raise _SyntaxError(f"expected number, got {self._got(self.pos)}", self.pos)
+        return float(self.values[self.advance()])
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.value != value:
-            raise _SyntaxError(f"expected {value!r}, got {tok.value or tok.kind!r}", tok)
+    def expect_punct(self, value: str) -> int:
+        if self.values[self.pos] != value:
+            raise _SyntaxError(f"expected {value!r}, got {self._got(self.pos)}", self.pos)
         return self.advance()
 
     def expect_kv(self, key: str, read: Optional[Callable] = None):
@@ -142,8 +153,10 @@ class Parser:
         self.expect_punct("=")
         return read() if read is not None else self.expect("IDENT")
 
-    def _record_at(self, message: str, tok: Token) -> None:
-        line, column = position(self.text, tok.offset)
+    def _record_at(self, message: str, tok: int) -> None:
+        if self._offsets is None:
+            self._offsets = [t.offset for t in tokenize(self.text)]
+        line, column = position(self.text, self._offsets[tok])
         self.diagnostics.append(
             Diagnostic(message, severity="error", line=line, column=column)
         )
@@ -152,45 +165,44 @@ class Parser:
 
     def _skip_to_next_block(self) -> None:
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                return
-            if self.at_punct("{"):
+        while self.kinds[self.pos] != "EOF":
+            value = self.values[self.pos]
+            if value == "{":
                 depth += 1
-            elif self.at_punct("}"):
+            elif value == "}":
                 depth = max(0, depth - 1)
-            elif self.at_ident(*BLOCK_KEYWORDS) and depth == 0:
+            elif value in BLOCK_KEYWORDS and depth == 0:
                 return
-            self.advance()
+            self.pos += 1
 
     # --- enum helpers ----------------------------------------------------
 
-    def _enum(self, enum_cls, tok: Token, what: str):
+    def _enum(self, enum_cls, tok: int, what: str):
+        value = self.values[tok]
         try:
-            return enum_cls(tok.value)
+            return enum_cls(value)
         except ValueError:
             options = ", ".join(e.value for e in enum_cls)
-            raise _SyntaxError(f"unknown {what} {tok.value!r} (one of: {options})", tok)
+            raise _SyntaxError(f"unknown {what} {value!r} (one of: {options})", tok)
 
     # --- entry point -----------------------------------------------------
 
     def parse(self) -> ParseResult:
         blocks: list = []
         try:
-            while self.peek().kind != "EOF":
-                tok = self.peek()
-                if not (tok.kind == "IDENT" and tok.value in BLOCK_KEYWORDS):
+            while self.kinds[self.pos] != "EOF":
+                tok = self.pos
+                if self.values[tok] not in BLOCK_KEYWORDS:
                     self._record_at(
                         f"expected block keyword (gsn, adt, fta, fmea, requirement, "
-                        f"scenario), got {tok.value or tok.kind!r}",
+                        f"scenario), got {self._got(tok)}",
                         tok,
                     )
                     self.advance()
                     self._skip_to_next_block()
                     continue
                 try:
-                    block = getattr(self, f"_parse_{tok.value}")()
+                    block = getattr(self, f"_parse_{self.values[tok]}")()
                     blocks.append(block)
                 except _SyntaxError as exc:
                     self._record_at(exc.message, exc.token)
@@ -211,7 +223,7 @@ class Parser:
         self.expect_punct("{")
         nodes: list[GsnNode] = []
         links: list[SecurityLink] = []
-        under_refs: list[tuple[str, Token]] = []
+        under_refs: list[tuple[str, int]] = []
         while not self.at_punct("}"):
             if self.at_ident("goal", "strategy", "solution", "context"):
                 node, under_tok = self._parse_gsn_node()
@@ -223,58 +235,58 @@ class Parser:
             else:
                 raise _SyntaxError(
                     f"expected gsn node or security_link, got "
-                    f"{self.peek().value or self.peek().kind!r}",
-                    self.peek(),
+                    f"{self._got(self.pos)}",
+                    self.pos,
                 )
         self.expect_punct("}")
         known = {n.id for n in nodes}
         for node_id, tok in under_refs:
-            if tok.value not in known:
+            if self.values[tok] not in known:
                 self._record_at(
-                    f"node {node_id!r} refers to undefined node {tok.value!r}", tok
+                    f"node {node_id!r} refers to undefined node {self.values[tok]!r}", tok
                 )
         return GsnModel(name=name, nodes=tuple(nodes), security_links=tuple(links))
 
-    def _parse_gsn_node(self) -> tuple[GsnNode, Optional[Token]]:
-        kind = NodeKind(self.expect_ident().value)
-        node_id = self.expect("IDENT").value
+    def _parse_gsn_node(self) -> tuple[GsnNode, Optional[int]]:
+        kind = NodeKind(self.values[self.expect_ident()])
+        node_id = self.values[self.expect("IDENT")]
         text = self.expect_string()
         parent = None
         under_tok = None
         if self.at_ident("under"):
             self.advance()
             under_tok = self.expect("IDENT")
-            parent = under_tok.value
+            parent = self.values[under_tok]
         defeaters = hazard = voter = fta_ref = fmea_ref = None
         if self.at_punct("{"):
             self.advance()
             while not self.at_punct("}"):
                 attr = self.expect("IDENT")
-                if attr.value == "defeaters":
+                name = self.values[attr]
+                if name == "defeaters":
                     outruled = self.expect_kv("outruled", self.expect_int)
                     total = self.expect_kv("total", self.expect_int)
                     defeaters = DefeaterCount(outruled, total)
-                elif attr.value == "hazard":
+                elif name == "hazard":
                     impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
                     mech = self._enum(GuideWord, self.expect_kv("mechanism"), "guide word")
-                    trace = self.expect_kv("trace").value
+                    trace = self.values[self.expect_kv("trace")]
                     hazard = HazardMeta(impact=impact, mechanism=mech, trace=trace)
-                elif attr.value == "voter":
+                elif name == "voter":
                     signals = self.expect_kv("signals", self._parse_id_list)
                     threshold = self.expect_kv("threshold", self.expect_int)
-                    trace = self.expect_kv("trace").value
-                    voter = VoterMeta(
-                        signals=tuple(t.value for t in signals), threshold=threshold, trace=trace
-                    )
-                elif attr.value == "fta_ref":
+                    trace = self.values[self.expect_kv("trace")]
+                    signals = tuple(self.values[t] for t in signals)
+                    voter = VoterMeta(signals=signals, threshold=threshold, trace=trace)
+                elif name == "fta_ref":
                     self.expect_punct("=")
                     fta_ref = self.expect_string()
-                elif attr.value == "fmea_ref":
+                elif name == "fmea_ref":
                     self.expect_punct("=")
                     fmea_ref = self.expect_string()
                 else:
                     raise _SyntaxError(
-                        f"unknown node attribute {attr.value!r}", attr
+                        f"unknown node attribute {name!r}", attr
                     )
             self.expect_punct("}")
         node = GsnNode(
@@ -293,12 +305,12 @@ class Parser:
     def _parse_security_link(self) -> SecurityLink:
         self.expect_ident("security_link")
         self.expect_ident("under")
-        goal_id = self.expect("IDENT").value
+        goal_id = self.values[self.expect("IDENT")]
         adt_name = self.expect_kv("adt", self.expect_string)
         weight = self.expect_kv("weight", self.expect_num)
         return SecurityLink(goal_id=goal_id, adt_name=adt_name, weight=weight)
 
-    def _parse_id_list(self) -> list[Token]:
+    def _parse_id_list(self) -> list[int]:
         self.expect_punct("[")
         ids = [self.expect("IDENT")]
         while self.at_punct(","):
@@ -315,33 +327,34 @@ class Parser:
         top_tok = self.expect("IDENT")
         gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
         events: list[str] = []
-        child_refs: list[Token] = []
+        child_refs: list[int] = []
         while not self.at_punct("}"):
             if self.at_ident("gate"):
                 self.advance()
-                gate_id = self.expect("IDENT").value
-                op = GateOp(self.expect_ident("AND", "OR").value)
+                gate_id = self.values[self.expect("IDENT")]
+                op = GateOp(self.values[self.expect_ident("AND", "OR")])
                 child_tokens = self._parse_id_list()
                 child_refs.extend(child_tokens)
-                gates.append((gate_id, op, tuple(t.value for t in child_tokens)))
+                gates.append((gate_id, op, tuple(self.values[t] for t in child_tokens)))
             elif self.at_ident("event"):
                 self.advance()
-                events.append(self.expect("IDENT").value)
+                events.append(self.values[self.expect("IDENT")])
             else:
                 raise _SyntaxError(
-                    f"expected gate or event, got {self.peek().value or self.peek().kind!r}",
-                    self.peek(),
+                    f"expected gate or event, got {self._got(self.pos)}",
+                    self.pos,
                 )
         self.expect_punct("}")
         declared = {g for g, _, _ in gates} | set(events)
-        if top_tok.value not in declared:
-            self._record_at(f"top event {top_tok.value!r} not declared", top_tok)
+        top = self.values[top_tok]
+        if top not in declared:
+            self._record_at(f"top event {top!r} not declared", top_tok)
         for tok in child_refs:
-            if tok.value not in declared:
-                self._record_at(f"undefined node {tok.value!r}", tok)
+            if self.values[tok] not in declared:
+                self._record_at(f"undefined node {self.values[tok]!r}", tok)
         return FaultTree(
             name=name,
-            top=top_tok.value,
+            top=top,
             gates=tuple(gates),
             basic_events=frozenset(events),
         )
@@ -353,7 +366,7 @@ class Parser:
         rows: list[FmeaRow] = []
         while self.at_ident("row"):
             self.advance()
-            row_id = self.expect("IDENT").value
+            row_id = self.values[self.expect("IDENT")]
             function = self.expect_kv("function", self.expect_string)
             mode = self._enum(FailureMode, self.expect_kv("mode"), "failure mode")
             severity = self.expect_kv("severity", self.expect_int)
@@ -381,18 +394,18 @@ class Parser:
 
     def _parse_requirement(self) -> Requirement:
         self.expect_ident("requirement")
-        req_id = self.expect("IDENT").value
+        req_id = self.values[self.expect("IDENT")]
         kind = self._enum(RequirementKind, self.expect_kv("kind"), "requirement kind")
-        trace = self.expect_kv("trace").value
+        trace = self.values[self.expect_kv("trace")]
         self.expect_punct("{")
-        inputs: list[Token] = []
+        inputs: list[int] = []
         if self.at_ident("inputs"):
             inputs = self.expect_kv("inputs", self._parse_id_list)
         clauses: list[Clause] = []
         while self.at_ident("clause"):
             self.advance()
             body: list[Literal] = []
-            if self.peek().kind != "ARROW":
+            if not self.at_punct("=>"):
                 body.append(self._parse_literal())
                 while self.at_punct("&"):
                     self.advance()
@@ -406,7 +419,7 @@ class Parser:
             kind=kind,
             trace=trace,
             clauses=tuple(clauses),
-            inputs=frozenset(t.value for t in inputs),
+            inputs=frozenset(self.values[t] for t in inputs),
         )
 
     def _parse_literal(self) -> Literal:
@@ -414,7 +427,7 @@ class Parser:
         if self.at_punct("!"):
             self.advance()
             positive = False
-        return Literal(signal=self.expect("IDENT").value, positive=positive)
+        return Literal(signal=self.values[self.expect("IDENT")], positive=positive)
 
     def _parse_adt(self) -> AttackDefenseTree:
         self.expect_ident("adt")
@@ -425,10 +438,10 @@ class Parser:
         return AttackDefenseTree(name=name, root=root)
 
     def _parse_adt_node(self) -> AdtNode:
-        actor = Actor(self.expect_ident("attack", "defense").value)
+        actor = Actor(self.values[self.expect_ident("attack", "defense")])
         refinement = Refinement.LEAF
         if self.at_ident("AND", "OR"):
-            refinement = Refinement(self.advance().value)
+            refinement = Refinement(self.values[self.advance()])
         label = self.expect_string()
         children: list[AdtNode] = []
         counter: Optional[AdtNode] = None
@@ -448,15 +461,15 @@ class Parser:
                     counter = self._parse_adt_node()
                 elif self.at_ident("attr"):
                     self.advance()
-                    key = self.expect("IDENT").value
+                    key = self.values[self.expect("IDENT")]
                     self.expect_punct("=")
                     attributes.append((key, self.expect_num()))
                 elif self.at_ident("impact"):
                     impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
                 else:
                     raise _SyntaxError(
-                        f"expected adt item, got {self.peek().value or self.peek().kind!r}",
-                        self.peek(),
+                        f"expected adt item, got {self._got(self.pos)}",
+                        self.pos,
                     )
             self.expect_punct("}")
         return AdtNode(
@@ -494,32 +507,31 @@ class Parser:
         )
 
     def _parse_action(self) -> ScenarioAction:
-        tok = self.expect_ident("set_policy", "add_counter", "set_defeaters")
-        if tok.value == "set_policy":
+        action = self.values[self.expect_ident("set_policy", "add_counter", "set_defeaters")]
+        if action == "set_policy":
             if self.at_ident("unassessed"):
                 self.advance()
                 return SetPolicyAction(UNASSESSED)
-            attribute = self.expect_kv("attribute").value
+            attribute = self.values[self.expect_kv("attribute")]
             op_tok = self.expect_kv("op", lambda: self.expect("STRING"))
-            if op_tok.value not in ("<=", ">="):
-                raise _SyntaxError(
-                    f"op must be \"<=\" or \">=\", got {op_tok.value!r}", op_tok
-                )
+            op = string_value(self.values[op_tok])
+            if op not in ("<=", ">="):
+                raise _SyntaxError(f"op must be \"<=\" or \">=\", got {op!r}", op_tok)
             threshold = self.expect_kv("threshold", self.expect_num)
             prob_or = "max"
             if self.at_ident("prob_or"):
                 self.advance()
                 self.expect_punct("=")
-                prob_or = self.expect_ident("max", "noisy_or").value
+                prob_or = self.values[self.expect_ident("max", "noisy_or")]
             policy = VerdictPolicy(
-                attribute=attribute, op=op_tok.value, threshold=threshold, prob_or=prob_or
+                attribute=attribute, op=op, threshold=threshold, prob_or=prob_or
             )
             return SetPolicyAction(policy)
-        if tok.value == "add_counter":
+        if action == "add_counter":
             at_label = self.expect_kv("at", self.expect_string)
             node = self._parse_adt_node()
             return AddCounterAction(at_label=at_label, node=node)
-        goal_id = self.expect_kv("goal").value
+        goal_id = self.values[self.expect_kv("goal")]
         outruled = self.expect_kv("outruled", self.expect_int)
         total = self.expect_kv("total", self.expect_int)
         return SetDefeatersAction(goal_id=goal_id, outruled=outruled, total=total)

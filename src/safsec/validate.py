@@ -59,12 +59,19 @@ def _err(message: str, context: str) -> Diagnostic:
     return Diagnostic(message, severity="error", context=context)
 
 
+def _context(kind: str, name: str) -> str:
+    """A block's diagnostic context.  A block name is a string and may hold
+    any character; a non-printable one (VT, U+2028, ...) is shown escaped, as
+    the lexer shows one, so that the diagnostic stays on one line."""
+    return f"{kind} " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
+
+
 def _duplicates(keys: Iterable[str]) -> list[str]:
     return sorted(k for k, n in Counter(keys).items() if n > 1)
 
 
 def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
-    ctx = f"gsn {model.name}"
+    ctx = _context("gsn", model.name)
     diags: list[Diagnostic] = []
     ids = [n.id for n in model.nodes]
     for dup in _duplicates(ids):
@@ -137,7 +144,7 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
 
 
 def _check_fta(tree: FaultTree) -> list[Diagnostic]:
-    ctx = f"fta {tree.name}"
+    ctx = _context("fta", tree.name)
     diags: list[Diagnostic] = []
     gate_ids = [gid for gid, _, _ in tree.gates]
     for dup in _duplicates(gate_ids):
@@ -177,7 +184,7 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
 
 
 def _check_fmea(table: FmeaTable) -> list[Diagnostic]:
-    ctx = f"fmea {table.name}"
+    ctx = _context("fmea", table.name)
     diags: list[Diagnostic] = []
     for dup in _duplicates(r.id for r in table.rows):
         diags.append(_err(f"duplicate row id {dup!r}", ctx))
@@ -216,7 +223,7 @@ def _check_adt_node(node: AdtNode, ctx: str, diags: list[Diagnostic]) -> None:
 
 def _check_adt(tree: AttackDefenseTree) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    _check_adt_node(tree.root, f"adt {tree.name}", diags)
+    _check_adt_node(tree.root, _context("adt", tree.name), diags)
     return diags
 
 
@@ -240,7 +247,7 @@ def _check_requirement(req: Requirement) -> list[Diagnostic]:
 
 
 def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
-    ctx = f"scenario {scenario.name}"
+    ctx = _context("scenario", scenario.name)
     diags: list[Diagnostic] = []
     t = scenario.thresholds
     for name, v in (
@@ -270,7 +277,7 @@ def _check_traces(document: Document, components: set[str]) -> list[Diagnostic]:
                     diags.append(
                         _err(
                             f"undeclared component {meta.trace!r}",
-                            f"gsn {model.name}/{node.id}",
+                            f"{_context('gsn', model.name)}/{node.id}",
                         )
                     )
     for req in document.requirements.values():

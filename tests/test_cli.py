@@ -531,6 +531,42 @@ def test_lex_error_is_one_diagnostic_line(runner, workdir, tmp_path, text, diagn
     assert result.stderr.splitlines() == [f"{model}:{diagnostic}"]
 
 
+def test_overlong_integer_is_a_parse_diagnostic(runner, workdir, tmp_path):
+    model = tmp_path / "long.ssm"
+    model.write_text('fmea "F" { row R1 function = "f" mode = erroneous\n  severity = '
+                     + "7" * 5000 + " occurrence = 1 detection = 1 }\n", encoding="utf-8")
+    result = run(runner, workdir, "validate", model)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"{model}:2:14: error: integer too long (5000 digits)"]
+
+
+BAD_BLOCKS = {
+    "gsn": ('gsn "{}" {{ goal G1 "x" goal G2 "y" }}', "multiple roots: G1, G2 [gsn {}]"),
+    "fta": ('fta "{}" {{ top E1 event E1 event E2 }}',
+            "node 'E2' unreachable from top event [fta {}]"),
+    "fmea": ('fmea "{}" {{ row R1 function = "f" mode = erroneous severity = 11 occurrence = 1'
+             " detection = 1 }}", "severity must be in 1..10, got 11 [fmea {}/R1]"),
+    "adt": ('adt "{}" {{ attack AND "x" }}', "AND node 'x' has no children [adt {}]"),
+    "scenario": ('gsn "G" {{ goal G1 "x" }} adt "A" {{ attack "a" }} scenario "{}" {{ gsn = "G"'
+                 ' adt = "A" thresholds min_belief = 0.5 max_disbelief = 0.5'
+                 " max_uncertainty = 0.5 max_rounds = 1 }}",
+                 "scenario has no rounds [scenario {}]"),
+}
+
+
+@pytest.mark.parametrize("block", sorted(BAD_BLOCKS))
+@pytest.mark.parametrize("char, shown", [("\x0b", "\\x0b"), ("\u2028", "\\u2028")])
+def test_block_name_in_a_validator_diagnostic_is_one_line(runner, workdir, tmp_path, block,
+                                                          char, shown):
+    text, diagnostic = BAD_BLOCKS[block]
+    model = tmp_path / "name.ssm"
+    model.write_text(text.format(f"a{char}b") + "\n", encoding="utf-8")
+    result = run(runner, workdir, "validate", model)
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [f"{model}: error: {diagnostic.format(f'a{shown}b')}"]
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("argv, last_line", [
     (["validate"], "ok"),
     (["process", "run", "--scenario", "Airbag Hardening"], "status: accepted"),

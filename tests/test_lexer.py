@@ -1,12 +1,15 @@
-"""The ``.ssm`` tokenizer: exact error positions, and agreement with the
-character-by-character reference lexer except for four pinned fixes."""
+"""The ``.ssm`` tokenizer: exact error positions, agreement with the
+character-by-character reference lexer except for four pinned fixes, and
+agreement of the parser's column scanner with the tokenizer."""
+
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safsec.modelfile import parse
-from safsec.modelfile.lexer import LexError, position, tokenize
+from safsec.modelfile.lexer import LexError, position, scan, string_value, tokenize
 
 from oracles import NaiveLexError, naive_tokenize
 
@@ -149,3 +152,55 @@ def test_position_counts_characters_from_one():
     text = "ab\n\ncé\n"
     assert [position(text, i) for i in range(len(text) + 1)] == [
         (1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2), (3, 3), (4, 1)]
+
+
+SCAN_PIECES = PIECES + ["gsn", "goal", "under", "AND", "12", "3.5", "12.", "٣.٣", '"x\\n"',
+                        "# c\n", "#", "=>", "\n"]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(SCAN_PIECES), max_size=24).map("".join))
+def test_scan_agrees_with_tokenize(text):
+    try:
+        tokens = list(tokenize(text))
+    except LexError:
+        tokens = None
+    columns = scan(text)
+    if tokens is None or columns is None:
+        assert tokens is None and columns is None, (tokens, columns)
+        return
+    values, kinds = columns
+    assert [string_value(v) if k == "STRING" else v for v, k in zip(values, kinds)] == [
+        tok.value for tok in tokens]
+    coarse = {"INT": "NUM", "FLOAT": "NUM", "ARROW": "PUNCT"}
+    assert kinds == [coarse.get(tok.kind, tok.kind) for tok in tokens]
+
+
+@pytest.mark.parametrize("text", ["# c\n?", '#x\n"abc', "# c\n12.", "# c\n²", "a  ?"])
+def test_lex_error_after_a_comment_or_blanks(text):
+    with pytest.raises(LexError) as exc:
+        list(tokenize(text))
+    (diag,) = parse(text).diagnostics
+    assert (diag.message, (diag.line, diag.column)) == (exc.value.message,
+                                                       position(text, exc.value.offset))
+
+
+def test_many_hashes_before_an_error_do_not_backtrack():
+    text = "#" * 200_000 + "\n?"
+    start = time.perf_counter()
+    (diag,) = parse(text).diagnostics
+    assert time.perf_counter() - start < 1
+    assert str(diag) == "2:1: error: unexpected character '?'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('gsn "m" {', "1:10: error: expected gsn node or security_link, got 'EOF'"),
+    ('gsn "m" { goal G1 "" under "" }', "1:28: error: expected 'IDENT', got 'STRING'"),
+    ('requirement R kind = safety trace = T { clause a b }',
+     "1:50: error: expected 'ARROW', got 'b'"),
+    ('gsn "m" { goal G1 "x" { defeaters outruled = 3.5 total = 4 } }',
+     "1:46: error: expected 'INT', got '3.5'"),
+])
+def test_messages_name_token_kinds(text, message):
+    (diag,) = parse(text).diagnostics
+    assert str(diag) == message
