@@ -15,6 +15,7 @@ noisy-OR instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Optional
@@ -143,6 +144,8 @@ class VerdictPolicy:
             raise ValueError(f"comparison must be <= or >=, got {self.op!r}")
         if self.prob_or not in ("max", "noisy_or"):
             raise ValueError(f"prob_or must be max or noisy_or, got {self.prob_or!r}")
+        if not math.isfinite(self.threshold):  # every comparison with nan is false
+            raise ValueError(f"threshold must be a finite number, got {self.threshold}")
 
     def domain(self) -> AttributeDomain:
         d = get_domain(self.attribute)

@@ -1,7 +1,9 @@
-"""Recursive-descent parser for the ``.ssm`` model format.
+"""Parser for the ``.ssm`` model format.
 
 A token is an index into the columns of texts and kinds that `lexer.scan`
-gives; keywords and punctuation are told by their text alone.  Diagnostics
+gives; keywords and punctuation are told by their text alone.  A block is
+read by descent; ADT nodes, which nest without limit, by one loop over an
+explicit stack: a header opens a node, its ``}`` closes it.  Diagnostics
 carry line/column of the offending token.  Only the first diagnostic runs
 `lexer.tokenize`, for the offsets of the tokens or for a lexical error.
 Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
@@ -11,6 +13,7 @@ checked.  Every ``key = value`` pair is read by `Parser.expect_kv`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +54,9 @@ from .lexer import LexError, position, scan, string_value, tokenize
 
 MAX_ERRORS = 20
 BLOCK_KEYWORDS = {"gsn", "adt", "fta", "fmea", "requirement", "scenario"}
+# Value -> member of each enum the parser reads: a dict lookup, not `Enum.__call__`.
+_MEMBERS = {cls: {member.value: member for member in cls} for cls in (
+    Actor, FailureMode, GateOp, GuideWord, Impact, NodeKind, RequirementKind)}
 
 
 @dataclass
@@ -72,6 +78,13 @@ class _SyntaxError(Exception):
         super().__init__(message)
         self.message = message
         self.token = token
+
+
+def _number(text: str, tok: int) -> float:
+    value = float(text)
+    if value == math.inf:  # `float` gives inf for a literal too large for a double
+        raise _SyntaxError(f"number too large ({len(text)} characters)", tok)
+    return value
 
 
 class Parser:
@@ -102,30 +115,29 @@ class Parser:
         value, kind = self.values[tok], self.kinds[tok]
         return repr((string_value(value) if kind == "STRING" else value) or kind)
 
-    def advance(self) -> int:
-        tok = self.pos
-        if self.kinds[tok] != "EOF":
-            self.pos = tok + 1
-        return tok
-
     def at_ident(self, *words: str) -> bool:
         return self.values[self.pos] in words
 
     def at_punct(self, value: str) -> bool:
         return self.values[self.pos] == value
 
+    def _expected(self, what: str, tok: int) -> _SyntaxError:
+        return _SyntaxError(f"expected {what}, got {self._got(tok)}", tok)
+
     def expect(self, kind: str) -> int:
         tok = self.pos
         if self.kinds[tok] != kind and self._kind(tok) != kind:
-            raise _SyntaxError(f"expected {kind!r}, got {self._got(tok)}", tok)
-        return self.advance()
+            raise self._expected(repr(kind), tok)
+        self.pos = tok + 1  # a matched token is never the EOF
+        return tok
 
     def expect_ident(self, *values: str) -> int:
         tok = self.pos
         if self.kinds[tok] != "IDENT" or (values and self.values[tok] not in values):
             want = " or ".join(repr(v) for v in values) if values else "identifier"
-            raise _SyntaxError(f"expected {want}, got {self._got(tok)}", tok)
-        return self.advance()
+            raise self._expected(want, tok)
+        self.pos = tok + 1
+        return tok
 
     def expect_string(self) -> str:
         return string_value(self.values[self.expect("STRING")])
@@ -138,14 +150,18 @@ class Parser:
             raise _SyntaxError(f"integer too long ({len(self.values[tok])} digits)", tok)
 
     def expect_num(self) -> float:
-        if self.kinds[self.pos] != "NUM":
-            raise _SyntaxError(f"expected number, got {self._got(self.pos)}", self.pos)
-        return float(self.values[self.advance()])
+        tok = self.pos
+        if self.kinds[tok] != "NUM":
+            raise self._expected("number", tok)
+        self.pos = tok + 1
+        return _number(self.values[tok], tok)
 
     def expect_punct(self, value: str) -> int:
-        if self.values[self.pos] != value:
-            raise _SyntaxError(f"expected {value!r}, got {self._got(self.pos)}", self.pos)
-        return self.advance()
+        tok = self.pos
+        if self.values[tok] != value:
+            raise self._expected(repr(value), tok)
+        self.pos = tok + 1
+        return tok
 
     def expect_kv(self, key: str, read: Optional[Callable] = None):
         """Read ``key = value``; ``read`` reads the value (default: an IDENT token)."""
@@ -179,11 +195,11 @@ class Parser:
 
     def _enum(self, enum_cls, tok: int, what: str):
         value = self.values[tok]
-        try:
-            return enum_cls(value)
-        except ValueError:
+        member = _MEMBERS[enum_cls].get(value)
+        if member is None:
             options = ", ".join(e.value for e in enum_cls)
             raise _SyntaxError(f"unknown {what} {value!r} (one of: {options})", tok)
+        return member
 
     # --- entry point -----------------------------------------------------
 
@@ -198,7 +214,7 @@ class Parser:
                         f"scenario), got {self._got(tok)}",
                         tok,
                     )
-                    self.advance()
+                    self.pos = tok + 1
                     self._skip_to_next_block()
                     continue
                 try:
@@ -233,11 +249,7 @@ class Parser:
             elif self.at_ident("security_link"):
                 links.append(self._parse_security_link())
             else:
-                raise _SyntaxError(
-                    f"expected gsn node or security_link, got "
-                    f"{self._got(self.pos)}",
-                    self.pos,
-                )
+                raise self._expected("gsn node or security_link", self.pos)
         self.expect_punct("}")
         known = {n.id for n in nodes}
         for node_id, tok in under_refs:
@@ -248,18 +260,18 @@ class Parser:
         return GsnModel(name=name, nodes=tuple(nodes), security_links=tuple(links))
 
     def _parse_gsn_node(self) -> tuple[GsnNode, Optional[int]]:
-        kind = NodeKind(self.values[self.expect_ident()])
+        kind = _MEMBERS[NodeKind][self.values[self.expect_ident()]]
         node_id = self.values[self.expect("IDENT")]
         text = self.expect_string()
         parent = None
         under_tok = None
         if self.at_ident("under"):
-            self.advance()
+            self.pos += 1
             under_tok = self.expect("IDENT")
             parent = self.values[under_tok]
         defeaters = hazard = voter = fta_ref = fmea_ref = None
         if self.at_punct("{"):
-            self.advance()
+            self.pos += 1
             while not self.at_punct("}"):
                 attr = self.expect("IDENT")
                 name = self.values[attr]
@@ -289,17 +301,7 @@ class Parser:
                         f"unknown node attribute {name!r}", attr
                     )
             self.expect_punct("}")
-        node = GsnNode(
-            id=node_id,
-            kind=kind,
-            text=text,
-            parent=parent,
-            defeaters=defeaters,
-            hazard=hazard,
-            voter=voter,
-            fta_ref=fta_ref,
-            fmea_ref=fmea_ref,
-        )
+        node = GsnNode(node_id, kind, text, parent, defeaters, hazard, voter, fta_ref, fmea_ref)
         return node, under_tok
 
     def _parse_security_link(self) -> SecurityLink:
@@ -314,7 +316,7 @@ class Parser:
         self.expect_punct("[")
         ids = [self.expect("IDENT")]
         while self.at_punct(","):
-            self.advance()
+            self.pos += 1
             ids.append(self.expect("IDENT"))
         self.expect_punct("]")
         return ids
@@ -330,20 +332,17 @@ class Parser:
         child_refs: list[int] = []
         while not self.at_punct("}"):
             if self.at_ident("gate"):
-                self.advance()
+                self.pos += 1
                 gate_id = self.values[self.expect("IDENT")]
-                op = GateOp(self.values[self.expect_ident("AND", "OR")])
+                op = _MEMBERS[GateOp][self.values[self.expect_ident("AND", "OR")]]
                 child_tokens = self._parse_id_list()
                 child_refs.extend(child_tokens)
                 gates.append((gate_id, op, tuple(self.values[t] for t in child_tokens)))
             elif self.at_ident("event"):
-                self.advance()
+                self.pos += 1
                 events.append(self.values[self.expect("IDENT")])
             else:
-                raise _SyntaxError(
-                    f"expected gate or event, got {self._got(self.pos)}",
-                    self.pos,
-                )
+                raise self._expected("gate or event", self.pos)
         self.expect_punct("}")
         declared = {g for g, _, _ in gates} | set(events)
         top = self.values[top_tok]
@@ -365,7 +364,7 @@ class Parser:
         self.expect_punct("{")
         rows: list[FmeaRow] = []
         while self.at_ident("row"):
-            self.advance()
+            self.pos += 1
             row_id = self.values[self.expect("IDENT")]
             function = self.expect_kv("function", self.expect_string)
             mode = self._enum(FailureMode, self.expect_kv("mode"), "failure mode")
@@ -378,17 +377,7 @@ class Parser:
             if self.at_ident("cause"):
                 cause = self.expect_kv("cause", self.expect_string)
             rows.append(
-                FmeaRow(
-                    id=row_id,
-                    function=function,
-                    failure_mode=mode,
-                    severity=severity,
-                    occurrence=occurrence,
-                    detection=detection,
-                    effect=effect,
-                    cause=cause,
-                )
-            )
+                FmeaRow(row_id, function, mode, severity, occurrence, detection, effect, cause))
         self.expect_punct("}")
         return FmeaTable(name=name, rows=tuple(rows))
 
@@ -403,12 +392,12 @@ class Parser:
             inputs = self.expect_kv("inputs", self._parse_id_list)
         clauses: list[Clause] = []
         while self.at_ident("clause"):
-            self.advance()
+            self.pos += 1
             body: list[Literal] = []
             if not self.at_punct("=>"):
                 body.append(self._parse_literal())
                 while self.at_punct("&"):
-                    self.advance()
+                    self.pos += 1
                     body.append(self._parse_literal())
             self.expect("ARROW")
             head = self._parse_literal()
@@ -425,7 +414,7 @@ class Parser:
     def _parse_literal(self) -> Literal:
         positive = True
         if self.at_punct("!"):
-            self.advance()
+            self.pos += 1
             positive = False
         return Literal(signal=self.values[self.expect("IDENT")], positive=positive)
 
@@ -438,49 +427,76 @@ class Parser:
         return AttackDefenseTree(name=name, root=root)
 
     def _parse_adt_node(self) -> AdtNode:
-        actor = Actor(self.values[self.expect_ident("attack", "defense")])
-        refinement = Refinement.LEAF
-        if self.at_ident("AND", "OR"):
-            refinement = Refinement(self.values[self.advance()])
-        label = self.expect_string()
-        children: list[AdtNode] = []
-        counter: Optional[AdtNode] = None
-        attributes: list[tuple[str, float]] = []
-        impact: Optional[Impact] = None
-        if self.at_punct("{"):
-            self.advance()
-            while not self.at_punct("}"):
-                if self.at_ident("attack", "defense"):
-                    children.append(self._parse_adt_node())
-                elif self.at_ident("counter"):
-                    tok = self.advance()
-                    if counter is not None:
-                        raise _SyntaxError(
-                            "at most one countermeasure per node", tok
-                        )
-                    counter = self._parse_adt_node()
-                elif self.at_ident("attr"):
-                    self.advance()
-                    key = self.values[self.expect("IDENT")]
-                    self.expect_punct("=")
-                    attributes.append((key, self.expect_num()))
-                elif self.at_ident("impact"):
-                    impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
+        """An ADT node and all under it, read by one loop over an explicit stack."""
+        values, kinds, actors = self.values, self.kinds, _MEMBERS[Actor]
+        branches = {"AND": Refinement.AND, "OR": Refinement.OR}
+        # The open nodes, innermost last: actor, label, refinement, children,
+        # counter, attributes, impact and whether it is its parent's counter.
+        stack: list[list] = []
+        pos, is_counter = self.pos, False
+        try:
+            while True:  # at a node's header
+                actor = actors.get(values[pos])
+                if actor is None:
+                    raise self._expected("'attack' or 'defense'", pos)
+                refinement = branches.get(values[pos + 1], Refinement.LEAF)
+                pos += 1 if refinement is Refinement.LEAF else 2
+                if kinds[pos] != "STRING":
+                    raise self._expected("'STRING'", pos)
+                label, node = string_value(values[pos]), None
+                if values[pos + 1] == "{":
+                    stack.append([actor, label, refinement, [], None, [], None, is_counter])
+                    pos += 2
                 else:
-                    raise _SyntaxError(
-                        f"expected adt item, got {self._got(self.pos)}",
-                        self.pos,
-                    )
-            self.expect_punct("}")
-        return AdtNode(
-            actor=actor,
-            label=label,
-            refinement=refinement,
-            children=tuple(children),
-            counter=counter,
-            attributes=tuple(attributes),
-            impact=impact,
-        )
+                    node, pos = AdtNode(actor, label, refinement), pos + 1
+                while True:  # at an item or the ``}`` of the innermost open node
+                    if node is not None:  # a node is complete: hand it to its parent
+                        if not stack:
+                            return node
+                        if is_counter:
+                            stack[-1][4] = node
+                        else:
+                            stack[-1][3].append(node)
+                    tok, node = pos, None
+                    value = values[tok]
+                    pos += 1
+                    if value == "}":
+                        actor, label, refinement, children, counter, attributes, impact, \
+                            is_counter = stack.pop()
+                        node = AdtNode(actor, label, refinement, tuple(children), counter,
+                                       tuple(attributes), impact)
+                    elif value in actors:
+                        pos, is_counter = tok, False
+                        break
+                    elif value == "counter":
+                        if stack[-1][4] is not None:
+                            raise _SyntaxError("at most one countermeasure per node", tok)
+                        is_counter = True
+                        break
+                    elif value == "attr":
+                        if kinds[pos] != "IDENT":
+                            raise self._expected("'IDENT'", pos)
+                        if values[pos + 1] != "=":
+                            pos += 1
+                            raise self._expected("'='", pos)
+                        pos += 2
+                        if kinds[pos] != "NUM":
+                            raise self._expected("number", pos)
+                        stack[-1][5].append((values[tok + 1], _number(values[pos], pos)))
+                        pos += 1
+                    elif value == "impact":
+                        if values[pos] != "=":
+                            raise self._expected("'='", pos)
+                        if kinds[pos + 1] != "IDENT":
+                            pos += 1
+                            raise self._expected("'IDENT'", pos)
+                        pos += 2
+                        stack[-1][6] = self._enum(Impact, pos - 1, "impact level")
+                    else:
+                        pos = tok
+                        raise self._expected("adt item", tok)
+        finally:  # where parsing, or recovery from an error, goes on
+            self.pos = pos
 
     def _parse_scenario(self) -> Scenario:
         self.expect_ident("scenario")
@@ -510,7 +526,7 @@ class Parser:
         action = self.values[self.expect_ident("set_policy", "add_counter", "set_defeaters")]
         if action == "set_policy":
             if self.at_ident("unassessed"):
-                self.advance()
+                self.pos += 1
                 return SetPolicyAction(UNASSESSED)
             attribute = self.values[self.expect_kv("attribute")]
             op_tok = self.expect_kv("op", lambda: self.expect("STRING"))
@@ -520,7 +536,7 @@ class Parser:
             threshold = self.expect_kv("threshold", self.expect_num)
             prob_or = "max"
             if self.at_ident("prob_or"):
-                self.advance()
+                self.pos += 1
                 self.expect_punct("=")
                 prob_or = self.values[self.expect_ident("max", "noisy_or")]
             policy = VerdictPolicy(

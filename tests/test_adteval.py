@@ -289,6 +289,11 @@ class TestLoadPolicy:
         with pytest.raises(EvaluationError, match="line 2"):
             load_policy("threshold = 0.5\nnot a pair\n")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(EvaluationError, match=f"finite number, got {threshold}"):
+            load_policy(f"threshold = {threshold}")
+
     def test_bad_op_reported(self):
         with pytest.raises(EvaluationError):
             load_policy("op = !=")

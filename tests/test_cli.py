@@ -414,6 +414,17 @@ class TestMalformedInputExitsTwo:
         )
         self.check(result, "nope.txt")
 
+    @pytest.mark.parametrize("op", ["<=", ">="])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_policy_threshold(self, runner, workdir, tmp_path, op, threshold):
+        policy = tmp_path / "policy.txt"
+        policy.write_text(f"op = {op}\nthreshold = {threshold}\n", encoding="utf-8")
+        result = run(
+            runner, workdir, "--format", "machine", "adt", "eval", workdir / "airbag.ssm",
+            "--adt", "Airbag Attack", "--attribute", "probability", "--policy", policy,
+        )
+        self.check(result, "threshold must be a finite number")
+
     def test_goal_loop_confidence(self, runner, workdir, tmp_path):
         loop = tmp_path / "loop.ssm"
         loop.write_text(GOAL_LOOP, encoding="utf-8")
@@ -538,6 +549,23 @@ def test_overlong_integer_is_a_parse_diagnostic(runner, workdir, tmp_path):
     result = run(runner, workdir, "validate", model)
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [f"{model}:2:14: error: integer too long (5000 digits)"]
+
+
+
+@pytest.mark.parametrize("command, options", [
+    (["validate"], []),
+    (["adt", "eval"], ["--adt", "A", "--attribute", "probability"]),
+])
+def test_number_too_large_for_a_float_is_a_parse_diagnostic(runner, workdir, tmp_path, command,
+                                                            options):
+    model = tmp_path / "huge.ssm"
+    model.write_text('adt "A" {\n  attack "x" {\n    attr probability = ' + "9" * 400
+                     + ".5\n  }\n}\n", encoding="utf-8")
+    result = run(runner, workdir, "--format", "machine", *command, model, *options)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"{model}:3:24: error: number too large (402 characters)"]
 
 
 BAD_BLOCKS = {

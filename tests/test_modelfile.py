@@ -1,14 +1,23 @@
 """Lexer, parser, and canonical printer for the .ssm model format."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safsec.model import (
+    Actor,
+    AdtNode,
+    AttackDefenseTree,
     Clause,
+    Document,
     GsnModel,
+    Impact,
     Literal,
     NodeKind,
+    Refinement,
     Requirement,
     Scenario,
 )
@@ -163,6 +172,123 @@ class TestRoundTrip:
         printed = print_document(parse("").document)
         assert printed.startswith(HEADER)
         assert parse(printed).document.blocks == ()
+
+
+# Values the printer writes without an exponent, which the format has no syntax for.
+ADT_NUMBERS = st.integers(0, 10**6).map(lambda n: n / 100)
+# Any identifier is a key, keywords too.
+ADT_KEYS = st.sampled_from(["cost", "probability", "time", "_skill2", "attack", "counter", "attr"])
+ADT_ATTRIBUTES = st.lists(st.tuples(ADT_KEYS, ADT_NUMBERS), max_size=3).map(tuple)
+
+
+@st.composite
+def adt_nodes(draw):
+    """A random ADT node: a chain of up to 40 children and counters (counters
+    on counters among them) with up to 30 more nodes hung off it, any actor
+    and refinement at any node, attributes and impacts."""
+    spine = draw(st.integers(0, 40))
+    extra = [draw(st.integers(0, 30))]
+
+    def make(depth: int, on_spine: bool) -> AdtNode:
+        children: list[AdtNode] = []
+        counter = None
+        k = draw(st.integers(0, min(3, extra[0]))) if depth < 40 else 0
+        extra[0] -= k
+        children.extend(make(depth + 1, False) for _ in range(k))
+        if on_spine and depth < spine:
+            deeper = make(depth + 1, True)
+            if draw(st.booleans()):
+                counter = deeper
+            else:
+                children.insert(draw(st.integers(0, len(children))), deeper)
+        if counter is None and extra[0] > 0 and depth < 40 and draw(st.booleans()):
+            extra[0] -= 1
+            counter = make(depth + 1, False)
+        return AdtNode(
+            actor=draw(st.sampled_from(Actor)),
+            label=draw(st.text(max_size=6)),
+            refinement=draw(st.sampled_from(Refinement)),
+            children=tuple(children),
+            counter=counter,
+            attributes=draw(ADT_ATTRIBUTES),
+            impact=draw(st.none() | st.sampled_from(Impact)),
+        )
+
+    return make(0, True)
+
+
+class TestAdtParsing:
+    @settings(max_examples=60, deadline=None)
+    @given(adt_nodes())
+    def test_random_adts_round_trip(self, root):
+        doc = Document((AttackDefenseTree(name="t", root=root),))
+        reparsed = parse(print_document(doc))
+        assert reparsed.ok, [str(d) for d in reparsed.diagnostics]
+        assert reparsed.document == doc
+
+    @pytest.mark.parametrize("via", ["child", "counter"])
+    def test_ten_thousand_levels_parse_without_recursion(self, via):
+        depth = 10_000
+        assert sys.getrecursionlimit() < depth
+        heads = [f'attack OR "level {i}" {{\n' for i in range(depth)]
+        if via == "counter":
+            heads = [heads[0]] + [f"counter {head}" for head in heads[1:]] + ["counter "]
+        text = 'adt "deep" {\n' + "".join(heads) + 'attack "bottom"\n' + "}\n" * (depth + 1)
+        result = parse(text)
+        assert result.ok and not result.diagnostics
+        # A loop, not ``==``: comparing, hashing or printing the tree recurses.
+        node = result.document.adts["deep"].root
+        for i in range(depth):
+            assert (node.refinement, node.label) == (Refinement.OR, f"level {i}")
+            (node,) = node.children if via == "child" else (node.counter,)
+        assert (node.label, node.children, node.counter) == ("bottom", (), None)
+
+    def test_items_in_any_order_and_the_last_impact_wins(self):
+        text = ('adt "a" {\n  attack OR "x" {\n    impact = low\n    counter defense "d"\n'
+                '    attr cost = 2\n    attack "y"\n    impact = high\n    attr cost = 3\n'
+                '  }\n}\n')
+        root = parse(text).document.adts["a"].root
+        assert root == AdtNode(
+            actor=Actor.ATTACK, label="x", refinement=Refinement.OR,
+            children=(AdtNode(actor=Actor.ATTACK, label="y"),),
+            counter=AdtNode(actor=Actor.DEFENSE, label="d"),
+            attributes=(("cost", 2.0), ("cost", 3.0)), impact=Impact.HIGH,
+        )
+
+    @pytest.mark.parametrize("body, message, line, column", [
+        ('  attack "x" {\n    counter defense "d"\n    counter defense "e"\n  }\n}\n',
+         "at most one countermeasure per node", 4, 5),
+        ('  attack "x" {\n    cost = 1\n  }\n}\n', "expected adt item, got 'cost'", 3, 5),
+        ('  attacker "x"\n}\n', "expected 'attack' or 'defense', got 'attacker'", 2, 3),
+        ('  attack "x" {\n    counter attacker "y"\n  }\n}\n',
+         "expected 'attack' or 'defense', got 'attacker'", 3, 13),
+        ('  attack AND {\n  }\n}\n', "expected 'STRING', got '{'", 2, 14),
+        ('  attack "x" {\n    impact = severe\n  }\n}\n',
+         "unknown impact level 'severe' (one of: low, medium, high)", 3, 14),
+        ('  attack "x" {\n    impact low\n  }\n}\n', "expected '=', got 'low'", 3, 12),
+        ('  attack "x" {\n    attr cost = cheap\n  }\n}\n', "expected number, got 'cheap'",
+         3, 17),
+        ('  attack "x" {\n    attr = 1\n  }\n}\n', "expected 'IDENT', got '='", 3, 10),
+        ('  attack "x" {\n    attr cost 1\n  }\n}\n', "expected '=', got '1'", 3, 15),
+        ('  attack OR "x" {\n    attack "y" {\n      attr cost = 1\n',
+         "expected adt item, got 'EOF'", 5, 1),
+    ])
+    def test_error_message_and_position(self, body, message, line, column):
+        result = parse('adt "a" {\n' + body)
+        assert not result.ok
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            (message, line, column)]
+
+    @pytest.mark.parametrize("text, line, column", [
+        ('adt "a" {\n  attack "x" {\n    attr probability = NUM\n  }\n}\n', 3, 24),
+        ('gsn "g" {\n  goal G1 "x"\n  security_link under G1 adt = "a" weight = NUM\n}\n',
+         3, 45),
+    ])
+    def test_number_too_large_for_a_float(self, text, line, column):
+        result = parse(text.replace("NUM", "9" * 400 + ".5"))
+        assert not result.ok
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("number too large (402 characters)", line, column)]
 
 
 class TestScenarioParsing:
