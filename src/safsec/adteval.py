@@ -34,7 +34,6 @@ class AttributeDomain:
     or_combine: Callable[[float, float], float]
     and_combine: Callable[[float, float], float]
     counter_combine: Callable[[float, float], float]
-    leaf_default: Optional[float] = None
     attribute_key: Optional[str] = None  # leaf attribute name; defaults to name
 
     @property
@@ -98,8 +97,6 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
                     f"node {node.label!r} has children but no AND/OR refinement"
                 )
             value = node.attribute(domain.key)
-            if value is None:
-                value = domain.leaf_default
             if value is None:
                 raise EvaluationError(
                     f"leaf {node.label!r} has no {domain.key!r} attribute "

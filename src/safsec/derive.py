@@ -73,6 +73,14 @@ def _node(
     )
 
 
+def _all_of(verb: str, names: tuple[str, ...]) -> AdtNode:
+    """``verb name`` for one name; for several, an AND of one such leaf per name."""
+    if len(names) == 1:
+        return _leaf(f"{verb} {names[0]}")
+    label = f"{verb} " + ", ".join(names)
+    return _node(label, Refinement.AND, [_leaf(f"{verb} {name}") for name in names])
+
+
 def severity_to_impact(severity: int) -> Impact:
     for bound, impact in SEVERITY_BANDS:
         if severity <= bound:
@@ -95,18 +103,8 @@ def voter_attack_subtree(meta: VoterMeta, mode: GuideWord) -> AdtNode:
             f"voter with {len(meta.signals)} signals exceeds the subset "
             f"enumeration bound of {MAX_VOTER_SIGNALS}"
         )
-    children: list[AdtNode] = [_leaf(f"tamper voter {meta.trace}")]
-    for subset in combinations(meta.signals, meta.threshold):
-        if len(subset) == 1:
-            children.append(_leaf(f"spoof {subset[0]}"))
-        else:
-            children.append(
-                _node(
-                    "spoof " + ", ".join(subset),
-                    Refinement.AND,
-                    [_leaf(f"spoof {sig}") for sig in subset],
-                )
-            )
+    children = [_leaf(f"tamper voter {meta.trace}")]
+    children += (_all_of("spoof", subset) for subset in combinations(meta.signals, meta.threshold))
     return _node(f"defeat voter {meta.trace}", Refinement.OR, children)
 
 
@@ -116,18 +114,7 @@ def fta_attack_subtree(tree: FaultTree) -> Optional[AdtNode]:
         family = fta_mod.minimal_cut_sets(tree)
     except ValueError as exc:  # a gate cycle
         raise DerivationError(str(exc)) from exc
-    fragments: list[AdtNode] = []
-    for cut in fta_mod.canonical_order(family):
-        if len(cut) == 1:
-            fragments.append(_leaf(f"trigger {cut[0]}"))
-        else:
-            fragments.append(
-                _node(
-                    "trigger " + ", ".join(cut),
-                    Refinement.AND,
-                    [_leaf(f"trigger {ev}") for ev in cut],
-                )
-            )
+    fragments = [_all_of("trigger", cut) for cut in fta_mod.canonical_order(family)]
     if not fragments:
         return None
     if len(fragments) == 1:

@@ -2,18 +2,20 @@
 
 Presentation only: attack nodes are red boxes, defense nodes green, and
 countermeasure attachments use dotted edges.  AND refinements and gates are
-marked in the node label.
+marked in the node label.  An ADT's nodes are named by their tree paths; a
+node's line is written when the walk enters it and the edge from its parent
+when the walk leaves it, so each edge follows its child's whole subtree.
 """
 
 from __future__ import annotations
 
 from .model import (
-    AdtNode,
     AttackDefenseTree,
     FaultTree,
     GsnModel,
     NodeKind,
     Refinement,
+    adt_walk,
 )
 
 GSN_SHAPES = {
@@ -65,28 +67,22 @@ def fta_to_dot(tree: FaultTree) -> str:
 
 def adt_to_dot(tree: AttackDefenseTree) -> str:
     lines = [f'digraph "{_esc(tree.name)}" {{', "  rankdir=TB;"]
-
-    def emit(path: str, node: AdtNode) -> None:
-        label = _esc(node.label)
-        if node.refinement is not Refinement.LEAF:
-            label += f"\\n[{node.refinement.value}]"
-        if node.impact is not None:
-            label += f"\\nimpact: {node.impact.value}"
-        color = "indianred" if node.actor.value == "attack" else "palegreen"
-        shape = "box" if node.actor.value == "attack" else "ellipse"
-        lines.append(
-            f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
-            f'label="{label}"];'
-        )
-        for i, child in enumerate(node.children):
-            child_path = f"{path}.{i}"
-            emit(child_path, child)
-            lines.append(f'  "{path}" -> "{child_path}";')
-        if node.counter is not None:
-            counter_path = f"{path}.c"
-            emit(counter_path, node.counter)
-            lines.append(f'  "{path}" -> "{counter_path}" [style=dotted];')
-
-    emit("root", tree.root)
+    for path, node, entering in adt_walk(tree.root):
+        if entering:
+            label = _esc(node.label)
+            if node.refinement is not Refinement.LEAF:
+                label += f"\\n[{node.refinement.value}]"
+            if node.impact is not None:
+                label += f"\\nimpact: {node.impact.value}"
+            color = "indianred" if node.actor.value == "attack" else "palegreen"
+            shape = "box" if node.actor.value == "attack" else "ellipse"
+            lines.append(
+                f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
+                f'label="{label}"];'
+            )
+        elif path != "root":
+            parent, _, step = path.rpartition(".")
+            style = " [style=dotted]" if step == "c" else ""
+            lines.append(f'  "{parent}" -> "{path}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ Scalar types that feed the confidence arithmetic (ConfidenceTriple) enforce
 their invariants at construction time; structural types (GsnModel,
 FaultTree, ...) are built leniently by the parser and checked by
 :mod:`safsec.validate`, which turns invariant violations into located
-diagnostics instead of exceptions.
+diagnostics instead of exceptions.  An attack-defense tree nests to any
+depth, so every walk over one goes through :func:`adt_walk`, which keeps its
+own stack instead of recursing.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class Impact(Enum):
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
-
-    @property
-    def rank(self) -> int:
-        return {"low": 0, "medium": 1, "high": 2}[self.value]
 
 
 class NodeKind(Enum):
@@ -302,6 +300,32 @@ class AdtNode:
         return None
 
 
+def adt_walk(root: AdtNode) -> Iterator[tuple[str, AdtNode, bool]]:
+    """Yield ``(path, node, entering)`` twice per node, on its own stack.
+
+    Entry events come in preorder (a node, its children, then its counter);
+    a node's exit event follows everything under it.  Paths are ``root``
+    plus ``.i`` per i-th child and ``.c`` per counter.
+    """
+    stack = [("root", root, True)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        event = pop()
+        yield event
+        path, node, entering = event
+        if not entering:
+            continue
+        children = node.children
+        if not children and node.counter is None:  # nothing under it: leave at once
+            yield path, node, False
+            continue
+        push((path, node, False))
+        if node.counter is not None:
+            push((path + ".c", node.counter, True))
+        for i in range(len(children) - 1, -1, -1):
+            push((f"{path}.{i}", children[i], True))
+
+
 @dataclass(frozen=True)
 class AttackDefenseTree:
     name: str
@@ -309,15 +333,7 @@ class AttackDefenseTree:
 
     def walk(self) -> Iterator[tuple[str, AdtNode]]:
         """Yield (path, node) pairs in preorder; counters get suffix ``.c``."""
-
-        def rec(path: str, node: AdtNode) -> Iterator[tuple[str, AdtNode]]:
-            yield path, node
-            for i, child in enumerate(node.children):
-                yield from rec(f"{path}.{i}", child)
-            if node.counter is not None:
-                yield from rec(f"{path}.c", node.counter)
-
-        return rec("root", self.root)
+        return ((path, node) for path, node, entering in adt_walk(self.root) if entering)
 
 
 @dataclass(frozen=True)
@@ -326,9 +342,6 @@ class Literal:
 
     signal: str
     positive: bool = True
-
-    def negated(self) -> "Literal":
-        return Literal(self.signal, not self.positive)
 
     def __str__(self) -> str:
         return self.signal if self.positive else f"!{self.signal}"
@@ -362,7 +375,6 @@ class Requirement:
     trace: str
     clauses: tuple[Clause, ...] = ()
     inputs: frozenset[str] = frozenset()
-    meta: Union[HazardMeta, VoterMeta, None] = None
 
     def head_signals(self) -> set[str]:
         return {c.head.signal for c in self.clauses}

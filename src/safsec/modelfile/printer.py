@@ -1,6 +1,11 @@
-"""Canonical pretty-printer for documents; inverse of the parser."""
+"""Canonical pretty-printer for documents; inverse of the parser.
+
+ADTs print from one :func:`~safsec.model.adt_walk`, so any depth prints.
+"""
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 from ..model import (
     AddCounterAction,
@@ -15,6 +20,7 @@ from ..model import (
     Scenario,
     SetDefeatersAction,
     SetPolicyAction,
+    adt_walk,
 )
 
 HEADER = "# safsec model file"
@@ -27,9 +33,11 @@ def _quote(s: str) -> str:
 
 
 def _num(v: float) -> str:
+    """A number as the grammar reads it: no exponent, repr's shortest digits."""
     if float(v).is_integer():
         return str(int(v))
-    return repr(float(v))
+    text = repr(float(v))
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 def print_document(document: Document) -> str:
@@ -133,33 +141,34 @@ def _print_requirement(req: Requirement) -> list[str]:
     return lines
 
 
-def _print_adt_node(node: AdtNode, indent: int) -> list[str]:
-    pad = "  " * indent
-    head = f"{pad}{node.actor.value}"
-    if node.refinement is not Refinement.LEAF:
-        head += f" {node.refinement.value}"
-    head += f" {_quote(node.label)}"
-    items: list[str] = []
-    if node.impact is not None:
-        items.append(f"{pad}  impact = {node.impact.value}")
-    for key, value in node.attributes:
-        items.append(f"{pad}  attr {key} = {_num(value)}")
-    for child in node.children:
-        items.extend(_print_adt_node(child, indent + 1))
-    if node.counter is not None:
-        counter_lines = _print_adt_node(node.counter, indent + 1)
-        items.append(f"{pad}  counter {counter_lines[0].lstrip()}")
-        items.extend(counter_lines[1:])
-    if items:
-        return [head + " {", *items, f"{pad}}}"]
-    return [head]
+def _print_adt_node(root: AdtNode, lead: str) -> list[str]:
+    """``root``'s subtree one level in, led by ``lead``; ``}`` is written on exit."""
+    lines: list[str] = []
+    pad = ""
+    for path, node, entering in adt_walk(root):
+        block = node.children or node.attributes or node.counter or node.impact is not None
+        if not entering:
+            if block:
+                lines.append(pad + "}")
+            pad = pad[:-2]
+            continue
+        pad += "  "
+        head = lead if path == "root" else pad + "counter " if path[-2:] == ".c" else pad
+        refinement = "" if node.refinement is Refinement.LEAF else " " + node.refinement.value
+        head = f"{head}{node.actor.value}{refinement} {_quote(node.label)}"
+        if block:
+            lines.append(head + " {")
+            if node.impact is not None:
+                lines.append(f"{pad}  impact = {node.impact.value}")
+            for key, value in node.attributes:
+                lines.append(f"{pad}  attr {key} = {_num(value)}")
+        else:
+            lines.append(head)
+    return lines
 
 
 def _print_adt(tree: AttackDefenseTree) -> list[str]:
-    lines = [f"adt {_quote(tree.name)} {{"]
-    lines.extend(_print_adt_node(tree.root, 1))
-    lines.append("}")
-    return lines
+    return [f"adt {_quote(tree.name)} {{", *_print_adt_node(tree.root, "  "), "}"]
 
 
 def _print_scenario(scenario: Scenario) -> list[str]:
@@ -185,12 +194,9 @@ def _print_scenario(scenario: Scenario) -> list[str]:
                     f'op = "{policy.op}" threshold = {_num(policy.threshold)}{prob_or}'
                 )
         elif isinstance(action, AddCounterAction):
-            node_lines = _print_adt_node(action.node, 1)
-            lines.append(
-                f"  add_counter at = {_quote(action.at_label)} "
-                + node_lines[0].lstrip()
+            lines.extend(
+                _print_adt_node(action.node, f"  add_counter at = {_quote(action.at_label)} ")
             )
-            lines.extend(node_lines[1:])
         elif isinstance(action, SetDefeatersAction):
             lines.append(
                 f"  set_defeaters goal = {action.goal_id} "

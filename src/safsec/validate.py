@@ -12,7 +12,6 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional
 
 from .model import (
-    AdtNode,
     AttackDefenseTree,
     Diagnostic,
     Document,
@@ -23,19 +22,13 @@ from .model import (
     Refinement,
     Requirement,
     Scenario,
+    adt_walk,
     sort_key,
 )
 
 
-def validate_model(
-    document: Document, components: Optional[set[str]] = None
-) -> list[Diagnostic]:
-    """Check every invariant; empty list means the document is well formed.
-
-    ``components``, when given, switches on strict trace checking: every
-    ``trace=`` token must name a declared component.  By default traces are
-    free-form tokens declared implicitly by first use.
-    """
+def validate_model(document: Document) -> list[Diagnostic]:
+    """Check every invariant; empty list means the document is well formed."""
     diags: list[Diagnostic] = []
     for block in document.blocks:
         if isinstance(block, GsnModel):
@@ -50,8 +43,6 @@ def validate_model(
             diags.extend(_check_requirement(block))
         elif isinstance(block, Scenario):
             diags.extend(_check_scenario(block, document))
-    if components is not None:
-        diags.extend(_check_traces(document, components))
     return sorted(diags, key=sort_key)
 
 
@@ -194,36 +185,31 @@ def _check_fmea(table: FmeaTable) -> list[Diagnostic]:
     return diags
 
 
-def _check_adt_node(node: AdtNode, ctx: str, diags: list[Diagnostic]) -> None:
-    if node.children and node.refinement is Refinement.LEAF:
-        diags.append(_err(f"node {node.label!r} has children but no AND/OR refinement", ctx))
-    if not node.children and node.refinement is not Refinement.LEAF:
-        diags.append(
-            _err(f"{node.refinement.value} node {node.label!r} has no children", ctx)
-        )
-    for child in node.children:
-        if child.actor is not node.actor:
+def _check_adt(tree: AttackDefenseTree) -> list[Diagnostic]:
+    ctx = _context("adt", tree.name)
+    diags: list[Diagnostic] = []
+    for _, node, entering in adt_walk(tree.root):
+        if not entering:
+            continue
+        if node.children and node.refinement is Refinement.LEAF:
             diags.append(
-                _err(
-                    f"refinement child {child.label!r} of {node.label!r} "
-                    f"has mismatching actor",
-                    ctx,
-                )
+                _err(f"node {node.label!r} has children but no AND/OR refinement", ctx)
             )
-        _check_adt_node(child, ctx, diags)
-    if node.counter is not None:
-        if node.counter.actor is not node.actor.opposite:
+        if not node.children and node.refinement is not Refinement.LEAF:
+            diags.append(
+                _err(f"{node.refinement.value} node {node.label!r} has no children", ctx)
+            )
+        for child in node.children:
+            if child.actor is not node.actor:
+                text = f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
+                diags.append(_err(text, ctx))
+        if node.counter is not None and node.counter.actor is not node.actor.opposite:
             diags.append(
                 _err(f"countermeasure of {node.label!r} must have opposite actor", ctx)
             )
-        _check_adt_node(node.counter, ctx, diags)
-    for dup in _duplicates(k for k, _ in node.attributes):
-        diags.append(_err(f"duplicate attribute {dup!r} on {node.label!r}", ctx))
-
-
-def _check_adt(tree: AttackDefenseTree) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    _check_adt_node(tree.root, _context("adt", tree.name), diags)
+        if len(node.attributes) > 1:
+            for dup in _duplicates(k for k, _ in node.attributes):
+                diags.append(_err(f"duplicate attribute {dup!r} on {node.label!r}", ctx))
     return diags
 
 
@@ -240,9 +226,6 @@ def _check_requirement(req: Requirement) -> list[Diagnostic]:
                         ctx,
                     )
                 )
-    if req.meta is not None and hasattr(req.meta, "problems"):
-        for p in req.meta.problems:
-            diags.append(_err(p, ctx))
     return diags
 
 
@@ -266,23 +249,3 @@ def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
     if scenario.adt_name not in document.adts:
         diags.append(_err(f"unknown adt {scenario.adt_name!r}", ctx))
     return diags
-
-
-def _check_traces(document: Document, components: set[str]) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for model in document.gsns.values():
-        for node in model.nodes:
-            for meta in (node.hazard, node.voter):
-                if meta is not None and meta.trace not in components:
-                    diags.append(
-                        _err(
-                            f"undeclared component {meta.trace!r}",
-                            f"{_context('gsn', model.name)}/{node.id}",
-                        )
-                    )
-    for req in document.requirements.values():
-        if req.trace not in components:
-            diags.append(
-                _err(f"undeclared component {req.trace!r}", f"requirement {req.id}")
-            )
-    return sorted(diags, key=sort_key)

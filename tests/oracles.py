@@ -12,15 +12,18 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 from safsec.conflicts import ContradictionWitness
+from safsec.dot import _esc
 from safsec.model import (
     AdtNode,
     AttackDefenseTree,
+    Diagnostic,
     FaultTree,
     GsnModel,
     GsnNode,
     NodeKind,
     Refinement,
 )
+from safsec.modelfile.printer import _num, _quote
 
 
 def all_subsets(items):
@@ -202,6 +205,106 @@ def brute_force_min_cost(tree: AttackDefenseTree, attribute: str = "cost") -> fl
         return base
 
     return min(strategy_costs(tree.root))
+
+
+# The recursive ADT walkers that ``model.adt_walk`` replaced, kept as
+# references for the walk's differential test.  They share only the leaf
+# formatting (``_quote``, ``_num``, ``_esc``) with the code they check, and
+# they overflow Python's stack on trees about a thousand levels deep.
+
+
+def recursive_adt_walk(tree: AttackDefenseTree) -> list[tuple[str, AdtNode]]:
+    """(path, node) pairs in preorder; children ``.i``, then the counter ``.c``."""
+
+    def rec(path: str, node: AdtNode) -> Iterator[tuple[str, AdtNode]]:
+        yield path, node
+        for i, child in enumerate(node.children):
+            yield from rec(f"{path}.{i}", child)
+        if node.counter is not None:
+            yield from rec(f"{path}.c", node.counter)
+
+    return list(rec("root", tree.root))
+
+
+def recursive_adt_diagnostics(tree: AttackDefenseTree) -> list[Diagnostic]:
+    """The validator's diagnostics for one ADT, in the recursion's order."""
+    ctx = "adt " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in tree.name)
+    out: list[Diagnostic] = []
+
+    def err(message: str) -> None:
+        out.append(Diagnostic(message, severity="error", context=ctx))
+
+    def rec(node: AdtNode) -> None:
+        if node.children and node.refinement is Refinement.LEAF:
+            err(f"node {node.label!r} has children but no AND/OR refinement")
+        if not node.children and node.refinement is not Refinement.LEAF:
+            err(f"{node.refinement.value} node {node.label!r} has no children")
+        for child in node.children:
+            if child.actor is not node.actor:
+                err(f"refinement child {child.label!r} of {node.label!r} has mismatching actor")
+            rec(child)
+        if node.counter is not None:
+            if node.counter.actor is not node.actor.opposite:
+                err(f"countermeasure of {node.label!r} must have opposite actor")
+            rec(node.counter)
+        keys = [k for k, _ in node.attributes]
+        for dup in sorted({k for k in keys if keys.count(k) > 1}):
+            err(f"duplicate attribute {dup!r} on {node.label!r}")
+
+    rec(tree.root)
+    return out
+
+
+def recursive_adt_lines(node: AdtNode, indent: int) -> list[str]:
+    """The printed lines of ``node``'s subtree at ``indent`` levels."""
+    pad = "  " * indent
+    head = f"{pad}{node.actor.value}"
+    if node.refinement is not Refinement.LEAF:
+        head += f" {node.refinement.value}"
+    head += f" {_quote(node.label)}"
+    items: list[str] = []
+    if node.impact is not None:
+        items.append(f"{pad}  impact = {node.impact.value}")
+    for key, value in node.attributes:
+        items.append(f"{pad}  attr {key} = {_num(value)}")
+    for child in node.children:
+        items.extend(recursive_adt_lines(child, indent + 1))
+    if node.counter is not None:
+        counter_lines = recursive_adt_lines(node.counter, indent + 1)
+        items.append(f"{pad}  counter {counter_lines[0].lstrip()}")
+        items.extend(counter_lines[1:])
+    if items:
+        return [head + " {", *items, f"{pad}}}"]
+    return [head]
+
+
+def recursive_adt_to_dot(tree: AttackDefenseTree) -> str:
+    lines = [f'digraph "{_esc(tree.name)}" {{', "  rankdir=TB;"]
+
+    def emit(path: str, node: AdtNode) -> None:
+        label = _esc(node.label)
+        if node.refinement is not Refinement.LEAF:
+            label += f"\\n[{node.refinement.value}]"
+        if node.impact is not None:
+            label += f"\\nimpact: {node.impact.value}"
+        color = "indianred" if node.actor.value == "attack" else "palegreen"
+        shape = "box" if node.actor.value == "attack" else "ellipse"
+        lines.append(
+            f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
+            f'label="{label}"];'
+        )
+        for i, child in enumerate(node.children):
+            child_path = f"{path}.{i}"
+            emit(child_path, child)
+            lines.append(f'  "{path}" -> "{child_path}";')
+        if node.counter is not None:
+            counter_path = f"{path}.c"
+            emit(counter_path, node.counter)
+            lines.append(f'  "{path}" -> "{counter_path}" [style=dotted];')
+
+    emit("root", tree.root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _first_node(model: GsnModel, node_id: str) -> GsnNode:

@@ -1,0 +1,129 @@
+"""One explicit-stack walk over attack-defense trees.
+
+``model.adt_walk`` drives ``AttackDefenseTree.walk``, the validator's ADT
+checks, the printer (trees and ``add_counter`` nodes) and DOT export.  Each
+must match the recursive version it replaced (kept in ``oracles.py``) on
+random trees, and each must handle chains deeper than Python's recursion
+limit, of children and of counters.
+"""
+
+import sys
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+
+from safsec.cli import main
+from safsec.dot import adt_to_dot
+from safsec.model import (
+    Actor,
+    AddCounterAction,
+    AdtNode,
+    AttackDefenseTree,
+    Document,
+    Refinement,
+    Scenario,
+    Thresholds,
+    adt_walk,
+    sort_key,
+)
+from safsec.modelfile import parse, print_document
+from safsec.modelfile.printer import HEADER
+from safsec.validate import validate_model
+
+from oracles import (
+    recursive_adt_diagnostics,
+    recursive_adt_lines,
+    recursive_adt_to_dot,
+    recursive_adt_walk,
+)
+from test_modelfile import adt_nodes
+
+DEPTH = 1_500  # printed text and DOT grow with the square of the depth
+
+
+class TestMatchesTheRecursiveWalkers:
+    @settings(max_examples=60, deadline=None)
+    @given(adt_nodes())
+    def test_walk_validate_print_and_dot(self, root):
+        tree = AttackDefenseTree(name="t", root=root)
+        assert list(tree.walk()) == recursive_adt_walk(tree)
+        assert validate_model(Document((tree,))) == sorted(
+            recursive_adt_diagnostics(tree), key=sort_key
+        )
+        assert adt_to_dot(tree) == recursive_adt_to_dot(tree)
+
+        scenario = Scenario("s", "g", "t", Thresholds(0.8, 0.2, 0.1), 3,
+                            (AddCounterAction(at_label="x", node=root),))
+        node_lines = recursive_adt_lines(root, 1)
+        expected = [
+            HEADER, "", 'adt "t" {', *node_lines, "}", "",
+            'scenario "s" {', '  gsn = "g"', '  adt = "t"',
+            "  thresholds min_belief = 0.8 max_disbelief = 0.2 max_uncertainty = 0.1",
+            "  max_rounds = 3",
+            '  add_counter at = "x" ' + node_lines[0].lstrip(), *node_lines[1:], "}",
+        ]
+        assert print_document(Document((tree, scenario))) == "\n".join(expected) + "\n"
+
+    def test_events_nest(self):
+        leaf = AdtNode(Actor.DEFENSE, "d")
+        root = AdtNode(Actor.ATTACK, "r", Refinement.AND,
+                       children=(AdtNode(Actor.ATTACK, "a"), AdtNode(Actor.ATTACK, "b")),
+                       counter=leaf)
+        assert [(path, entering) for path, _, entering in adt_walk(root)] == [
+            ("root", True), ("root.0", True), ("root.0", False), ("root.1", True),
+            ("root.1", False), ("root.c", True), ("root.c", False), ("root", False),
+        ]
+
+
+def deep_chain(via: str) -> AttackDefenseTree:
+    """``DEPTH`` levels above a leaf; each level's only child, or its counter, is the next."""
+    node = AdtNode(Actor.ATTACK, "bottom", attributes=(("cost", 1.0),))
+    for i in reversed(range(DEPTH)):
+        if via == "child":
+            node = AdtNode(Actor.ATTACK, f"level {i}", Refinement.OR, children=(node,))
+        else:
+            node = AdtNode(node.actor.opposite, f"level {i}", counter=node)
+    return AttackDefenseTree("deep", node)
+
+
+@pytest.mark.parametrize("via", ["child", "counter"])
+class TestDeeperThanTheRecursionLimit:
+    def test_walk(self, via):
+        assert sys.getrecursionlimit() < DEPTH
+        paths = [path for path, _ in deep_chain(via).walk()]
+        step = ".0" if via == "child" else ".c"
+        assert paths == ["root" + step * i for i in range(DEPTH + 1)]
+
+    def test_validate(self, via):
+        assert validate_model(Document((deep_chain(via),))) == []
+
+    def test_print_reparses_to_the_same_chain(self, via):
+        tree = deep_chain(via)
+        result = parse(print_document(Document((tree,))))
+        assert result.ok and not result.diagnostics
+        # A loop, not ``==``: comparing two trees recurses.
+        old, new = tree.root, result.document.adts["deep"].root
+        for _ in range(DEPTH):
+            fields = ("actor", "label", "refinement", "attributes", "impact")
+            assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
+            assert (len(new.children), new.counter is None) == (len(old.children), old.counter is None)
+            old, new = (old.children[0], new.children[0]) if via == "child" else (old.counter, new.counter)
+        assert (new.label, new.attributes, new.children, new.counter) == ("bottom", (("cost", 1.0),), (), None)
+
+    def test_dot(self, via):
+        lines = adt_to_dot(deep_chain(via)).splitlines()
+        # Two header lines, one line per node, one per edge, and the closing brace.
+        assert len(lines) == 2 + (DEPTH + 1) + DEPTH + 1
+        step, style = (".0", "") if via == "child" else (".c", " [style=dotted]")
+        assert lines[-2:] == [f'  "root" -> "root{step}"{style};', "}"]
+
+
+def test_cli_validates_a_ten_thousand_deep_chain(tmp_path):
+    depth = 10_000
+    text = ('adt "deep" {\n' + "".join(f'attack OR "level {i}" {{\n' for i in range(depth))
+            + 'attack "bottom"\n' + "}\n" * (depth + 1))
+    model = tmp_path / "deep.ssm"
+    model.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", str(model)])
+    assert (result.exit_code, result.output) == (0, "ok\n")

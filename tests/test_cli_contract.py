@@ -12,8 +12,9 @@ command but ``derive`` and ``export``) must read as
 The edits drop, duplicate or move lines, point a GSN node's parent at
 another node (parent cycles), add a gate to a gate's inputs (gate cycles),
 empty an ADT refinement and push numbers out of range.  Deeper nesting is
-left out: the parser reads an ADT a thousand levels deep, but the validator
-and the ADT evaluation still recurse over it and overflow.
+left out: parsing, validation, printing and DOT export walk an ADT of any
+depth, but only ADT evaluation (``adt eval``, ``process run``) still
+recurses over it and overflows, from about 500 levels.
 """
 
 import json

@@ -174,8 +174,9 @@ class TestRoundTrip:
         assert parse(printed).document.blocks == ()
 
 
-# Values the printer writes without an exponent, which the format has no syntax for.
-ADT_NUMBERS = st.integers(0, 10**6).map(lambda n: n / 100)
+# The format has no exponent syntax, so the printer must write every one of
+# these in positional notation, down to 5e-324 and up to 1.8e308.
+ADT_NUMBERS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 # Any identifier is a key, keywords too.
 ADT_KEYS = st.sampled_from(["cost", "probability", "time", "_skill2", "attack", "counter", "attr"])
 ADT_ATTRIBUTES = st.lists(st.tuples(ADT_KEYS, ADT_NUMBERS), max_size=3).map(tuple)
