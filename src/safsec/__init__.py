@@ -14,7 +14,7 @@ from .fmea import compute_rpn, rank_failures
 from .fta import cut_sets, minimal_cut_sets
 from .model import ConfidenceTriple, DefeaterCount, Document
 from .modelfile import parse, print_document
-from .validate import validate_model
+from .validate import validate_block, validate_model
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,7 @@ __all__ = [
     "print_document",
     "rank_failures",
     "update_confidence",
+    "validate_block",
     "validate_model",
     "verdict",
     "voter_attack_subtree",

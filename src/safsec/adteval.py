@@ -87,25 +87,21 @@ def get_domain(name: str) -> AttributeDomain:
 
 
 def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, float]:
-    """Value of every node (keyed by tree path) under the given domain."""
+    """Value of every node (keyed by tree path) under the given domain.
+
+    The tree's node invariants are :mod:`safsec.validate`'s: a leaf has no
+    children and an AND/OR node has at least one.
+    """
     values: dict[str, float] = {}
 
     def rec(path: str, node: AdtNode) -> float:
         if node.refinement is Refinement.LEAF:
-            if node.children:
-                raise EvaluationError(
-                    f"node {node.label!r} has children but no AND/OR refinement"
-                )
             value = node.attribute(domain.key)
             if value is None:
                 raise EvaluationError(
                     f"leaf {node.label!r} has no {domain.key!r} attribute "
                     f"and the domain defines no default"
                 )
-        elif not node.children:
-            raise EvaluationError(
-                f"{node.refinement.value} node {node.label!r} has no children"
-            )
         else:
             child_values = [
                 rec(f"{path}.{i}", child) for i, child in enumerate(node.children)

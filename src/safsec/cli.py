@@ -11,7 +11,9 @@ cannot disagree.  The exit code comes from the payload's finding: 0 success, 1
 analysis finding (invariant violation, contradiction, thresholds unmet), 2
 usage, parse or analysis error.  Exit 2 writes one ``error:`` line to
 stderr, or one ``file:line:col`` diagnostic per line for a file that does
-not parse.  ``SAFSEC_COLOR=0`` disables color in text output.
+not parse.  Before an analysis runs, the blocks it reads go through the
+validator: exit 2 then writes the line ``validate`` prints for the first
+error among them.  ``SAFSEC_COLOR=0`` disables color in text output.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from . import adteval, conflicts as conflicts_mod, derive, dot, fmea as fmea_mod
 from . import fta as fta_mod
 from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
-from .model import AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel
-from .validate import validate_model
+from .model import (AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel, Scenario,
+                    sort_key)
+from .validate import validate_block, validate_model
 
 FINDING, USAGE = 1, 2
 
@@ -70,7 +73,8 @@ _TO_DOT = {GsnModel: dot.gsn_to_dot, AttackDefenseTree: dot.adt_to_dot, FaultTre
 
 def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     """The document parsed from ``path`` and, given a ``kind`` of
-    :data:`_BLOCKS`, its block of that kind named ``name``."""
+    :data:`_BLOCKS`, its block of that kind named ``name``, which must pass
+    validation together with a scenario's GSN model and ADT."""
     result = modelfile.parse(_read(path))
     if not result.ok:
         for diag in result.diagnostics:
@@ -83,7 +87,21 @@ def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     if name not in blocks:
         known = ", ".join(sorted(blocks)) or "none"
         raise ValueError(f"unknown {kind} {name!r} (available: {known})")
-    return document, blocks[name]
+    block = blocks[name]
+    reads = [block]
+    if isinstance(block, Scenario):
+        reads += filter(None, (document.gsns.get(block.gsn_name),
+                               document.adts.get(block.adt_name)))
+    _refuse_invalid(path, document, reads)
+    return document, block
+
+
+def _refuse_invalid(path: str, document: Document, blocks: Iterable[Any]) -> None:
+    """Exit 2 with the line ``validate`` prints for the first error in ``blocks``."""
+    errors = [d for b in blocks for d in validate_block(b, document) if d.severity == "error"]
+    if errors:
+        click.echo(f"{path}: {min(errors, key=sort_key)}", err=True)
+        raise click.exceptions.Exit(USAGE)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -360,6 +378,9 @@ def derive_cmd(
 ) -> None:
     """Derive the preliminary attack tree from a GSN model."""
     document, model = _load(file, "gsn model", gsn_name)
+    reads = [document.ftas[r] for r in {n.fta_ref for n in model.nodes} & document.ftas.keys()]
+    reads += [document.fmeas[r] for r in {n.fmea_ref for n in model.nodes} & document.fmeas.keys()]
+    _refuse_invalid(file, document, reads)
     tree = derive.derive_adt(model, document.ftas, document.fmeas)
     rendered = modelfile.print_document(Document((tree,)))
     if out:

@@ -135,11 +135,7 @@ def apply_security_links(
         if not links:
             triples[goal_id] = opinion.triple
             continue
-        if len(links) > 1:  # validation rejects these too
-            raise ValueError(
-                f"gsn {model.name!r}: multiple security links on goal {goal_id!r}"
-            )
-        (link,) = links
+        (link,) = links  # validation rejects a goal with two
         verdict = verdicts.get(link.adt_name, SecurityVerdict.NO_ASSESSMENT)
         applied[goal_id] = verdict
         triples[goal_id] = update_confidence(opinion.triple, verdict, link.weight)

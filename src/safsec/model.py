@@ -212,7 +212,7 @@ class GsnModel:
         return self._by_id[node_id]
 
     def roots(self) -> list[GsnNode]:
-        return [n for n in self.nodes if n.parent is None]
+        return list(self._by_parent.get(None, ()))
 
     def root(self) -> GsnNode:
         roots = self.roots()
@@ -223,8 +223,12 @@ class GsnModel:
     def children(self, node_id: str) -> list[GsnNode]:
         return list(self._by_parent.get(node_id, ()))
 
+    @cached_property
+    def _goals(self) -> tuple[GsnNode, ...]:
+        return tuple(n for n in self.nodes if n.kind is NodeKind.GOAL)
+
     def goals(self) -> list[GsnNode]:
-        return [n for n in self.nodes if n.kind is NodeKind.GOAL]
+        return list(self._goals)
 
     @cached_property
     def _links_by_goal(self) -> dict[str, list[SecurityLink]]:

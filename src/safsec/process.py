@@ -33,6 +33,7 @@ from .model import (
     ScenarioAction,
     SetDefeatersAction,
     SetPolicyAction,
+    adt_walk,
 )
 
 TRANSCRIPT_NOTE = (
@@ -69,33 +70,37 @@ class Transcript:
 def attach_counter(
     tree: AttackDefenseTree, at_label: str, counter: AdtNode
 ) -> AttackDefenseTree:
-    """Return a copy of the tree with a countermeasure under the labeled node."""
+    """Return a copy of the tree with a countermeasure under the labeled node.
 
-    def rec(node: AdtNode) -> tuple[AdtNode, bool]:
-        if node.label == at_label:
-            if node.counter is not None:
-                raise ProcessError(
-                    f"node {at_label!r} already carries a countermeasure"
-                )
-            if counter.actor is not node.actor.opposite:
-                raise ProcessError(
-                    f"countermeasure for {at_label!r} must have opposite actor"
-                )
-            return replace(node, counter=counter), True
-        new_children = []
-        found = False
-        for child in node.children:
-            new_child, hit = rec(child)
-            found = found or hit
-            new_children.append(new_child)
-        if found:
-            return replace(node, children=tuple(new_children)), True
-        return node, False
-
-    new_root, found = rec(tree.root)
-    if not found:
+    The target is the first node in :func:`adt_walk`'s preorder, so a
+    countermeasure can be countered too.  Only the target's ancestors are
+    rebuilt, each on its exit event: the first exit one level above the node
+    rebuilt last.
+    """
+    new: Optional[AdtNode] = None  # the target, then each ancestor rebuilt around it
+    new_path, depth, level = "", 0, 0
+    for path, node, entering in adt_walk(tree.root):
+        if entering:
+            depth += 1
+            if new is None and node.label == at_label:
+                if node.counter is not None:
+                    raise ProcessError(f"node {at_label!r} already carries a countermeasure")
+                if counter.actor is not node.actor.opposite:
+                    raise ProcessError(f"countermeasure for {at_label!r} must have opposite actor")
+                new, new_path, level = replace(node, counter=counter), path, depth
+            continue
+        if new is not None and depth == level - 1:
+            slot = new_path[len(path) + 1:]
+            if slot == "c":
+                new = replace(node, counter=new)
+            else:
+                i = int(slot)
+                new = replace(node, children=node.children[:i] + (new,) + node.children[i + 1:])
+            new_path, level = path, level - 1
+        depth -= 1
+    if new is None:
         raise ProcessError(f"unknown adt node {at_label!r}")
-    return replace(tree, root=new_root)
+    return replace(tree, root=new)
 
 
 def set_defeaters(
@@ -125,28 +130,12 @@ def describe_action(action: ScenarioAction) -> str:
     return f"set_defeaters {action.goal_id} {action.outruled}/{action.total}"
 
 
-def _root_goal_id(model: GsnModel) -> str:
-    try:
-        root = model.root()
-    except ValueError as exc:
-        raise ProcessError(str(exc))
-    if root.kind is not NodeKind.GOAL:
-        raise ProcessError(f"root node {root.id!r} of gsn {model.name!r} is not a goal")
-    return root.id
-
-
 def run_process(document: Document, scenario: Scenario) -> Transcript:
-    try:
-        model = document.gsns[scenario.gsn_name]
-    except KeyError:
-        raise ProcessError(f"unknown gsn model {scenario.gsn_name!r}")
-    try:
-        adt = document.adts[scenario.adt_name]
-    except KeyError:
-        raise ProcessError(f"unknown adt {scenario.adt_name!r}")
-
+    """Replay ``scenario``, whose blocks :func:`~safsec.validate.validate_block` accepts."""
+    model = document.gsns[scenario.gsn_name]
+    adt = document.adts[scenario.adt_name]
     policy = adteval.UNASSESSED
-    root_goal = _root_goal_id(model)
+    root_goal = model.root().id
     aggregate: Optional[AggregateResult] = None  # of ``model``; None once stale
 
     def current_triple() -> tuple[SecurityVerdict, ConfidenceTriple]:
@@ -157,10 +146,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
         linked = apply_security_links(model, aggregate, {scenario.adt_name: v})
         return v, linked.triples[root_goal]
 
-    try:
-        _, initial = current_triple()
-    except ValueError as exc:  # e.g. a goal cycle in the GSN model
-        raise ProcessError(str(exc))
+    _, initial = current_triple()
     if scenario.thresholds.met_by(initial):
         return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, (), "accepted")
 
@@ -174,15 +160,10 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
             elif isinstance(action, AddCounterAction):
                 adt = attach_counter(adt, action.at_label, action.node)
             elif isinstance(action, SetDefeatersAction):
-                model = set_defeaters(
-                    model, action.goal_id, action.outruled, action.total
-                )
+                model = set_defeaters(model, action.goal_id, action.outruled, action.total)
                 aggregate = None
-        except (ProcessError, ValueError) as exc:
-            raise ProcessError(f"round {round_no}: {exc}")
-        try:
             verdict, triple = current_triple()
-        except (adteval.EvaluationError, ValueError) as exc:
+        except (ProcessError, adteval.EvaluationError, ValueError) as exc:
             raise ProcessError(f"round {round_no}: {exc}")
         entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
         if scenario.thresholds.met_by(triple):

@@ -12,7 +12,11 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional
 
 from .model import (
+    AddCounterAction,
+    AdtNode,
     AttackDefenseTree,
+    Block,
+    DefeaterCount,
     Diagnostic,
     Document,
     FaultTree,
@@ -22,6 +26,7 @@ from .model import (
     Refinement,
     Requirement,
     Scenario,
+    SetDefeatersAction,
     adt_walk,
     sort_key,
 )
@@ -29,21 +34,23 @@ from .model import (
 
 def validate_model(document: Document) -> list[Diagnostic]:
     """Check every invariant; empty list means the document is well formed."""
-    diags: list[Diagnostic] = []
-    for block in document.blocks:
-        if isinstance(block, GsnModel):
-            diags.extend(_check_gsn(block, document))
-        elif isinstance(block, FaultTree):
-            diags.extend(_check_fta(block))
-        elif isinstance(block, FmeaTable):
-            diags.extend(_check_fmea(block))
-        elif isinstance(block, AttackDefenseTree):
-            diags.extend(_check_adt(block))
-        elif isinstance(block, Requirement):
-            diags.extend(_check_requirement(block))
-        elif isinstance(block, Scenario):
-            diags.extend(_check_scenario(block, document))
+    diags = [d for block in document.blocks for d in validate_block(block, document)]
     return sorted(diags, key=sort_key)
+
+
+def validate_block(block: Block, document: Document) -> list[Diagnostic]:
+    """One block's diagnostics, unsorted; ``document`` resolves its references."""
+    if isinstance(block, GsnModel):
+        return _check_gsn(block, document)
+    if isinstance(block, FaultTree):
+        return _check_fta(block)
+    if isinstance(block, FmeaTable):
+        return _check_fmea(block)
+    if isinstance(block, AttackDefenseTree):
+        return _check_adt_nodes(block.root, _context("adt", block.name))
+    if isinstance(block, Requirement):
+        return _check_requirement(block)
+    return _check_scenario(block, document)
 
 
 def _err(message: str, context: str) -> Diagnostic:
@@ -63,10 +70,8 @@ def _duplicates(keys: Iterable[str]) -> list[str]:
 
 def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
     ctx = _context("gsn", model.name)
-    diags: list[Diagnostic] = []
     ids = [n.id for n in model.nodes]
-    for dup in _duplicates(ids):
-        diags.append(_err(f"duplicate node id {dup!r}", ctx))
+    diags = [_err(f"duplicate node id {dup!r}", ctx) for dup in _duplicates(ids)]
 
     roots = model.roots()
     if not model.nodes:
@@ -90,15 +95,10 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
         if node.kind is not NodeKind.SOLUTION:
             for attr in ("voter", "fta_ref", "fmea_ref"):
                 if getattr(node, attr) is not None:
-                    diags.append(
-                        _err(f"{attr} annotation allowed only on solutions", nctx)
-                    )
-        if node.defeaters is not None:
-            for p in node.defeaters.problems:
-                diags.append(_err(p, nctx))
-        if node.voter is not None:
-            for p in node.voter.problems:
-                diags.append(_err(p, nctx))
+                    diags.append(_err(f"{attr} annotation allowed only on solutions", nctx))
+        for meta in (node.defeaters, node.voter):
+            if meta is not None:
+                diags += (_err(p, nctx) for p in meta.problems)
         if node.fta_ref is not None and node.fta_ref not in document.ftas:
             diags.append(_err(f"unresolved fta_ref {node.fta_ref!r}", nctx))
         if node.fmea_ref is not None and node.fmea_ref not in document.fmeas:
@@ -114,9 +114,7 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
             path.add(cur)
             cur = model.node(cur).parent
         cyclic.update(dict.fromkeys(path, cur in path or cyclic.get(cur, False)))
-    for node in model.nodes:
-        if cyclic[node.id]:
-            diags.append(_err(f"cycle through node {node.id!r}", ctx))
+    diags += (_err(f"cycle through node {n.id!r}", ctx) for n in model.nodes if cyclic[n.id])
 
     goal_ids = {n.id for n in model.goals()}
     linked: set[str] = set()
@@ -136,26 +134,22 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
 
 def _check_fta(tree: FaultTree) -> list[Diagnostic]:
     ctx = _context("fta", tree.name)
-    diags: list[Diagnostic] = []
     gate_ids = [gid for gid, _, _ in tree.gates]
-    for dup in _duplicates(gate_ids):
-        diags.append(_err(f"duplicate gate {dup!r}", ctx))
-    for clash in sorted(set(gate_ids) & tree.basic_events):
-        diags.append(_err(f"{clash!r} declared both gate and basic event", ctx))
+    diags = [_err(f"duplicate gate {dup!r}", ctx) for dup in _duplicates(gate_ids)]
+    diags += (_err(f"{clash!r} declared both gate and basic event", ctx)
+              for clash in set(gate_ids) & tree.basic_events)
 
     declared = set(gate_ids) | tree.basic_events
     if tree.top not in declared:
         diags.append(_err(f"top event {tree.top!r} not declared", ctx))
-    for gid, _, children in tree.gates:
-        for child in children:
-            if child not in declared:
-                diags.append(_err(f"gate {gid!r} references unknown node {child!r}", ctx))
+    diags += (_err(f"gate {gid!r} references unknown node {child!r}", ctx)
+              for gid, _, children in tree.gates for child in children if child not in declared)
 
     # A cycle can only run through gates; a duplicate id is its first gate.
     try:
         TopologicalSorter({gid: tree.gate(gid)[1] for gid in gate_ids}).prepare()
-    except CycleError:
-        diags.append(_err("fault tree contains a cycle", ctx))
+    except CycleError as exc:
+        diags.append(_err(f"cycle through gate {exc.args[1][0]!r}", ctx))
         return diags
 
     # Reachability from the top event; unreachable declarations are rejected.
@@ -169,83 +163,78 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
         gate = tree.gate(cur)
         if gate is not None:
             frontier.extend(gate[1])
-    for orphan in sorted(declared - reachable):
-        diags.append(_err(f"node {orphan!r} unreachable from top event", ctx))
+    diags += (_err(f"node {orphan!r} unreachable from top event", ctx)
+              for orphan in declared - reachable)
     return diags
 
 
 def _check_fmea(table: FmeaTable) -> list[Diagnostic]:
     ctx = _context("fmea", table.name)
-    diags: list[Diagnostic] = []
-    for dup in _duplicates(r.id for r in table.rows):
-        diags.append(_err(f"duplicate row id {dup!r}", ctx))
-    for row in table.rows:
-        for p in row.problems:
-            diags.append(_err(p, f"{ctx}/{row.id}"))
-    return diags
+    diags = [_err(f"duplicate row id {d!r}", ctx) for d in _duplicates(r.id for r in table.rows)]
+    return diags + [_err(p, f"{ctx}/{row.id}") for row in table.rows for p in row.problems]
 
 
-def _check_adt(tree: AttackDefenseTree) -> list[Diagnostic]:
-    ctx = _context("adt", tree.name)
+def _check_adt_nodes(root: AdtNode, ctx: str) -> list[Diagnostic]:
+    """The node invariants of the tree under ``root``: an ADT's, or a counter's."""
     diags: list[Diagnostic] = []
-    for _, node, entering in adt_walk(tree.root):
+    for _, node, entering in adt_walk(root):
         if not entering:
             continue
         if node.children and node.refinement is Refinement.LEAF:
-            diags.append(
-                _err(f"node {node.label!r} has children but no AND/OR refinement", ctx)
-            )
+            diags.append(_err(f"node {node.label!r} has children but no AND/OR refinement", ctx))
         if not node.children and node.refinement is not Refinement.LEAF:
-            diags.append(
-                _err(f"{node.refinement.value} node {node.label!r} has no children", ctx)
-            )
+            diags.append(_err(f"{node.refinement.value} node {node.label!r} has no children", ctx))
         for child in node.children:
             if child.actor is not node.actor:
                 text = f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
                 diags.append(_err(text, ctx))
         if node.counter is not None and node.counter.actor is not node.actor.opposite:
-            diags.append(
-                _err(f"countermeasure of {node.label!r} must have opposite actor", ctx)
-            )
-        if len(node.attributes) > 1:
-            for dup in _duplicates(k for k, _ in node.attributes):
-                diags.append(_err(f"duplicate attribute {dup!r} on {node.label!r}", ctx))
+            diags.append(_err(f"countermeasure of {node.label!r} must have opposite actor", ctx))
+        if len(dict(node.attributes)) < len(node.attributes):  # one C call; Counter is slow
+            diags += (_err(f"duplicate attribute {d!r} on {node.label!r}", ctx)
+                      for d in _duplicates(k for k, _ in node.attributes))
     return diags
 
 
 def _check_requirement(req: Requirement) -> list[Diagnostic]:
     ctx = f"requirement {req.id}"
-    diags: list[Diagnostic] = []
     heads = req.head_signals()
-    for clause in req.clauses:
-        for lit in clause.body:
-            if lit.signal not in req.inputs and lit.signal not in heads:
-                diags.append(
-                    _err(
-                        f"signal {lit.signal!r} neither declared input nor derived",
-                        ctx,
-                    )
-                )
-    return diags
+    return [_err(f"signal {lit.signal!r} neither declared input nor derived", ctx)
+            for clause in req.clauses for lit in clause.body
+            if lit.signal not in req.inputs and lit.signal not in heads]
 
 
 def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
     ctx = _context("scenario", scenario.name)
     diags: list[Diagnostic] = []
-    t = scenario.thresholds
-    for name, v in (
-        ("min_belief", t.min_belief),
-        ("max_disbelief", t.max_disbelief),
-        ("max_uncertainty", t.max_uncertainty),
-    ):
+    for name in ("min_belief", "max_disbelief", "max_uncertainty"):
+        v = getattr(scenario.thresholds, name)
         if not 0.0 <= v <= 1.0:
             diags.append(_err(f"threshold {name} must be in [0, 1], got {v}", ctx))
     if scenario.max_rounds < 1:
         diags.append(_err("max_rounds must be positive", ctx))
     if not scenario.actions:
         diags.append(_err("scenario has no rounds", ctx))
-    if scenario.gsn_name not in document.gsns:
+    gsn = document.gsns.get(scenario.gsn_name)
+    adt = document.adts.get(scenario.adt_name)
+    if gsn is None:
         diags.append(_err(f"unknown gsn model {scenario.gsn_name!r}", ctx))
-    if scenario.adt_name not in document.adts:
+    elif len(roots := gsn.roots()) == 1 and roots[0].kind is not NodeKind.GOAL:
+        diags.append(_err(f"root node {roots[0].id!r} of gsn {gsn.name!r} is not a goal", ctx))
+    if adt is None:
         diags.append(_err(f"unknown adt {scenario.adt_name!r}", ctx))
+    goal_ids = {n.id for n in gsn.goals()} if gsn is not None else set()
+    labels = {node.label for _, node in adt.walk()} if adt is not None else set()
+    for round_no, action in enumerate(scenario.actions, start=1):
+        rctx = f"{ctx}/round {round_no}"
+        if isinstance(action, AddCounterAction):
+            if adt is not None and action.at_label not in labels:
+                diags.append(_err(f"unknown adt node {action.at_label!r}", rctx))
+            diags.extend(_check_adt_nodes(action.node, rctx))
+            labels.update(node.label for _, node, entering in adt_walk(action.node) if entering)
+        elif isinstance(action, SetDefeatersAction):
+            if gsn is not None and action.goal_id not in goal_ids:
+                text = f"set_defeaters target {action.goal_id!r} is not a goal of gsn {gsn.name!r}"
+                diags.append(_err(text, rctx))
+            diags += (_err(p, rctx) for p in DefeaterCount(action.outruled, action.total).problems)
     return diags

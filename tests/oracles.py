@@ -84,6 +84,18 @@ def naive_has_cycle(tree: FaultTree) -> bool:
     return any(from_gate(gid, ()) for gid, _, _ in tree.gates)
 
 
+def naive_on_cycle(tree: FaultTree, gate_id: str) -> bool:
+    """Whether ``gate_id`` reaches itself along gate children."""
+
+    def reaches(node: str, on_path: frozenset[str]) -> bool:
+        gate = tree.gate(node)
+        if gate is None or node in on_path:
+            return False
+        return any(c == gate_id or reaches(c, on_path | {node}) for c in gate[1])
+
+    return reaches(gate_id, frozenset())
+
+
 def brute_force_minimal_cut_sets(tree: FaultTree) -> set[frozenset[str]]:
     """All subset-minimal event sets that trigger the top event."""
     satisfying = [

@@ -142,19 +142,6 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="'mystery'"):
             evaluate(tree(leaf("mystery")), COST)
 
-    @pytest.mark.parametrize("refinement", [Refinement.AND, Refinement.OR])
-    def test_refined_node_without_children_names_the_node(self, refinement):
-        empty = AdtNode(actor=Actor.ATTACK, label="empty", refinement=refinement)
-        root = AdtNode(
-            actor=Actor.ATTACK,
-            label="root",
-            refinement=Refinement.OR,
-            children=(leaf("a", cost=1), empty),
-        )
-        message = f"{refinement.value} node 'empty' has no children"
-        with pytest.raises(EvaluationError, match=message):
-            evaluate(tree(root), COST)
-
     def test_every_node_path_gets_a_value(self):
         rng = random.Random(5)
         t = random_cost_adt(rng)

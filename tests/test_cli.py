@@ -425,30 +425,36 @@ class TestMalformedInputExitsTwo:
         )
         self.check(result, "threshold must be a finite number")
 
+    def refused(self, result, model, diagnostic):
+        """Exit 2 with the line ``validate`` prints for the first error."""
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"{model}: error: {diagnostic}"]
+
     def test_goal_loop_confidence(self, runner, workdir, tmp_path):
         loop = tmp_path / "loop.ssm"
         loop.write_text(GOAL_LOOP, encoding="utf-8")
         result = run(runner, workdir, "gsn", "confidence", loop, "--model", "L")
-        self.check(result, "cycle through node")
+        self.refused(result, loop, "cycle through node 'G1' [gsn L]")
 
     def test_goal_loop_process(self, runner, workdir, tmp_path):
         loop = tmp_path / "loop.ssm"
         loop.write_text(GOAL_LOOP, encoding="utf-8")
         result = run(runner, workdir, "process", "run", loop, "--scenario", "S")
-        self.check(result, "has 0 roots")
+        self.refused(result, loop, "cycle through node 'G1' [gsn L]")
 
     @pytest.mark.parametrize("minimal", [[], ["--minimal"]])
     def test_cyclic_fault_tree_cutsets(self, runner, workdir, tmp_path, minimal):
         cyclic = tmp_path / "cyclic.ssm"
         cyclic.write_text(CYCLIC_FTA, encoding="utf-8")
         result = run(runner, workdir, "fta", "cutsets", cyclic, "--tree", "C", *minimal)
-        self.check(result, "cycle through gate 'T'")
+        self.refused(result, cyclic, "cycle through gate 'T' [fta C]")
 
     def test_cyclic_fault_tree_derive(self, runner, workdir, tmp_path):
         cyclic = tmp_path / "cyclic.ssm"
         cyclic.write_text(CYCLIC_FTA + HAZARD_GSN.format(parent="G1"), encoding="utf-8")
         result = run(runner, workdir, "derive", "adt", cyclic, "--gsn", "H")
-        self.check(result, "cycle through gate 'T'")
+        self.refused(result, cyclic, "cycle through gate 'T' [fta C]")
 
     def test_parent_cycle_derive_finishes(self, tmp_path):
         # A child process with a timeout, so a walk that never ends fails the
@@ -463,8 +469,7 @@ class TestMalformedInputExitsTwo:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: node 'SOL': parent cycle through")
+        assert proc.stderr.splitlines() == [f"{model}: error: cycle through node 'S1' [gsn H]"]
 
     @pytest.mark.parametrize("side", ["model", "verdicts", "policy"])
     def test_non_utf8_file(self, runner, workdir, tmp_path, side):
@@ -488,14 +493,14 @@ class TestMalformedInputExitsTwo:
         model.write_text(childless(refinement), encoding="utf-8")
         result = run(runner, workdir, "--format", fmt, "adt", "eval", model,
                      "--adt", "T", "--attribute", "probability")
-        self.check(result, f"{refinement} node 'root' has no children")
+        self.refused(result, model, f"{refinement} node 'root' has no children [adt T]")
 
     @pytest.mark.parametrize("refinement", ["AND", "OR"])
     def test_childless_adt_node_process(self, runner, workdir, tmp_path, refinement):
         model = tmp_path / "childless.ssm"
         model.write_text(childless(refinement), encoding="utf-8")
         result = run(runner, workdir, "process", "run", model, "--scenario", "S")
-        self.check(result, f"round 1: {refinement} node 'root' has no children")
+        self.refused(result, model, f"{refinement} node 'root' has no children [adt T]")
 
     def test_leaf_adt_node_with_children_eval(self, runner, workdir, tmp_path):
         model = tmp_path / "leaf.ssm"
@@ -505,7 +510,7 @@ class TestMalformedInputExitsTwo:
         )
         result = run(runner, workdir, "adt", "eval", model, "--adt", "T",
                      "--attribute", "probability")
-        self.check(result, "node 'root' has children but no AND/OR refinement")
+        self.refused(result, model, "node 'root' has children but no AND/OR refinement [adt T]")
 
     @pytest.mark.parametrize("command, option", [
         (["gsn", "confidence"], ["--model", "M"]),
@@ -515,7 +520,8 @@ class TestMalformedInputExitsTwo:
         model = tmp_path / "links.ssm"
         model.write_text(TWO_LINKS, encoding="utf-8")
         result = run(runner, workdir, *command, model, *option)
-        self.check(result, "gsn 'M': multiple security links on goal 'G1'")
+        self.refused(result, model,
+                     "multiple security links on goal 'G1' [gsn M/security_link 'A']")
 
     @pytest.mark.parametrize("flag", ["--out", "--dot"])
     def test_unwritable_derive_output(self, runner, workdir, tmp_path, flag):
@@ -525,6 +531,94 @@ class TestMalformedInputExitsTwo:
             args += ["--out", tmp_path / "x.ssm"]
         result = run(runner, workdir, *args)
         self.check(result, "x.out")
+
+
+# Attack "x", countered by defense "d"; round 2 attacks the defense.
+COUNTERED_DEFENSE = (
+    'gsn "M" {\n  goal G1 "top" {\n    defeaters outruled = 1 total = 2\n  }\n'
+    '  security_link under G1 adt = "A" weight = 1\n}\n'
+    'adt "A" {\n  attack "x" {\n    attr probability = 0.5\n'
+    '    counter defense "d" {\n      attr probability = 0.8\n    }\n  }\n}\n'
+    'scenario "S" {\n  gsn = "M"\n  adt = "A"\n'
+    "  thresholds min_belief = 0.9 max_disbelief = 0.05 max_uncertainty = 0.05\n"
+    '  max_rounds = 2\n  set_policy attribute = probability op = "<=" threshold = 0.2\n'
+    '  add_counter at = "d" attack "bypass" {\n    attr probability = 0.5\n  }\n}\n'
+)
+
+
+def test_a_scenario_counters_a_countermeasure(runner, workdir, tmp_path):
+    model = tmp_path / "countered.ssm"
+    model.write_text(COUNTERED_DEFENSE, encoding="utf-8")
+    checked = run(runner, workdir, "validate", model)
+    assert (checked.exit_code, checked.output) == (0, "ok\n")
+    result = run(runner, workdir, "process", "run", model, "--scenario", "S")
+    # x = 0.5 * (1 - d), and the bypass takes d from 0.8 to 0.8 * (1 - 0.5):
+    # x rises from 0.1 to 0.3, over the 0.2 budget.
+    assert result.exit_code == 1, result.output
+    assert result.stdout.splitlines()[-3:] == [
+        "round 1: set_policy probability <= 0.2 -> acceptable_risk, B=0.62 D=0.12 U=0.25",
+        "round 2: add_counter 'bypass' at 'd' -> unacceptable_risk, B=0.12 D=0.62 U=0.25",
+        "status: exhausted",
+    ]
+
+
+def assessed(gsn: str, gsn_name: str, *actions: str) -> str:
+    """``gsn`` plus LEAF_ADT and a scenario "S" over both that runs ``actions``."""
+    rounds = "".join(f"  {a}\n" for a in actions or ["set_policy unassessed"])
+    return (
+        gsn + LEAF_ADT + f'scenario "S" {{\n  gsn = "{gsn_name}"\n  adt = "A"\n'
+        "  thresholds min_belief = 0.9 max_disbelief = 0.05 max_uncertainty = 0.05\n"
+        f"  max_rounds = 3\n{rounds}}}\n"
+    )
+
+
+GOAL_AND_CONTEXT = 'gsn "M" {\n  goal G1 "top"\n  context C1 "ctx" under G1\n}\n'
+REFS = 'gsn "R" {{\n  goal G1 "top"\n  solution SOL "s" under G1 {{\n    {ref} = "nope"\n  }}\n}}\n'
+PROCESS = ["process", "run", "--scenario", "S"]
+
+
+def gsn_commands(name: str) -> list[list[str]]:
+    return [["gsn", "confidence", "--model", name], ["derive", "adt", "--gsn", name],
+            ["export", "dot", "--model", name], PROCESS]
+
+
+# Fixture -> (model text, every command that reads its bad block; the file
+# goes after the first two words).
+MALFORMED = {
+    "cyclic gsn": (GOAL_LOOP, gsn_commands("L")),
+    "cyclic fault tree": (CYCLIC_FTA + HAZARD_GSN.format(parent="G1"), [
+        ["fta", "cutsets", "--tree", "C"], ["fta", "cutsets", "--tree", "C", "--minimal"],
+        ["export", "dot", "--model", "C"], ["derive", "adt", "--gsn", "H"]]),
+    "unresolved fta_ref": (assessed(REFS.format(ref="fta_ref"), "R"), gsn_commands("R")),
+    "unresolved fmea_ref": (assessed(REFS.format(ref="fmea_ref"), "R"), gsn_commands("R")),
+    "childless AND": (childless("AND"), [
+        ["adt", "eval", "--adt", "T", "--attribute", "probability"],
+        ["export", "dot", "--model", "T"], PROCESS]),
+    "multiple security links": (TWO_LINKS, gsn_commands("M")),
+    "unknown add_counter label": (
+        assessed(GOAL_AND_CONTEXT, "M", 'add_counter at = "nope" defense "d" { }'), [PROCESS]),
+    "set_defeaters on a non-goal": (
+        assessed(GOAL_AND_CONTEXT, "M", "set_defeaters goal = C1 outruled = 1 total = 2"),
+        [PROCESS]),
+    "non-goal scenario root": (
+        assessed('gsn "M" {\n  strategy S0 "s"\n  goal G1 "g" under S0\n}\n', "M"), [PROCESS]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("fixture, command", [
+    pytest.param(fixture, command, id=f"{fixture}: {' '.join(command)}")
+    for fixture, (_, commands) in MALFORMED.items() for command in commands])
+def test_a_command_refuses_a_block_it_reads_with_the_first_validate_line(
+        runner, workdir, tmp_path, fixture, command, fmt):
+    model = tmp_path / "bad.ssm"
+    model.write_text(MALFORMED[fixture][0], encoding="utf-8")
+    checked = run(runner, workdir, "validate", model)
+    assert checked.exit_code == 1, checked.output
+    result = run(runner, workdir, "--format", fmt, *command[:2], model, *command[2:])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == checked.stdout.splitlines()[:1]
 
 
 @pytest.mark.parametrize("text, diagnostic", [

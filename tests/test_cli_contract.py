@@ -1,19 +1,23 @@
-"""The CLI's exit-code contract on mutated bundled models.
+"""The CLI's exit-code contract on mutated bundled models and side files.
 
 Every command, in both formats, on a bundled ``.ssm`` file after a few
 random edits, must end with exit 0, 1 or 2 and never with an uncaught
-exception.  Exit 2 comes with one ``error:`` line on stderr, or, for a file
-that does not parse, one ``file:line:col`` diagnostic per line.  Exit 1 is
-a finding: ``validate`` with errors, ``conflicts`` with a contradiction or
-``process run`` running out of rounds.  Machine output that is JSON (every
-command but ``derive`` and ``export``) must read as
+exception.  Exit 2 comes with one line on stderr: an ``error:`` line, or
+``validate``'s line (``file: error: ...``) for the first error in a block
+the command reads, since analyses refuse a block that does not validate.  A
+file that does not parse gets one ``file:line:col`` diagnostic per line
+instead.  Exit 1 is a finding: ``validate`` with errors, ``conflicts`` with
+a contradiction or ``process run`` running out of rounds.  Machine output
+that is JSON (every command but ``derive`` and ``export``) must read as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it.
 
 The edits drop, duplicate or move lines, point a GSN node's parent at
 another node (parent cycles), add a gate to a gate's inputs (gate cycles),
-empty an ADT refinement and push numbers out of range.  Deeper nesting is
-left out: parsing, validation, printing and DOT export walk an ADT of any
-depth, but only ADT evaluation (``adt eval``, ``process run``) still
+empty an ADT refinement and push numbers out of range.  The ``--verdicts``
+and ``--policy`` files get edits of their own: a dropped ``=``, an unknown
+key or value, a non-finite threshold and bytes that are not UTF-8.  Deeper
+nesting is left out: parsing, validation, printing and DOT export walk an
+ADT of any depth, but ADT evaluation (``adt eval``, ``process run``) still
 recurses over it and overflows, from about 500 levels.
 """
 
@@ -41,6 +45,7 @@ GSN_NODE = re.compile(r"^(\s*(?:goal|strategy|solution|context)\s+(\w+)\s+\"[^\"
 GATE = re.compile(r"^(\s*gate\s+(\w+)\s+(?:AND|OR)\s+\[)(.*)(\].*)$")
 REFINED = re.compile(r"^(\s*(?:attack|defense)\s+(?:AND|OR)\s+\"[^\"]*\")\s*\{\s*$")
 NUMBER = re.compile(r"(?<=[=\s])-?\d+(?:\.\d+)?(?=\s|$)")
+PARSE_DIAGNOSTIC = re.compile(rf"{re.escape(MODEL)}:\d+:\d+: error: ")
 OUT_OF_RANGE = ("-1", "-0.5", "0", "1.5", "2", "1000000", "99999999999999999999")
 
 
@@ -137,13 +142,40 @@ def mutated_model(draw) -> tuple[str, str]:
     return name, "\n".join(lines) + "\n"
 
 
+SIDE_FILES = {
+    VERDICTS: "Airbag Attack = unacceptable_risk\n",
+    POLICY: "attribute = probability\nop = <=\nthreshold = 0.1\n",
+}
+SIDE_EDITS = ("drop =", "unknown key", "unknown value", "non-finite threshold", "non-UTF-8")
+
+
+@st.composite
+def edited_side_file(draw, text: str, edit: str) -> bytes:
+    """``text`` after ``edit`` on one of its lines (or at one byte, for non-UTF-8)."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[i].partition("=")
+    word = draw(st.sampled_from(["bogus", "Nope", "", "=", "#x"]))
+    if edit == "drop =":
+        lines[i] = key + value
+    elif edit == "unknown key":
+        lines[i] = f"{word} ={value}"
+    elif edit == "unknown value":
+        lines[i] = f"{key}= {word}"
+    elif edit == "non-finite threshold":
+        lines.insert(i, f"threshold = {draw(st.sampled_from(['nan', 'inf', '-inf', '1e999']))}")
+    data = ("\n".join(lines) + "\n").encode()
+    if edit == "non-UTF-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("contract")
-    (directory / VERDICTS).write_text("Airbag Attack = unacceptable_risk\n", encoding="utf-8")
-    (directory / POLICY).write_text(
-        "attribute = probability\nop = <=\nthreshold = 0.1\n", encoding="utf-8"
-    )
+    for name, text in SIDE_FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
     return directory
 
 
@@ -162,8 +194,8 @@ def check_contract(argv: list[str], fmt: str, result) -> None:
     if result.exit_code == 2:
         lines = result.stderr.splitlines()
         assert lines, where
-        if not all(line.startswith(f"{MODEL}:") for line in lines):
-            assert len(lines) == 1 and lines[0].startswith("error: "), where
+        if not all(PARSE_DIAGNOSTIC.match(line) for line in lines):
+            assert len(lines) == 1 and lines[0].startswith(("error: ", f"{MODEL}: error: ")), where
     elif result.exit_code == 1:
         command = argv[0] if argv[0] in FINDINGS else " ".join(argv[:2])
         assert command in FINDINGS, where
@@ -194,3 +226,23 @@ def test_every_command_keeps_the_exit_code_contract(workdir, case):
                                        env={"SAFSEC_COLOR": "0"})
                 check_contract(argv, fmt, result)
 
+
+@pytest.mark.parametrize("side", sorted(SIDE_FILES))
+@pytest.mark.parametrize("edit", SIDE_EDITS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_a_bad_side_file_keeps_the_exit_code_contract(tmp_path_factory, side, edit, data):
+    directory = tmp_path_factory.mktemp("side")
+    for name, text in SIDE_FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    (directory / side).write_bytes(data.draw(edited_side_file(SIDE_FILES[side], edit)))
+    runner = CliRunner()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        for name in BUNDLED:
+            (directory / MODEL).write_text(load_bundled(name), encoding="utf-8")
+            for argv in (argv for argv in COMMANDS[name] if side in argv):
+                for fmt in ("text", "machine"):
+                    result = runner.invoke(main, ["--format", fmt, *argv],
+                                           env={"SAFSEC_COLOR": "0"})
+                    check_contract(argv, fmt, result)

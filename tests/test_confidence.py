@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -215,9 +214,3 @@ class TestApplySecurityLinks:
         assert linked.triples["G0"].uncertainty > base.uncertainty
         assert linked.verdicts["G0"] is SecurityVerdict.NO_ASSESSMENT
 
-    def test_two_links_on_one_goal_rejected(self):
-        model = replace(self.model(), security_links=(
-            SecurityLink("G0", "A", 2.0), SecurityLink("G0", "B", 1.0),
-        ))
-        with pytest.raises(ValueError, match="gsn 'M': multiple security links on goal 'G0'"):
-            apply_security_links(model, aggregate_gsn(model), {})

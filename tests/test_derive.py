@@ -244,34 +244,21 @@ class TestDeriveAdt:
         (frag,) = branch.children
         assert [c.label for c in frag.children] == ["trigger B", "trigger C"]
 
-    @pytest.mark.parametrize(
-        "parent, message",
-        [("S2", "node 'S1': parent cycle through 'ST'"),
-         ("missing", "node 'S1': unknown ancestor 'missing'")],
-    )
-    def test_broken_solution_ancestry_is_an_error(self, parent, message):
+    def test_parent_cycle_is_an_error(self):
+        # The one structural check derivation keeps: without it the walk up
+        # from S1 would never end.  Validation reports the cycle too.
         hazard = HazardMeta(Impact.LOW, GuideWord.TRIGGER, "Item")
         model = GsnModel(
             name="Item",
             nodes=(
                 GsnNode("G1", GOAL, "hazard", hazard=hazard),
-                GsnNode("ST", STRATEGY, "a", parent=parent),
+                GsnNode("ST", STRATEGY, "a", parent="S2"),
                 GsnNode("S2", STRATEGY, "b", parent="ST"),
                 GsnNode("S1", SOLUTION, "fta done", parent="ST"),
             ),
         )
-        with pytest.raises(DerivationError, match=message):
+        with pytest.raises(DerivationError, match="node 'S1': parent cycle through 'ST'"):
             derive_adt(model)
-
-    def test_cyclic_fault_tree_is_an_error(self):
-        cyclic = FaultTree(
-            name="FT",
-            top="Y",
-            gates=(("Y", GateOp.OR, ("A", "Z")), ("Z", GateOp.AND, ("Y", "B"))),
-            basic_events=frozenset("AB"),
-        )
-        with pytest.raises(DerivationError, match="cycle through gate 'Y'"):
-            fta_attack_subtree(cyclic)
 
     def test_impact_preserved_per_branch(self, airbag_doc):
         model = airbag_doc.gsns["Airbag"]

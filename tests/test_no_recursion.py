@@ -12,10 +12,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "safsec"
 
 ALLOWED = {
-    # ADT evaluation and counter attachment become walks together, once the
-    # benchmark's 1,200-deep ADT has a reference answer (ROADMAP item 1).
+    # ADT evaluation becomes a walk once the benchmark's 1,200-deep ADT has a
+    # reference answer (ROADMAP item 1).
     "adteval.evaluate.rec",
-    "process.attach_counter.rec",
     # Bounded by how deeply the JSON payload nests, not by the model.
     "cli._write_json",
 }

@@ -177,19 +177,6 @@ class TestAcceptanceAndExhaustion:
 
 
 class TestErrors:
-    def test_unknown_gsn_name(self):
-        doc, scenario = simple_document(Thresholds(0.0, 1.0, 1.0), [])
-        bad = Scenario(
-            name="s",
-            gsn_name="nope",
-            adt_name="a",
-            thresholds=scenario.thresholds,
-            max_rounds=1,
-            actions=(),
-        )
-        with pytest.raises(ProcessError, match="'nope'"):
-            run_process(doc, bad)
-
     def test_unknown_counter_target_names_the_round(self):
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
@@ -257,3 +244,43 @@ class TestAttachCounter:
         counter = AdtNode(actor=Actor.DEFENSE, label="d")
         with pytest.raises(ProcessError, match="unknown"):
             attach_counter(self.leaf_tree(), "no such", counter)
+
+    def test_counters_a_countermeasure(self):
+        defense = AdtNode(actor=Actor.DEFENSE, label="d")
+        countered = AttackDefenseTree("a", AdtNode(actor=Actor.ATTACK, label="x", counter=defense))
+        bypass = AdtNode(actor=Actor.ATTACK, label="bypass")
+        updated = attach_counter(countered, "d", bypass)
+        assert updated.root.counter == AdtNode(actor=Actor.DEFENSE, label="d", counter=bypass)
+        assert updated.root.label == "x"
+
+    def test_rebuilds_only_the_targets_ancestors(self):
+        a, c = AdtNode(Actor.ATTACK, "a"), AdtNode(Actor.ATTACK, "c")
+        b = AdtNode(Actor.ATTACK, "b", Refinement.OR, children=(c,))
+        d = AdtNode(Actor.DEFENSE, "d")
+        root = AdtNode(Actor.ATTACK, "root", Refinement.AND, children=(a, b), counter=d)
+        guard = AdtNode(Actor.DEFENSE, "guard")
+        updated = attach_counter(AttackDefenseTree("t", root), "c", guard)
+        new_a, new_b = updated.root.children
+        assert new_a is a and updated.root.counter is d
+        assert new_b.children == (AdtNode(Actor.ATTACK, "c", counter=guard),)
+
+    def test_children_come_before_the_countermeasure(self):
+        # The first node labelled "x" in preorder: root's child, not the one
+        # under root's countermeasure.
+        under_counter = AdtNode(Actor.DEFENSE, "d", Refinement.OR,
+                                children=(AdtNode(Actor.DEFENSE, "x"),))
+        root = AdtNode(Actor.ATTACK, "root", Refinement.OR,
+                       children=(AdtNode(Actor.ATTACK, "x"),), counter=under_counter)
+        guard = AdtNode(Actor.DEFENSE, "guard")
+        updated = attach_counter(AttackDefenseTree("t", root), "x", guard)
+        assert updated.root.children[0].counter == guard
+        assert updated.root.counter is under_counter
+
+    def test_attaches_ten_thousand_levels_down(self):
+        node = AdtNode(Actor.ATTACK, "bottom")
+        for i in range(10_000):
+            node = AdtNode(Actor.ATTACK, f"level {i}", Refinement.OR, children=(node,))
+        guard = AdtNode(Actor.DEFENSE, "guard")
+        updated = attach_counter(AttackDefenseTree("deep", node), "bottom", guard)
+        (bottom,) = [n for _, n in updated.walk() if n.label == "bottom"]
+        assert bottom.counter is guard

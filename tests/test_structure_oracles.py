@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_gsn_structure_problems, naive_has_cycle, naive_subtree_counts
+from oracles import (naive_gsn_structure_problems, naive_has_cycle, naive_on_cycle,
+                     naive_subtree_counts)
 from safsec.confidence import aggregate_gsn
 from safsec.model import (
     DefeaterCount,
@@ -137,7 +138,10 @@ def fault_trees(draw):
 )
 def test_fault_tree_cycle_check_matches_per_gate_dfs(tree):
     messages = [d.message for d in validate_model(Document((tree,)))]
-    assert ("fault tree contains a cycle" in messages) == naive_has_cycle(tree)
+    cycles = [m for m in messages if m.startswith("cycle through gate")]
+    assert len(cycles) == naive_has_cycle(tree)
+    for message in cycles:
+        assert naive_on_cycle(tree, message.split("'")[1])
     gate_ids = [gid for gid, _, _ in tree.gates]
     duplicates = sorted({g for g in gate_ids if gate_ids.count(g) > 1})
     assert [m for m in messages if m.startswith("duplicate gate")] == [

@@ -1,16 +1,36 @@
 import random
 
+import pytest
+
+from safsec.adteval import UNASSESSED
 from safsec.model import (
+    Actor,
+    AddCounterAction,
+    AdtNode,
+    AttackDefenseTree,
+    DefeaterCount,
     Document,
     FaultTree,
     GateOp,
     GsnModel,
     GsnNode,
+    GuideWord,
+    HazardMeta,
+    Impact,
     NodeKind,
+    Refinement,
+    Scenario,
     SecurityLink,
+    SetDefeatersAction,
+    SetPolicyAction,
+    Thresholds,
     VoterMeta,
+    sort_key,
 )
-from safsec.validate import validate_model
+from safsec.validate import validate_block, validate_model
+
+from conftest import parse_bundled
+from generators import random_document
 
 GOAL = NodeKind.GOAL
 
@@ -127,3 +147,137 @@ def test_validation_order_independent():
         shuffled = nodes[:]
         rng.shuffle(shuffled)
         assert validate_model(gsn(*shuffled)) == baseline
+
+
+def errors(*blocks):
+    """(message, context) of every diagnostic of a document of ``blocks``."""
+    return [(d.message, d.context) for d in validate_model(Document(blocks))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_validate_model_is_the_sorted_concatenation_of_validate_block(seed):
+    document = random_document(random.Random(seed))
+    blocks = [d for b in document.blocks for d in validate_block(b, document)]
+    assert validate_model(document) == sorted(blocks, key=sort_key)
+
+
+@pytest.mark.parametrize("name", ["airbag.ssm", "servertheft.ssm", "building.ssm",
+                                  "building_revised.ssm"])
+def test_every_bundled_block_is_clean(name):
+    document = parse_bundled(name)
+    assert [validate_block(b, document) for b in document.blocks] == [[]] * len(document.blocks)
+
+
+# Inputs that once reached an engine check, which validation has replaced.
+
+
+@pytest.mark.parametrize("refinement", [Refinement.AND, Refinement.OR])
+def test_refined_adt_node_without_children_names_the_node(refinement):
+    empty = AdtNode(actor=Actor.ATTACK, label="empty", refinement=refinement)
+    root = AdtNode(
+        actor=Actor.ATTACK,
+        label="root",
+        refinement=Refinement.OR,
+        children=(AdtNode(Actor.ATTACK, "a", attributes=(("cost", 1.0),)), empty),
+    )
+    assert errors(AttackDefenseTree("t", root)) == [
+        (f"{refinement.value} node 'empty' has no children", "adt t")]
+
+
+def test_two_security_links_on_one_goal():
+    model = GsnModel(
+        name="M",
+        nodes=(
+            GsnNode("G0", GOAL, "root", defeaters=DefeaterCount(14, 18)),
+            GsnNode("G1", GOAL, "sub", parent="G0", defeaters=DefeaterCount(0, 0)),
+        ),
+        security_links=(SecurityLink("G0", "A", 2.0), SecurityLink("G0", "B", 1.0)),
+    )
+    assert errors(model) == [("multiple security links on goal 'G0'", "gsn M/security_link 'B'")]
+
+
+def test_unknown_solution_ancestor():
+    hazard = HazardMeta(Impact.LOW, GuideWord.TRIGGER, "Item")
+    model = GsnModel(
+        name="Item",
+        nodes=(
+            GsnNode("G1", GOAL, "hazard", hazard=hazard),
+            GsnNode("ST", NodeKind.STRATEGY, "a", parent="missing"),
+            GsnNode("S2", NodeKind.STRATEGY, "b", parent="ST"),
+            GsnNode("S1", NodeKind.SOLUTION, "fta done", parent="ST"),
+        ),
+    )
+    assert errors(model) == [("unknown parent node 'missing'", "gsn Item/ST")]
+
+
+def test_fault_tree_cycle_names_a_gate_on_it():
+    cyclic = FaultTree(
+        name="FT",
+        top="Y",
+        gates=(("Y", GateOp.OR, ("A", "Z")), ("Z", GateOp.AND, ("Y", "B"))),
+        basic_events=frozenset("AB"),
+    )
+    assert errors(cyclic) == [("cycle through gate 'Y'", "fta FT")]
+
+
+# Scenario rounds, checked against the state the earlier rounds leave.
+
+LINKED = GsnModel(
+    name="m",
+    nodes=(GsnNode("G1", GOAL, "root", defeaters=DefeaterCount(1, 2)),
+           GsnNode("C1", NodeKind.CONTEXT, "ctx", parent="G1")),
+    security_links=(SecurityLink("G1", "a", 1.0),),
+)
+# Attack "x", countered by defense "d".
+COUNTERED = AttackDefenseTree("a", AdtNode(
+    Actor.ATTACK, "x", attributes=(("probability", 0.5),),
+    counter=AdtNode(Actor.DEFENSE, "d", attributes=(("probability", 0.8),)),
+))
+
+
+def scenario(*actions, gsn_name="m", adt_name="a"):
+    return Scenario("s", gsn_name, adt_name, Thresholds(0.9, 0.1, 0.1), 5, actions)
+
+
+def counter(at_label, label, actor=Actor.ATTACK, refinement=Refinement.LEAF):
+    return AddCounterAction(at_label, AdtNode(actor, label, refinement))
+
+
+def test_unknown_scenario_blocks():
+    assert errors(LINKED, COUNTERED, scenario(SetPolicyAction(UNASSESSED), gsn_name="nope",
+                                              adt_name="b")) == [
+        ("unknown adt 'b'", "scenario s"), ("unknown gsn model 'nope'", "scenario s")]
+
+
+def test_a_counter_may_counter_a_countermeasure_or_an_earlier_rounds_node():
+    rounds = scenario(counter("d", "bypass"), counter("bypass", "guard", Actor.DEFENSE))
+    assert errors(LINKED, COUNTERED, rounds) == []
+
+
+def test_unknown_counter_target_names_the_round():
+    rounds = scenario(SetPolicyAction(UNASSESSED), counter("guard", "bypass"),
+                      counter("bypass", "guard", Actor.DEFENSE))
+    assert errors(LINKED, COUNTERED, rounds) == [("unknown adt node 'guard'", "scenario s/round 2")]
+
+
+def test_a_counter_is_checked_as_an_adt_node():
+    rounds = scenario(counter("d", "bypass", refinement=Refinement.AND))
+    assert errors(LINKED, COUNTERED, rounds) == [
+        ("AND node 'bypass' has no children", "scenario s/round 1")]
+
+
+@pytest.mark.parametrize("goal, outruled, total, message", [
+    ("C1", 1, 2, "set_defeaters target 'C1' is not a goal of gsn 'm'"),
+    ("nope", 1, 2, "set_defeaters target 'nope' is not a goal of gsn 'm'"),
+    ("G1", 3, 2, "outruled defeaters (3) exceed total (2)"),
+])
+def test_set_defeaters_round(goal, outruled, total, message):
+    rounds = scenario(SetPolicyAction(UNASSESSED), SetDefeatersAction(goal, outruled, total))
+    assert errors(LINKED, COUNTERED, rounds) == [(message, "scenario s/round 2")]
+
+
+def test_scenario_gsn_root_must_be_a_goal():
+    strategy_root = GsnModel("m", (GsnNode("S0", NodeKind.STRATEGY, "s"),
+                                   GsnNode("G1", GOAL, "g", parent="S0")))
+    assert errors(strategy_root, COUNTERED, scenario(SetPolicyAction(UNASSESSED))) == [
+        ("root node 'S0' of gsn 'm' is not a goal", "scenario s")]
