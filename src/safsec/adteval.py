@@ -11,6 +11,9 @@ from the quantitative attack-tree literature:
 
 Probability OR defaults to max (worst single path); a policy file may select
 noisy-OR instead.
+
+Errors raise ``ValueError``.  :mod:`safsec.validate` checks a scenario's
+leaves with :func:`leaf_value`, the rule that :func:`evaluate` applies.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from typing import Callable, Optional
 
 from .confidence import SecurityVerdict
 from .model import AdtNode, AttackDefenseTree, Refinement
-
-
-class EvaluationError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,16 @@ def get_domain(name: str) -> AttributeDomain:
         return BUILTIN_DOMAINS[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_DOMAINS))
-        raise EvaluationError(f"unknown attribute domain {name!r} (known: {known})")
+        raise ValueError(f"unknown attribute domain {name!r} (known: {known})")
+
+
+def leaf_value(node: AdtNode, domain: AttributeDomain) -> float:
+    """A leaf's value: its attribute named by the domain's key."""
+    value = node.attribute(domain.key)
+    if value is None:
+        raise ValueError(f"leaf {node.label!r} has no {domain.key!r} attribute "
+                         "and the domain defines no default")
+    return value
 
 
 def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, float]:
@@ -96,22 +104,11 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
 
     def rec(path: str, node: AdtNode) -> float:
         if node.refinement is Refinement.LEAF:
-            value = node.attribute(domain.key)
-            if value is None:
-                raise EvaluationError(
-                    f"leaf {node.label!r} has no {domain.key!r} attribute "
-                    f"and the domain defines no default"
-                )
+            value = leaf_value(node, domain)
         else:
-            child_values = [
-                rec(f"{path}.{i}", child) for i, child in enumerate(node.children)
-            ]
-            combine = (
-                domain.and_combine
-                if node.refinement is Refinement.AND
-                else domain.or_combine
-            )
-            value = reduce(combine, child_values)
+            child_values = [rec(f"{path}.{i}", child) for i, child in enumerate(node.children)]
+            and_node = node.refinement is Refinement.AND
+            value = reduce(domain.and_combine if and_node else domain.or_combine, child_values)
         if node.counter is not None:
             counter_value = rec(f"{path}.c", node.counter)
             value = domain.counter_combine(value, counter_value)
@@ -175,20 +172,17 @@ def load_policy(text: str) -> VerdictPolicy:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise EvaluationError(f"policy line {lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"policy line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
     unknown = set(fields) - {"unassessed", "attribute", "op", "threshold", "prob_or"}
     if unknown:
-        raise EvaluationError(f"unknown policy keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown policy keys: {', '.join(sorted(unknown))}")
     if fields.get("unassessed", "").lower() in ("true", "yes", "1"):
         return UNASSESSED
-    try:
-        return VerdictPolicy(
-            attribute=fields.get("attribute", "probability"),
-            op=fields.get("op", "<="),
-            threshold=float(fields.get("threshold", "0")),
-            prob_or=fields.get("prob_or", "max"),
-        )
-    except ValueError as exc:
-        raise EvaluationError(str(exc))
+    return VerdictPolicy(
+        attribute=fields.get("attribute", "probability"),
+        op=fields.get("op", "<="),
+        threshold=float(fields.get("threshold", "0")),
+        prob_or=fields.get("prob_or", "max"),
+    )

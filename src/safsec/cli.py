@@ -37,10 +37,9 @@ from .validate import validate_block, validate_model
 
 FINDING, USAGE = 1, 2
 
-# What ends a command with exit 2 and one line: the engines' errors, and the
-# file system's when a model or side file cannot be read or written.
-ERRORS = (ValueError, OSError, derive.DerivationError, adteval.EvaluationError,
-          process_mod.ProcessError)
+# What ends a command with exit 2 and one line: ``ValueError``, the library's
+# one error class, and ``OSError`` when a file cannot be read or written.
+ERRORS = (ValueError, OSError)
 
 Lines = Iterable[tuple[str, Optional[str]]]  # (text line, colour or None)
 

@@ -48,10 +48,6 @@ ATTACK_VERB = {
 SEVERITY_BANDS = ((3, Impact.LOW), (7, Impact.MEDIUM), (10, Impact.HIGH))
 
 
-class DerivationError(Exception):
-    pass
-
-
 def _leaf(label: str, impact: Optional[Impact] = None) -> AdtNode:
     return AdtNode(actor=Actor.ATTACK, label=label, impact=impact)
 
@@ -91,18 +87,14 @@ def severity_to_impact(severity: int) -> Impact:
 def voter_attack_subtree(meta: VoterMeta, mode: GuideWord) -> AdtNode:
     """Attack fragment against an M-of-N voter for trigger or stopping hazards."""
     if meta.problems:
-        raise DerivationError("; ".join(meta.problems))
+        raise ValueError("; ".join(meta.problems))
     if mode is GuideWord.STOPPING:
         return _leaf(f"deny_service voter {meta.trace}")
     if mode is not GuideWord.TRIGGER:
-        raise DerivationError(
-            f"voter attacks are defined for trigger/stopping only, got {mode.value}"
-        )
+        raise ValueError(f"voter attacks are defined for trigger/stopping only, got {mode.value}")
     if len(meta.signals) > MAX_VOTER_SIGNALS:
-        raise DerivationError(
-            f"voter with {len(meta.signals)} signals exceeds the subset "
-            f"enumeration bound of {MAX_VOTER_SIGNALS}"
-        )
+        raise ValueError(f"voter with {len(meta.signals)} signals exceeds the subset "
+                         f"enumeration bound of {MAX_VOTER_SIGNALS}")
     children = [_leaf(f"tamper voter {meta.trace}")]
     children += (_all_of("spoof", subset) for subset in combinations(meta.signals, meta.threshold))
     return _node(f"defeat voter {meta.trace}", Refinement.OR, children)
@@ -152,7 +144,7 @@ def _nearest_hazard_ancestor(model: GsnModel, node: GsnNode) -> Optional[str]:
     cur = node.parent
     while cur is not None:
         if cur in seen:
-            raise DerivationError(f"node {node.id!r}: parent cycle through {cur!r}")
+            raise ValueError(f"node {node.id!r}: parent cycle through {cur!r}")
         seen.add(cur)
         ancestor = model.node(cur)
         if ancestor.kind is NodeKind.GOAL and ancestor.hazard is not None:
@@ -170,13 +162,11 @@ def derive_adt(
 
     ``model`` passes :mod:`safsec.validate` and the mappings hold every
     block its solutions reference; a parent cycle still raises
-    :class:`DerivationError` rather than loop.
+    ``ValueError`` rather than loop.
     """
     hazard_goals = [n for n in model.goals() if n.hazard is not None]
     if not hazard_goals:
-        raise DerivationError(
-            f"nothing to derive: gsn {model.name!r} has no hazard-annotated goals"
-        )
+        raise ValueError(f"nothing to derive: gsn {model.name!r} has no hazard-annotated goals")
     solutions = [n for n in model.nodes if n.kind is NodeKind.SOLUTION]
     anchored = [(sol, _nearest_hazard_ancestor(model, sol)) for sol in solutions]
     branches: list[AdtNode] = []

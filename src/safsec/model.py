@@ -424,8 +424,7 @@ class SetDefeatersAction:
     """Revise a goal's defeater evidence counts."""
 
     goal_id: str
-    outruled: int
-    total: int
+    count: DefeaterCount
 
 
 ScenarioAction = Union[SetPolicyAction, AddCounterAction, SetDefeatersAction]

@@ -550,7 +550,7 @@ class Parser:
         goal_id = self.values[self.expect_kv("goal")]
         outruled = self.expect_kv("outruled", self.expect_int)
         total = self.expect_kv("total", self.expect_int)
-        return SetDefeatersAction(goal_id=goal_id, outruled=outruled, total=total)
+        return SetDefeatersAction(goal_id, DefeaterCount(outruled, total))
 
 
 def parse(text: str) -> ParseResult:

@@ -200,7 +200,7 @@ def _print_scenario(scenario: Scenario) -> list[str]:
         elif isinstance(action, SetDefeatersAction):
             lines.append(
                 f"  set_defeaters goal = {action.goal_id} "
-                f"outruled = {action.outruled} total = {action.total}"
+                f"outruled = {action.count.outruled} total = {action.count.total}"
             )
     lines.append("}")
     return lines

@@ -6,6 +6,9 @@ action, re-evaluates the ADT under the current verdict policy, folds the
 verdict into the aggregated evidence triple (updates never compound across
 rounds; the model is re-aggregated only after a round changes its defeater
 counts), and stops as soon as the thresholds hold.
+
+A round that cannot be applied raises ``ValueError`` naming it; the validator
+replays the rounds with the same steps and refuses the same round.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ TRANSCRIPT_NOTE = (
 )
 
 
-class ProcessError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RoundEntry:
     round: int
@@ -67,9 +66,7 @@ class Transcript:
         return self.entries[-1].triple if self.entries else self.initial_triple
 
 
-def attach_counter(
-    tree: AttackDefenseTree, at_label: str, counter: AdtNode
-) -> AttackDefenseTree:
+def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> AttackDefenseTree:
     """Return a copy of the tree with a countermeasure under the labeled node.
 
     The target is the first node in :func:`adt_walk`'s preorder, so a
@@ -84,9 +81,9 @@ def attach_counter(
             depth += 1
             if new is None and node.label == at_label:
                 if node.counter is not None:
-                    raise ProcessError(f"node {at_label!r} already carries a countermeasure")
+                    raise ValueError(f"node {at_label!r} already carries a countermeasure")
                 if counter.actor is not node.actor.opposite:
-                    raise ProcessError(f"countermeasure for {at_label!r} must have opposite actor")
+                    raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
                 new, new_path, level = replace(node, counter=counter), path, depth
             continue
         if new is not None and depth == level - 1:
@@ -99,23 +96,19 @@ def attach_counter(
             new_path, level = path, level - 1
         depth -= 1
     if new is None:
-        raise ProcessError(f"unknown adt node {at_label!r}")
+        raise ValueError(f"unknown adt node {at_label!r}")
     return replace(tree, root=new)
 
 
-def set_defeaters(
-    model: GsnModel, goal_id: str, outruled: int, total: int
-) -> GsnModel:
-    for node in model.nodes:
-        if node.id == goal_id:
-            if node.kind is not NodeKind.GOAL:
-                raise ProcessError(f"node {goal_id!r} is not a goal")
-            new_node = replace(node, defeaters=DefeaterCount(outruled, total))
-            return replace(
-                model,
-                nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes),
-            )
-    raise ProcessError(f"unknown goal {goal_id!r}")
+def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnModel:
+    """Return a copy of the model with ``count`` on the goal ``goal_id``."""
+    node = next((n for n in model.nodes if n.id == goal_id), None)
+    if node is None or node.kind is not NodeKind.GOAL:
+        raise ValueError(f"set_defeaters target {goal_id!r} is not a goal of gsn {model.name!r}")
+    if count.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
+        raise ValueError("; ".join(count.problems))
+    new_node = replace(node, defeaters=count)
+    return replace(model, nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
 
 
 def describe_action(action: ScenarioAction) -> str:
@@ -127,7 +120,7 @@ def describe_action(action: ScenarioAction) -> str:
         return f"set_policy {policy.attribute} {policy.op} {policy.threshold:g}{prob_or}"
     if isinstance(action, AddCounterAction):
         return f"add_counter {action.node.label!r} at {action.at_label!r}"
-    return f"set_defeaters {action.goal_id} {action.outruled}/{action.total}"
+    return f"set_defeaters {action.goal_id} {action.count.outruled}/{action.count.total}"
 
 
 def run_process(document: Document, scenario: Scenario) -> Transcript:
@@ -147,12 +140,10 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
         return v, linked.triples[root_goal]
 
     _, initial = current_triple()
-    if scenario.thresholds.met_by(initial):
-        return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, (), "accepted")
-
+    met = scenario.thresholds.met_by(initial)
     entries: list[RoundEntry] = []
     for round_no, action in enumerate(scenario.actions, start=1):
-        if round_no > scenario.max_rounds:
+        if met or round_no > scenario.max_rounds:
             break
         try:
             if isinstance(action, SetPolicyAction):
@@ -160,14 +151,12 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
             elif isinstance(action, AddCounterAction):
                 adt = attach_counter(adt, action.at_label, action.node)
             elif isinstance(action, SetDefeatersAction):
-                model = set_defeaters(model, action.goal_id, action.outruled, action.total)
+                model = set_defeaters(model, action.goal_id, action.count)
                 aggregate = None
             verdict, triple = current_triple()
-        except (ProcessError, adteval.EvaluationError, ValueError) as exc:
-            raise ProcessError(f"round {round_no}: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"round {round_no}: {exc}")
         entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
-        if scenario.thresholds.met_by(triple):
-            return Transcript(
-                scenario.name, TRANSCRIPT_NOTE, initial, tuple(entries), "accepted"
-            )
-    return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, tuple(entries), "exhausted")
+        met = scenario.thresholds.met_by(triple)
+    status = "accepted" if met else "exhausted"
+    return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, tuple(entries), status)

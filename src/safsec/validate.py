@@ -2,34 +2,37 @@
 
 Turns every type invariant into a diagnostic rather than an exception, so a
 single pass reports all problems.  The result is sorted, which makes it
-independent of declaration order.
+independent of declaration order.  A scenario's rounds are replayed with
+:mod:`safsec.process`'s own steps, to refuse the round that it refuses.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
+from .adteval import UNASSESSED, leaf_value
 from .model import (
-    AddCounterAction,
     AdtNode,
     AttackDefenseTree,
     Block,
-    DefeaterCount,
     Diagnostic,
     Document,
     FaultTree,
     FmeaTable,
     GsnModel,
+    GsnNode,
     NodeKind,
     Refinement,
     Requirement,
     Scenario,
     SetDefeatersAction,
+    SetPolicyAction,
     adt_walk,
     sort_key,
 )
+from .process import attach_counter, set_defeaters
 
 
 def validate_model(document: Document) -> list[Diagnostic]:
@@ -82,45 +85,29 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
         names = ", ".join(sorted(n.id for n in roots))
         diags.append(_err(f"multiple roots: {names}", ctx))
 
-    known = set(ids)
-    for node in model.nodes:
-        nctx = f"{ctx}/{node.id}"
-        if node.parent is not None and node.parent not in known:
-            diags.append(_err(f"unknown parent node {node.parent!r}", nctx))
-        if node.kind is not NodeKind.GOAL:
-            if node.defeaters is not None:
-                diags.append(_err("defeater counts allowed only on goals", nctx))
-            if node.hazard is not None:
-                diags.append(_err("hazard meta-data allowed only on goals", nctx))
-        if node.kind is not NodeKind.SOLUTION:
-            for attr in ("voter", "fta_ref", "fmea_ref"):
-                if getattr(node, attr) is not None:
-                    diags.append(_err(f"{attr} annotation allowed only on solutions", nctx))
-        for meta in (node.defeaters, node.voter):
-            if meta is not None:
-                diags += (_err(p, nctx) for p in meta.problems)
-        if node.fta_ref is not None and node.fta_ref not in document.ftas:
-            diags.append(_err(f"unresolved fta_ref {node.fta_ref!r}", nctx))
-        if node.fmea_ref is not None and node.fmea_ref not in document.fmeas:
-            diags.append(_err(f"unresolved fmea_ref {node.fmea_ref!r}", nctx))
+    parent_of = {n.id: n.parent for n in reversed(model.nodes)}  # first declaration wins
+    diags += (_err(message, f"{ctx}/{node.id}") for node in model.nodes
+              for message in _gsn_node_problems(node, parent_of, document))
 
-    # Cycle check over parent pointers: every node must reach a root.  Each
-    # chain is walked once: a node is cyclic iff its chain enters a loop.
-    cyclic: dict[str, bool] = {}
-    for start in known:
-        path: set[str] = set()
+    # Every node must reach a root over parent pointers.  Each chain is walked
+    # once, marking its nodes None, up to a root, a decided node or a marked
+    # one (a loop); then its marked nodes get the one answer they share.
+    cyclic: dict[Optional[str], Optional[bool]] = {}
+    for start in parent_of:
         cur: Optional[str] = start
-        while cur in known and cur not in cyclic and cur not in path:
-            path.add(cur)
-            cur = model.node(cur).parent
-        cyclic.update(dict.fromkeys(path, cur in path or cyclic.get(cur, False)))
+        while cur in parent_of and cur not in cyclic:
+            cyclic[cur] = None
+            cur = parent_of[cur]
+        answer, cur = cyclic.get(cur, False) is not False, start
+        while cyclic.get(cur, False) is None:
+            cyclic[cur], cur = answer, parent_of[cur]
     diags += (_err(f"cycle through node {n.id!r}", ctx) for n in model.nodes if cyclic[n.id])
 
     goal_ids = {n.id for n in model.goals()}
     linked: set[str] = set()
     for link in model.security_links:
         lctx = f"{ctx}/security_link {link.adt_name!r}"
-        if link.goal_id not in known:
+        if link.goal_id not in parent_of:
             diags.append(_err(f"unknown goal {link.goal_id!r}", lctx))
         elif link.goal_id not in goal_ids:
             diags.append(_err(f"security link target {link.goal_id!r} is not a goal", lctx))
@@ -130,6 +117,32 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
             diags.append(_err(f"multiple security links on goal {link.goal_id!r}", lctx))
         linked.add(link.goal_id)
     return diags
+
+
+def _gsn_node_problems(node: GsnNode, known: Container[str], document: Document) -> Iterator[str]:
+    """One node's messages.  Plain ``if``s: a clean node costs a few attribute reads."""
+    if node.parent is not None and node.parent not in known:
+        yield f"unknown parent node {node.parent!r}"
+    if node.kind is not NodeKind.GOAL:
+        if node.defeaters is not None:
+            yield "defeater counts allowed only on goals"
+        if node.hazard is not None:
+            yield "hazard meta-data allowed only on goals"
+    if node.kind is not NodeKind.SOLUTION:
+        if node.voter is not None:
+            yield "voter annotation allowed only on solutions"
+        if node.fta_ref is not None:
+            yield "fta_ref annotation allowed only on solutions"
+        if node.fmea_ref is not None:
+            yield "fmea_ref annotation allowed only on solutions"
+    if node.defeaters is not None:
+        yield from node.defeaters.problems
+    if node.voter is not None:
+        yield from node.voter.problems
+    if node.fta_ref is not None and node.fta_ref not in document.ftas:
+        yield f"unresolved fta_ref {node.fta_ref!r}"
+    if node.fmea_ref is not None and node.fmea_ref not in document.fmeas:
+        yield f"unresolved fmea_ref {node.fmea_ref!r}"
 
 
 def _check_fta(tree: FaultTree) -> list[Diagnostic]:
@@ -223,18 +236,33 @@ def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
         diags.append(_err(f"root node {roots[0].id!r} of gsn {gsn.name!r} is not a goal", ctx))
     if adt is None:
         diags.append(_err(f"unknown adt {scenario.adt_name!r}", ctx))
-    goal_ids = {n.id for n in gsn.goals()} if gsn is not None else set()
-    labels = {node.label for _, node in adt.walk()} if adt is not None else set()
+
+    # Replay the rounds with process's own steps, on the GSN model and ADT the
+    # earlier rounds leave, up to the first step that raises: the round that
+    # ``process run`` refuses.  Under an assessed policy a ``set_policy``
+    # round checks every leaf and an ``add_counter`` round its counter's, the
+    # only leaves the round evaluates that no earlier round checked.
+    policy = UNASSESSED
     for round_no, action in enumerate(scenario.actions, start=1):
         rctx = f"{ctx}/round {round_no}"
-        if isinstance(action, AddCounterAction):
-            if adt is not None and action.at_label not in labels:
-                diags.append(_err(f"unknown adt node {action.at_label!r}", rctx))
-            diags.extend(_check_adt_nodes(action.node, rctx))
-            labels.update(node.label for _, node, entering in adt_walk(action.node) if entering)
-        elif isinstance(action, SetDefeatersAction):
-            if gsn is not None and action.goal_id not in goal_ids:
-                text = f"set_defeaters target {action.goal_id!r} is not a goal of gsn {gsn.name!r}"
-                diags.append(_err(text, rctx))
-            diags += (_err(p, rctx) for p in DefeaterCount(action.outruled, action.total).problems)
+        try:
+            if isinstance(action, SetDefeatersAction):
+                if gsn is not None:
+                    gsn = set_defeaters(gsn, action.goal_id, action.count)
+                continue  # the verdict is the previous round's
+            if isinstance(action, SetPolicyAction):
+                policy, unchecked = action.policy, adt.root if adt is not None else None
+            else:
+                diags += _check_adt_nodes(action.node, rctx)
+                if adt is not None:
+                    adt = attach_counter(adt, action.at_label, action.node)
+                unchecked = action.node
+            if not policy.unassessed:
+                domain = policy.domain()
+                for _, node, entering in adt_walk(unchecked) if unchecked is not None else ():
+                    if entering and node.refinement is Refinement.LEAF:
+                        leaf_value(node, domain)
+        except ValueError as exc:
+            diags.append(_err(str(exc), rctx))
+            break
     return diags

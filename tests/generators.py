@@ -277,8 +277,7 @@ def random_document(rng: random.Random) -> "Document":
             actions.append(
                 SetDefeatersAction(
                     goal_id=rng.choice(nodes).id,
-                    outruled=rng.randint(0, 5),
-                    total=rng.randint(5, 10),
+                    count=DefeaterCount(rng.randint(0, 5), rng.randint(5, 10)),
                 )
             )
     blocks.append(

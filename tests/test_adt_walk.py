@@ -37,6 +37,8 @@ from oracles import (
     recursive_adt_to_dot,
     recursive_adt_walk,
 )
+from conftest import load_bundled
+from test_cli import BAD_ROUNDS, BAD_ROUNDS_REFUSED, COUNTERED_DEFENSE
 from test_modelfile import adt_nodes
 
 DEPTH = 1_500  # printed text and DOT grow with the square of the depth
@@ -127,3 +129,51 @@ def test_cli_validates_a_ten_thousand_deep_chain(tmp_path):
     model.write_text(text, encoding="utf-8")
     result = CliRunner().invoke(main, ["validate", str(model)])
     assert (result.exit_code, result.output) == (0, "ok\n")
+
+
+def _refuse(name: str):
+    def method(self, *args):
+        raise AssertionError(f"AdtNode.{name} called")
+    return method
+
+
+def test_no_cli_path_hashes_compares_or_reprs_a_node(tmp_path, monkeypatch):
+    """``AdtNode``'s generated ``__hash__``, ``__eq__`` and ``__repr__``
+    recurse, so no command may call them: each command's result must stay
+    the same when they raise."""
+    files = {"airbag.ssm": load_bundled("airbag.ssm"), "countered.ssm": COUNTERED_DEFENSE,
+             "rounds.ssm": BAD_ROUNDS}
+    for via in ("child", "counter"):
+        files[f"deep-{via}.ssm"] = print_document(Document((deep_chain(via),)))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    per_file = {
+        "airbag.ssm": [["adt", "eval", "--adt", "Airbag Attack", "--attribute", "probability"],
+                       ["process", "run", "--scenario", "Airbag Hardening"],
+                       ["derive", "adt", "--gsn", "Airbag"],
+                       ["export", "dot", "--model", "Airbag Attack"]],
+        "countered.ssm": [["adt", "eval", "--adt", "A", "--attribute", "probability"],
+                          ["process", "run", "--scenario", "S"], ["derive", "adt", "--gsn", "M"],
+                          ["export", "dot", "--model", "A"]],
+        "rounds.ssm": [["adt", "eval", "--adt", "A", "--attribute", "probability"],
+                       *(["process", "run", "--scenario", s] for s in BAD_ROUNDS_REFUSED),
+                       ["derive", "adt", "--gsn", "M"], ["export", "dot", "--model", "A"]],
+        "deep-child.ssm": [["export", "dot", "--model", "deep"]],
+        "deep-counter.ssm": [["export", "dot", "--model", "deep"]],
+    }
+    runs = [["--format", fmt, *command[:2], str(tmp_path / name), *command[2:]]
+            for fmt in ("text", "machine") for name, commands in per_file.items()
+            for command in [["validate"], *commands]]
+
+    def outcomes():
+        runner = CliRunner()
+        results = [runner.invoke(main, argv, catch_exceptions=False) for argv in runs]
+        return [(r.exit_code, r.stdout, r.stderr) for r in results]
+
+    expected = outcomes()
+    assert {code for code, _, _ in expected} == {0, 1, 2}
+    for name in ("__hash__", "__eq__", "__repr__"):
+        monkeypatch.setattr(AdtNode, name, _refuse(name))
+    with pytest.raises(AssertionError, match="__hash__"):
+        hash(AdtNode(Actor.ATTACK, "x"))
+    assert outcomes() == expected

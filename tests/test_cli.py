@@ -562,6 +562,58 @@ def test_a_scenario_counters_a_countermeasure(runner, workdir, tmp_path):
     ]
 
 
+def scenario_block(name: str, *rounds: str) -> str:
+    """A scenario over gsn "M" and adt "A" with unmet thresholds and ``rounds``."""
+    return (
+        f'scenario "{name}" {{\n  gsn = "M"\n  adt = "A"\n'
+        "  thresholds min_belief = 0.9 max_disbelief = 0.05 max_uncertainty = 0.05\n"
+        f"  max_rounds = 2\n" + "".join(f"  {r}\n" for r in rounds) + "}\n"
+    )
+
+
+# Four scenarios, each with a round that ``process`` refuses: a defense that
+# counters a defense, a second counter on one node, an unknown attribute
+# domain, and a leaf without the policy's attribute.
+BAD_ROUNDS = (
+    'gsn "M" {\n  goal G1 "top" {\n    defeaters outruled = 1 total = 2\n  }\n'
+    '  security_link under G1 adt = "A" weight = 1\n}\n'
+    'adt "A" {\n  attack OR "x" {\n'
+    '    attack "a" {\n      attr probability = 0.5\n'
+    '      counter defense "d" {\n        attr probability = 0.8\n      }\n    }\n'
+    '    counter defense "lock" {\n      attr probability = 0.5\n    }\n  }\n}\n'
+    + scenario_block("opposite actor", 'set_policy attribute = probability op = "<=" threshold = 0.2',
+                     'add_counter at = "d" defense "bypass" { attr probability = 0.5 }')
+    + scenario_block("second counter", "set_policy unassessed",
+                     'add_counter at = "x" defense "guard" { }')
+    + scenario_block("unknown domain", 'set_policy attribute = colour op = "<=" threshold = 1')
+    + scenario_block("missing attribute", 'set_policy attribute = cost op = "<=" threshold = 10')
+)
+# Scenario -> the round that ``process run`` refuses, and why.
+BAD_ROUNDS_REFUSED = {
+    "opposite actor": (2, "countermeasure for 'd' must have opposite actor"),
+    "second counter": (2, "node 'x' already carries a countermeasure"),
+    "unknown domain":
+        (1, "unknown attribute domain 'colour' (known: cost, probability, time, time_sequential)"),
+    "missing attribute": (1, "leaf 'a' has no 'cost' attribute and the domain defines no default"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_validate_refuses_the_round_that_process_run_refuses(runner, workdir, tmp_path, fmt):
+    model = tmp_path / "rounds.ssm"
+    model.write_text(BAD_ROUNDS, encoding="utf-8")
+    lines = {name: f"{model}: error: {message} [scenario {name}/round {round_no}]"
+             for name, (round_no, message) in BAD_ROUNDS_REFUSED.items()}
+    checked = run(runner, workdir, "validate", model)
+    assert checked.exit_code == 1, checked.output
+    assert checked.stdout.splitlines() == sorted(lines.values())
+    for name, line in lines.items():
+        result = run(runner, workdir, "--format", fmt, "process", "run", model, "--scenario", name)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [line]
+
+
 def assessed(gsn: str, gsn_name: str, *actions: str) -> str:
     """``gsn`` plus LEAF_ADT and a scenario "S" over both that runs ``actions``."""
     rounds = "".join(f"  {a}\n" for a in actions or ["set_policy unassessed"])

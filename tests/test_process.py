@@ -22,7 +22,6 @@ from safsec.model import (
     Thresholds,
 )
 from safsec.process import (
-    ProcessError,
     attach_counter,
     run_process,
     set_defeaters,
@@ -188,7 +187,7 @@ class TestErrors:
                 ),
             ],
         )
-        with pytest.raises(ProcessError, match="round 2"):
+        with pytest.raises(ValueError, match="round 2"):
             run_process(doc, scenario)
 
     def test_defeaters_on_non_goal_rejected(self):
@@ -199,17 +198,28 @@ class TestErrors:
                 GsnNode(id="C1", kind=NodeKind.CONTEXT, text="ctx", parent="G1"),
             ),
         )
-        with pytest.raises(ProcessError, match="not a goal"):
-            set_defeaters(model, "C1", 1, 2)
+        with pytest.raises(ValueError, match="not a goal"):
+            set_defeaters(model, "C1", DefeaterCount(1, 2))
 
     def test_set_defeaters_replaces_count(self):
         model = GsnModel(
             name="m",
             nodes=(GsnNode(id="G1", kind=NodeKind.GOAL, text="root"),),
         )
-        updated = set_defeaters(model, "G1", 3, 4)
+        updated = set_defeaters(model, "G1", DefeaterCount(3, 4))
         assert updated.node("G1").defeaters == DefeaterCount(3, 4)
         assert model.node("G1").defeaters is None
+
+    def test_set_defeaters_refuses_a_count_that_aggregation_hides(self):
+        # G1's 5/3 plus G2's 0/4 aggregates to 5/7, which is a valid count.
+        model = GsnModel(
+            name="m",
+            nodes=(GsnNode(id="G1", kind=NodeKind.GOAL, text="root"),
+                   GsnNode(id="G2", kind=NodeKind.GOAL, text="sub", parent="G1",
+                           defeaters=DefeaterCount(0, 4))),
+        )
+        with pytest.raises(ValueError, match=r"^outruled defeaters \(5\) exceed total \(3\)$"):
+            set_defeaters(model, "G1", DefeaterCount(5, 3))
 
 
 class TestAttachCounter:
@@ -231,18 +241,18 @@ class TestAttachCounter:
 
     def test_rejects_same_actor(self):
         counter = AdtNode(actor=Actor.ATTACK, label="oops")
-        with pytest.raises(ProcessError, match="opposite actor"):
+        with pytest.raises(ValueError, match="opposite actor"):
             attach_counter(self.leaf_tree(), "pick lock", counter)
 
     def test_rejects_second_counter(self):
         counter = AdtNode(actor=Actor.DEFENSE, label="better lock")
         once = attach_counter(self.leaf_tree(), "pick lock", counter)
-        with pytest.raises(ProcessError, match="already"):
+        with pytest.raises(ValueError, match="already"):
             attach_counter(once, "pick lock", counter)
 
     def test_unknown_label(self):
         counter = AdtNode(actor=Actor.DEFENSE, label="d")
-        with pytest.raises(ProcessError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             attach_counter(self.leaf_tree(), "no such", counter)
 
     def test_counters_a_countermeasure(self):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from safsec.adteval import UNASSESSED
+from safsec.adteval import UNASSESSED, VerdictPolicy
 from safsec.model import (
     Actor,
     AddCounterAction,
@@ -27,6 +29,7 @@ from safsec.model import (
     VoterMeta,
     sort_key,
 )
+from safsec.process import run_process
 from safsec.validate import validate_block, validate_model
 
 from conftest import parse_bundled
@@ -272,7 +275,8 @@ def test_a_counter_is_checked_as_an_adt_node():
     ("G1", 3, 2, "outruled defeaters (3) exceed total (2)"),
 ])
 def test_set_defeaters_round(goal, outruled, total, message):
-    rounds = scenario(SetPolicyAction(UNASSESSED), SetDefeatersAction(goal, outruled, total))
+    count = DefeaterCount(outruled, total)
+    rounds = scenario(SetPolicyAction(UNASSESSED), SetDefeatersAction(goal, count))
     assert errors(LINKED, COUNTERED, rounds) == [(message, "scenario s/round 2")]
 
 
@@ -281,3 +285,74 @@ def test_scenario_gsn_root_must_be_a_goal():
                                    GsnNode("G1", GOAL, "g", parent="S0")))
     assert errors(strategy_root, COUNTERED, scenario(SetPolicyAction(UNASSESSED))) == [
         ("root node 'S0' of gsn 'm' is not a goal", "scenario s")]
+
+
+# The validator against ``run_process`` on random rounds.  Labels come from a
+# small pool, so a counter can land on a countermeasure, on a node an earlier
+# round added, or on a node countered before.
+
+LABELS = ("x", "y", "z", "d")
+VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+SOME_ATTRIBUTES = st.dictionaries(st.sampled_from(["probability", "cost", "time"]), VALUES,
+                                  max_size=3)
+# A tree whose every leaf has every attribute passes its ``set_policy`` rounds.
+ALL_ATTRIBUTES = st.fixed_dictionaries({k: VALUES for k in ("probability", "cost", "time")})
+
+
+@st.composite
+def well_formed_nodes(draw, actor: Actor, depth: int, attributes=SOME_ATTRIBUTES) -> AdtNode:
+    """A node that validates: an AND/OR node has one or two children of its
+    actor, and a counter has the opposite actor."""
+    refinement = draw(st.sampled_from(Refinement)) if depth else Refinement.LEAF
+    children = () if refinement is Refinement.LEAF else tuple(draw(st.lists(
+        well_formed_nodes(actor, depth - 1, attributes), min_size=1, max_size=2)))
+    counter = None
+    if depth:
+        counter = draw(st.none() | well_formed_nodes(actor.opposite, depth - 1, attributes))
+    return AdtNode(actor, draw(st.sampled_from(LABELS)), refinement, children, counter,
+                   tuple(draw(attributes).items()))
+
+
+POLICIES = st.just(UNASSESSED) | st.builds(
+    VerdictPolicy, attribute=st.sampled_from(["probability", "cost", "time", "time_sequential",
+                                              "colour"]),
+    op=st.sampled_from(["<=", ">="]), threshold=st.sampled_from([0.0, 0.5, 10.0]),
+    prob_or=st.sampled_from(["max", "noisy_or"]))
+ROUNDS = st.one_of(
+    st.builds(AddCounterAction, st.sampled_from(LABELS + ("nope",)),
+              st.sampled_from(Actor).flatmap(lambda actor: well_formed_nodes(actor, 1))),
+    st.builds(SetPolicyAction, POLICIES),
+    st.builds(SetDefeatersAction, st.sampled_from(["G1", "G2", "C1", "nope"]),
+              st.builds(DefeaterCount, st.integers(0, 5), st.integers(0, 5))),
+)
+TWO_GOALS = GsnModel(
+    name="m",
+    nodes=(GsnNode("G1", GOAL, "root", defeaters=DefeaterCount(1, 2)),
+           GsnNode("G2", GOAL, "sub", parent="G1"),
+           GsnNode("C1", NodeKind.CONTEXT, "ctx", parent="G1")),
+    security_links=(SecurityLink("G1", "a", 1.0),),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([ALL_ATTRIBUTES, SOME_ATTRIBUTES]).flatmap(
+    lambda attributes: well_formed_nodes(Actor.ATTACK, 3, attributes)),
+    st.lists(ROUNDS, min_size=1, max_size=6))
+def test_the_validator_refuses_the_round_that_run_process_refuses(root, actions):
+    # The uncertainty never reaches 0, so every round runs.
+    rounds = Scenario("s", "m", "a", Thresholds(1.0, 0.0, 0.0), len(actions), tuple(actions))
+    adt = AttackDefenseTree("a", root)
+    document = Document((TWO_GOALS, adt, rounds))
+    assert validate_block(TWO_GOALS, document) == validate_block(adt, document) == []
+    found = []
+    for diag in validate_block(rounds, document):
+        head, _, round_no = diag.context.rpartition(" ")
+        assert head == "scenario s/round"
+        found.append((int(round_no), diag.message))
+    if not found:
+        assert len(run_process(document, rounds).entries) == len(actions)
+        return
+    round_no, message = min(found)
+    with pytest.raises(ValueError) as refused:
+        run_process(document, rounds)
+    assert str(refused.value) == f"round {round_no}: {message}"
