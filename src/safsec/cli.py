@@ -503,7 +503,7 @@ def process_run(file: str, scenario_name: str) -> None:
     payload = {
         "command": "process run",
         "scenario": scenario_name,
-        "note": transcript.note,
+        "note": process_mod.TRANSCRIPT_NOTE,
         "initial": _triple_dict(transcript.initial_triple),
         "rounds": [
             {

@@ -75,7 +75,6 @@ class RuleSet:
 @dataclass(frozen=True)
 class ContradictionWitness:
     input_assignment: dict[str, bool]
-    derived_atoms: frozenset[Atom]
     conflicted_signal: str
     involved_requirements: tuple[str, ...]
     fired_clauses: tuple[Clause, ...] = ()
@@ -185,14 +184,13 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
         return []
 
     # Read each witness off little-endian byte views of the masks: one bit
-    # test per atom and fired rule, never a big-int operation per witness.
+    # test per conflict and fired rule, never a big-int operation per witness.
     nbytes = (width + 7) >> 3
 
     def view(mask: int) -> bytes:
         return mask.to_bytes(nbytes, "little")
 
     conflict_views = [(sig, view(both)) for sig, both in conflicts]
-    atom_views = [(atom, view(mask)) for atom, mask in masks.items() if mask & hit]
     fire_views = [(rules.rules[idx], view(new)) for idx, new in log if new & hit]
     witnesses: list[ContradictionWitness] = []
     for byte_index, byte in enumerate(view(hit)):
@@ -206,9 +204,6 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
                     input_assignment={
                         sig: bool(pattern >> i & 1) for i, sig in enumerate(rules.inputs)
                     },
-                    derived_atoms=frozenset(
-                        atom for atom, v in atom_views if v[byte_index] >> bit & 1
-                    ),
                     conflicted_signal=next(
                         sig for sig, v in conflict_views if v[byte_index] >> bit & 1
                     ),
@@ -222,10 +217,13 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
 
 
 def replay(rules: RuleSet, witness: ContradictionWitness) -> bool:
-    """Re-run chaining on the witness's assignment; True iff it reproduces."""
-    facts = {(sig, value) for sig, value in witness.input_assignment.items()}
-    derived, _ = forward_chain(rules.rules, facts)
-    return frozenset(derived) == witness.derived_atoms
+    """Re-run chaining on the witness's assignment alone: True iff that fires
+    exactly the witness's clauses, in order, and derives both polarities of
+    its conflicted signal (the fired clauses fix the derived atoms)."""
+    derived, fired = forward_chain(rules.rules, set(witness.input_assignment.items()))
+    sig = witness.conflicted_signal
+    return (tuple(ac.clause for ac in fired) == witness.fired_clauses
+            and (sig, True) in derived and (sig, False) in derived)
 
 
 @dataclass(frozen=True)

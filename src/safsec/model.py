@@ -405,13 +405,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class SetPolicyAction:
-    """Switch the verdict policy used for the scenario's ADT."""
-
-    policy: VerdictPolicy
-
-
-@dataclass(frozen=True)
 class AddCounterAction:
     """Attach a countermeasure node under the ADT node with the given label."""
 
@@ -427,7 +420,8 @@ class SetDefeatersAction:
     count: DefeaterCount
 
 
-ScenarioAction = Union[SetPolicyAction, AddCounterAction, SetDefeatersAction]
+# A ``set_policy`` round is the verdict policy that it switches to.
+ScenarioAction = Union["VerdictPolicy", AddCounterAction, SetDefeatersAction]
 
 
 @dataclass(frozen=True)

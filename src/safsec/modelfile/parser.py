@@ -46,7 +46,6 @@ from ..model import (
     ScenarioAction,
     SecurityLink,
     SetDefeatersAction,
-    SetPolicyAction,
     Thresholds,
     VoterMeta,
 )
@@ -527,7 +526,7 @@ class Parser:
         if action == "set_policy":
             if self.at_ident("unassessed"):
                 self.pos += 1
-                return SetPolicyAction(UNASSESSED)
+                return UNASSESSED
             attribute = self.values[self.expect_kv("attribute")]
             op_tok = self.expect_kv("op", lambda: self.expect("STRING"))
             op = string_value(self.values[op_tok])
@@ -539,10 +538,9 @@ class Parser:
                 self.pos += 1
                 self.expect_punct("=")
                 prob_or = self.values[self.expect_ident("max", "noisy_or")]
-            policy = VerdictPolicy(
+            return VerdictPolicy(
                 attribute=attribute, op=op, threshold=threshold, prob_or=prob_or
             )
-            return SetPolicyAction(policy)
         if action == "add_counter":
             at_label = self.expect_kv("at", self.expect_string)
             node = self._parse_adt_node()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
+from ..adteval import VerdictPolicy
 from ..model import (
     AddCounterAction,
     AdtNode,
@@ -19,7 +20,6 @@ from ..model import (
     Requirement,
     Scenario,
     SetDefeatersAction,
-    SetPolicyAction,
     adt_walk,
 )
 
@@ -183,15 +183,14 @@ def _print_scenario(scenario: Scenario) -> list[str]:
         f"  max_rounds = {scenario.max_rounds}",
     ]
     for action in scenario.actions:
-        if isinstance(action, SetPolicyAction):
-            policy = action.policy
-            if policy.unassessed:
+        if isinstance(action, VerdictPolicy):
+            if action.unassessed:
                 lines.append("  set_policy unassessed")
             else:
-                prob_or = "" if policy.prob_or == "max" else f" prob_or = {policy.prob_or}"
+                prob_or = "" if action.prob_or == "max" else f" prob_or = {action.prob_or}"
                 lines.append(
-                    f"  set_policy attribute = {policy.attribute} "
-                    f'op = "{policy.op}" threshold = {_num(policy.threshold)}{prob_or}'
+                    f"  set_policy attribute = {action.attribute} "
+                    f'op = "{action.op}" threshold = {_num(action.threshold)}{prob_or}'
                 )
         elif isinstance(action, AddCounterAction):
             lines.extend(

@@ -1,22 +1,27 @@
 """Scripted replay of the collaborative safety/security assessment cycle.
 
 A scenario names a GSN model and an ADT, acceptance thresholds on the root
-goal's confidence triple, and one action per round.  Each round applies its
-action, re-evaluates the ADT under the current verdict policy, folds the
-verdict into the aggregated evidence triple (updates never compound across
-rounds; the model is re-aggregated only after a round changes its defeater
-counts), and stops as soon as the thresholds hold.
+goal's confidence triple, and one action per round; a ``set_policy`` round
+is the :class:`~safsec.adteval.VerdictPolicy` that it switches to.  The
+round rules live here alone: :func:`rounds` picks the rounds that can run
+and :func:`apply_round` applies one.  :func:`run_process` then re-evaluates
+the ADT under the current policy, folds the verdict into the aggregated
+evidence triple (updates never compound across rounds; the model is
+re-aggregated only after a round changes its defeater counts), and stops as
+soon as the thresholds hold.
 
-A round that cannot be applied raises ``ValueError`` naming it; the validator
-replays the rounds with the same steps and refuses the same round.
+A round that cannot be applied raises ``ValueError`` naming it; the
+validator replays the rounds with the same two functions and refuses the
+same round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import adteval
+from .adteval import VerdictPolicy
 from .confidence import (
     AggregateResult,
     SecurityVerdict,
@@ -34,8 +39,6 @@ from .model import (
     NodeKind,
     Scenario,
     ScenarioAction,
-    SetDefeatersAction,
-    SetPolicyAction,
     adt_walk,
 )
 
@@ -55,8 +58,6 @@ class RoundEntry:
 
 @dataclass(frozen=True)
 class Transcript:
-    scenario: str
-    note: str
     initial_triple: ConfidenceTriple
     entries: tuple[RoundEntry, ...]
     status: str  # "accepted" | "exhausted"
@@ -70,33 +71,34 @@ def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> 
     """Return a copy of the tree with a countermeasure under the labeled node.
 
     The target is the first node in :func:`adt_walk`'s preorder, so a
-    countermeasure can be countered too.  Only the target's ancestors are
-    rebuilt, each on its exit event: the first exit one level above the node
-    rebuilt last.
+    countermeasure can be countered too.  The walk keeps the open nodes on a
+    stack and stops at the target; then only the target and its ancestors,
+    the nodes on that stack, are rebuilt.
     """
-    new: Optional[AdtNode] = None  # the target, then each ancestor rebuilt around it
-    new_path, depth, level = "", 0, 0
+    spine: list[tuple[str, AdtNode]] = []  # the open nodes, root first
     for path, node, entering in adt_walk(tree.root):
-        if entering:
-            depth += 1
-            if new is None and node.label == at_label:
-                if node.counter is not None:
-                    raise ValueError(f"node {at_label!r} already carries a countermeasure")
-                if counter.actor is not node.actor.opposite:
-                    raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
-                new, new_path, level = replace(node, counter=counter), path, depth
+        if not entering:
+            spine.pop()
             continue
-        if new is not None and depth == level - 1:
-            slot = new_path[len(path) + 1:]
-            if slot == "c":
-                new = replace(node, counter=new)
-            else:
-                i = int(slot)
-                new = replace(node, children=node.children[:i] + (new,) + node.children[i + 1:])
-            new_path, level = path, level - 1
-        depth -= 1
-    if new is None:
+        spine.append((path, node))
+        if node.label == at_label:
+            break
+    else:
         raise ValueError(f"unknown adt node {at_label!r}")
+    path, target = spine.pop()
+    if target.counter is not None:
+        raise ValueError(f"node {at_label!r} already carries a countermeasure")
+    if counter.actor is not target.actor.opposite:
+        raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
+    new = replace(target, counter=counter)
+    for parent_path, parent in reversed(spine):
+        slot = path[len(parent_path) + 1:]
+        if slot == "c":
+            new = replace(parent, counter=new)
+        else:
+            i = int(slot)
+            new = replace(parent, children=parent.children[:i] + (new,) + parent.children[i + 1:])
+        path = parent_path
     return replace(tree, root=new)
 
 
@@ -112,15 +114,30 @@ def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnMod
 
 
 def describe_action(action: ScenarioAction) -> str:
-    if isinstance(action, SetPolicyAction):
-        policy = action.policy
-        if policy.unassessed:
+    if isinstance(action, VerdictPolicy):
+        if action.unassessed:
             return "set_policy unassessed"
-        prob_or = "" if policy.prob_or == "max" else f" {policy.prob_or}"
-        return f"set_policy {policy.attribute} {policy.op} {policy.threshold:g}{prob_or}"
+        prob_or = "" if action.prob_or == "max" else f" {action.prob_or}"
+        return f"set_policy {action.attribute} {action.op} {action.threshold:g}{prob_or}"
     if isinstance(action, AddCounterAction):
         return f"add_counter {action.node.label!r} at {action.at_label!r}"
     return f"set_defeaters {action.goal_id} {action.count.outruled}/{action.count.total}"
+
+
+def rounds(scenario: Scenario) -> Iterator[tuple[int, ScenarioAction]]:
+    """``(number, action)`` of each round that can run: 1 up to ``max_rounds``."""
+    return zip(range(1, scenario.max_rounds + 1), scenario.actions)
+
+
+def apply_round(
+    action: ScenarioAction, model: GsnModel, adt: AttackDefenseTree, policy: VerdictPolicy
+) -> tuple[GsnModel, AttackDefenseTree, VerdictPolicy]:
+    """The GSN model, ADT and verdict policy after one round's action."""
+    if isinstance(action, VerdictPolicy):
+        return model, adt, action
+    if isinstance(action, AddCounterAction):
+        return model, attach_counter(adt, action.at_label, action.node), policy
+    return set_defeaters(model, action.goal_id, action.count), adt, policy
 
 
 def run_process(document: Document, scenario: Scenario) -> Transcript:
@@ -142,21 +159,17 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
     _, initial = current_triple()
     met = scenario.thresholds.met_by(initial)
     entries: list[RoundEntry] = []
-    for round_no, action in enumerate(scenario.actions, start=1):
-        if met or round_no > scenario.max_rounds:
+    for round_no, action in rounds(scenario):
+        if met:
             break
         try:
-            if isinstance(action, SetPolicyAction):
-                policy = action.policy
-            elif isinstance(action, AddCounterAction):
-                adt = attach_counter(adt, action.at_label, action.node)
-            elif isinstance(action, SetDefeatersAction):
-                model = set_defeaters(model, action.goal_id, action.count)
-                aggregate = None
+            revised, adt, policy = apply_round(action, model, adt, policy)
+            if revised is not model:
+                model, aggregate = revised, None
             verdict, triple = current_triple()
         except ValueError as exc:
             raise ValueError(f"round {round_no}: {exc}")
         entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
         met = scenario.thresholds.met_by(triple)
     status = "accepted" if met else "exhausted"
-    return Transcript(scenario.name, TRANSCRIPT_NOTE, initial, tuple(entries), status)
+    return Transcript(initial, tuple(entries), status)

@@ -2,8 +2,10 @@
 
 Turns every type invariant into a diagnostic rather than an exception, so a
 single pass reports all problems.  The result is sorted, which makes it
-independent of declaration order.  A scenario's rounds are replayed with
-:mod:`safsec.process`'s own steps, to refuse the round that it refuses.
+independent of declaration order.  A scenario's rounds are the ones that
+:func:`safsec.process.rounds` picks, 1 up to ``max_rounds``, applied with
+:func:`safsec.process.apply_round`, so the gate refuses the round that
+``process run`` refuses and no round that it never runs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from typing import Container, Iterable, Iterator, Optional
 
-from .adteval import UNASSESSED, leaf_value
+from .adteval import UNASSESSED, VerdictPolicy, leaf_value
 from .model import (
+    AddCounterAction,
     AdtNode,
     AttackDefenseTree,
     Block,
@@ -27,12 +30,10 @@ from .model import (
     Refinement,
     Requirement,
     Scenario,
-    SetDefeatersAction,
-    SetPolicyAction,
     adt_walk,
     sort_key,
 )
-from .process import attach_counter, set_defeaters
+from .process import apply_round, rounds
 
 
 def validate_model(document: Document) -> list[Diagnostic]:
@@ -236,30 +237,25 @@ def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
         diags.append(_err(f"root node {roots[0].id!r} of gsn {gsn.name!r} is not a goal", ctx))
     if adt is None:
         diags.append(_err(f"unknown adt {scenario.adt_name!r}", ctx))
+    if gsn is None or adt is None:
+        return diags
 
-    # Replay the rounds with process's own steps, on the GSN model and ADT the
-    # earlier rounds leave, up to the first step that raises: the round that
-    # ``process run`` refuses.  Under an assessed policy a ``set_policy``
-    # round checks every leaf and an ``add_counter`` round its counter's, the
-    # only leaves the round evaluates that no earlier round checked.
+    # Under an assessed policy a ``set_policy`` round checks every leaf and an
+    # ``add_counter`` round its counter's: the only leaves that the round
+    # evaluates and no earlier round checked.  The first round that raises is
+    # the one ``process run`` refuses.
     policy = UNASSESSED
-    for round_no, action in enumerate(scenario.actions, start=1):
+    for round_no, action in rounds(scenario):
         rctx = f"{ctx}/round {round_no}"
+        counter = action.node if isinstance(action, AddCounterAction) else None
+        if counter is not None:
+            diags += _check_adt_nodes(counter, rctx)
         try:
-            if isinstance(action, SetDefeatersAction):
-                if gsn is not None:
-                    gsn = set_defeaters(gsn, action.goal_id, action.count)
-                continue  # the verdict is the previous round's
-            if isinstance(action, SetPolicyAction):
-                policy, unchecked = action.policy, adt.root if adt is not None else None
-            else:
-                diags += _check_adt_nodes(action.node, rctx)
-                if adt is not None:
-                    adt = attach_counter(adt, action.at_label, action.node)
-                unchecked = action.node
-            if not policy.unassessed:
+            gsn, adt, policy = apply_round(action, gsn, adt, policy)
+            unchecked = adt.root if isinstance(action, VerdictPolicy) else counter
+            if unchecked is not None and not policy.unassessed:
                 domain = policy.domain()
-                for _, node, entering in adt_walk(unchecked) if unchecked is not None else ():
+                for _, node, entering in adt_walk(unchecked):
                     if entering and node.refinement is Refinement.LEAF:
                         leaf_value(node, domain)
         except ValueError as exc:

@@ -32,7 +32,6 @@ from safsec.model import (
     Scenario,
     SecurityLink,
     SetDefeatersAction,
-    SetPolicyAction,
     Thresholds,
     VoterMeta,
 )
@@ -250,16 +249,14 @@ def random_document(rng: random.Random) -> "Document":
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         if roll < 0.3:
-            actions.append(SetPolicyAction(UNASSESSED))
+            actions.append(UNASSESSED)
         elif roll < 0.6:
             actions.append(
-                SetPolicyAction(
-                    VerdictPolicy(
-                        attribute=rng.choice(["cost", "probability", "time"]),
-                        op=rng.choice(["<=", ">="]),
-                        threshold=rng.randint(0, 40) / 4.0,
-                        prob_or=rng.choice(["max", "noisy_or"]),
-                    )
+                VerdictPolicy(
+                    attribute=rng.choice(["cost", "probability", "time"]),
+                    op=rng.choice(["<=", ">="]),
+                    threshold=rng.randint(0, 40) / 4.0,
+                    prob_or=rng.choice(["max", "noisy_or"]),
                 )
             )
         elif roll < 0.8:

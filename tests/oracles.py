@@ -184,7 +184,6 @@ def naive_find_contradictions(rules) -> list[ContradictionWitness]:
             witnesses.append(
                 ContradictionWitness(
                     input_assignment=assignment,
-                    derived_atoms=frozenset(derived),
                     conflicted_signal=conflicted[0],
                     involved_requirements=involved,
                     fired_clauses=tuple(ac.clause for ac in fired),

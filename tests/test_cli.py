@@ -614,6 +614,34 @@ def test_validate_refuses_the_round_that_process_run_refuses(runner, workdir, tm
         assert result.stderr.splitlines() == [line]
 
 
+# Round 2 attacks an unknown node, but max_rounds = 1 never runs it.
+PAST_THE_BOUND = COUNTERED_DEFENSE.replace("max_rounds = 2", "max_rounds = 1").replace(
+    'add_counter at = "d"', 'add_counter at = "nope"')
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_validate_checks_only_the_rounds_that_process_run_runs(runner, workdir, tmp_path, fmt):
+    model = tmp_path / "bounded.ssm"
+    model.write_text(PAST_THE_BOUND, encoding="utf-8")
+    checked = run(runner, workdir, "--format", fmt, "validate", model)
+    assert checked.exit_code == 0, checked.output
+    if fmt == "text":
+        assert checked.output == "ok\n"
+    else:
+        assert json.loads(checked.output) == {"command": "validate", "diagnostics": [], "ok": True}
+    result = run(runner, workdir, "--format", fmt, "process", "run", model, "--scenario", "S")
+    assert result.exit_code == 1, result.output
+    if fmt == "text":
+        assert result.stdout.splitlines()[-2:] == [
+            "round 1: set_policy probability <= 0.2 -> acceptable_risk, B=0.62 D=0.12 U=0.25",
+            "status: exhausted",
+        ]
+    else:
+        payload = json.loads(result.stdout)
+        assert [r["round"] for r in payload["rounds"]] == [1]
+        assert payload["status"] == "exhausted"
+
+
 def assessed(gsn: str, gsn_name: str, *actions: str) -> str:
     """``gsn`` plus LEAF_ADT and a scenario "S" over both that runs ``actions``."""
     rounds = "".join(f"  {a}\n" for a in actions or ["set_policy unassessed"])

@@ -2,8 +2,8 @@
 
 ``naive_find_contradictions`` forward chains one input assignment at a time
 with the rescanning loop.  The bitmask search must return the same witness
-list: same witnesses, in ascending pattern order, with the same derived
-atoms, conflicted signal, involved requirements and firing order.
+list: same witnesses, in ascending pattern order, with the same conflicted
+signal, involved requirements and firing order.
 """
 
 import time
@@ -19,6 +19,7 @@ from safsec.conflicts import (
     RuleSet,
     find_contradictions,
     forward_chain,
+    replay,
 )
 from safsec.model import Clause, Literal
 
@@ -82,9 +83,10 @@ def test_forward_chain_matches_rescanning_loop(rng):
 
 class TestEdgeCases:
     def test_no_inputs(self):
-        (witness,) = assert_same(rule_set([("A", [], ("X", True)), ("B", [], ("X", False))], []))
+        rules = rule_set([("A", [], ("X", True)), ("B", [], ("X", False))], [])
+        (witness,) = assert_same(rules)
         assert witness.input_assignment == {}
-        assert witness.derived_atoms == {("X", True), ("X", False)}
+        assert witness.conflicted_signal == "X" and replay(rules, witness)
         assert assert_same(rule_set([("A", [], ("X", True))], [])) == []
 
     def test_empty_bodies_fire_under_every_assignment(self):

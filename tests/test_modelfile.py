@@ -319,8 +319,8 @@ class TestScenarioParsing:
         )
         doc = parse(text).document
         noisy, plain, explicit_max = doc.scenarios["s"].actions
-        assert noisy.policy.prob_or == "noisy_or"
-        assert plain.policy.prob_or == explicit_max.policy.prob_or == "max"
+        assert noisy.prob_or == "noisy_or"
+        assert plain.prob_or == explicit_max.prob_or == "max"
         printed = print_document(doc)
         # prob_or is printed only when it is not the default.
         assert printed.count("prob_or") == 1

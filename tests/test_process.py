@@ -2,6 +2,7 @@
 
 import pytest
 
+from safsec import process
 from safsec.adteval import UNASSESSED, VerdictPolicy
 from safsec.confidence import SecurityVerdict
 from safsec.model import (
@@ -18,11 +19,14 @@ from safsec.model import (
     Scenario,
     SecurityLink,
     SetDefeatersAction,
-    SetPolicyAction,
     Thresholds,
+    adt_walk,
 )
 from safsec.process import (
+    TRANSCRIPT_NOTE,
+    apply_round,
     attach_counter,
+    rounds,
     run_process,
     set_defeaters,
 )
@@ -106,7 +110,7 @@ class TestAcceptanceAndExhaustion:
     def test_immediate_acceptance_runs_no_rounds(self):
         # Lax thresholds hold before any action is applied.
         doc, scenario = simple_document(
-            Thresholds(0.0, 1.0, 1.0), [SetPolicyAction(UNASSESSED)]
+            Thresholds(0.0, 1.0, 1.0), [UNASSESSED]
         )
         transcript = run_process(doc, scenario)
         assert transcript.status == "accepted"
@@ -116,7 +120,7 @@ class TestAcceptanceAndExhaustion:
     def test_exhausted_when_no_action_helps(self):
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(UNASSESSED)] * 3,
+            [UNASSESSED] * 3,
         )
         transcript = run_process(doc, scenario)
         assert transcript.status == "exhausted"
@@ -125,7 +129,7 @@ class TestAcceptanceAndExhaustion:
     def test_max_rounds_truncates_actions(self):
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(UNASSESSED)] * 4,
+            [UNASSESSED] * 4,
             max_rounds=2,
         )
         transcript = run_process(doc, scenario)
@@ -136,7 +140,7 @@ class TestAcceptanceAndExhaustion:
         # Repeating the same action must keep producing the same triple.
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
-            [SetPolicyAction(VerdictPolicy(attribute="probability", op="<=", threshold=0.5))] * 3,
+            [VerdictPolicy(attribute="probability", op="<=", threshold=0.5)] * 3,
         )
         transcript = run_process(doc, scenario)
         triples = {e.triple for e in transcript.entries}
@@ -156,7 +160,7 @@ class TestAcceptanceAndExhaustion:
                 attribute="probability", op="<=", threshold=0.4, prob_or=prob_or
             )
             doc, scenario = simple_document(
-                Thresholds(0.99, 0.01, 0.01), [SetPolicyAction(policy)]
+                Thresholds(0.99, 0.01, 0.01), [policy]
             )
             doc = Document((doc.blocks[0], AttackDefenseTree("a", two_ways), scenario))
             (entry,) = run_process(doc, scenario).entries
@@ -170,9 +174,15 @@ class TestAcceptanceAndExhaustion:
             ),
         }
 
-    def test_transcript_carries_the_note(self):
-        doc, scenario = simple_document(Thresholds(0.0, 1.0, 1.0), [])
-        assert "compound" in run_process(doc, scenario).note
+    def test_the_transcript_note_says_updates_do_not_compound(self):
+        assert "compound" in TRANSCRIPT_NOTE
+
+    def test_rounds_stop_at_the_bound(self):
+        # Counting stops at max_rounds, so a bound below one runs no round.
+        actions = [UNASSESSED, AddCounterAction("x", AdtNode(Actor.DEFENSE, "d")), UNASSESSED]
+        for max_rounds, ran in [(-5, 0), (-1, 0), (0, 0), (1, 1), (3, 3), (9, 3)]:
+            _, scenario = simple_document(Thresholds(0.99, 0.01, 0.01), actions, max_rounds)
+            assert list(rounds(scenario)) == list(enumerate(actions[:ran], start=1))
 
 
 class TestErrors:
@@ -180,7 +190,7 @@ class TestErrors:
         doc, scenario = simple_document(
             Thresholds(0.99, 0.01, 0.01),
             [
-                SetPolicyAction(UNASSESSED),
+                UNASSESSED,
                 AddCounterAction(
                     at_label="no such node",
                     node=AdtNode(actor=Actor.DEFENSE, label="d"),
@@ -220,6 +230,20 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match=r"^outruled defeaters \(5\) exceed total \(3\)$"):
             set_defeaters(model, "G1", DefeaterCount(5, 3))
+
+
+class TestApplyRound:
+    def test_each_action_changes_only_its_own_part(self):
+        doc, _ = simple_document(Thresholds(0.99, 0.01, 0.01), [])
+        model, adt = doc.gsns["m"], doc.adts["a"]
+        policy = VerdictPolicy(attribute="probability", op="<=", threshold=0.5)
+        assert apply_round(policy, model, adt, UNASSESSED) == (model, adt, policy)
+        guard = AdtNode(Actor.DEFENSE, "guard")
+        same, countered, kept = apply_round(AddCounterAction("break in", guard), model, adt, policy)
+        assert (same, countered.root.counter, kept) == (model, guard, policy)
+        count = DefeaterCount(1, 2)
+        revised, same, kept = apply_round(SetDefeatersAction("G1", count), model, adt, policy)
+        assert (revised.node("G1").defeaters, same, kept) == (count, adt, policy)
 
 
 class TestAttachCounter:
@@ -285,6 +309,31 @@ class TestAttachCounter:
         updated = attach_counter(AttackDefenseTree("t", root), "x", guard)
         assert updated.root.children[0].counter == guard
         assert updated.root.counter is under_counter
+
+    def test_the_walk_stops_at_the_target(self, monkeypatch):
+        # root(a(b, c), d): "b" is entered third in preorder, "d" last.
+        b, c = AdtNode(Actor.ATTACK, "b"), AdtNode(Actor.ATTACK, "c")
+        a = AdtNode(Actor.ATTACK, "a", Refinement.AND, children=(b, c))
+        d = AdtNode(Actor.ATTACK, "d")
+        tree = AttackDefenseTree("t", AdtNode(Actor.ATTACK, "root", Refinement.OR,
+                                              children=(a, d)))
+        seen = []
+
+        def counted_walk(root):
+            for event in adt_walk(root):
+                seen.append(event)
+                yield event
+
+        monkeypatch.setattr(process, "adt_walk", counted_walk)
+        guard = AdtNode(Actor.DEFENSE, "guard")
+        full = list(adt_walk(tree.root))
+        for label in ("root", "a", "b", "c", "d"):
+            seen.clear()
+            updated = attach_counter(tree, label, guard)
+            assert node_by_label(updated, label).counter is guard
+            target = next(i for i, (_, node, entering) in enumerate(full)
+                          if entering and node.label == label)
+            assert seen == full[:target + 1], label
 
     def test_attaches_ten_thousand_levels_down(self):
         node = AdtNode(Actor.ATTACK, "bottom")

@@ -24,7 +24,6 @@ from safsec.model import (
     Scenario,
     SecurityLink,
     SetDefeatersAction,
-    SetPolicyAction,
     Thresholds,
     VoterMeta,
     sort_key,
@@ -247,8 +246,7 @@ def counter(at_label, label, actor=Actor.ATTACK, refinement=Refinement.LEAF):
 
 
 def test_unknown_scenario_blocks():
-    assert errors(LINKED, COUNTERED, scenario(SetPolicyAction(UNASSESSED), gsn_name="nope",
-                                              adt_name="b")) == [
+    assert errors(LINKED, COUNTERED, scenario(UNASSESSED, gsn_name="nope", adt_name="b")) == [
         ("unknown adt 'b'", "scenario s"), ("unknown gsn model 'nope'", "scenario s")]
 
 
@@ -258,7 +256,7 @@ def test_a_counter_may_counter_a_countermeasure_or_an_earlier_rounds_node():
 
 
 def test_unknown_counter_target_names_the_round():
-    rounds = scenario(SetPolicyAction(UNASSESSED), counter("guard", "bypass"),
+    rounds = scenario(UNASSESSED, counter("guard", "bypass"),
                       counter("bypass", "guard", Actor.DEFENSE))
     assert errors(LINKED, COUNTERED, rounds) == [("unknown adt node 'guard'", "scenario s/round 2")]
 
@@ -276,15 +274,39 @@ def test_a_counter_is_checked_as_an_adt_node():
 ])
 def test_set_defeaters_round(goal, outruled, total, message):
     count = DefeaterCount(outruled, total)
-    rounds = scenario(SetPolicyAction(UNASSESSED), SetDefeatersAction(goal, count))
+    rounds = scenario(UNASSESSED, SetDefeatersAction(goal, count))
     assert errors(LINKED, COUNTERED, rounds) == [(message, "scenario s/round 2")]
 
 
 def test_scenario_gsn_root_must_be_a_goal():
     strategy_root = GsnModel("m", (GsnNode("S0", NodeKind.STRATEGY, "s"),
                                    GsnNode("G1", GOAL, "g", parent="S0")))
-    assert errors(strategy_root, COUNTERED, scenario(SetPolicyAction(UNASSESSED))) == [
+    assert errors(strategy_root, COUNTERED, scenario(UNASSESSED)) == [
         ("root node 'S0' of gsn 'm' is not a goal", "scenario s")]
+
+
+@pytest.mark.parametrize("gsn_name, adt_name, message", [
+    ("nope", "a", "unknown gsn model 'nope'"),
+    ("m", "b", "unknown adt 'b'"),
+])
+def test_an_unknown_gsn_or_adt_replays_no_round(gsn_name, adt_name, message):
+    rounds = scenario(counter("d", "bypass", refinement=Refinement.AND),
+                      SetDefeatersAction("C1", DefeaterCount(1, 2)),
+                      gsn_name=gsn_name, adt_name=adt_name)
+    assert errors(LINKED, COUNTERED, rounds) == [(message, "scenario s")]
+
+
+@pytest.mark.parametrize("max_rounds, ran, diags", [
+    (1, [1], []),
+    (0, [], [("max_rounds must be positive", "scenario s")]),
+    (-1, [], [("max_rounds must be positive", "scenario s")]),
+])
+def test_only_rounds_up_to_max_rounds_are_checked(max_rounds, ran, diags):
+    rounds = Scenario("s", "m", "a", Thresholds(0.9, 0.1, 0.1), max_rounds,
+                      (UNASSESSED, counter("nope", "bypass")))
+    assert errors(LINKED, COUNTERED, rounds) == diags
+    transcript = run_process(Document((LINKED, COUNTERED, rounds)), rounds)
+    assert [e.round for e in transcript.entries] == ran
 
 
 # The validator against ``run_process`` on random rounds.  Labels come from a
@@ -321,7 +343,7 @@ POLICIES = st.just(UNASSESSED) | st.builds(
 ROUNDS = st.one_of(
     st.builds(AddCounterAction, st.sampled_from(LABELS + ("nope",)),
               st.sampled_from(Actor).flatmap(lambda actor: well_formed_nodes(actor, 1))),
-    st.builds(SetPolicyAction, POLICIES),
+    POLICIES,
     st.builds(SetDefeatersAction, st.sampled_from(["G1", "G2", "C1", "nope"]),
               st.builds(DefeaterCount, st.integers(0, 5), st.integers(0, 5))),
 )
@@ -337,10 +359,11 @@ TWO_GOALS = GsnModel(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([ALL_ATTRIBUTES, SOME_ATTRIBUTES]).flatmap(
     lambda attributes: well_formed_nodes(Actor.ATTACK, 3, attributes)),
-    st.lists(ROUNDS, min_size=1, max_size=6))
-def test_the_validator_refuses_the_round_that_run_process_refuses(root, actions):
-    # The uncertainty never reaches 0, so every round runs.
-    rounds = Scenario("s", "m", "a", Thresholds(1.0, 0.0, 0.0), len(actions), tuple(actions))
+    st.lists(ROUNDS, min_size=1, max_size=6), st.data())
+def test_the_validator_refuses_the_round_that_run_process_refuses(root, actions, data):
+    # The uncertainty never reaches 0, so every round up to max_rounds runs.
+    max_rounds = data.draw(st.integers(1, len(actions) + 1), label="max_rounds")
+    rounds = Scenario("s", "m", "a", Thresholds(1.0, 0.0, 0.0), max_rounds, tuple(actions))
     adt = AttackDefenseTree("a", root)
     document = Document((TWO_GOALS, adt, rounds))
     assert validate_block(TWO_GOALS, document) == validate_block(adt, document) == []
@@ -350,7 +373,7 @@ def test_the_validator_refuses_the_round_that_run_process_refuses(root, actions)
         assert head == "scenario s/round"
         found.append((int(round_no), diag.message))
     if not found:
-        assert len(run_process(document, rounds).entries) == len(actions)
+        assert len(run_process(document, rounds).entries) == min(max_rounds, len(actions))
         return
     round_no, message = min(found)
     with pytest.raises(ValueError) as refused:
