@@ -32,7 +32,7 @@ from . import fta as fta_mod
 from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
 from .model import (AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel, Scenario,
-                    sort_key)
+                    printable, sort_key)
 from .validate import validate_block, validate_model
 
 FINDING, USAGE = 1, 2
@@ -84,7 +84,7 @@ def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
         return document, None
     blocks = _BLOCKS[kind](document)
     if name not in blocks:
-        known = ", ".join(sorted(blocks)) or "none"
+        known = ", ".join(map(printable, sorted(blocks))) or "none"
         raise ValueError(f"unknown {kind} {name!r} (available: {known})")
     block = blocks[name]
     reads = [block]
@@ -343,25 +343,27 @@ def gsn_confidence(file: str, model_name: str, verdicts_path: Optional[str]) -> 
     """Per-goal defeater aggregates and confidence triples."""
     _, model = _load(file, "gsn model", model_name)
     verdicts = _load_verdicts(verdicts_path) if verdicts_path else {}
-    aggregate = aggregate_gsn(model)
-    linked = apply_security_links(model, aggregate, verdicts)
+    opinions = apply_security_links(model, aggregate_gsn(model), verdicts)
     goals = {
         goal_id: {
             "outruled": op.count.outruled,
             "total": op.count.total,
             "aggregate": _triple_dict(op.triple),
-            "reported": _triple_dict(linked.triples[goal_id]),
-            "verdict": (
-                linked.verdicts[goal_id].value if goal_id in linked.verdicts else None
-            ),
+            "reported": _triple_dict(op.reported),
+            "verdict": op.verdict.value if op.verdict is not None else None,
         }
-        for goal_id, op in aggregate.opinions.items()
+        for goal_id, op in opinions.items()
     }
     payload = {
         "command": "gsn confidence",
         "model": model_name,
         "goals": goals,
-        "warnings": [str(w) for w in linked.warnings],
+        "warnings": [
+            f"warning: goal {goal_id!r} has no defeater evidence in its subtree"
+            f" [gsn {printable(model.name)}]"
+            for goal_id, op in opinions.items()
+            if op.count.total == 0
+        ],
     }
     _emit(payload, _text_confidence)
 

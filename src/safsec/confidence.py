@@ -8,10 +8,11 @@ Security verdicts then rescale the triple by a non-negative weight w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
-from .model import ConfidenceTriple, DefeaterCount, Diagnostic, GsnModel, NodeKind
+from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind
 
 PRIOR_WEIGHT = 2.0
 
@@ -36,26 +37,27 @@ def opinion_from_evidence(count: DefeaterCount) -> ConfidenceTriple:
 
 @dataclass(frozen=True)
 class GoalOpinion:
+    """One goal's confidence.  ``count`` is its subtree's defeater evidence
+    and ``triple`` that evidence's opinion; ``reported`` is the triple after
+    the goal's security link, with the link's ``verdict`` applied, and is
+    ``triple``, with no verdict, for a goal without a link."""
+
     count: DefeaterCount
     triple: ConfidenceTriple
+    reported: ConfidenceTriple
+    verdict: Optional[SecurityVerdict] = None
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    opinions: dict[str, GoalOpinion]
-    warnings: tuple[Diagnostic, ...] = ()
-
-
-def aggregate_gsn(model: GsnModel) -> AggregateResult:
+def aggregate_gsn(model: GsnModel) -> dict[str, GoalOpinion]:
     """Aggregate defeater counts bottom-up over the goal structure.
 
     A goal's count is its own count plus the counts of all descendant goals;
     strategies and other node kinds are transparent.  Goals whose subtree
-    carries no evidence at all get (0, 0), i.e. full uncertainty, plus a
-    warning.  One post-order walk sums each subtree once; a parent cycle
-    below a goal raises ``ValueError``.
+    carries no evidence at all get (0, 0), i.e. full uncertainty.  One
+    post-order walk sums each subtree once; a parent cycle below a goal
+    raises ``ValueError``.  The records are in goal order and report their
+    aggregate triple.
     """
-    warnings: list[Diagnostic] = []
     totals: dict[str, DefeaterCount] = {}
     opinions: dict[str, GoalOpinion] = {}
     for goal in model.goals():
@@ -76,16 +78,9 @@ def aggregate_gsn(model: GsnModel) -> AggregateResult:
                 stack.append((node_id, True))
                 stack.extend((c.id, False) for c in model.children(node_id))
         count = totals[goal.id]
-        if count.total == 0:
-            warnings.append(
-                Diagnostic(
-                    f"goal {goal.id!r} has no defeater evidence in its subtree",
-                    severity="warning",
-                    context=f"gsn {model.name}",
-                )
-            )
-        opinions[goal.id] = GoalOpinion(count, opinion_from_evidence(count))
-    return AggregateResult(opinions, tuple(warnings))
+        triple = opinion_from_evidence(count)
+        opinions[goal.id] = GoalOpinion(count, triple, triple)
+    return opinions
 
 
 def update_confidence(
@@ -108,35 +103,24 @@ def update_confidence(
     return ConfidenceTriple(b1, d1, u1)
 
 
-@dataclass(frozen=True)
-class LinkedOpinions:
-    """Per-goal reported triples after security-link application."""
-
-    triples: dict[str, ConfidenceTriple]
-    verdicts: dict[str, SecurityVerdict] = field(default_factory=dict)
-    warnings: tuple[Diagnostic, ...] = ()
-
-
 def apply_security_links(
-    model: GsnModel, aggregate: AggregateResult, verdicts: dict[str, SecurityVerdict]
-) -> LinkedOpinions:
-    """Report each goal's aggregated triple, updated where a link applies.
+    model: GsnModel, opinions: dict[str, GoalOpinion], verdicts: dict[str, SecurityVerdict]
+) -> dict[str, GoalOpinion]:
+    """A new dict of ``opinions`` with each linked goal's record replaced.
 
-    ``aggregate`` is :func:`aggregate_gsn` of ``model``.  A goal carrying a
-    security link gets its aggregated triple passed through
+    ``opinions`` is :func:`aggregate_gsn` of ``model``.  A goal carrying a
+    security link reports its aggregated triple passed through
     :func:`update_confidence` with the linked ADT's verdict; a missing verdict
-    counts as no assessment.  Other goals keep their evidence aggregates,
-    including ancestors of linked goals.
+    counts as no assessment.  Other goals keep their records, including
+    ancestors of linked goals.  The update starts from ``triple``, so applying
+    links again never compounds.
     """
-    triples: dict[str, ConfidenceTriple] = {}
-    applied: dict[str, SecurityVerdict] = {}
-    for goal_id, opinion in aggregate.opinions.items():
+    linked = dict(opinions)
+    for goal_id, opinion in opinions.items():
         links = model.links_for(goal_id)
-        if not links:
-            triples[goal_id] = opinion.triple
-            continue
-        (link,) = links  # validation rejects a goal with two
-        verdict = verdicts.get(link.adt_name, SecurityVerdict.NO_ASSESSMENT)
-        applied[goal_id] = verdict
-        triples[goal_id] = update_confidence(opinion.triple, verdict, link.weight)
-    return LinkedOpinions(triples, applied, aggregate.warnings)
+        if links:
+            (link,) = links  # validation rejects a goal with two
+            verdict = verdicts.get(link.adt_name, SecurityVerdict.NO_ASSESSMENT)
+            reported = update_confidence(opinion.triple, verdict, link.weight)
+            linked[goal_id] = GoalOpinion(opinion.count, opinion.triple, reported, verdict)
+    return linked

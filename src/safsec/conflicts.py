@@ -231,7 +231,6 @@ class PairReport:
     first: str
     second: str
     witnesses: tuple[ContradictionWitness, ...]
-    warnings: tuple[Diagnostic, ...] = ()
 
     @property
     def consistent(self) -> bool:
@@ -242,4 +241,4 @@ def check_pair(r1: Requirement, r2: Requirement) -> PairReport:
     """Confirm or refute a conflict candidate from exactly two requirements."""
     rules = RuleSet.from_requirements([r1, r2])
     witnesses = find_contradictions(rules)
-    return PairReport(r1.id, r2.id, tuple(witnesses), rules.warnings)
+    return PairReport(r1.id, r2.id, tuple(witnesses))

@@ -43,7 +43,7 @@ def gsn_to_dot(model: GsnModel) -> str:
         if node.parent is not None:
             lines.append(f'  "{node.parent}" -> "{node.id}";')
     for link in model.security_links:
-        anchor = f"adt_{link.adt_name}"
+        anchor = _esc(f"adt_{link.adt_name}")
         lines.append(
             f'  "{anchor}" [shape=note, label="ADT: {_esc(link.adt_name)}\\nw = {link.weight:g}"];'
         )

@@ -490,6 +490,13 @@ class Diagnostic:
         return f"{loc}{self.severity}: {self.message}{ctx}"
 
 
+def printable(name: str) -> str:
+    """``name`` with each non-printable character (VT, U+2028, ...) escaped,
+    as the lexer shows one.  A block name is a string and may hold any
+    character; a message that names it stays on one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
+
+
 def sort_key(diag: Diagnostic) -> tuple:
     return (
         diag.line if diag.line is not None else -1,

@@ -22,12 +22,7 @@ from typing import Iterator, Optional
 
 from . import adteval
 from .adteval import VerdictPolicy
-from .confidence import (
-    AggregateResult,
-    SecurityVerdict,
-    aggregate_gsn,
-    apply_security_links,
-)
+from .confidence import GoalOpinion, SecurityVerdict, aggregate_gsn, apply_security_links
 from .model import (
     AddCounterAction,
     AdtNode,
@@ -146,7 +141,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
     adt = document.adts[scenario.adt_name]
     policy = adteval.UNASSESSED
     root_goal = model.root().id
-    aggregate: Optional[AggregateResult] = None  # of ``model``; None once stale
+    aggregate: Optional[dict[str, GoalOpinion]] = None  # of ``model``; None once stale
 
     def current_triple() -> tuple[SecurityVerdict, ConfidenceTriple]:
         nonlocal aggregate
@@ -154,7 +149,7 @@ def run_process(document: Document, scenario: Scenario) -> Transcript:
         if aggregate is None:
             aggregate = aggregate_gsn(model)
         linked = apply_security_links(model, aggregate, {scenario.adt_name: v})
-        return v, linked.triples[root_goal]
+        return v, linked[root_goal].reported
 
     _, initial = current_triple()
     met = scenario.thresholds.met_by(initial)

@@ -31,6 +31,7 @@ from .model import (
     Requirement,
     Scenario,
     adt_walk,
+    printable,
     sort_key,
 )
 from .process import apply_round, rounds
@@ -62,10 +63,8 @@ def _err(message: str, context: str) -> Diagnostic:
 
 
 def _context(kind: str, name: str) -> str:
-    """A block's diagnostic context.  A block name is a string and may hold
-    any character; a non-printable one (VT, U+2028, ...) is shown escaped, as
-    the lexer shows one, so that the diagnostic stays on one line."""
-    return f"{kind} " + "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
+    """A block's diagnostic context, on one line."""
+    return f"{kind} {printable(name)}"
 
 
 def _duplicates(keys: Iterable[str]) -> list[str]:

@@ -334,6 +334,19 @@ class TestExportDot:
         )
         assert result.exit_code == 2
 
+    def test_security_link_anchor_is_escaped(self, runner, workdir, tmp_path):
+        f = tmp_path / "link.ssm"
+        f.write_text('gsn "M" {\n  goal G1 "x"\n'
+                     '  security_link under G1 adt = "a\\"b\\\\c" weight = 1\n}\n',
+                     encoding="utf-8")
+        assert run(runner, workdir, "validate", f).output == "ok\n"
+        result = run(runner, workdir, "export", "dot", f, "--model", "M")
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[3:5] == [
+            '  "adt_a\\"b\\\\c" [shape=note, label="ADT: a\\"b\\\\c\\nw = 1"];',
+            '  "G1" -> "adt_a\\"b\\\\c" [style=dotted];',
+        ]
+
 
 GOAL_LOOP = (
     'gsn "L" {\n'
@@ -767,6 +780,26 @@ def test_block_name_in_a_validator_diagnostic_is_one_line(runner, workdir, tmp_p
     assert result.exit_code == 1
     assert result.stdout.splitlines() == [f"{model}: error: {diagnostic.format(f'a{shown}b')}"]
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("char, shown", [("\x0b", "\\x0b"), ("\u2028", "\\u2028")])
+def test_block_name_in_a_confidence_message_is_one_line(runner, workdir, tmp_path, fmt, char,
+                                                        shown):
+    model = tmp_path / "name.ssm"
+    model.write_text(f'gsn "a{char}b" {{ goal G1 "x" }}\n', encoding="utf-8")
+    warning = f"warning: goal 'G1' has no defeater evidence in its subtree [gsn a{shown}b]"
+    confidence = ["--format", fmt, "gsn", "confidence", model, "--model"]
+    result = run(runner, workdir, *confidence, f"a{char}b")
+    assert result.exit_code == 0, result.output
+    if fmt == "text":
+        assert result.stdout.splitlines() == [warning, "G1: 0/0 defeaters -> B=0.00 D=0.00 U=1.00"]
+    else:
+        assert json.loads(result.stdout)["warnings"] == [warning]
+    result = run(runner, workdir, *confidence, "zz")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: unknown gsn model 'zz' (available: a{shown}b)"]
 
 
 @pytest.mark.parametrize("argv, last_line", [

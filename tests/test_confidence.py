@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +13,17 @@ from safsec.confidence import (
     opinion_from_evidence,
     update_confidence,
 )
+from safsec.cli import main
 from safsec.model import (
     ConfidenceTriple,
     DefeaterCount,
+    Document,
     GsnModel,
     GsnNode,
     NodeKind,
     SecurityLink,
 )
+from safsec.modelfile import print_document
 
 GOAL = NodeKind.GOAL
 
@@ -87,21 +92,29 @@ class TestAggregateGsn:
     def test_fig5_parent_sums_children(self):
         model = two_level_model([(10, 20), (15, 40)])
         result = aggregate_gsn(model)
-        assert result.opinions["G0"].count == DefeaterCount(25, 60)
-        assert result.opinions["G0"].triple.rounded() == (0.4, 0.56, 0.03)
+        assert result["G0"].count == DefeaterCount(25, 60)
+        assert result["G0"].triple.rounded() == (0.4, 0.56, 0.03)
 
     def test_single_goal(self):
         model = two_level_model([], root_count=DefeaterCount(5, 5))
-        triple = aggregate_gsn(model).opinions["G0"].triple
+        triple = aggregate_gsn(model)["G0"].triple
         assert triple.belief == pytest.approx(5 / 7)
         assert triple.disbelief == pytest.approx(0.0)
         assert triple.uncertainty == pytest.approx(2 / 7)
 
-    def test_leaf_without_count_warns(self):
+    def test_leaf_without_count_warns(self, tmp_path):
         model = GsnModel(name="M", nodes=(GsnNode("G0", GOAL, "root"),))
         result = aggregate_gsn(model)
-        assert result.opinions["G0"].triple == ConfidenceTriple(0, 0, 1)
-        assert result.warnings
+        assert result["G0"].triple == ConfidenceTriple(0, 0, 1)
+        assert result["G0"].count.total == 0
+        path = tmp_path / "m.ssm"
+        path.write_text(print_document(Document((model,))), encoding="utf-8")
+        argv = ["--format", "machine", "gsn", "confidence", str(path), "--model", "M"]
+        out = CliRunner().invoke(main, argv)
+        assert out.exit_code == 0, out.output
+        assert json.loads(out.output)["warnings"] == [
+            "warning: goal 'G0' has no defeater evidence in its subtree [gsn M]"
+        ]
 
     def test_strategies_are_transparent(self):
         nodes = (
@@ -110,15 +123,15 @@ class TestAggregateGsn:
             GsnNode("G1", GOAL, "sub", parent="S0", defeaters=DefeaterCount(3, 4)),
         )
         result = aggregate_gsn(GsnModel(name="M", nodes=nodes))
-        assert result.opinions["G0"].count == DefeaterCount(3, 4)
+        assert result["G0"].count == DefeaterCount(3, 4)
 
     def test_invariant_under_child_order(self):
         counts = [(1, 2), (3, 9), (0, 5), (4, 4)]
-        baseline = aggregate_gsn(two_level_model(counts)).opinions["G0"]
+        baseline = aggregate_gsn(two_level_model(counts))["G0"]
         rng = random.Random(3)
         for _ in range(5):
             rng.shuffle(counts)
-            assert aggregate_gsn(two_level_model(counts)).opinions["G0"] == baseline
+            assert aggregate_gsn(two_level_model(counts))["G0"] == baseline
 
 
 REFERENCE_PRIOR = ConfidenceTriple(0.70, 0.20, 0.10)
@@ -197,20 +210,35 @@ class TestApplySecurityLinks:
         linked = apply_security_links(
             model, aggregate_gsn(model), {"A": SecurityVerdict.ACCEPTABLE_RISK}
         )
-        assert linked.triples["G0"].rounded() == (0.90, 0.07, 0.03)
+        assert linked["G0"].reported.rounded() == (0.90, 0.07, 0.03)
 
     def test_goal_without_link_unchanged(self):
         model = self.model()
         linked = apply_security_links(
             model, aggregate_gsn(model), {"A": SecurityVerdict.ACCEPTABLE_RISK}
         )
-        assert linked.triples["G1"] == ConfidenceTriple(0, 0, 1)
+        assert linked["G1"].reported == ConfidenceTriple(0, 0, 1)
 
     def test_missing_verdict_means_no_assessment(self):
         model = self.model()
         aggregate = aggregate_gsn(model)
         linked = apply_security_links(model, aggregate, {})
-        base = aggregate.opinions["G0"].triple
-        assert linked.triples["G0"].uncertainty > base.uncertainty
-        assert linked.verdicts["G0"] is SecurityVerdict.NO_ASSESSMENT
+        base = aggregate["G0"].triple
+        assert linked["G0"].reported.uncertainty > base.uncertainty
+        assert linked["G0"].verdict is SecurityVerdict.NO_ASSESSMENT
+
+    def test_only_linked_records_are_replaced(self):
+        model = self.model()
+        aggregate = aggregate_gsn(model)
+        before = dict(aggregate)
+        linked = apply_security_links(model, aggregate, {"A": SecurityVerdict.UNACCEPTABLE_RISK})
+        assert aggregate == before
+        assert all(record.reported == record.triple and record.verdict is None
+                   for record in aggregate.values())
+        assert linked is not aggregate and list(linked) == list(aggregate)
+        assert linked["G1"] is aggregate["G1"]
+        assert linked["G0"].count == aggregate["G0"].count
+        assert linked["G0"].triple == aggregate["G0"].triple
+        assert linked["G0"].reported != aggregate["G0"].triple
+        assert linked["G0"].verdict is SecurityVerdict.UNACCEPTABLE_RISK
 

@@ -87,7 +87,7 @@ def test_gsn_passes_match_naive_oracles(nodes):
         with pytest.raises(ValueError, match="cycle through node"):
             aggregate_gsn(model)
         return
-    got = aggregate_gsn(model).opinions
+    got = aggregate_gsn(model)
     assert {g: (op.count.outruled, op.count.total) for g, op in got.items()} == expected
 
 
@@ -97,8 +97,8 @@ def test_examples_cover_each_malformation():
         aggregate_gsn(GOAL_CYCLE)
     # A non-goal cycle that no goal reaches is reported but not aggregated.
     assert "cycle through node 'G'" in naive_gsn_structure_problems(NON_GOAL_CYCLE)
-    assert aggregate_gsn(NON_GOAL_CYCLE).opinions["R"].count == DefeaterCount(1, 1)
-    assert aggregate_gsn(DUPLICATES).opinions["R"].count == DefeaterCount(3, 4)
+    assert aggregate_gsn(NON_GOAL_CYCLE)["R"].count == DefeaterCount(1, 1)
+    assert aggregate_gsn(DUPLICATES)["R"].count == DefeaterCount(3, 4)
     with pytest.raises(ValueError):
         aggregate_gsn(CYCLE_VIA_DUPLICATE)
 
@@ -161,7 +161,7 @@ def chain(n: int) -> GsnModel:
 def test_deep_chain_needs_no_recursion():
     # Far deeper than the interpreter's recursion limit.
     model = chain(10_000)
-    opinions = aggregate_gsn(model).opinions
+    opinions = aggregate_gsn(model)
     assert opinions["G0"].count == DefeaterCount(10_000, 20_000)
     assert opinions["G9999"].count == DefeaterCount(1, 2)
     assert validate_model(Document((model,))) == []
