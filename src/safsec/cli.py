@@ -467,17 +467,16 @@ def conflicts_cmd(file: str, wide_candidates: bool) -> None:
     document, _ = _load(file)
     by_id = document.requirements
     candidates = conflicts_mod.conflict_candidates(list(by_id.values()), wide=wide_candidates)
-    reports = [conflicts_mod.check_pair(by_id[a], by_id[b]) for a, b in candidates]
     contradictions = [
         {
-            "pair": [r.first, r.second],
+            "pair": [first, second],
             "assignment": dict(sorted(w.input_assignment.items())),
             "conflicted_signal": w.conflicted_signal,
             "involved_requirements": list(w.involved_requirements),
             "fired_clauses": [str(c) for c in w.fired_clauses],
         }
-        for r in reports
-        for w in r.witnesses
+        for first, second in candidates
+        for w in conflicts_mod.check_pair(by_id[first], by_id[second])
     ]
     payload = {
         "command": "conflicts",

@@ -2,11 +2,14 @@
 
 Candidates are requirement pairs whose clause heads share a signal.  A
 candidate is confirmed by checking every truth assignment of the declared
-input signals (each contributing its positive or negated atom): the clauses
-are forward chained to a least fixed point, and any assignment under which
-some signal is derived with both polarities is reported.  Negated signals
-are distinct atoms, so nothing follows from the mere absence of a fact:
-an atom holds only if a rule supports it.
+input signals (each contributing its positive or negated literal): the
+clauses are forward chained to a least fixed point, and any assignment under
+which some signal is derived with both polarities is reported.  A
+:class:`~safsec.model.Literal` is the atom; it equals the plain ``(signal,
+positive)`` tuple, so facts may be given either way.  Negated signals are
+distinct atoms, so nothing follows from the mere absence of a fact: an atom
+holds only if a rule supports it.  :func:`check_pair` returns a pair's
+witnesses, none when the pair is consistent.
 
 The search is bit-parallel.  With n inputs, assignment pattern ``p`` (bit
 ``i`` of ``p`` is the value of input ``i``) is bit ``p`` of a 2**n-bit
@@ -24,52 +27,29 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .model import Clause, Diagnostic, Literal, Requirement
+from .model import Clause, Literal, Requirement
 
 MAX_INPUTS = 20
-
-Atom = tuple[str, bool]  # (signal, polarity)
-
-
-@dataclass(frozen=True)
-class AttributedClause:
-    clause: Clause
-    requirement_id: str = ""
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    rules: tuple[AttributedClause, ...]
+    clauses: tuple[Clause, ...]
+    owners: tuple[str, ...]  # owners[i] declared clauses[i]; "" for none
     inputs: tuple[str, ...]  # sorted
-    warnings: tuple[Diagnostic, ...] = ()
 
     @classmethod
     def from_requirements(cls, reqs: Sequence[Requirement]) -> "RuleSet":
         """Union the requirements' clauses and inputs.
 
-        A signal that is a clause head anywhere is derived; declaring it as an
-        input elsewhere only earns a warning, the head status wins.
+        A signal that is a clause head anywhere is derived, not an input,
+        even where a requirement declares it input.
         """
-        rules = tuple(
-            AttributedClause(clause, req.id) for req in reqs for clause in req.clauses
-        )
-        heads = {ac.clause.head.signal for ac in rules}
-        inputs: set[str] = set()
-        warnings: list[Diagnostic] = []
-        for req in reqs:
-            for sig in req.inputs:
-                if sig in heads:
-                    warnings.append(
-                        Diagnostic(
-                            f"signal {sig!r} declared input in requirement "
-                            f"{req.id!r} but derived by a clause head; "
-                            f"treating it as derived",
-                            severity="warning",
-                        )
-                    )
-                else:
-                    inputs.add(sig)
-        return cls(rules, tuple(sorted(inputs)), tuple(warnings))
+        clauses = tuple(clause for req in reqs for clause in req.clauses)
+        owners = tuple(req.id for req in reqs for _ in req.clauses)
+        inputs = {sig for req in reqs for sig in req.inputs}
+        inputs -= {clause.head.signal for clause in clauses}
+        return cls(clauses, owners, tuple(sorted(inputs)))
 
 
 @dataclass(frozen=True)
@@ -80,26 +60,14 @@ class ContradictionWitness:
     fired_clauses: tuple[Clause, ...] = ()
 
 
-def conflict_candidates(
-    reqs: Sequence[Requirement], wide: bool = False
-) -> list[tuple[str, str]]:
+def conflict_candidates(reqs: Sequence[Requirement], wide: bool = False) -> list[tuple[str, str]]:
     """Requirement pairs sharing a head signal (or any signal with ``wide``)."""
-    pairs: list[tuple[str, str]] = []
-    for r1, r2 in combinations(reqs, 2):
-        s1 = r1.all_signals() if wide else r1.head_signals()
-        s2 = r2.all_signals() if wide else r2.head_signals()
-        if s1 & s2:
-            pairs.append((r1.id, r2.id))
-    return pairs
+    signals = [(r.id, r.all_signals() if wide else r.head_signals()) for r in reqs]
+    return [(id1, id2) for (id1, s1), (id2, s2) in combinations(signals, 2) if s1 & s2]
 
 
-def _lit_atom(lit: Literal) -> Atom:
-    return (lit.signal, lit.positive)
-
-
-def _fixpoint(
-    rules: Sequence[AttributedClause], masks: dict[Atom, int], full: int
-) -> list[tuple[int, int]]:
+def _fixpoint(clauses: Sequence[Clause], masks: dict[Literal, int],
+              full: int) -> list[tuple[int, int]]:
     """Least fixed point over every assignment pattern at once.
 
     ``masks`` maps each atom to the patterns (bits of an ``int`` within
@@ -110,40 +78,37 @@ def _fixpoint(
     the order that chaining it alone would.  Returns the fire log:
     ``(rule index, patterns newly fired)`` in firing order.
     """
-    bodies = [tuple(_lit_atom(lit) for lit in ac.clause.body) for ac in rules]
-    heads = [_lit_atom(ac.clause.head) for ac in rules]
-    fired = [0] * len(rules)
+    fired = [0] * len(clauses)
     log: list[tuple[int, int]] = []
     changed = True
     while changed:
         changed = False
-        for idx, body in enumerate(bodies):
+        for idx, clause in enumerate(clauses):
             new = full ^ fired[idx]
-            for atom in body:
+            for atom in clause.body:
                 if not new:
                     break
                 new &= masks.get(atom, 0)
             if new:
                 fired[idx] |= new
-                head = heads[idx]
+                head = clause.head
                 masks[head] = masks.get(head, 0) | new
                 log.append((idx, new))
                 changed = True
     return log
 
 
-def forward_chain(
-    rules: Iterable[AttributedClause], facts: set[Atom]
-) -> tuple[set[Atom], list[AttributedClause]]:
-    """Least fixed point of the definite rules over signed atoms.
+def forward_chain(clauses: Iterable[Clause],
+                  facts: Iterable[tuple[str, bool]]) -> tuple[set[Literal], list[Clause]]:
+    """Least fixed point of the definite clauses over signed literals.
 
     Returns the derived set and the clauses that fired, in firing order.
-    Terminates in at most one pass per derivable atom.
+    Terminates in at most one pass per derivable literal.
     """
-    rules = tuple(rules)
+    clauses = tuple(clauses)
     masks = dict.fromkeys(facts, 1)
-    log = _fixpoint(rules, masks, 1)
-    return {atom for atom, m in masks.items() if m}, [rules[idx] for idx, _ in log]
+    log = _fixpoint(clauses, masks, 1)
+    return {lit for lit, m in masks.items() if m}, [clauses[idx] for idx, _ in log]
 
 
 def _input_mask(index: int, width: int) -> int:
@@ -169,11 +134,11 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
         )
     width = 1 << len(rules.inputs)
     full = (1 << width) - 1
-    masks: dict[Atom, int] = {}
+    masks: dict[Literal, int] = {}
     for i, sig in enumerate(rules.inputs):
-        masks[(sig, True)] = pos = _input_mask(i, width)
-        masks[(sig, False)] = full ^ pos
-    log = _fixpoint(rules.rules, masks, full)
+        masks[Literal(sig, True)] = pos = _input_mask(i, width)
+        masks[Literal(sig, False)] = full ^ pos
+    log = _fixpoint(rules.clauses, masks, full)
     hit, conflicts = 0, []
     for sig in sorted({sig for sig, _ in masks}):
         both = masks.get((sig, True), 0) & masks.get((sig, False), 0)
@@ -191,54 +156,36 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
         return mask.to_bytes(nbytes, "little")
 
     conflict_views = [(sig, view(both)) for sig, both in conflicts]
-    fire_views = [(rules.rules[idx], view(new)) for idx, new in log if new & hit]
+    fire_views = [(idx, view(new)) for idx, new in log if new & hit]
+    clauses, owners, inputs = rules.clauses, rules.owners, rules.inputs
     witnesses: list[ContradictionWitness] = []
     for byte_index, byte in enumerate(view(hit)):
         for bit in range(8):
             if not byte >> bit & 1:
                 continue
             pattern = byte_index << 3 | bit
-            fired = [ac for ac, v in fire_views if v[byte_index] >> bit & 1]
-            witnesses.append(
-                ContradictionWitness(
-                    input_assignment={
-                        sig: bool(pattern >> i & 1) for i, sig in enumerate(rules.inputs)
-                    },
-                    conflicted_signal=next(
-                        sig for sig, v in conflict_views if v[byte_index] >> bit & 1
-                    ),
-                    involved_requirements=tuple(
-                        sorted({ac.requirement_id for ac in fired if ac.requirement_id})
-                    ),
-                    fired_clauses=tuple(ac.clause for ac in fired),
-                )
-            )
+            fired = [idx for idx, v in fire_views if v[byte_index] >> bit & 1]
+            witnesses.append(ContradictionWitness(
+                input_assignment={sig: bool(pattern >> i & 1) for i, sig in enumerate(inputs)},
+                conflicted_signal=next(
+                    sig for sig, v in conflict_views if v[byte_index] >> bit & 1),
+                involved_requirements=tuple(sorted({owners[idx] for idx in fired if owners[idx]})),
+                fired_clauses=tuple(clauses[idx] for idx in fired),
+            ))
     return witnesses
 
 
 def replay(rules: RuleSet, witness: ContradictionWitness) -> bool:
     """Re-run chaining on the witness's assignment alone: True iff that fires
     exactly the witness's clauses, in order, and derives both polarities of
-    its conflicted signal (the fired clauses fix the derived atoms)."""
-    derived, fired = forward_chain(rules.rules, set(witness.input_assignment.items()))
+    its conflicted signal (the fired clauses fix the derived literals)."""
+    derived, fired = forward_chain(rules.clauses, witness.input_assignment.items())
     sig = witness.conflicted_signal
-    return (tuple(ac.clause for ac in fired) == witness.fired_clauses
+    return (tuple(fired) == witness.fired_clauses
             and (sig, True) in derived and (sig, False) in derived)
 
 
-@dataclass(frozen=True)
-class PairReport:
-    first: str
-    second: str
-    witnesses: tuple[ContradictionWitness, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return not self.witnesses
-
-
-def check_pair(r1: Requirement, r2: Requirement) -> PairReport:
-    """Confirm or refute a conflict candidate from exactly two requirements."""
-    rules = RuleSet.from_requirements([r1, r2])
-    witnesses = find_contradictions(rules)
-    return PairReport(r1.id, r2.id, tuple(witnesses))
+def check_pair(r1: Requirement, r2: Requirement) -> tuple[ContradictionWitness, ...]:
+    """A conflict candidate's witnesses, from exactly two requirements; none
+    when the pair is consistent."""
+    return tuple(find_contradictions(RuleSet.from_requirements([r1, r2])))

@@ -12,7 +12,7 @@ def compute_rpn(severity: int, occurrence: int, detection: int) -> int:
         ("occurrence", occurrence),
         ("detection", detection),
     ):
-        if not isinstance(value, int) or not 1 <= value <= 10:
+        if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 10:
             raise ValueError(f"{name} must be an integer in 1..10, got {value!r}")
     return severity * occurrence * detection
 

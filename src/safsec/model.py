@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union, get_args
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Union, get_args
 
 if TYPE_CHECKING:
     from .adteval import VerdictPolicy
@@ -340,9 +340,12 @@ class AttackDefenseTree:
         return ((path, node) for path, node, entering in adt_walk(self.root) if entering)
 
 
-@dataclass(frozen=True)
-class Literal:
-    """Signed signal reference; ``positive=False`` means classical negation."""
+class Literal(NamedTuple):
+    """Signed signal reference; ``positive=False`` means classical negation.
+
+    A literal is the atom that the conflict engine chains: it equals, and
+    hashes as, the plain ``(signal, positive)`` tuple.
+    """
 
     signal: str
     positive: bool = True
@@ -357,9 +360,6 @@ class Clause:
 
     body: tuple[Literal, ...]
     head: Literal
-
-    def signals(self) -> set[str]:
-        return {lit.signal for lit in self.body} | {self.head.signal}
 
     @cached_property
     def text(self) -> str:
@@ -384,10 +384,7 @@ class Requirement:
         return {c.head.signal for c in self.clauses}
 
     def all_signals(self) -> set[str]:
-        out: set[str] = set(self.inputs)
-        for c in self.clauses:
-            out |= c.signals()
-        return out
+        return {lit.signal for c in self.clauses for lit in (c.head, *c.body)} | self.inputs
 
 
 @dataclass(frozen=True)
@@ -437,6 +434,11 @@ class Scenario:
 Block = Union[GsnModel, AttackDefenseTree, FaultTree, FmeaTable, Requirement, Scenario]
 
 
+def block_name(block: Block) -> str:
+    """The name a block is looked up by: a requirement's id, else its name."""
+    return block.id if isinstance(block, Requirement) else block.name
+
+
 @dataclass(frozen=True)
 class Document:
     """All blocks of one model file, in declaration order."""
@@ -448,8 +450,17 @@ class Document:
         """Read-only blocks of each kind by name (requirements by id); last wins."""
         out: dict[type, dict[str, Block]] = {kind: {} for kind in get_args(Block)}
         for b in self.blocks:
-            out[type(b)][b.id if isinstance(b, Requirement) else b.name] = b
+            out[type(b)][block_name(b)] = b
         return {kind: MappingProxyType(named) for kind, named in out.items()}
+
+    @cached_property
+    def _first(self) -> dict[tuple[type, str], Block]:
+        return {(type(b), block_name(b)): b for b in reversed(self.blocks)}  # first wins
+
+    def repeats(self, block: Block) -> bool:
+        """Whether an earlier block has ``block``'s kind and name; of such
+        blocks, the lookups below keep only the last."""
+        return self._first.get((type(block), block_name(block)), block) is not block
 
     @property
     def gsns(self) -> Mapping[str, GsnModel]:

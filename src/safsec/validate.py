@@ -31,10 +31,16 @@ from .model import (
     Requirement,
     Scenario,
     adt_walk,
+    block_name,
     printable,
     sort_key,
 )
 from .process import apply_round, rounds
+
+
+# Each block kind as a model file and a diagnostic's context name it.
+_KINDS = {GsnModel: "gsn", FaultTree: "fta", FmeaTable: "fmea", AttackDefenseTree: "adt",
+          Requirement: "requirement", Scenario: "scenario"}
 
 
 def validate_model(document: Document) -> list[Diagnostic]:
@@ -44,18 +50,26 @@ def validate_model(document: Document) -> list[Diagnostic]:
 
 
 def validate_block(block: Block, document: Document) -> list[Diagnostic]:
-    """One block's diagnostics, unsorted; ``document`` resolves its references."""
+    """One block's diagnostics, unsorted; ``document`` resolves its references.
+
+    A block that repeats an earlier block's kind and name is an error: the
+    document's lookups would keep only the last of them.
+    """
+    diags = []
+    if document.repeats(block):
+        kind, name = _KINDS[type(block)], block_name(block)
+        diags.append(_err(f"duplicate {kind} name {name!r}", _context(kind, name)))
     if isinstance(block, GsnModel):
-        return _check_gsn(block, document)
+        return diags + _check_gsn(block, document)
     if isinstance(block, FaultTree):
-        return _check_fta(block)
+        return diags + _check_fta(block)
     if isinstance(block, FmeaTable):
-        return _check_fmea(block)
+        return diags + _check_fmea(block)
     if isinstance(block, AttackDefenseTree):
-        return _check_adt_nodes(block.root, _context("adt", block.name))
+        return diags + _check_adt_nodes(block.root, _context("adt", block.name))
     if isinstance(block, Requirement):
-        return _check_requirement(block)
-    return _check_scenario(block, document)
+        return diags + _check_requirement(block)
+    return diags + _check_scenario(block, document)
 
 
 def _err(message: str, context: str) -> Diagnostic:
@@ -210,7 +224,7 @@ def _check_adt_nodes(root: AdtNode, ctx: str) -> list[Diagnostic]:
 
 
 def _check_requirement(req: Requirement) -> list[Diagnostic]:
-    ctx = f"requirement {req.id}"
+    ctx = _context("requirement", req.id)
     heads = req.head_signals()
     return [_err(f"signal {lit.signal!r} neither declared input nor derived", ctx)
             for clause in req.clauses for lit in clause.body

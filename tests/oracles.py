@@ -142,29 +142,37 @@ def brute_force_contradictory_assignments(
     return out
 
 
-def naive_forward_chain(rules, facts):
-    """The rescanning loop: every pass re-tests each unfired rule's body."""
+def _naive_fire_order(clauses, facts):
+    """The rescanning loop: every pass re-tests each unfired clause's body.
+    Returns the derived atoms and the indices of the fired clauses."""
     derived = set(facts)
     fired = []
     fired_set = set()
     changed = True
     while changed:
         changed = False
-        for idx, ac in enumerate(rules):
+        for idx, clause in enumerate(clauses):
             if idx in fired_set:
                 continue
-            if all((lit.signal, lit.positive) in derived for lit in ac.clause.body):
-                fired.append(ac)
+            if all((lit.signal, lit.positive) in derived for lit in clause.body):
+                fired.append(idx)
                 fired_set.add(idx)
-                head = (ac.clause.head.signal, ac.clause.head.positive)
+                head = (clause.head.signal, clause.head.positive)
                 if head not in derived:
                     derived.add(head)
                 changed = True
     return derived, fired
 
 
+def naive_forward_chain(clauses, facts):
+    """The derived atoms and the fired clauses, in firing order."""
+    clauses = list(clauses)
+    derived, fired = _naive_fire_order(clauses, facts)
+    return derived, [clauses[idx] for idx in fired]
+
+
 def naive_find_contradictions(rules) -> list[ContradictionWitness]:
-    """One :func:`naive_forward_chain` per input assignment, in pattern order."""
+    """One rescanning chain per input assignment, in pattern order."""
     witnesses = []
     n = len(rules.inputs)
     for pattern in range(2**n):
@@ -172,21 +180,21 @@ def naive_find_contradictions(rules) -> list[ContradictionWitness]:
             sig: bool((pattern >> i) & 1) for i, sig in enumerate(rules.inputs)
         }
         facts = {(sig, value) for sig, value in assignment.items()}
-        derived, fired = naive_forward_chain(rules.rules, facts)
+        derived, fired = _naive_fire_order(rules.clauses, facts)
         signals = {sig for sig, _ in derived}
         conflicted = sorted(
             sig for sig in signals if (sig, True) in derived and (sig, False) in derived
         )
         if conflicted:
             involved = tuple(
-                sorted({ac.requirement_id for ac in fired if ac.requirement_id})
+                sorted({rules.owners[idx] for idx in fired if rules.owners[idx]})
             )
             witnesses.append(
                 ContradictionWitness(
                     input_assignment=assignment,
                     conflicted_signal=conflicted[0],
                     involved_requirements=involved,
-                    fired_clauses=tuple(ac.clause for ac in fired),
+                    fired_clauses=tuple(rules.clauses[idx] for idx in fired),
                 )
             )
     return witnesses

@@ -112,14 +112,14 @@ def test_criterion_4_airbag_derivation_structure():
 
 def test_criterion_5_conflict_regression_and_oracle_equivalence():
     doc = parse_bundled("building.ssm")
-    report_pair = check_pair(*doc.requirements.values())
-    assert len(report_pair.witnesses) == 1
-    witness = report_pair.witnesses[0]
+    witnesses = check_pair(*doc.requirements.values())
+    assert len(witnesses) == 1
+    witness = witnesses[0]
     assert witness.input_assignment == {"SigFire": True, "Auth": False}
     assert witness.conflicted_signal == "DoorLock"
 
     revised = parse_bundled("building_revised.ssm")
-    assert check_pair(*revised.requirements.values()).consistent
+    assert check_pair(*revised.requirements.values()) == ()
 
     start = time.perf_counter()
     for seed in range(1000):

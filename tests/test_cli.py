@@ -714,6 +714,61 @@ def test_a_command_refuses_a_block_it_reads_with_the_first_validate_line(
     assert result.stderr.splitlines() == checked.stdout.splitlines()[:1]
 
 
+# Two blocks each of one kind and name.  The lookups keep the last block,
+# and validate gives an error to each block that repeats an earlier one.
+REPEATED = (
+    'fta "T" {\n  top E1\n  event E1\n}\n' 'fta "T" {\n  top E2\n  event E2\n}\n'
+    'gsn "M" {\n  goal G1 "a"\n}\n' 'gsn "M" {\n  goal G2 "b"\n}\n'
+    "requirement R1 kind = safety trace = Door {\n  inputs = [SigFire]\n"
+    "  clause SigFire => !DoorLock\n}\n"
+    "requirement R1 kind = security_design trace = Door {\n  inputs = [Auth]\n"
+    "  clause !Auth => DoorLock\n}\n"
+)
+REPEATED_ERRORS = {
+    "fta": "error: duplicate fta name 'T' [fta T]",
+    "gsn": "error: duplicate gsn name 'M' [gsn M]",
+    "requirement": "error: duplicate requirement name 'R1' [requirement R1]",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_validate_refuses_a_repeated_block_name(runner, workdir, tmp_path, fmt):
+    model = tmp_path / "twice.ssm"
+    model.write_text(REPEATED, encoding="utf-8")
+    result = run(runner, workdir, "--format", fmt, "validate", model)
+    assert result.exit_code == 1, result.output
+    if fmt == "text":
+        assert result.stdout.splitlines() == [
+            f"{model}: {line}" for line in sorted(REPEATED_ERRORS.values())]
+    else:
+        assert json.loads(result.stdout) == {
+            "command": "validate", "ok": False, "diagnostics": sorted(REPEATED_ERRORS.values())}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("kind, command", [
+    ("fta", ["fta", "cutsets", "--tree", "T"]),
+    ("fta", ["export", "dot", "--model", "T"]),
+    ("gsn", ["gsn", "confidence", "--model", "M"]),
+])
+def test_a_command_refuses_a_repeated_block_name(runner, workdir, tmp_path, kind, command, fmt):
+    model = tmp_path / "twice.ssm"
+    model.write_text(REPEATED, encoding="utf-8")
+    result = run(runner, workdir, "--format", fmt, *command[:2], model, *command[2:])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"{model}: {REPEATED_ERRORS[kind]}"]
+
+
+def test_conflicts_reads_the_last_of_repeated_requirements(runner, workdir, tmp_path):
+    # ``conflicts`` reads every requirement and runs no validation gate.
+    model = tmp_path / "twice.ssm"
+    model.write_text(REPEATED, encoding="utf-8")
+    result = run(runner, workdir, "conflicts", model)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "no conflict candidates (no shared signals)\n"
+
+
 @pytest.mark.parametrize("text, diagnostic", [
     ('fmea "F" { row R1 function = "f" mode = erroneous severity = ² }\n',
      "1:62: error: unexpected character '²'"),

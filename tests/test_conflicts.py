@@ -55,17 +55,16 @@ class TestDoorScenario:
         )
 
     def test_unguarded_pair_conflicts_on_fire_without_auth(self):
-        report = check_pair(self.fire_req(), self.lock_req())
-        assert not report.consistent
-        assignments = [w.input_assignment for w in report.witnesses]
+        witnesses = check_pair(self.fire_req(), self.lock_req())
+        assert witnesses
+        assignments = [w.input_assignment for w in witnesses]
         assert {"Auth": False, "SigFire": True} in assignments
-        for w in report.witnesses:
+        for w in witnesses:
             assert w.conflicted_signal == "DoorLock"
             assert w.involved_requirements == ("EmergencyDoor", "SecurityLock")
 
     def test_guarded_pair_is_consistent(self):
-        report = check_pair(self.fire_req(), self.lock_req(guarded=True))
-        assert report.consistent
+        assert check_pair(self.fire_req(), self.lock_req(guarded=True)) == ()
 
     def test_witness_replays(self):
         rules = RuleSet.from_requirements([self.fire_req(), self.lock_req()])
@@ -74,6 +73,24 @@ class TestDoorScenario:
 
 
 class TestCandidates:
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_each_requirement_is_indexed_once(self, wide):
+        calls = []
+
+        class Counted(Requirement):
+            def head_signals(self):
+                calls.append(self.id)
+                return Requirement.head_signals(self)
+
+            def all_signals(self):
+                calls.append(self.id)
+                return Requirement.all_signals(self)
+
+        reqs = [Counted(f"R{i}", RequirementKind.SAFETY, "Door", (clause([], ("X", True)),))
+                for i in range(6)]
+        assert len(conflict_candidates(reqs, wide=wide)) == 15
+        assert sorted(calls) == [r.id for r in reqs]
+
     def test_shared_head_signal_pairs(self):
         a = req("A", [clause([], ("X", True))], [])
         b = req("B", [clause([], ("X", False))], [])
@@ -105,21 +122,28 @@ class TestForwardChain:
                 )
             ]
         )
-        derived, fired = forward_chain(rules.rules, {("A", True)})
+        derived, fired = forward_chain(rules.clauses, {("A", True)})
         assert ("C", True) in derived
-        assert [ac.clause.head.signal for ac in fired] == ["B", "C"]
+        assert [c.head.signal for c in fired] == ["B", "C"]
+
+    def test_literal_facts_chain_like_tuples(self):
+        clauses = [clause([("A", True)], ("B", True)), clause([("B", True)], ("C", False))]
+        derived, fired = forward_chain(clauses, {Literal("A")})
+        assert (derived, fired) == forward_chain(clauses, {("A", True)})
+        assert derived == {("A", True), ("B", True), ("C", False)}
+        assert fired == clauses
 
     def test_negative_atoms_are_not_assumed(self):
         # !A in a body is only satisfied when (A, False) is an explicit fact.
         rules = RuleSet.from_requirements(
             [req("R", [clause([("A", False)], ("B", True))], ["A"])]
         )
-        derived, _ = forward_chain(rules.rules, set())
+        derived, _ = forward_chain(rules.clauses, set())
         assert ("B", True) not in derived
 
     def test_empty_body_always_fires(self):
         rules = RuleSet.from_requirements([req("R", [clause([], ("B", True))], [])])
-        derived, fired = forward_chain(rules.rules, set())
+        derived, fired = forward_chain(rules.clauses, set())
         assert ("B", True) in derived
         assert len(fired) == 1
 
@@ -129,8 +153,6 @@ class TestRuleSet:
         r = req("R", [clause([], ("X", True))], ["X", "Y"])
         rules = RuleSet.from_requirements([r])
         assert rules.inputs == ("Y",)
-        assert len(rules.warnings) == 1
-        assert "'X'" in rules.warnings[0].message
 
     def test_inputs_are_sorted_union(self):
         r1 = req("R1", [], ["B", "A"])

@@ -15,7 +15,6 @@ from generators import random_rule_set, requirements_from_rules
 from oracles import naive_find_contradictions, naive_forward_chain
 from safsec.conflicts import (
     MAX_INPUTS,
-    AttributedClause,
     RuleSet,
     find_contradictions,
     forward_chain,
@@ -31,7 +30,9 @@ def clause(body, head):
 def rule_set(rules, inputs):
     """Rules as ``(requirement id, body, head)``; inputs in the given order."""
     return RuleSet(
-        tuple(AttributedClause(clause(b, h), rid) for rid, b, h in rules), tuple(inputs)
+        tuple(clause(b, h) for _, b, h in rules),
+        tuple(rid for rid, _, _ in rules),
+        tuple(inputs),
     )
 
 
@@ -73,7 +74,7 @@ def test_hand_built_rule_sets_match_oracle(rng):
 @given(st.randoms(use_true_random=False))
 def test_forward_chain_matches_rescanning_loop(rng):
     clauses, inputs = random_rule_set(rng, max_signals=8)
-    rules = RuleSet.from_requirements(requirements_from_rules(clauses, inputs)).rules
+    rules = RuleSet.from_requirements(requirements_from_rules(clauses, inputs)).clauses
     signals = {lit.signal for c in clauses for lit in (c.head, *c.body)} | set(inputs)
     # Any facts, including both polarities of one signal and derived signals.
     facts = {(s, p) for s in signals for p in (True, False) if rng.random() < 0.3}
@@ -130,6 +131,18 @@ class TestEdgeCases:
         assert len(got) == 1
         assert len(got[0].fired_clauses) == 3
         assert got[0].involved_requirements == ("A", "A2", "B")
+
+    def test_one_clause_owned_twice_names_both_owners(self):
+        # Equal clauses from two requirements are two rules, told apart by index.
+        got = assert_same(
+            rule_set(
+                [("A", [("In", True)], ("X", True)), ("B", [("In", True)], ("X", True)),
+                 ("C", [], ("X", False))],
+                ["In"],
+            )
+        )
+        assert got[0].involved_requirements == ("A", "B", "C")
+        assert len(got[0].fired_clauses) == 3
 
     def test_empty_requirement_id_is_not_involved(self):
         got = assert_same(

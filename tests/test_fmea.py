@@ -26,9 +26,9 @@ class TestComputeRpn:
     def test_known_values(self, factors, expected):
         assert compute_rpn(*factors) == expected
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 11, 1), (1, 1, -3)])
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 11, 1), (1, 1, -3), (True, 5, 2)])
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be an integer in 1\.\.10"):
             compute_rpn(*bad)
 
     def test_symmetric_in_factors(self):

@@ -51,6 +51,17 @@ def test_multiple_roots():
     assert any("multiple roots" in d.message for d in diags)
 
 
+def test_every_repeat_of_a_kind_and_name_is_an_error():
+    # Equal blocks too: only the first block of each kind and name is left alone.
+    def tree():
+        return FaultTree("T", "E", (), frozenset({"E"}))
+
+    model = GsnModel("T", (GsnNode("G1", GOAL, "a"),))
+    doc = Document((tree(), model, tree(), tree()))
+    assert [validate_block(b, doc) != [] for b in doc.blocks] == [False, False, True, True]
+    assert [str(d) for d in validate_model(doc)] == ["error: duplicate fta name 'T' [fta T]"] * 2
+
+
 def test_voter_threshold_exceeds_signals():
     doc = gsn(
         GsnNode("G1", GOAL, "a"),
