@@ -5,7 +5,9 @@ Each analysis command computes its result once and builds one payload dict.
 output *is* the payload, in the bytes of ``json.dumps(payload,
 sort_keys=True, indent=2)``.  CPython writes an indented document in pure
 Python, which took a third to a half of a large request, so `_dumps`
-writes the same bytes with each container of scalars encoded in one C call.  Text
+writes the same bytes with each container of scalars encoded in one C call
+and each other scalar (an ``str``, ``int``, finite ``float``, ``None``,
+``True`` or ``False``) written by its exact type without the encoder.  Text
 output is a rendering of the same payload, line by line, so the two formats
 cannot disagree.  The exit code comes from the payload's finding: 0 success, 1
 analysis finding (invariant violation, contradiction, thresholds unmet), 2
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -64,16 +67,17 @@ _BLOCKS: dict[str, Callable[[Document], Any]] = {
     "gsn model": lambda d: d.gsns,
     "adt": lambda d: d.adts,
     "scenario": lambda d: d.scenarios,
-    # ``export dot``: a GSN model shadows an ADT, and an ADT a fault tree.
-    "model": lambda d: {**d.ftas, **d.adts, **d.gsns},
 }
+# ``export dot --model`` names a block of any of these kinds.
+_MODELS = ("gsn model", "adt", "fault tree")
 _TO_DOT = {GsnModel: dot.gsn_to_dot, AttackDefenseTree: dot.adt_to_dot, FaultTree: dot.fta_to_dot}
 
 
 def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     """The document parsed from ``path`` and, given a ``kind`` of
-    :data:`_BLOCKS`, its block of that kind named ``name``, which must pass
-    validation together with a scenario's GSN model and ADT."""
+    :data:`_BLOCKS` or ``"model"`` for any of :data:`_MODELS`, its one block
+    of that kind named ``name``, which must pass validation together with a
+    scenario's GSN model and ADT."""
     result = modelfile.parse(_read(path))
     if not result.ok:
         for diag in result.diagnostics:
@@ -82,11 +86,14 @@ def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     document = result.document
     if not kind:
         return document, None
-    blocks = _BLOCKS[kind](document)
-    if name not in blocks:
-        known = ", ".join(map(printable, sorted(blocks))) or "none"
+    blocks = {k: _BLOCKS[k](document) for k in (_MODELS if kind == "model" else (kind,))}
+    found = [k for k, named in blocks.items() if name in named]
+    if not found:
+        known = ", ".join(map(printable, sorted(set().union(*blocks.values())))) or "none"
         raise ValueError(f"unknown {kind} {name!r} (available: {known})")
-    block = blocks[name]
+    if len(found) > 1:
+        raise ValueError(f"{kind} {name!r} names blocks of {len(found)} kinds: {', '.join(found)}")
+    block = blocks[found[0]][name]
     reads = [block]
     if isinstance(block, Scenario):
         reads += filter(None, (document.gsns.get(block.gsn_name),
@@ -112,10 +119,26 @@ def _encoder(indent: str) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, check_circular=False, separators=("," + indent, ": "))
 
 
+def _scalar(value: Any) -> str:
+    """The JSON of a scalar, by its exact type where the C encoder's output is
+    known (``repr`` of an ``int`` or a finite ``float``), else by the encoder."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _encoder("\n").encode(value)  # a subclass, NaN or an infinity
+
+
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append ``value``'s JSON to ``out``, at the indent that ``newline`` ends with."""
+    """Append the JSON of the container ``value`` to ``out``, at the indent
+    that ``newline`` ends with."""
     inner = newline + "  "
-    if not isinstance(value, _CONTAINERS) or not value:
+    if not value:
         out.append(_encoder(inner).encode(value))
         return
     is_dict = isinstance(value, dict)
@@ -138,9 +161,12 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
     out.append("{" if is_dict else "[")
     separator = inner
     for key, item in items:
-        out.append(separator + key)
+        if isinstance(item, _CONTAINERS):
+            out.append(separator + key)
+            _write_json(item, inner, out)
+        else:
+            out.append(separator + key + _scalar(item))
         separator = "," + inner
-        _write_json(item, inner, out)
     out.append(newline + ("}" if is_dict else "]"))
 
 
@@ -148,10 +174,15 @@ def _dumps(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
     CPython encodes with an ``indent`` in pure Python only.  This writer
-    recurses over the containers that hold containers and hands every other
-    value (a scalar, an empty container, or a *leaf*: a container of scalars
-    only) to the C encoder in one call.  Dict keys are strings.
+    recurses over the containers that hold containers and hands each empty
+    container and each *leaf* (a container of scalars only) to the C encoder
+    in one call.  A scalar between them is written by `_scalar`: for a
+    number, ``None`` or a bool, each call of ``JSONEncoder.encode`` builds a
+    new C encoder, 1.2-2 µs on Python 3.11 against 0.15-0.6 µs for
+    `_scalar`.  Dict keys are strings.
     """
+    if not isinstance(value, _CONTAINERS):
+        return _scalar(value)
     out: list[str] = []
     _write_json(value, "\n", out)
     return "".join(out)

@@ -9,6 +9,16 @@ FaultTree, ...) are built leniently by the parser and checked by
 diagnostics instead of exceptions.  An attack-defense tree nests to any
 depth, so every walk over one goes through :func:`adt_walk`, which keeps its
 own stack instead of recursing.
+
+The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
+:class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
+:class:`SecurityLink`, :class:`FmeaRow` and :class:`Literal`) are typed
+``NamedTuple`` classes.  Their ``__new__`` hands the fields to
+``tuple.__new__`` in one call, where a frozen dataclass's ``__init__`` sets
+each field through ``object.__setattr__``: a ``GsnNode`` is built in about a
+quarter of the time (0.43 against 1.9 µs on Python 3.11).  They refuse
+attribute assignment, compare and hash as tuples, and are copied with
+``_replace``.  The blocks and the other records stay frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -115,8 +125,7 @@ class ConfidenceTriple:
         )
 
 
-@dataclass(frozen=True)
-class DefeaterCount:
+class DefeaterCount(NamedTuple):
     """Outruled defeaters out of the total identified for a goal."""
 
     outruled: int
@@ -137,8 +146,7 @@ class DefeaterCount:
         return DefeaterCount(self.outruled + other.outruled, self.total + other.total)
 
 
-@dataclass(frozen=True)
-class HazardMeta:
+class HazardMeta(NamedTuple):
     """Domain-specific hazard annotation on a goal."""
 
     impact: Impact
@@ -146,8 +154,7 @@ class HazardMeta:
     trace: str
 
 
-@dataclass(frozen=True)
-class VoterMeta:
+class VoterMeta(NamedTuple):
     """M-of-N voter mechanism annotation on a solution."""
 
     signals: tuple[str, ...]
@@ -169,8 +176,7 @@ class VoterMeta:
         return out
 
 
-@dataclass(frozen=True)
-class GsnNode:
+class GsnNode(NamedTuple):
     id: str
     kind: NodeKind
     text: str
@@ -182,8 +188,7 @@ class GsnNode:
     fmea_ref: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SecurityLink:
+class SecurityLink(NamedTuple):
     """Attachment of a security assessment (an ADT) to a goal, with weight."""
 
     goal_id: str
@@ -256,8 +261,7 @@ class FaultTree:
         return self._gate_by_id.get(gate_id)
 
 
-@dataclass(frozen=True)
-class FmeaRow:
+class FmeaRow(NamedTuple):
     id: str
     function: str
     failure_mode: FailureMode
@@ -287,8 +291,7 @@ class FmeaTable:
     rows: tuple[FmeaRow, ...]
 
 
-@dataclass(frozen=True)
-class AdtNode:
+class AdtNode(NamedTuple):
     actor: Actor
     label: str
     refinement: Refinement = Refinement.LEAF
@@ -296,6 +299,12 @@ class AdtNode:
     counter: Optional["AdtNode"] = None
     attributes: tuple[tuple[str, float], ...] = ()
     impact: Optional[Impact] = None
+
+    def __hash__(self) -> int:
+        # A tuple's hash recurses in C without a depth check, so a deep tree
+        # would overflow the C stack; one Python frame per level makes it a
+        # RecursionError, as ``==`` and ``repr`` raise.
+        return hash(tuple(self))
 
     def attribute(self, name: str) -> Optional[float]:
         for key, value in self.attributes:

@@ -85,14 +85,14 @@ def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> 
         raise ValueError(f"node {at_label!r} already carries a countermeasure")
     if counter.actor is not target.actor.opposite:
         raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
-    new = replace(target, counter=counter)
+    new = target._replace(counter=counter)
     for parent_path, parent in reversed(spine):
         slot = path[len(parent_path) + 1:]
         if slot == "c":
-            new = replace(parent, counter=new)
+            new = parent._replace(counter=new)
         else:
             i = int(slot)
-            new = replace(parent, children=parent.children[:i] + (new,) + parent.children[i + 1:])
+            new = parent._replace(children=parent.children[:i] + (new,) + parent.children[i + 1:])
         path = parent_path
     return replace(tree, root=new)
 
@@ -104,7 +104,7 @@ def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnMod
         raise ValueError(f"set_defeaters target {goal_id!r} is not a goal of gsn {model.name!r}")
     if count.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
         raise ValueError("; ".join(count.problems))
-    new_node = replace(node, defeaters=count)
+    new_node = node._replace(defeaters=count)
     return replace(model, nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
 
 

@@ -334,6 +334,21 @@ class TestExportDot:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("other, kinds", [
+        ('fta "X" {\n  top E1\n  event E1\n}\n', "gsn model, fault tree"),
+        ('adt "X" {\n  attack "x" {\n    attr probability = 0.5\n  }\n}\n', "gsn model, adt"),
+    ])
+    def test_a_name_shared_by_two_kinds_is_refused(self, runner, workdir, tmp_path, other,
+                                                   kinds, fmt):
+        f = tmp_path / "shared.ssm"
+        f.write_text(other + 'gsn "X" {\n  goal G1 "a"\n}\n', encoding="utf-8")
+        assert run(runner, workdir, "validate", f).output == "ok\n"
+        result = run(runner, workdir, "--format", fmt, "export", "dot", f, "--model", "X")
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: model 'X' names blocks of 2 kinds: {kinds}\n"
+
     def test_security_link_anchor_is_escaped(self, runner, workdir, tmp_path):
         f = tmp_path / "link.ssm"
         f.write_text('gsn "M" {\n  goal G1 "x"\n'

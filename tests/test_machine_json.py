@@ -23,6 +23,23 @@ class Row(list):
     pass
 
 
+# Scalar subclasses: `_scalar` writes only the exact types itself and hands
+# these to the encoder, which writes them by their base type.
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio()"
+
+
+class Name(str):
+    def __repr__(self):
+        return "Name()"
+
+
 def oracle(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
@@ -34,6 +51,8 @@ STRINGS = st.text(TRICKY, max_size=6) | st.text(max_size=4)
 NUMBERS = (st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
 SCALARS = st.none() | st.booleans() | NUMBERS | STRINGS
+SUBCLASSED = (st.integers().map(Count) | st.floats().map(Ratio)
+              | st.sampled_from([math.nan, math.inf, -math.inf]).map(Ratio) | STRINGS.map(Name))
 
 
 def containers(children):
@@ -100,3 +119,17 @@ SHAPES = {
 @pytest.mark.parametrize("payload", SHAPES.values(), ids=SHAPES)
 def test_command_payload_shapes(payload):
     assert _dumps(payload) == oracle(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(SCALARS | SUBCLASSED, containers, max_leaves=20))
+def test_scalar_subclasses_match_indenting_encoder(value):
+    assert _dumps(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [Count(7), Count(-2**70), Ratio(0.1), Ratio(-0.0),
+                                   Ratio(math.nan), Ratio(math.inf), Ratio(-math.inf),
+                                   Name('q"\u2028'), True, False, None])
+def test_each_scalar_beside_a_container(value):
+    for payload in ({"a": value, "b": [value, {}]}, [[value], value, {"c": value, "d": []}]):
+        assert _dumps(payload) == oracle(payload)
