@@ -147,11 +147,21 @@ class VerdictPolicy:
 UNASSESSED = VerdictPolicy(unassessed=True)
 
 
-def verdict(tree: AttackDefenseTree, policy: VerdictPolicy) -> SecurityVerdict:
-    """Compare the root's evaluated value against the policy threshold."""
+def verdict(tree: AttackDefenseTree, policy: VerdictPolicy,
+            evaluated: Optional[tuple[AttributeDomain, float]] = None) -> SecurityVerdict:
+    """Compare the root's evaluated value against the policy threshold.
+
+    ``evaluated`` is a domain and the tree's root value in it; when it is
+    the policy's domain, that value is compared and the tree is not
+    evaluated again.
+    """
     if policy.unassessed:
         return SecurityVerdict.NO_ASSESSMENT
-    root_value = evaluate(tree, policy.domain())["root"]
+    domain = policy.domain()
+    if evaluated is not None and evaluated[0] is domain:
+        root_value = evaluated[1]
+    else:
+        root_value = evaluate(tree, domain)["root"]
     if policy.op == "<=":
         ok = root_value <= policy.threshold
     else:

@@ -16,16 +16,24 @@ The search is bit-parallel.  With n inputs, assignment pattern ``p`` (bit
 ``int``, and each atom holds the mask of patterns under which it is
 derived.  One fixpoint over these masks chains all assignments at once; a
 fire log of ``(rule, patterns newly fired)`` keeps each pattern's firing
-order, and witnesses are read off byte views of the masks.  Per pattern,
-rules fire in the order that chaining that assignment alone would;
-:func:`forward_chain` is the same fixpoint at width one.
+order.  Per pattern, rules fire in the order that chaining that assignment
+alone would; :func:`forward_chain` is the same fixpoint at width one.
+
+Witnesses are read off little-endian byte views of the masks, a byte at a
+time: per nonzero byte of the conflict mask, one slice takes that byte of
+every fired rule's and conflict's view, and a table lists its set bits.  Per
+witness, one C-level translate of that slice gives the flags of the rules it
+fired and the signals in conflict, and its assignment is zipped from table
+rows of input values.  Witnesses that fired the same rules share one
+``involved_requirements`` and one ``fired_clauses`` tuple; each has its own
+assignment dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Clause, Literal, Requirement
 
@@ -52,12 +60,18 @@ class RuleSet:
         return cls(clauses, owners, tuple(sorted(inputs)))
 
 
-@dataclass(frozen=True)
-class ContradictionWitness:
+class ContradictionWitness(NamedTuple):
     input_assignment: dict[str, bool]
     conflicted_signal: str
     involved_requirements: tuple[str, ...]
     fired_clauses: tuple[Clause, ...] = ()
+
+
+# Byte -> its set bits, ascending; and pattern -> the values of inputs 0-7.
+_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+_LOW_VALUES = tuple(tuple(bool(p >> i & 1) for i in range(8)) for p in range(256))
+# Bit -> the translate table mapping each byte to that bit of it.
+_FLAGS = tuple(bytes(byte >> bit & 1 for byte in range(256)) for bit in range(8))
 
 
 def conflict_candidates(reqs: Sequence[Requirement], wide: bool = False) -> list[tuple[str, str]]:
@@ -148,30 +162,43 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
     if not hit:
         return []
 
-    # Read each witness off little-endian byte views of the masks: one bit
-    # test per conflict and fired rule, never a big-int operation per witness.
+    # Read the witnesses off little-endian byte views of the masks.  Row r of
+    # ``rows`` is the view of the r-th fired rule or conflict, so a strided
+    # slice is one byte's column, and a translate table turns the column into
+    # the flags of one pattern: a key that witnesses with equal flags share.
     nbytes = (width + 7) >> 3
-
-    def view(mask: int) -> bytes:
-        return mask.to_bytes(nbytes, "little")
-
-    conflict_views = [(sig, view(both)) for sig, both in conflicts]
-    fire_views = [(idx, view(new)) for idx, new in log if new & hit]
+    fires = [(idx, new) for idx, new in log if new & hit]
+    nfires = len(fires)
+    rows = b"".join(mask.to_bytes(nbytes, "little") for _, mask in fires + conflicts)
     clauses, owners, inputs = rules.clauses, rules.owners, rules.inputs
+    high_inputs = range(len(inputs) - 8)  # inputs 8 and up, empty for fewer
+    high_values: dict[int, tuple[bool, ...]] = {}  # pattern >> 8 -> their values
+    shared: dict[bytes, tuple] = {}  # flags -> (conflicted signal, owners, clauses)
+    by_fired: dict[bytes, tuple] = {}  # the fired rules' flags -> (owners, clauses)
     witnesses: list[ContradictionWitness] = []
-    for byte_index, byte in enumerate(view(hit)):
-        for bit in range(8):
-            if not byte >> bit & 1:
-                continue
-            pattern = byte_index << 3 | bit
-            fired = [idx for idx, v in fire_views if v[byte_index] >> bit & 1]
-            witnesses.append(ContradictionWitness(
-                input_assignment={sig: bool(pattern >> i & 1) for i, sig in enumerate(inputs)},
-                conflicted_signal=next(
-                    sig for sig, v in conflict_views if v[byte_index] >> bit & 1),
-                involved_requirements=tuple(sorted({owners[idx] for idx in fired if owners[idx]})),
-                fired_clauses=tuple(clauses[idx] for idx in fired),
-            ))
+    for byte_index, byte in enumerate(hit.to_bytes(nbytes, "little")):
+        if not byte:
+            continue
+        column = rows[byte_index::nbytes]
+        high = byte_index >> 5
+        rest = high_values.get(high)
+        if rest is None:
+            rest = high_values[high] = tuple(bool(high >> i & 1) for i in high_inputs)
+        low = (byte_index & 31) << 3
+        for bit in _BITS[byte]:
+            flags = column.translate(_FLAGS[bit])
+            found = shared.get(flags)
+            if found is None:
+                tuples = by_fired.get(flags[:nfires])
+                if tuples is None:
+                    fired = [idx for (idx, _), flag in zip(fires, flags) if flag]
+                    tuples = by_fired[flags[:nfires]] = (
+                        tuple(sorted({owners[idx] for idx in fired if owners[idx]})),
+                        tuple([clauses[idx] for idx in fired]),
+                    )
+                found = shared[flags] = (conflicts[flags.index(1, nfires) - nfires][0], *tuples)
+            witnesses.append(
+                ContradictionWitness(dict(zip(inputs, _LOW_VALUES[low | bit] + rest)), *found))
     return witnesses
 
 

@@ -75,8 +75,10 @@ def minimize(family: set[CutSet]) -> set[CutSet]:
 
     Sets are taken in order of size and each is tested only against the kept
     sets that are strictly smaller: two distinct sets of one size cannot
-    contain each other.
+    contain each other, so a family of one size is returned as a copy.
     """
+    if len(set(map(len, family))) <= 1:
+        return set(family)
     kept: set[CutSet] = set()
     smaller: list[CutSet] = []  # kept sets smaller than the current size
     size = -1

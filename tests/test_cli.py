@@ -248,6 +248,34 @@ class TestAdtEval:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("policy, evaluations, verdict", [
+        ("threshold = 0.1", 1, "unacceptable_risk"),
+        ("threshold = 0.5\nprob_or = max", 1, "acceptable_risk"),
+        ("threshold = 0.1\nprob_or = noisy_or", 2, "unacceptable_risk"),
+        ("unassessed = true", 1, "no_assessment"),
+    ])
+    def test_policy_in_the_evaluated_domain_evaluates_once(
+        self, runner, workdir, tmp_path, monkeypatch, policy, evaluations, verdict
+    ):
+        import safsec.adteval
+
+        original = safsec.adteval.evaluate
+        calls = []
+
+        def counting(tree, domain):
+            calls.append(domain.name)
+            return original(tree, domain)
+
+        monkeypatch.setattr(safsec.adteval, "evaluate", counting)
+        path = tmp_path / "policy.txt"
+        path.write_text(f"attribute = probability\nop = <=\n{policy}\n", encoding="utf-8")
+        result = run(runner, workdir, "--format", "machine", "adt", "eval",
+                     workdir / "airbag.ssm", "--adt", "Airbag Attack",
+                     "--attribute", "probability", "--policy", path)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["verdict"] == verdict
+        assert len(calls) == evaluations
+
 
 class TestConflicts:
     def test_contradiction_exits_one(self, runner, workdir):
@@ -900,6 +928,22 @@ class TestMachineFormatStability:
         assert first == second
         payload = json.loads(first)
         assert list(payload) == sorted(payload)
+
+
+def test_machine_output_without_the_c_encoder(runner, workdir, monkeypatch):
+    import safsec.cli
+
+    args = ["--format", "machine", "gsn", "confidence", workdir / "airbag.ssm",
+            "--model", "Airbag"]
+    expected = run(runner, workdir, *args).output
+    safsec.cli._encoder.cache_clear()
+    monkeypatch.setattr(safsec.cli, "c_make_encoder", None)
+    try:
+        assert run(runner, workdir, *args).output == expected
+        assert safsec.cli._dumps({"a": [[]], "b": [1.5, None]}) == json.dumps(
+            {"a": [[]], "b": [1.5, None]}, sort_keys=True, indent=2)
+    finally:
+        safsec.cli._encoder.cache_clear()
 
 
 class TestAggregateOnce:

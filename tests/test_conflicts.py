@@ -1,7 +1,6 @@
 """Requirement contradiction search against a truth-table oracle."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -201,8 +200,8 @@ class TestOracleEquivalence:
             )
             for w in find_contradictions(rules):
                 assert replay(rules, w), seed
-                assert not replay(rules, replace(w, fired_clauses=w.fired_clauses[:-1])), seed
-                assert not replay(rules, replace(w, conflicted_signal="no such signal")), seed
+                assert not replay(rules, w._replace(fired_clauses=w.fired_clauses[:-1])), seed
+                assert not replay(rules, w._replace(conflicted_signal="no such signal")), seed
 
 
 def sorted_items(assignment):

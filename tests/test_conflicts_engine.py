@@ -38,9 +38,11 @@ def rule_set(rules, inputs):
 
 def assert_same(rules):
     """Witness lists equal element by element; ``fired_clauses`` is a tuple,
-    so its order is compared too."""
+    so its order is compared too, and each assignment's keys are in input
+    order."""
     got = find_contradictions(rules)
     assert got == naive_find_contradictions(rules)
+    assert all(list(w.input_assignment) == list(rules.inputs) for w in got)
     return got
 
 
@@ -50,6 +52,26 @@ def test_witnesses_match_oracle(rng, max_signals):
     # random_rule_set draws bodies over every signal, so rules may be cyclic.
     clauses, inputs = random_rule_set(rng, max_signals=max_signals)
     assert_same(RuleSet.from_requirements(requirements_from_rules(clauses, inputs)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(9, 14))
+def test_wide_rule_sets_match_oracle(rng, n_inputs):
+    # 9-14 inputs, in shuffled order: masks of 64 to 2,048 bytes, and input
+    # values from both the table for inputs 0-7 and the memo for the rest.
+    inputs = [f"In{i}" for i in range(n_inputs)]
+    rng.shuffle(inputs)
+    derived = [f"D{i}" for i in range(rng.randint(1, 4))]
+    rules = [
+        (
+            rng.choice(["", "R1", "R2"]),
+            [(rng.choice(inputs + derived), rng.random() < 0.5)
+             for _ in range(rng.randint(0, 3))],
+            (rng.choice(derived), rng.random() < 0.5),
+        )
+        for _ in range(rng.randint(1, 10))
+    ]
+    assert_same(rule_set(rules, inputs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,3 +242,26 @@ class TestScale:
             for contradictory in (False, True):
                 assert_same(door_pair(n, contradictory))
         assert len(find_contradictions(door_pair(7, contradictory=True))) == 2**5
+
+    def test_pairs_past_eight_inputs_match_oracle(self):
+        # Side clauses on the high inputs give the witnesses many fired sets.
+        for n in (9, 11, 13):
+            assert len(assert_same(door_pair(n, contradictory=True))) == 2 ** (n - 2)
+
+
+def test_witnesses_of_one_fired_set_share_its_tuples():
+    # Lock-down without auth against release on fire, beside 9 inputs no
+    # rule reads: all 2**9 witnesses fire the same two rules.
+    spare = [f"Spare{i}" for i in range(9)]
+    rules = rule_set(
+        [("EmergencyDoor", [("SigFire", True)], ("DoorLock", False)),
+         ("SecurityLock", [("Auth", False)], ("DoorLock", True))],
+        ["Auth", "SigFire", *spare],
+    )
+    got = assert_same(rules)
+    assert len(got) == 2**9
+    assert len({id(w.involved_requirements) for w in got}) == 1
+    assert len({id(w.fired_clauses) for w in got}) == 1
+    assert got[0].involved_requirements == ("EmergencyDoor", "SecurityLock")
+    assert len({id(w.input_assignment) for w in got}) == len(got)
+    assert len({tuple(w.input_assignment.items()) for w in got}) == len(got)

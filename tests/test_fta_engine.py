@@ -139,6 +139,9 @@ def test_equal_size_sets_need_no_subset_test():
     same_size = [Counted({f"a{i}", f"b{j}"}) for i in range(20) for j in range(20)]
     assert minimize(same_size) == set(same_size)
     assert tests == 0
+    family = set(same_size)  # returned as a copy, never as the family itself
+    kept = minimize(family)
+    assert kept == family and kept is not family and tests == 0
     # A smaller kept set is tested against each larger candidate.
     assert minimize([*same_size, Counted({"a0"})]) == {
         s for s in same_size if "a0" not in s

@@ -12,16 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from safsec.model import (Actor, AdtNode, DefeaterCount, FailureMode, FmeaRow, GsnNode,
-                          GuideWord, HazardMeta, Impact, NodeKind, Refinement, SecurityLink,
-                          VoterMeta)
+from safsec.conflicts import ContradictionWitness
+from safsec.model import (Actor, AdtNode, Clause, DefeaterCount, FailureMode, FmeaRow, GsnNode,
+                          GuideWord, HazardMeta, Impact, Literal, NodeKind, Refinement,
+                          SecurityLink, VoterMeta)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "safsec"
 
 DATACLASSES = {
     "adteval.AttributeDomain", "adteval.VerdictPolicy",
     "confidence.GoalOpinion",
-    "conflicts.RuleSet", "conflicts.ContradictionWitness",
+    "conflicts.RuleSet",
     "model.ConfidenceTriple", "model.GsnModel", "model.FaultTree", "model.FmeaTable",
     "model.AttackDefenseTree", "model.Clause", "model.Requirement", "model.Thresholds",
     "model.AddCounterAction", "model.SetDefeatersAction", "model.Scenario", "model.Document",
@@ -89,6 +90,19 @@ def test_a_tuple_record_is_immutable_and_compares_by_value(record):
     first = record._fields[0]
     assert record._replace(**{first: "other"}) != record
     assert record._replace(**{first: getattr(record, first)}) == record
+
+
+def test_a_witness_is_an_immutable_tuple_record_with_a_dict_assignment():
+    fired = (Clause((Literal("In"),), Literal("X")),)
+    witness = ContradictionWitness({"In": True}, "X", ("A",), fired)
+    assert not dataclasses.is_dataclass(witness)
+    for field in witness._fields:
+        with pytest.raises(AttributeError):
+            setattr(witness, field, None)
+    twin = ContradictionWitness(*witness)
+    assert twin == witness and twin._replace(conflicted_signal="Y") != witness
+    with pytest.raises(TypeError):  # the assignment is a dict
+        hash(witness)
 
 
 def test_hashing_a_deep_adt_node_raises_recursion_error():
