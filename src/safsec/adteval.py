@@ -177,6 +177,7 @@ def load_policy(text: str) -> VerdictPolicy:
     and blank lines are ignored.
     """
     fields: dict[str, str] = {}
+    lines: dict[str, int] = {}  # key -> the line it was last set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -184,15 +185,23 @@ def load_policy(text: str) -> VerdictPolicy:
         if "=" not in line:
             raise ValueError(f"policy line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        fields[key], lines[key] = value.strip(), lineno
     unknown = set(fields) - {"unassessed", "attribute", "op", "threshold", "prob_or"}
     if unknown:
         raise ValueError(f"unknown policy keys: {', '.join(sorted(unknown))}")
     if fields.get("unassessed", "").lower() in ("true", "yes", "1"):
         return UNASSESSED
+    threshold = fields.get("threshold", "0")
+    try:
+        number = float(threshold)
+    except ValueError:
+        raise ValueError(
+            f"policy line {lines['threshold']}: threshold must be a number, got {threshold!r}"
+        ) from None
     return VerdictPolicy(
         attribute=fields.get("attribute", "probability"),
         op=fields.get("op", "<="),
-        threshold=float(fields.get("threshold", "0")),
+        threshold=number,
         prob_or=fields.get("prob_or", "max"),
     )

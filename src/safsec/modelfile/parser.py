@@ -5,7 +5,7 @@ gives; keywords and punctuation are told by their text alone.  A block is
 read by descent; ADT nodes, which nest without limit, by one loop over an
 explicit stack: a header opens a node, its ``}`` closes it.  Diagnostics
 carry line/column of the offending token.  Only the first diagnostic runs
-`lexer.tokenize`, for the offsets of the tokens or for a lexical error.
+`lexer.locate`, for the offsets of the tokens or for a lexical error.
 Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
 the next top-level block keyword so that independent blocks still get
 checked.  Every ``key = value`` pair is read by `Parser.expect_kv`.
@@ -49,7 +49,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import LexError, position, scan, string_value, tokenize
+from .lexer import locate, position, scan, string_value
 
 MAX_ERRORS = 20
 BLOCK_KEYWORDS = {"gsn", "adt", "fta", "fmea", "requirement", "scenario"}
@@ -95,16 +95,14 @@ class Parser:
         columns = scan(text)
         self.values, self.kinds = columns or ([""], ["EOF"])
         if columns is None:
-            try:
-                list(tokenize(text))  # raises the LexError
-            except LexError as exc:
-                self._offsets = [exc.offset]
-                self._record_at(exc.message, 0)
+            _, (message, offset) = locate(text)
+            self._offsets = [offset]
+            self._record_at(message, 0)
 
     # --- token utilities -------------------------------------------------
 
     def _kind(self, tok: int) -> str:
-        """The `Token.kind` of a token: INT and FLOAT for NUM, ARROW for ``=>``."""
+        """The kind a syntax error names: INT and FLOAT for NUM, ARROW for ``=>``."""
         kind, value = self.kinds[tok], self.values[tok]
         if kind == "NUM":
             return "FLOAT" if "." in value else "INT"
@@ -170,7 +168,7 @@ class Parser:
 
     def _record_at(self, message: str, tok: int) -> None:
         if self._offsets is None:
-            self._offsets = [t.offset for t in tokenize(self.text)]
+            self._offsets = locate(self.text)[0]
         line, column = position(self.text, self._offsets[tok])
         self.diagnostics.append(
             Diagnostic(message, severity="error", line=line, column=column)

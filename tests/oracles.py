@@ -7,9 +7,10 @@ implementations they check.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from safsec.conflicts import ContradictionWitness
 from safsec.dot import _esc
@@ -23,6 +24,7 @@ from safsec.model import (
     NodeKind,
     Refinement,
 )
+from safsec.modelfile.lexer import string_value
 from safsec.modelfile.printer import _num, _quote
 
 
@@ -393,11 +395,11 @@ class NaiveToken:
 def naive_tokenize(text: str) -> Iterator[NaiveToken]:
     """The character-by-character ``.ssm`` tokenizer the regex lexer replaced.
 
-    Positions are counted by hand as it walks.  It differs from
-    ``safsec.modelfile.lexer.tokenize`` in three places, each pinned by a test
-    in ``test_lexer.py``: a number starts on ``str.isdigit()`` (so on ``²``), a
-    backslash before a newline is an "unknown escape", and the column is
-    not advanced over a comment (so an EOF after a final comment is misplaced).
+    Positions are counted by hand as it walks.  It differs from `tokenize`
+    below in three places, each pinned by a test in ``test_lexer.py``: a
+    number starts on ``str.isdigit()`` (so on ``²``), a backslash before a
+    newline is an "unknown escape", and the column is not advanced over a
+    comment (so an EOF after a final comment is misplaced).
     """
     line, col = 1, 1
     i, n = 0, len(text)
@@ -479,3 +481,61 @@ def naive_tokenize(text: str) -> Iterator[NaiveToken]:
             continue
         raise NaiveLexError(f"unexpected character {ch!r}", start_line, start_col)
     yield NaiveToken("EOF", "", line, col)
+
+
+# The master-pattern tokenizer that `safsec.modelfile.lexer.locate` replaced:
+# the reference for its offsets and lexical errors.
+_BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<ARROW>=>)"
+    r"|(?P<PUNCT>[{}\[\]=,&!])"
+    rf'|(?P<STRING>"{_BODY}")'
+    rf'|(?P<OPEN>"){_BODY}'  # a string that stops short of its closing quote
+    r"|(?P<FLOAT>\d+\.\d+)"
+    r"|(?P<DOT>\d+\.)"  # a number that ends in its decimal point
+    r"|(?P<INT>\d+)"
+    r"|(?P<IDENT>\w+)"  # may start on a non-decimal digit such as ``²``: checked below
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))"
+)
+
+
+class LexError(Exception):
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
+class Token(NamedTuple):
+    kind: str  # IDENT STRING INT FLOAT PUNCT ARROW EOF
+    value: str
+    offset: int
+
+
+def tokenize(text: str) -> Iterator[Token]:
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        value = m[kind]
+        if kind == "STRING":
+            value = string_value(value)
+        elif kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            raise LexError(f"unexpected character {value[0]!r}", offset)
+        elif kind == "DOT":
+            raise LexError(f"malformed number {value!r}", offset)
+        elif kind == "OPEN":
+            end = m.end()
+            if not text.startswith("\\", end):
+                raise LexError("unterminated string", offset)
+            escape = text[end + 1 : end + 2]
+            if escape in ("", "\n"):
+                raise LexError("unterminated escape", end)
+            # A non-printable character (VT, U+2028, ...) is shown escaped, so
+            # that the diagnostic stays on one line.
+            shown = "\\" + escape if escape.isprintable() else repr(escape)[1:-1]
+            raise LexError(f"unknown escape {shown}", end)
+        yield Token(kind, value, offset)
+        if kind == "EOF":
+            return

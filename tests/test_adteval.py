@@ -280,6 +280,11 @@ class TestLoadPolicy:
         with pytest.raises(ValueError, match=f"finite number, got {threshold}"):
             load_policy(f"threshold = {threshold}")
 
+    def test_non_numeric_threshold_names_its_line(self):
+        with pytest.raises(ValueError) as exc:
+            load_policy("attribute = cost\nthreshold = abc")
+        assert str(exc.value) == "policy line 2: threshold must be a number, got 'abc'"
+
     def test_bad_op_reported(self):
         with pytest.raises(ValueError, match="comparison must be <= or >=, got '!='"):
             load_policy("op = !=")

@@ -11,6 +11,7 @@ import safsec
 from click.testing import CliRunner
 
 from safsec.cli import main
+from safsec.modelfile import parse
 
 from conftest import load_bundled
 
@@ -57,6 +58,25 @@ class TestValidate:
     def test_missing_file_exits_two(self, runner, workdir):
         result = run(runner, workdir, "validate", workdir / "nope.ssm")
         assert result.exit_code == 2
+
+    # Comments over several lines, CRLF line ends and escaped strings before
+    # a lexical and a syntax error; the file reads with universal newlines,
+    # the parser takes the text as it is.
+    HEAD = ('# Airbag model, CRLF line ends\r\n# second comment line\r\n'
+            'gsn "m \\"quoted\\" name" {\r\n  # a goal\r\n'
+            '  goal G1 "tab\\there\\\\" # trailing\r\n')
+
+    @pytest.mark.parametrize("tail, diagnostic", [
+        ('  goal G2 "bad \\q escape"\r\n}\r\n', "6:16: error: unknown escape \\q"),
+        ('  goal G2 "b" under\r\n}\r\n', "7:1: error: expected 'IDENT', got '}'"),
+    ])
+    def test_parse_error_position(self, runner, workdir, tmp_path, tail, diagnostic):
+        broken = tmp_path / "broken.ssm"
+        broken.write_bytes((self.HEAD + tail).encode("utf-8"))
+        result = run(runner, workdir, "validate", broken)
+        assert result.exit_code == 2
+        assert result.stderr == f"{broken}:{diagnostic}\n"
+        assert [str(d) for d in parse(self.HEAD + tail).diagnostics] == [diagnostic]
 
 
 class TestFtaCutsets:
@@ -480,6 +500,16 @@ class TestMalformedInputExitsTwo:
             "--adt", "Airbag Attack", "--attribute", "probability", "--policy", policy,
         )
         self.check(result, "threshold must be a finite number")
+
+    def test_non_numeric_policy_threshold(self, runner, workdir, tmp_path):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("attribute = cost\nthreshold = abc\n", encoding="utf-8")
+        result = run(
+            runner, workdir, "adt", "eval", workdir / "airbag.ssm",
+            "--adt", "Airbag Attack", "--attribute", "probability", "--policy", policy,
+        )
+        self.check(result)
+        assert result.stderr == "error: policy line 2: threshold must be a number, got 'abc'\n"
 
     def refused(self, result, model, diagnostic):
         """Exit 2 with the line ``validate`` prints for the first error."""

@@ -1,8 +1,8 @@
 """The library raises ``ValueError`` and defines no exception class of its own.
 
 The CLI turns :data:`safsec.cli.ERRORS` into exit 2 and one line; any other
-exception ends in a traceback.  The only classes allowed are the lexer's and
-the parser's own, which the parser turns into diagnostics.
+exception ends in a traceback.  The only classes allowed are the parser's
+own, which it turns into diagnostics.
 """
 
 import ast
@@ -13,7 +13,7 @@ from safsec import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "safsec"
 
-ALLOWED = {"modelfile.lexer.LexError", "modelfile.parser._SyntaxError", "modelfile.parser._Abort"}
+ALLOWED = {"modelfile.parser._SyntaxError", "modelfile.parser._Abort"}
 
 
 def _name(base: ast.expr) -> str:

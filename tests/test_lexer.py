@@ -1,6 +1,7 @@
-"""The ``.ssm`` tokenizer: exact error positions, agreement with the
-character-by-character reference lexer except for four pinned fixes, and
-agreement of the parser's column scanner with the tokenizer."""
+"""The ``.ssm`` tokenizer: exact error positions, agreement of the
+master-pattern reference tokenizer with the character-by-character one
+except for four pinned fixes, and agreement of `scan` and `locate` with the
+master-pattern one."""
 
 import time
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safsec.modelfile import parse
-from safsec.modelfile.lexer import LexError, position, scan, string_value, tokenize
+from safsec.modelfile.lexer import locate, position, scan, string_value
 
-from oracles import NaiveLexError, naive_tokenize
+from oracles import LexError, NaiveLexError, naive_tokenize, tokenize
 
 # Token characters, every character class the lexer treats differently, and
 # the characters behind the four deviations (``²``, ``\\`` + newline, ``#``,
@@ -174,6 +175,44 @@ def test_scan_agrees_with_tokenize(text):
         tok.value for tok in tokens]
     coarse = {"INT": "NUM", "FLOAT": "NUM", "ARROW": "PUNCT"}
     assert kinds == [coarse.get(tok.kind, tok.kind) for tok in tokens]
+
+
+def reference_locate(text):
+    """`locate` read off the reference tokenizer."""
+    offsets = []
+    try:
+        offsets.extend(tok.offset for tok in tokenize(text))
+    except LexError as exc:
+        return offsets, (exc.message, exc.offset)
+    return offsets, None
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(SCAN_PIECES), max_size=24).map("".join))
+def test_locate_agrees_with_tokenize(text):
+    offsets, error = locate(text)
+    expected_offsets, expected_error = reference_locate(text)
+    assert error == expected_error
+    # On an error, the offsets end with that of the token that starts it.
+    assert (offsets if error is None else offsets[:-1]) == expected_offsets
+    assert (error is None) == (scan(text) is not None)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("12.", ("malformed number '12.'", 0)),
+    ("٣.", ("malformed number '٣.'", 0)),
+    ("1.2.3", ("unexpected character '.'", 3)),
+    ("²5", ("unexpected character '²'", 0)),
+    ("5²", ("unexpected character '²'", 1)),
+    ('x "', ("unterminated string", 2)),
+    ('"a\\', ("unterminated escape", 2)),
+    ('"a\\\n', ("unterminated escape", 2)),
+    ('"a\\\u2028', ("unknown escape \\u2028", 2)),
+    ("# c\n# d\n  ?", ("unexpected character '?'", 10)),
+    (" \t\r\n12.", ("malformed number '12.'", 4)),
+])
+def test_locate_names_each_lexical_error(text, error):
+    assert locate(text)[1] == reference_locate(text)[1] == error
 
 
 @pytest.mark.parametrize("text", ["# c\n?", '#x\n"abc', "# c\n12.", "# c\n²", "a  ?"])
