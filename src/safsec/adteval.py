@@ -172,9 +172,9 @@ def verdict(tree: AttackDefenseTree, policy: VerdictPolicy,
 def load_policy(text: str) -> VerdictPolicy:
     """Parse the key=value policy format.
 
-    Keys: ``unassessed`` (true/false), ``attribute``, ``op`` (<= or >=),
-    ``threshold``, ``prob_or`` (max or noisy_or).  Lines starting with ``#``
-    and blank lines are ignored.
+    Keys: ``unassessed`` (true/yes/1 or false/no/0, in any case),
+    ``attribute``, ``op`` (<= or >=), ``threshold``, ``prob_or`` (max or
+    noisy_or).  Lines starting with ``#`` and blank lines are ignored.
     """
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}  # key -> the line it was last set on
@@ -190,8 +190,14 @@ def load_policy(text: str) -> VerdictPolicy:
     unknown = set(fields) - {"unassessed", "attribute", "op", "threshold", "prob_or"}
     if unknown:
         raise ValueError(f"unknown policy keys: {', '.join(sorted(unknown))}")
-    if fields.get("unassessed", "").lower() in ("true", "yes", "1"):
+    unassessed = fields.get("unassessed", "false")
+    if unassessed.lower() in ("true", "yes", "1"):
         return UNASSESSED
+    if unassessed.lower() not in ("false", "no", "0"):
+        raise ValueError(
+            f"policy line {lines['unassessed']}: unassessed must be true or false, "
+            f"got {unassessed!r}"
+        )
     threshold = fields.get("threshold", "0")
     try:
         number = float(threshold)

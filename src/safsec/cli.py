@@ -4,29 +4,29 @@ Each analysis command computes its result once and builds one payload dict.
 ``--format machine`` prints that payload as canonical JSON: the machine
 output *is* the payload, in the bytes of ``json.dumps(payload,
 sort_keys=True, indent=2)``.  CPython writes an indented document in pure
-Python, which took a third to a half of a large request, so `_dumps`
-writes the same bytes with each container of scalars encoded in one C call
-and each other scalar (an ``str``, ``int``, finite ``float``, ``None``,
-``True`` or ``False``) written by its exact type without the encoder.  Text
-output is a rendering of the same payload, line by line, so the two formats
-cannot disagree.  The exit code comes from the payload's finding: 0 success, 1
-analysis finding (invariant violation, contradiction, thresholds unmet), 2
-usage, parse or analysis error.  Exit 2 writes one ``error:`` line to
-stderr, or one ``file:line:col`` diagnostic per line for a file that does
-not parse.  Before an analysis runs, the blocks it reads go through the
-validator: exit 2 then writes the line ``validate`` prints for the first
-error among them.  ``SAFSEC_COLOR=0`` disables color in text output.
+Python, one call per container, so `_dumps` writes the same bytes a column
+at a time: the values that start on one indent level, encoded together by
+one ``map`` per scalar type and joined into one text per container.  Text
+output is a rendering of the same payload, written in blocks of lines, so
+the two formats cannot disagree.  The exit code comes from the payload's
+finding: 0 success, 1 analysis finding (invariant violation, contradiction,
+thresholds unmet), 2 usage, parse or analysis error.  Exit 2 writes one
+``error:`` line to stderr, or one ``file:line:col`` diagnostic per line for
+a file that does not parse.  Before an analysis runs, the blocks it reads
+go through the validator: exit 2 then writes the line ``validate`` prints
+for the first error among them.  ``SAFSEC_COLOR=0`` disables color in text
+output.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-from itertools import repeat
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterable, Optional
+from itertools import chain, compress, islice, repeat
+from json.encoder import encode_basestring_ascii
+from operator import is_, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import click
 
@@ -110,100 +110,203 @@ def _refuse_invalid(path: str, document: Document, blocks: Iterable[Any]) -> Non
         raise click.exceptions.Exit(USAGE)
 
 
-_CONTAINERS = (dict, list, tuple)
+_BOOLS = ("false", "true")
 
 
-@functools.cache
-def _encoder(indent: str) -> Callable[[Any], str]:
-    """The JSON of a value, the items of a container on lines starting ``indent``.
-
-    This is the C encoder that ``JSONEncoder.iterencode`` makes, built once
-    per indent: ``JSONEncoder.encode`` makes a new one on every call.
-    Without the C accelerator it is ``JSONEncoder.encode``.
-    """
-    if c_make_encoder is None:
-        return json.JSONEncoder(sort_keys=True, check_circular=False,
-                                separators=("," + indent, ": ")).encode
-    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                            ": ", "," + indent, True, False, True)
-    return lambda value: "".join(encode(value, 0))
+def _floats(values: list) -> Iterable[str]:
+    """``repr`` of each float, or ``json.dumps`` for NaN and the infinities."""
+    if all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    return [repr(v) if math.isfinite(v) else json.dumps(v) for v in values]
 
 
-def _scalar(value: Any) -> str:
-    """The JSON of a scalar, by its exact type where the C encoder's output is
-    known (``repr`` of an ``int`` or a finite ``float``), else by the encoder."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return _encoder("\n")(value)  # a subclass, NaN or an infinity
+# A scalar kind -> the JSON of a column of its values.  ``object`` stands for
+# every other scalar, subclasses included, which ``json.dumps`` writes alone.
+_SCALARS: dict[type, Callable[[list], Iterable[str]]] = {
+    str: lambda values: map(encode_basestring_ascii, values),
+    int: lambda values: map(int.__repr__, values),
+    float: _floats,
+    bool: lambda values: map(_BOOLS.__getitem__, values),
+    type(None): lambda values: repeat("null", len(values)),
+    object: lambda values: map(json.dumps, values),
+}
+
+# A column's texts, one per value, from the texts of its child columns in order.
+Writer = Callable[[list], Iterable[str]]
 
 
-def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append the JSON of the container ``value`` to ``out``, at the indent
-    that ``newline`` ends with."""
+def _kind(kind: type) -> type:
+    """How values of type ``kind`` are written: as a key of `_SCALARS`, as
+    ``dict`` (dicts) or as ``list`` (lists and tuples)."""
+    if kind in _SCALARS:
+        return kind
+    if issubclass(kind, dict):
+        return dict
+    return list if issubclass(kind, (list, tuple)) else object
+
+
+def _box(values: list, kind: type, newline: str, jobs: list) -> list:
+    """The box that will hold the texts of a column of one ``kind``: now for
+    scalars (encoded when read), else once the job it adds is written."""
+    if kind in _SCALARS:
+        return [_SCALARS[kind](values)]
+    box: list = []
+    jobs.append((values, newline, kind, box))
+    return box
+
+
+def _merge(boxes: dict[type, list], kinds: list[type]) -> Iterator[str]:
+    """The texts of a mixed column from its kinds' boxes, ``kinds[i]`` being
+    the kind of its ``i``-th value."""
+    texts = {kind: iter(box.pop()) for kind, box in boxes.items()}
+    yield from map(next, map(texts.__getitem__, kinds))
+
+
+def _column(values: list, newline: str, jobs: list) -> list:
+    """The box of a column of ``values`` that start on the line ``newline``
+    ends.  A column of mixed kinds splits into one column per kind, merged
+    back in place when read."""
+    types = set(map(type, values))
+    kinds = set(map(_kind, types))
+    if len(kinds) == 1:
+        return _box(values, kinds.pop(), newline, jobs)
+    by_kind = list(map(dict(zip(types, map(_kind, types))).__getitem__, map(type, values)))
+    boxes = {kind: _box(list(compress(values, map(is_, by_kind, repeat(kind)))), kind, newline, jobs)
+             for kind in kinds}
+    return [_merge(boxes, by_kind)]
+
+
+def _joiner(heads: list[str], lengths: list[int], brackets: str, newline: str) -> Writer:
+    """The writer of containers of ``lengths`` items each, in order: each
+    container's text is one join of its items' heads (separators, and keys
+    in dicts) and texts, between its ``brackets``.  Heads start with a comma,
+    which a container's first head trades for its opening bracket."""
+    tails = [""] * len(heads)
+    end = 0
+    for length in filter(None, lengths):
+        heads[end] = brackets[0] + heads[end][1:]
+        end += length
+        tails[end - 1] = newline + brackets[1]
+
+    def write(parts: list) -> list[str]:
+        pieces = chain.from_iterable(zip(heads, *parts, tails))
+        texts = list(map("".join, map(islice, repeat(pieces), map((3).__mul__, lengths))))
+        return [text or brackets for text in texts] if 0 in lengths else texts
+    return write
+
+
+def _plan_dicts(dicts: list, newline: str, jobs: list) -> tuple[Writer, list]:
     inner = newline + "  "
-    if not value:
-        out.append(_encoder(inner)(value))
-        return
-    is_dict = isinstance(value, dict)
-    if not is_dict:
-        try:  # a list of strings: the encoder raises TypeError on anything else
-            strings = ("," + inner).join(map(encode_basestring_ascii, value))
+    if len(dicts) > 1 and all(map(tuple(dicts[0]).__eq__, map(tuple, dicts))):
+        # Dicts with one key order: one column per key, each dict one join.
+        keys = sorted(dicts[0])
+        if not keys:
+            return lambda parts: ["{}"] * len(dicts), []
+        heads = [f",{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        heads[0] = "{" + heads[0][1:]
+        boxes = [_column(list(map(itemgetter(key), dicts)), inner, jobs) for key in keys]
+        return (lambda parts: list(map("".join, zip(*chain.from_iterable(zip(map(repeat, heads), parts)),
+                                                    repeat(newline + "}")))), boxes)
+    # One column of every dict's values, in sorted-key order.
+    items = list(chain.from_iterable(map(sorted, map(dict.items, dicts))))
+    heads = list(map(f",{inner}".__add__, map(str.__add__, map(
+        encode_basestring_ascii, map(itemgetter(0), items)), repeat(": "))))
+    boxes = [_column(list(map(itemgetter(1), items)), inner, jobs)] if items else []
+    return _joiner(heads, list(map(len, dicts)), "{}", newline), boxes
+
+
+def _plan_lists(lists: list, newline: str, jobs: list) -> tuple[Writer, list]:
+    inner = newline + "  "
+    lengths = list(map(len, lists))
+    if type(next(chain.from_iterable(lists), "")) is str:
+        try:  # lists of strings, each joined at once
+            bodies = list(map(("," + inner).join, map(map, repeat(encode_basestring_ascii), lists)))
         except TypeError:
             pass
         else:
-            out.append("[" + inner + strings + newline + "]")
-            return
-    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
-        text = _encoder(inner)(value)  # a leaf: one C call, brackets re-indented
-        out.append(text[0] + inner + text[1:-1] + newline + text[-1])
-        return
-    if is_dict:
-        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
-    else:
-        items = zip(repeat(""), value)
-    out.append("{" if is_dict else "[")
-    separator = inner
-    for key, item in items:
-        if isinstance(item, _CONTAINERS):
-            out.append(separator + key)
-            _write_json(item, inner, out)
+            texts = list(map(str.join, bodies, repeat(("[" + inner, newline + "]"))))
+            if 0 in lengths:
+                texts = [text if length else "[]" for text, length in zip(texts, lengths)]
+            return lambda parts: texts, []
+    items = list(chain.from_iterable(lists))
+    return _joiner([f",{inner}"] * len(items), lengths, "[]", newline), [_column(items, inner, jobs)]
+
+
+def _plan_chain(value: Any, newline: str, jobs: list) -> tuple[Writer, list]:
+    """A container of one container of ... of one value, written by one join
+    instead of a copy of the text per level."""
+    heads, tails = [], []
+    while isinstance(value, (dict, list, tuple)) and len(value) == 1:
+        inner = newline + "  "
+        if isinstance(value, dict):
+            ((key, value),) = value.items()
+            heads.append(f"{{{inner}{encode_basestring_ascii(key)}: ")
+            tails.append(newline + "}")
         else:
-            out.append(separator + key + _scalar(item))
-        separator = "," + inner
-    out.append(newline + ("}" if is_dict else "]"))
+            (value,) = value
+            heads.append("[" + inner)
+            tails.append(newline + "]")
+        newline = inner
+    tails.reverse()
+    return lambda parts: ["".join([*heads, *parts[0], *tails])], [_column([value], newline, jobs)]
+
+
+def _plan(values: list, newline: str, kind: type, jobs: list) -> tuple[Writer, list]:
+    """The writer of a column of dicts or lists (``kind``), and the boxes of
+    its child columns, which it adds to ``jobs``."""
+    plan = _plan_dicts if kind is dict else _plan_lists
+    if len(values) == 1:
+        return _plan_chain(values[0], newline, jobs) if len(values[0]) == 1 else plan(values, newline, jobs)
+    # A container met more than once is written once.
+    ids = list(map(id, values))
+    unique = dict(zip(ids, values))
+    if len(unique) == len(values):
+        return plan(values, newline, jobs)
+    write, boxes = plan(list(unique.values()), newline, jobs)
+    return lambda parts: list(map(dict(zip(unique, write(parts))).__getitem__, ids)), boxes
 
 
 def _dumps(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
 
-    CPython encodes with an ``indent`` in pure Python only.  This writer
-    recurses over the containers that hold containers and hands each empty
-    container and each *leaf* (a container of scalars only) to the C encoder
-    in one call.  A scalar between them is written by `_scalar`: a call of
-    the C encoder costs 0.3-0.6 µs on Python 3.11, against 0.05-0.2 µs for
-    `_scalar`.  Dict keys are strings.
+    CPython encodes with an ``indent`` in pure Python only, one generator
+    call per container.  This writer works a *column* at a time: the values
+    that start at one indent level, all at once.  Dicts that share their keys
+    in one order split into one column per key, other dicts pour their values
+    into one column in sorted-key order, and lists flatten into one column
+    of items; lists of strings are joined at once.  A column of one exact
+    scalar type is encoded by one ``map``, and a mixed column splits by
+    kind.  One forward pass over the job list plans every column of
+    containers, and one reversed pass writes each column's texts from its
+    child columns', which it then drops, so nothing recurses.  A container's
+    text is copied once more for each level above it, except along a chain
+    of one-item containers, which is joined at once.  Dict keys are strings,
+    and the value holds no reference cycle.
     """
-    if not isinstance(value, _CONTAINERS):
-        return _scalar(value)
-    out: list[str] = []
-    _write_json(value, "\n", out)
-    return "".join(out)
+    jobs: list = []
+    root = _column([value], "\n", jobs)
+    plans = []
+    for index, (values, newline, kind, box) in enumerate(jobs):  # grows as it goes
+        jobs[index] = None
+        plans.append((*_plan(values, newline, kind, jobs), box))
+    while plans:
+        write, boxes, box = plans.pop()
+        box.append(write([child.pop() for child in boxes]))
+    return next(iter(root.pop()))
+
+
+_BLOCK = 64  # text lines per write: a write per line costs more than rendering it
 
 
 def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False) -> None:
     """Print ``payload`` as JSON or as ``render``'s text lines; exit 1 on a finding."""
     if click.get_current_context().obj == "machine":
-        click.echo(_dumps(payload))
+        click.echo(_dumps(payload), nl=False)  # echo would copy the whole text to add a newline
+        click.echo()
     else:
-        for line, colour in render(payload):
-            click.echo(click.style(line, fg=colour) if colour else line)
+        lines = (click.style(line, fg=colour) if colour else line for line, colour in render(payload))
+        while block := list(islice(lines, _BLOCK)):
+            click.echo("\n".join(block))
     if finding:
         raise click.exceptions.Exit(FINDING)
 
@@ -510,11 +613,12 @@ def conflicts_cmd(file: str, wide_candidates: bool) -> None:
     candidates = conflicts_mod.conflict_candidates(list(by_id.values()), wide=wide_candidates)
     contradictions = []
     for first, second in candidates:
-        # A pair's inputs are sorted, so each assignment is already in key
-        # order.  Witnesses that fired the same rules share their tuples, and
-        # so their payload lists: keyed by identity while ``witnesses`` holds
-        # every tuple alive.
+        # Witnesses that fired the same rules share their tuples, and so
+        # their payload lists: keyed by identity while ``witnesses`` holds
+        # every tuple alive.  A pair's witnesses share its list too; the
+        # machine writer writes a list met more than once only once.
         witnesses = conflicts_mod.check_pair(by_id[first], by_id[second])
+        pair = [first, second]
         lists: dict[int, tuple[list[str], list[str]]] = {}
         for w in witnesses:
             shared = lists.get(id(w.fired_clauses))
@@ -522,7 +626,7 @@ def conflicts_cmd(file: str, wide_candidates: bool) -> None:
                 shared = lists[id(w.fired_clauses)] = (
                     list(w.involved_requirements), [c.text for c in w.fired_clauses])
             contradictions.append({
-                "pair": [first, second],
+                "pair": pair,
                 "assignment": w.input_assignment,
                 "conflicted_signal": w.conflicted_signal,
                 "involved_requirements": shared[0],

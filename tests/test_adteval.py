@@ -264,6 +264,20 @@ class TestLoadPolicy:
     def test_unassessed_shortcut(self):
         assert load_policy("unassessed = true") == UNASSESSED
 
+    @pytest.mark.parametrize("value, policy", [
+        ("TRUE", UNASSESSED), ("Yes", UNASSESSED), ("1", UNASSESSED),
+        ("False", VerdictPolicy()), ("NO", VerdictPolicy()), ("0", VerdictPolicy()),
+    ])
+    def test_unassessed_words_in_any_case(self, value, policy):
+        assert load_policy(f"unassessed = {value}") == policy
+
+    @pytest.mark.parametrize("value", ["flase", "", "2", "on"])
+    def test_unassessed_typo_names_its_line(self, value):
+        with pytest.raises(ValueError) as exc:
+            load_policy(f"# policy\nunassessed = {value}\nthreshold = 0.5")
+        assert str(exc.value) == (
+            f"policy line 2: unassessed must be true or false, got {value!r}")
+
     def test_defaults(self):
         assert load_policy("threshold = 0.5") == VerdictPolicy(threshold=0.5)
 

@@ -511,6 +511,17 @@ class TestMalformedInputExitsTwo:
         self.check(result)
         assert result.stderr == "error: policy line 2: threshold must be a number, got 'abc'\n"
 
+    def test_misspelt_unassessed_policy(self, runner, workdir, tmp_path):
+        policy = tmp_path / "policy.txt"
+        policy.write_text("unassessed = flase\n", encoding="utf-8")
+        result = run(
+            runner, workdir, "adt", "eval", workdir / "airbag.ssm",
+            "--adt", "Airbag Attack", "--attribute", "probability", "--policy", policy,
+        )
+        self.check(result)
+        assert result.stderr == (
+            "error: policy line 1: unassessed must be true or false, got 'flase'\n")
+
     def refused(self, result, model, diagnostic):
         """Exit 2 with the line ``validate`` prints for the first error."""
         assert result.exit_code == 2, result.output
@@ -961,19 +972,24 @@ class TestMachineFormatStability:
 
 
 def test_machine_output_without_the_c_encoder(runner, workdir, monkeypatch):
+    """Strings come out the same through the pure-Python string encoder, the
+    one CPython falls back on without its C accelerator."""
     import safsec.cli
 
     args = ["--format", "machine", "gsn", "confidence", workdir / "airbag.ssm",
             "--model", "Airbag"]
     expected = run(runner, workdir, *args).output
-    safsec.cli._encoder.cache_clear()
-    monkeypatch.setattr(safsec.cli, "c_make_encoder", None)
-    try:
-        assert run(runner, workdir, *args).output == expected
-        assert safsec.cli._dumps({"a": [[]], "b": [1.5, None]}) == json.dumps(
-            {"a": [[]], "b": [1.5, None]}, sort_keys=True, indent=2)
-    finally:
-        safsec.cli._encoder.cache_clear()
+    encoded = []
+
+    def encode(text):
+        encoded.append(text)
+        return json.encoder.py_encode_basestring_ascii(text)
+
+    monkeypatch.setattr(safsec.cli, "encode_basestring_ascii", encode)
+    assert run(runner, workdir, *args).output == expected
+    assert "Airbag" in encoded
+    assert safsec.cli._dumps({"a": [[]], "b": [1.5, None], "c\u2028": ["\x00é"]}) == json.dumps(
+        {"a": [[]], "b": [1.5, None], "c\u2028": ["\x00é"]}, sort_keys=True, indent=2)
 
 
 class TestAggregateOnce:

@@ -1,8 +1,10 @@
 """The machine-output writer against its oracle, ``json.dumps(sort_keys=True, indent=2)``.
 
-``cli._dumps`` encodes containers of scalars in one call to the C encoder
-and re-indents their brackets; every value it writes must come out byte for
-byte as the standard library's indenting encoder writes it.
+``cli._dumps`` writes a column of values at a time: dicts that share their
+keys split into one column per key, other dicts and lists pour their items
+into one column, and each column of one scalar type is encoded at once.
+Every value it writes must come out byte for byte as the standard library's
+indenting encoder writes it.
 """
 
 import json
@@ -23,8 +25,8 @@ class Row(list):
     pass
 
 
-# Scalar subclasses: `_scalar` writes only the exact types itself and hands
-# these to the encoder, which writes them by their base type.
+# Scalar subclasses: the writer encodes only the exact types itself and hands
+# these to ``json.dumps``, which writes them by their base type.
 class Count(int):
     def __repr__(self):
         return "Count()"
@@ -133,3 +135,80 @@ def test_scalar_subclasses_match_indenting_encoder(value):
 def test_each_scalar_beside_a_container(value):
     for payload in ({"a": value, "b": [value, {}]}, [[value], value, {"c": value, "d": []}]):
         assert _dumps(payload) == oracle(payload)
+
+
+# Rows of one table: dicts that share their keys, each key's values of mixed
+# kinds, empty containers and subclasses among them, some rows with their
+# keys inserted in another order and some of them ``Record``s.
+CELLS = (SCALARS | SUBCLASSED | st.sampled_from([[], {}, (), Row(), Record()])
+         | containers(SCALARS | SUBCLASSED))
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(STRINGS, unique=True, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        row = draw(st.fixed_dictionaries({key: CELLS for key in keys}))
+        row = dict(draw(st.permutations(list(row.items()))))
+        rows.append(Record(row) if draw(st.booleans()) else row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_rows_that_share_keys_match_indenting_encoder(rows):
+    assert _dumps(rows) == oracle(rows)
+    assert _dumps({"rows": rows, "nested": [rows, {"again": rows}]}) == oracle(
+        {"rows": rows, "nested": [rows, {"again": rows}]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES, st.integers(min_value=2, max_value=6))
+def test_a_value_met_many_times_matches_indenting_encoder(value, times):
+    payload = {"many": [value] * times, "deeper": [[value, {"v": value}], value]}
+    assert _dumps(payload) == oracle(payload)
+
+
+def test_one_container_in_many_places():
+    inner = ["x", {"y": [1, 2.5, None]}, []]
+    row = {"list": inner, "empty": {}, "flag": True}
+    payload = {"rows": [row] * 50 + [inner] * 3, "deeper": [[row, [row, inner]], {"z": row}]}
+    assert _dumps(payload) == oracle(payload)
+    assert _dumps([inner] * 4) == oracle([inner] * 4)
+
+
+MIXED = [1, "a", None, True, False, 1.5, math.nan, -math.inf, Count(3), Ratio(0.5), Name("n"),
+         [], {}, (), [1, "b"], {"a": 1}, (2, None), Row([3]), Record(x=[1])]
+
+
+@pytest.mark.parametrize("value", [
+    MIXED,
+    {str(i): item for i, item in enumerate(MIXED)},
+    [{"k": item, "same": 0} for item in MIXED],
+    [MIXED, MIXED[::-1], MIXED[3:]],
+    [[item] for item in MIXED],
+], ids=["list", "dict", "rows", "lists", "singletons"])
+def test_mixed_columns(value):
+    assert _dumps(value) == oracle(value)
+
+
+def test_a_deep_nest_does_not_raise():
+    """5,000 levels of alternating dicts and lists, far past the recursion
+    limit: the expected text is built level by level here."""
+    value, depth = 0, 5000
+    for level in reversed(range(depth)):
+        value = {"k": value} if level % 2 else [value]
+    heads, tails = [], []
+    for level in range(depth):
+        inner = "\n" + "  " * (level + 1)
+        heads.append(inner.join(("{", '"k": ') if level % 2 else ("[", "")))
+        tails.append("\n" + "  " * level + ("}" if level % 2 else "]"))
+    assert _dumps(value) == "".join(heads) + "0" + "".join(reversed(tails))
+
+
+def test_a_nest_with_a_sibling_at_each_level():
+    value = "end"
+    for level in range(400):
+        value = {"k": value, "n": level} if level % 2 else [level, value]
+    assert _dumps(value) == oracle(value)

@@ -15,8 +15,6 @@ ALLOWED = {
     # ADT evaluation becomes a walk once the benchmark's 1,200-deep ADT has a
     # reference answer (ROADMAP item 1).
     "adteval.evaluate.rec",
-    # Bounded by how deeply the JSON payload nests, not by the model.
-    "cli._write_json",
 }
 
 
