@@ -119,6 +119,17 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
     return values
 
 
+def _policy_problem(op: str, prob_or: str, threshold: float) -> Optional[tuple[str, str]]:
+    """The first invalid policy field, and what is wrong with it."""
+    if op not in ("<=", ">="):
+        return "op", f"comparison must be <= or >=, got {op!r}"
+    if prob_or not in ("max", "noisy_or"):
+        return "prob_or", f"prob_or must be max or noisy_or, got {prob_or!r}"
+    if not math.isfinite(threshold):  # every comparison with nan is false
+        return "threshold", f"threshold must be a finite number, got {threshold}"
+    return None
+
+
 @dataclass(frozen=True)
 class VerdictPolicy:
     """Threshold comparison on the root value, or no assessment at all."""
@@ -130,12 +141,9 @@ class VerdictPolicy:
     prob_or: str = "max"  # "max" | "noisy_or"
 
     def __post_init__(self) -> None:
-        if self.op not in ("<=", ">="):
-            raise ValueError(f"comparison must be <= or >=, got {self.op!r}")
-        if self.prob_or not in ("max", "noisy_or"):
-            raise ValueError(f"prob_or must be max or noisy_or, got {self.prob_or!r}")
-        if not math.isfinite(self.threshold):  # every comparison with nan is false
-            raise ValueError(f"threshold must be a finite number, got {self.threshold}")
+        problem = _policy_problem(self.op, self.prob_or, self.threshold)
+        if problem is not None:
+            raise ValueError(problem[1])
 
     def domain(self) -> AttributeDomain:
         d = get_domain(self.attribute)
@@ -205,9 +213,10 @@ def load_policy(text: str) -> VerdictPolicy:
         raise ValueError(
             f"policy line {lines['threshold']}: threshold must be a number, got {threshold!r}"
         ) from None
-    return VerdictPolicy(
-        attribute=fields.get("attribute", "probability"),
-        op=fields.get("op", "<="),
-        threshold=number,
-        prob_or=fields.get("prob_or", "max"),
-    )
+    op, prob_or = fields.get("op", "<="), fields.get("prob_or", "max")
+    problem = _policy_problem(op, prob_or, number)
+    if problem is not None:  # the defaults are valid, so the key was set
+        key, message = problem
+        raise ValueError(f"policy line {lines[key]}: {message}")
+    return VerdictPolicy(attribute=fields.get("attribute", "probability"), op=op,
+                         threshold=number, prob_or=prob_or)

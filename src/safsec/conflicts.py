@@ -31,8 +31,8 @@ assignment dict.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import Clause, Literal, Requirement
@@ -75,9 +75,26 @@ _FLAGS = tuple(bytes(byte >> bit & 1 for byte in range(256)) for bit in range(8)
 
 
 def conflict_candidates(reqs: Sequence[Requirement], wide: bool = False) -> list[tuple[str, str]]:
-    """Requirement pairs sharing a head signal (or any signal with ``wide``)."""
-    signals = [(r.id, r.all_signals() if wide else r.head_signals()) for r in reqs]
-    return [(id1, id2) for (id1, s1), (id2, s2) in combinations(signals, 2) if s1 & s2]
+    """Requirement pairs sharing a head signal (or any signal with ``wide``).
+
+    Pairs come in the order of ``combinations(reqs, 2)``: each requirement
+    with the later ones that share a signal with it, in list order.  They are
+    found through an index from each signal to the requirements that have it,
+    so the work follows the pairs found, not all pairs.
+    """
+    signals = [r.all_signals() if wide else r.head_signals() for r in reqs]
+    having: dict[str, list[int]] = {}  # signal -> indices of the requirements with it
+    for i, sigs in enumerate(signals):
+        for sig in sigs:
+            having.setdefault(sig, []).append(i)
+    pairs = []
+    for i, sigs in enumerate(signals):
+        later: set[int] = set()
+        for sig in sigs:
+            others = having[sig]
+            later.update(others[bisect_right(others, i):])
+        pairs += [(reqs[i].id, reqs[j].id) for j in sorted(later)]
+    return pairs
 
 
 def _fixpoint(clauses: Sequence[Clause], masks: dict[Literal, int],
@@ -200,16 +217,6 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
             witnesses.append(
                 ContradictionWitness(dict(zip(inputs, _LOW_VALUES[low | bit] + rest)), *found))
     return witnesses
-
-
-def replay(rules: RuleSet, witness: ContradictionWitness) -> bool:
-    """Re-run chaining on the witness's assignment alone: True iff that fires
-    exactly the witness's clauses, in order, and derives both polarities of
-    its conflicted signal (the fired clauses fix the derived literals)."""
-    derived, fired = forward_chain(rules.clauses, witness.input_assignment.items())
-    sig = witness.conflicted_signal
-    return (tuple(fired) == witness.fired_clauses
-            and (sig, True) in derived and (sig, False) in derived)
 
 
 def check_pair(r1: Requirement, r2: Requirement) -> tuple[ContradictionWitness, ...]:

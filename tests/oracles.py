@@ -173,6 +173,23 @@ def naive_forward_chain(clauses, facts):
     return derived, [clauses[idx] for idx in fired]
 
 
+def replay(rules, witness: ContradictionWitness) -> bool:
+    """Re-run chaining on the witness's assignment alone: True iff that fires
+    exactly the witness's clauses, in order, and derives both polarities of
+    its conflicted signal (the fired clauses fix the derived literals)."""
+    derived, fired = naive_forward_chain(rules.clauses, witness.input_assignment.items())
+    sig = witness.conflicted_signal
+    return (tuple(fired) == witness.fired_clauses
+            and (sig, True) in derived and (sig, False) in derived)
+
+
+def naive_conflict_candidates(reqs, wide: bool = False) -> list[tuple[str, str]]:
+    """Every pair of requirements, in order, kept if they share a head signal
+    (any signal with ``wide``)."""
+    signals = [(r.id, r.all_signals() if wide else r.head_signals()) for r in reqs]
+    return [(id1, id2) for (id1, s1), (id2, s2) in combinations(signals, 2) if s1 & s2]
+
+
 def naive_find_contradictions(rules) -> list[ContradictionWitness]:
     """One rescanning chain per input assignment, in pattern order."""
     witnesses = []

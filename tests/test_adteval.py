@@ -302,3 +302,14 @@ class TestLoadPolicy:
     def test_bad_op_reported(self):
         with pytest.raises(ValueError, match="comparison must be <= or >=, got '!='"):
             load_policy("op = !=")
+
+    @pytest.mark.parametrize("text, message", [
+        ("op = !=", "policy line 1: comparison must be <= or >=, got '!='"),
+        ("threshold = 0.5\nprob_or = sum", "policy line 2: prob_or must be max or noisy_or, got 'sum'"),
+        ("# header\nop = <\nop = =>", "policy line 3: comparison must be <= or >=, got '=>'"),
+        ("threshold = inf\n\nop = >=", "policy line 1: threshold must be a finite number, got inf"),
+    ])
+    def test_invalid_field_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            load_policy(text)
+        assert str(exc.value) == message

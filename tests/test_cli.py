@@ -511,6 +511,20 @@ class TestMalformedInputExitsTwo:
         self.check(result)
         assert result.stderr == "error: policy line 2: threshold must be a number, got 'abc'\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("op = !=\n", "policy line 1: comparison must be <= or >=, got '!='"),
+        ("threshold = 0.5\nprob_or = sum\n", "policy line 2: prob_or must be max or noisy_or, got 'sum'"),
+    ])
+    def test_invalid_policy_field_names_its_line(self, runner, workdir, tmp_path, text, message):
+        policy = tmp_path / "policy.txt"
+        policy.write_text(text, encoding="utf-8")
+        result = run(
+            runner, workdir, "adt", "eval", workdir / "airbag.ssm",
+            "--adt", "Airbag Attack", "--attribute", "probability", "--policy", policy,
+        )
+        self.check(result)
+        assert result.stderr == f"error: {message}\n"
+
     def test_misspelt_unassessed_policy(self, runner, workdir, tmp_path):
         policy = tmp_path / "policy.txt"
         policy.write_text("unassessed = flase\n", encoding="utf-8")

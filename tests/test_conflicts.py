@@ -1,8 +1,11 @@
 """Requirement contradiction search against a truth-table oracle."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safsec.conflicts import (
     MAX_INPUTS,
@@ -11,12 +14,11 @@ from safsec.conflicts import (
     conflict_candidates,
     find_contradictions,
     forward_chain,
-    replay,
 )
 from safsec.model import Clause, Literal, Requirement, RequirementKind
 
 from generators import random_rule_set, requirements_from_rules
-from oracles import brute_force_contradictory_assignments
+from oracles import brute_force_contradictory_assignments, naive_conflict_candidates, replay
 
 
 def req(rid, clauses, inputs, kind=RequirementKind.SAFETY):
@@ -105,6 +107,38 @@ class TestCandidates:
     def test_all_pairs_when_everything_shares_a_head(self):
         reqs = [req(f"R{i}", [clause([], ("Z", True))], []) for i in range(3)]
         assert len(conflict_candidates(reqs)) == 3
+
+
+SIGNALS = ["A", "B", "C", "D", "E", "F"]
+literals = st.builds(Literal, st.sampled_from(SIGNALS), st.booleans())
+requirements = st.builds(
+    Requirement,
+    id=st.sampled_from(["R1", "R2", "R3", "R4", "R5"]),
+    kind=st.sampled_from(list(RequirementKind)),
+    trace=st.just("T"),
+    clauses=st.lists(st.builds(Clause, st.lists(literals, max_size=3).map(tuple), literals),
+                     max_size=3).map(tuple),
+    inputs=st.frozensets(st.sampled_from(SIGNALS), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(requirements, max_size=12), st.booleans())
+def test_candidates_match_the_all_pairs_oracle(reqs, wide):
+    assert conflict_candidates(reqs, wide=wide) == naive_conflict_candidates(reqs, wide=wide)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_candidates_of_unrelated_requirements_are_fast(wide):
+    # 4,000 requirements with their own signals, and one pair that shares one.
+    reqs = [req(f"R{i}", [clause([(f"in{i}", True)], (f"out{i}", True))], [f"in{i}"])
+            for i in range(4000)]
+    reqs.append(req("S", [clause([], ("out7", False))], []))
+    start = time.perf_counter()
+    pairs = conflict_candidates(reqs, wide=wide)
+    elapsed = time.perf_counter() - start
+    assert pairs == [("R7", "S")]
+    assert elapsed < 1.0, f"4,001 requirements took {elapsed:.2f} s"
 
 
 class TestForwardChain:

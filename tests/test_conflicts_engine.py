@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_rule_set, requirements_from_rules
-from oracles import naive_find_contradictions, naive_forward_chain
+from oracles import naive_find_contradictions, naive_forward_chain, replay
 from safsec.conflicts import (
     MAX_INPUTS,
     RuleSet,
     find_contradictions,
     forward_chain,
-    replay,
 )
 from safsec.model import Clause, Literal
 

@@ -7,6 +7,7 @@ brute-force minimal cut sets; where it never returns (a gate cycle), the
 engine must raise ``ValueError`` instead.
 """
 
+import math
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_minimal_cut_sets, naive_cut_sets
-from safsec.fta import cut_sets, minimal_cut_sets, minimize
+from safsec.fta import CutSets, canonical_order, cut_sets, minimal_cut_sets, minimize
 from safsec.model import FaultTree, GateOp
 
 EVENTS = ["e0", "e1", "e2", "e3", "e4"]
@@ -106,6 +107,75 @@ def test_gate_cycle_raises_value_error(t):
     assert minimal_cut_sets(t) == minimize(raw)
 
 
+# Names whose sorted order differs from their declared order: digits sort as
+# text ("w10" < "w2"), and upper case, non-ASCII and CJK stems interleave.
+WIDE_EVENTS = [f"{stem}{i}" for i, stem in zip(range(48), "wÉzßΩa日Zé" * 6)]
+MAX_RAW = 400  # bound on the raw family, so the naive oracle stays quick
+
+
+def family_bound(op, sizes):
+    """An upper bound on a gate's raw family size from its children's."""
+    return sum(sizes) if op is GateOp.OR else math.prod(sizes)
+
+
+@st.composite
+def wide_fault_trees(draw):
+    """1-40 events in up to 6 gates, with gates shared between parents.
+
+    Each event is a child of one gate and each gate but the top a child of an
+    earlier one, so every event is reached; extra edges share gates and
+    events.  An AND that could make more than ``MAX_RAW`` raw sets is an OR.
+    """
+    events = draw(st.permutations(WIDE_EVENTS))[:draw(st.integers(1, 40))]
+    n = draw(st.integers(1, 6))
+    kids: list[list[str]] = [[] for _ in range(n)]
+    for g in range(1, n):
+        kids[draw(st.integers(0, g - 1))].append(f"G{g}")
+    for event in events:
+        kids[draw(st.integers(0, n - 1))].append(event)
+    for g in range(n):
+        pool = events + [f"G{i}" for i in range(g + 1, n)]
+        kids[g] += draw(st.lists(st.sampled_from(pool), max_size=2))
+    gates, bound = [], {event: 1 for event in events}
+    for g in reversed(range(n)):
+        op = draw(st.sampled_from(OPS))
+        if op is GateOp.AND and family_bound(op, [bound[k] for k in kids[g]]) > MAX_RAW:
+            op = GateOp.OR
+        bound[f"G{g}"] = family_bound(op, [bound[k] for k in kids[g]])
+        gates.append((f"G{g}", op, tuple(draw(st.permutations(kids[g])))))
+    return tree("G0", gates[::-1], events)
+
+
+def straddling(n, pairs):
+    """An OR over the ANDs of events ranked ``a`` and ``b`` for each pair, an
+    AND over all of them, and every other one of ``n`` events, declared in
+    reverse rank order."""
+    names = [f"n{i:02d}" for i in range(n)]
+    ands = [(f"A{a}", GateOp.AND, (names[b], names[a])) for a, b in pairs]
+    paired = {i for pair in pairs for i in pair}
+    top = [g for g, _, _ in ands] + ["ALL"] + [names[i] for i in reversed(range(n)) if i not in paired]
+    every = ("ALL", GateOp.AND, tuple(names[i] for i in sorted(paired, reverse=True)))
+    return tree("T", [("T", GateOp.OR, tuple(top)), *ands, every], names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_fault_trees())
+@example(straddling(9, [(7, 8)]))
+@example(straddling(17, [(7, 8), (15, 16)]))
+@example(straddling(25, [(7, 8), (15, 16), (23, 24)]))
+@example(straddling(40, [(6, 7), (8, 9), (7, 8), (15, 16), (23, 24), (31, 32), (38, 39)]))
+def test_wide_families_match_oracles_across_byte_boundaries(t):
+    raw = naive_cut_sets(t)
+    assert cut_sets(t) == raw
+    assert canonical_order(cut_sets(t)) == sorted(tuple(sorted(s)) for s in raw)
+    if len(t.basic_events) <= 12:
+        mcs = brute_force_minimal_cut_sets(t)
+    else:  # 2**n subsets are too many to enumerate: the raw family's minima
+        mcs = {s for s in raw if not any(o < s for o in raw)}
+    assert minimal_cut_sets(t) == mcs
+    assert canonical_order(minimal_cut_sets(t)) == sorted(tuple(sorted(s)) for s in mcs)
+
+
 def chain(n, *, close_cycle=False):
     """G0 AND [G1, a], ..., with the last gate an OR over a and b."""
     gates = [(f"G{i}", GateOp.AND, (f"G{i + 1}", "a")) for i in range(n - 1)]
@@ -130,20 +200,26 @@ def test_deep_cycle_names_the_gate():
 def test_equal_size_sets_need_no_subset_test():
     tests = 0
 
-    class Counted(frozenset):
-        def __le__(self, other):
+    class Counted(int):
+        """A mask that counts the subset tests ``k & c == k`` it takes part in."""
+
+        def __and__(self, other):
             nonlocal tests
             tests += 1
-            return frozenset.__le__(self, other)
+            return int.__and__(self, other)
 
-    same_size = [Counted({f"a{i}", f"b{j}"}) for i in range(20) for j in range(20)]
+        __rand__ = __and__
+
+    pairs = CutSets.of({frozenset({f"a{i}", f"b{j}"}) for i in range(20) for j in range(20)})
+    same_size = CutSets({Counted(m) for m in pairs.masks}, pairs.events)
     assert minimize(same_size) == set(same_size)
     assert tests == 0
-    family = set(same_size)  # returned as a copy, never as the family itself
+    family = set(same_size)  # a plain set is read into a new family
     kept = minimize(family)
     assert kept == family and kept is not family and tests == 0
     # A smaller kept set is tested against each larger candidate.
-    assert minimize([*same_size, Counted({"a0"})]) == {
+    a0 = Counted(1 << pairs.events.index("a0"))
+    assert minimize(CutSets(same_size.masks | {a0}, pairs.events)) == {
         s for s in same_size if "a0" not in s
     } | {frozenset({"a0"})}
     assert tests == len(same_size)
