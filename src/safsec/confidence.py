@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind
+from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind, post_order
 
 PRIOR_WEIGHT = 2.0
 
@@ -53,34 +53,28 @@ def aggregate_gsn(model: GsnModel) -> dict[str, GoalOpinion]:
 
     A goal's count is its own count plus the counts of all descendant goals;
     strategies and other node kinds are transparent.  Goals whose subtree
-    carries no evidence at all get (0, 0), i.e. full uncertainty.  One
-    post-order walk sums each subtree once; a parent cycle below a goal
-    raises ``ValueError``.  The records are in goal order and report their
-    aggregate triple.
+    carries no evidence at all get (0, 0), i.e. full uncertainty.  A fold
+    over :func:`~safsec.model.post_order` from the goals sums each subtree
+    once; a parent cycle below a goal raises ``ValueError``.  The records
+    are in goal order and report their aggregate triple.
     """
+
+    def child_ids(node_id: str) -> list[str]:
+        return [c.id for c in model.children(node_id)]
+
+    try:
+        order = list(post_order((goal.id for goal in model.goals()), child_ids, "node"))
+    except ValueError as exc:
+        raise ValueError(f"gsn {model.name!r}: {exc}") from None
     totals: dict[str, DefeaterCount] = {}
-    opinions: dict[str, GoalOpinion] = {}
-    for goal in model.goals():
-        stack, on_path = [(goal.id, False)], set()
-        while stack:
-            node_id, children_done = stack.pop()
-            if children_done:
-                on_path.remove(node_id)
-                node = model.node(node_id)
-                own = DefeaterCount(0, 0)
-                if node.kind is NodeKind.GOAL and node.defeaters is not None:
-                    own = node.defeaters
-                totals[node_id] = sum((totals[c.id] for c in model.children(node_id)), own)
-            elif node_id in on_path:
-                raise ValueError(f"gsn {model.name!r}: cycle through node {node_id!r}")
-            elif node_id not in totals:
-                on_path.add(node_id)
-                stack.append((node_id, True))
-                stack.extend((c.id, False) for c in model.children(node_id))
-        count = totals[goal.id]
-        triple = opinion_from_evidence(count)
-        opinions[goal.id] = GoalOpinion(count, triple, triple)
-    return opinions
+    for node_id in order:
+        node = model.node(node_id)
+        own = DefeaterCount(0, 0)
+        if node.kind is NodeKind.GOAL and node.defeaters is not None:
+            own = node.defeaters
+        totals[node_id] = sum(map(totals.__getitem__, child_ids(node_id)), own)
+    triples = {goal.id: opinion_from_evidence(totals[goal.id]) for goal in model.goals()}
+    return {goal_id: GoalOpinion(totals[goal_id], t, t) for goal_id, t in triples.items()}
 
 
 def update_confidence(

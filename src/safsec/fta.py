@@ -5,13 +5,13 @@ union the families of their children, AND gates take pairwise unions across
 child families (an AND's leaf children make one set).  A cut set is an
 ``int`` bit mask.  The leaf events that the top event reaches are ranked in
 sorted name order, and each event's bit is its rank, so a union is ``a | b``
-and ``k`` is a subset of ``c`` exactly when ``k & c == k``.  One post-order
-walk with an explicit stack lists the gates, children first, and raises
-``ValueError`` on a gate cycle; the fold that follows expands each gate once
-(shared gates are memoised).  For the minimal family, absorption runs after
-every AND product step and at the end of every OR gate, so subsumed sets
-never grow past the gate that made them and each gate's work is bounded by
-its children's minimal families, not by the raw family.
+and ``k`` is a subset of ``c`` exactly when ``k & c == k``.  A fold over
+:func:`safsec.model.post_order` from the top event expands each gate once,
+after its inputs (shared gates are memoised); a gate cycle raises
+``ValueError``.  For the minimal family, absorption runs after every AND
+product step and at the end of every OR gate, so subsumed sets never grow
+past the gate that made them and each gate's work is bounded by its
+children's minimal families, not by the raw family.
 
 Both expansions return a :class:`CutSets`: the masks and the ranked event
 names, read as a set of ``frozenset``s of names.  :func:`canonical_order`
@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import groupby, product, repeat
 from operator import add, itemgetter, or_
 
-from .model import FaultTree, GateOp
+from .model import FaultTree, GateOp, post_order
 
 CutSet = frozenset[str]
 
@@ -113,56 +113,22 @@ def minimal_cut_sets(tree: FaultTree) -> CutSets:
     return _expand(tree, minimal=True)
 
 
-def _post_order(tree: FaultTree) -> tuple[list[tuple[str, GateOp, tuple[str, ...]]], set[str]]:
-    """The gates the top event reaches, each after its children, and the
-    leaf events it reaches."""
-    gate_of = tree.gate
-    gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
-    leaves: set[str] = set()
-    done: set[str] = set()
-    open_gates: dict[str, tuple[GateOp, tuple[str, ...]]] = {}  # on the current path
-    stack = [tree.top]
-    while stack:
-        node = stack[-1]
-        if node in done:
-            stack.pop()
-            continue
-        if node in open_gates:  # every child is done
-            stack.pop()
-            done.add(node)
-            gates.append((node, *open_gates.pop(node)))
-            continue
-        gate = gate_of(node)
-        if gate is None:  # a leaf top event
-            leaves.add(node)
-            done.add(node)
-            stack.pop()
-            continue
-        open_gates[node] = gate
-        for child in gate[1]:
-            if child in open_gates:
-                raise ValueError(f"fault tree {tree.name!r}: cycle through gate {child!r}")
-        for child in reversed(gate[1]):
-            if child in done:
-                continue
-            if gate_of(child) is None:
-                leaves.add(child)
-                done.add(child)
-            else:
-                stack.append(child)
-    return gates, leaves
-
-
 def _expand(tree: FaultTree, minimal: bool) -> CutSets:
     """Family of the top event, each gate expanded once, in post-order.
 
     Memoised families are shared between parents and never mutated.
     """
-    gates, leaves = _post_order(tree)
-    events = tuple(sorted(leaves))
+    try:
+        order = list(post_order([tree.top], tree.inputs, "gate"))
+    except ValueError as exc:
+        raise ValueError(f"fault tree {tree.name!r}: {exc}") from None
+    events = tuple(sorted(node for node in order if tree.gate(node) is None))
     bit = _bits(events)
     done: dict[str, AbstractSet[int]] = {}
-    for node, op, children in gates:
+    for node in order:
+        if node in bit:
+            continue
+        op, children = tree.gate(node)
         leaf_bits = [bit[child] for child in children if child in bit]
         families = [done[child] for child in children if child not in bit]
         if op is GateOp.OR:

@@ -8,7 +8,9 @@ FaultTree, ...) are built leniently by the parser and checked by
 :mod:`safsec.validate`, which turns invariant violations into located
 diagnostics instead of exceptions.  An attack-defense tree nests to any
 depth, so every walk over one goes through :func:`adt_walk`, which keeps its
-own stack instead of recursing.
+own stack instead of recursing.  Gates and GSN nodes are named, so a file
+can join them into a cycle: bottom-up walks over them fold over
+:func:`post_order` and its one cycle guard.
 
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Union, get_args
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Union, get_args)
 
 if TYPE_CHECKING:
     from .adteval import VerdictPolicy
@@ -246,6 +249,34 @@ class GsnModel:
         return list(self._links_by_goal.get(goal_id, ()))
 
 
+def post_order(roots: Iterable[str], children: Callable[[str], Iterable[str]],
+               kind: str) -> Iterator[str]:
+    """Yield each node that ``roots`` reach once, after all of its children.
+
+    The walk keeps its own stack.  Meeting a child that is still open (on the
+    path from the root) raises ``ValueError("cycle through {kind} {child!r}")``.
+    """
+    done: set[str] = set()
+    for root in roots:
+        if root in done:
+            continue
+        open_nodes, stack = {root}, [(root, iter(children(root)))]
+        while stack:
+            node, todo = stack[-1]
+            for child in todo:
+                if child in open_nodes:
+                    raise ValueError(f"cycle through {kind} {child!r}")
+                if child not in done:
+                    open_nodes.add(child)
+                    stack.append((child, iter(children(child))))
+                    break
+            else:
+                stack.pop()
+                open_nodes.remove(node)
+                done.add(node)
+                yield node
+
+
 @dataclass(frozen=True)
 class FaultTree:
     name: str
@@ -259,6 +290,10 @@ class FaultTree:
 
     def gate(self, gate_id: str) -> Optional[tuple[GateOp, tuple[str, ...]]]:
         return self._gate_by_id.get(gate_id)
+
+    def inputs(self, node: str) -> tuple[str, ...]:
+        """A gate's inputs; ``()`` for an event or an undeclared node."""
+        return self._gate_by_id.get(node, (None, ()))[1]
 
 
 class FmeaRow(NamedTuple):

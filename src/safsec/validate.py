@@ -2,16 +2,17 @@
 
 Turns every type invariant into a diagnostic rather than an exception, so a
 single pass reports all problems.  The result is sorted, which makes it
-independent of declaration order.  A scenario's rounds are the ones that
-:func:`safsec.process.rounds` picks, 1 up to ``max_rounds``, applied with
-:func:`safsec.process.apply_round`, so the gate refuses the round that
-``process run`` refuses and no round that it never runs.
+independent of declaration order.  Gate cycles, reachability and GSN parent
+cycles are found by walks over :func:`safsec.model.post_order`.  A
+scenario's rounds are the ones that :func:`safsec.process.rounds` picks, 1
+up to ``max_rounds``, applied with :func:`safsec.process.apply_round`, so
+the gate refuses the round that ``process run`` refuses and no round that
+it never runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from graphlib import CycleError, TopologicalSorter
 from typing import Container, Iterable, Iterator, Optional
 
 from .adteval import UNASSESSED, VerdictPolicy, leaf_value
@@ -32,6 +33,7 @@ from .model import (
     Scenario,
     adt_walk,
     block_name,
+    post_order,
     printable,
     sort_key,
 )
@@ -103,19 +105,14 @@ def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
     diags += (_err(message, f"{ctx}/{node.id}") for node in model.nodes
               for message in _gsn_node_problems(node, parent_of, document))
 
-    # Every node must reach a root over parent pointers.  Each chain is walked
-    # once, marking its nodes None, up to a root, a decided node or a marked
-    # one (a loop); then its marked nodes get the one answer they share.
-    cyclic: dict[Optional[str], Optional[bool]] = {}
-    for start in parent_of:
-        cur: Optional[str] = start
-        while cur in parent_of and cur not in cyclic:
-            cyclic[cur] = None
-            cur = parent_of[cur]
-        answer, cur = cyclic.get(cur, False) is not False, start
-        while cyclic.get(cur, False) is None:
-            cyclic[cur], cur = answer, parent_of[cur]
-    diags += (_err(f"cycle through node {n.id!r}", ctx) for n in model.nodes if cyclic[n.id])
+    # A node is on or under a parent cycle when no walk down from a node
+    # whose parent is None or unknown reaches it.
+    kids: dict[Optional[str], list[str]] = {}
+    for node_id, parent in parent_of.items():
+        kids.setdefault(parent, []).append(node_id)
+    tops = [node_id for node_id, parent in parent_of.items() if parent not in parent_of]
+    reached = set(post_order(tops, lambda node_id: kids.get(node_id, ()), "node"))
+    diags += (_err(f"cycle through node {n.id!r}", ctx) for n in model.nodes if n.id not in reached)
 
     goal_ids = {n.id for n in model.goals()}
     linked: set[str] = set()
@@ -174,22 +171,12 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
 
     # A cycle can only run through gates; a duplicate id is its first gate.
     try:
-        TopologicalSorter({gid: tree.gate(gid)[1] for gid in gate_ids}).prepare()
-    except CycleError as exc:
-        diags.append(_err(f"cycle through gate {exc.args[1][0]!r}", ctx))
-        return diags
+        for _ in post_order(gate_ids, tree.inputs, "gate"):
+            pass
+    except ValueError as exc:
+        return diags + [_err(str(exc), ctx)]
 
-    # Reachability from the top event; unreachable declarations are rejected.
-    reachable: set[str] = set()
-    frontier = [tree.top]
-    while frontier:
-        cur = frontier.pop()
-        if cur in reachable:
-            continue
-        reachable.add(cur)
-        gate = tree.gate(cur)
-        if gate is not None:
-            frontier.extend(gate[1])
+    reachable = set(post_order([tree.top], tree.inputs, "gate"))
     diags += (_err(f"node {orphan!r} unreachable from top event", ctx)
               for orphan in declared - reachable)
     return diags

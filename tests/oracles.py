@@ -98,6 +98,21 @@ def naive_on_cycle(tree: FaultTree, gate_id: str) -> bool:
     return reaches(gate_id, frozenset())
 
 
+def naive_reach(starts, children) -> set[str]:
+    """Every node that one or more steps from ``starts`` reach, by recursion."""
+    out: set[str] = set()
+
+    def visit(node: str) -> None:
+        for child in children(node):
+            if child not in out:
+                out.add(child)
+                visit(child)
+
+    for start in starts:
+        visit(start)
+    return out
+
+
 def brute_force_minimal_cut_sets(tree: FaultTree) -> set[frozenset[str]]:
     """All subset-minimal event sets that trigger the top event."""
     satisfying = [

@@ -1,6 +1,8 @@
 """Indexed GSN and fault-tree passes agree with the naive oracles.
 
-The models are random and deliberately malformed: ids drawn from a small
+:func:`safsec.model.post_order`, the walk they all fold over, is checked
+first against plain recursive reachability on random graphs.  The models
+are random and deliberately malformed: ids drawn from a small
 pool collide, parents may be unknown, and parent pointers or gate children
 may form cycles (through goals, or through non-goal nodes only).  Wherever
 the naive oracle returns, the indexed code must give the same answer; where
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (naive_gsn_structure_problems, naive_has_cycle, naive_on_cycle,
+from oracles import (naive_gsn_structure_problems, naive_has_cycle, naive_on_cycle, naive_reach,
                      naive_subtree_counts)
 from safsec.confidence import aggregate_gsn
 from safsec.model import (
@@ -23,8 +25,59 @@ from safsec.model import (
     GsnModel,
     GsnNode,
     NodeKind,
+    post_order,
 )
 from safsec.validate import validate_model
+
+POOL = ["a", "b", "c", "d", "e", "f", "g"]
+
+
+@st.composite
+def graphs(draw):
+    """Roots and a children function over ids from ``POOL``.  A child list
+    may repeat an id and name ids without children of their own, and cycles
+    are allowed."""
+    ids = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)))
+    kids = {node: draw(st.lists(st.sampled_from(POOL), max_size=4)) for node in ids}
+    roots = draw(st.lists(st.sampled_from(POOL), max_size=4))
+    return roots, lambda node: kids.get(node, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example((["a"], lambda node: {"a": ["b", "b"], "b": []}.get(node, [])))
+@example((["a", "c"], lambda node: {"a": ["b"], "b": ["a"]}.get(node, [])))
+@example((["c", "a"], lambda node: {"a": ["b"], "b": ["a"]}.get(node, [])))
+def test_post_order_matches_naive_reachability(graph):
+    roots, children = graph
+    reachable = set(roots) | naive_reach(roots, children)
+    on_cycle = {node for node in reachable if node in naive_reach([node], children)}
+    if on_cycle:
+        with pytest.raises(ValueError) as exc:
+            list(post_order(roots, children, "thing"))
+        assert str(exc.value) in {f"cycle through thing {node!r}" for node in on_cycle}
+        return
+    order = list(post_order(roots, children, "thing"))
+    assert len(order) == len(set(order))
+    assert set(order) == reachable
+    position = {node: i for i, node in enumerate(order)}
+    assert all(position[child] < position[node] for node in order for child in children(node))
+
+
+def test_post_order_needs_no_recursion():
+    # Far deeper than the interpreter's recursion limit.
+    depth = 10_000
+
+    def step(node: str) -> list[str]:
+        return [str(int(node) + 1)] if int(node) < depth - 1 else []
+
+    assert list(post_order(["0"], step, "link")) == [str(i) for i in reversed(range(depth))]
+
+    def loop(node: str) -> list[str]:
+        return [str((int(node) + 1) % depth)]
+
+    with pytest.raises(ValueError, match="^cycle through link '0'$"):
+        list(post_order(["0"], loop, "link"))
 
 IDS = ["A", "B", "C", "D", "E", "F"]
 KINDS = list(NodeKind)
@@ -62,6 +115,9 @@ DUPLICATES = gsn(("R", G, None, 1, 2), ("A", G, "R", 1, 1), ("A", G, "R", 3, 4),
 UNKNOWN_PARENT = gsn(("R", G, None), ("A", G, "missing", 2, 2))
 # A goal reaches the cycle only through a duplicate declaration of A.
 CYCLE_VIA_DUPLICATE = gsn(("R", G, None), ("A", S, "R"), ("A", S, "B"), ("B", S, "A"))
+# X's first declaration closes a cycle with Y; its second hangs under R.  The
+# validator follows first declarations, so both of X's and Y's are on it.
+CYCLE_BEFORE_DUPLICATE = gsn(("R", G, None), ("X", S, "Y"), ("Y", S, "X"), ("X", S, "R"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,6 +127,7 @@ CYCLE_VIA_DUPLICATE = gsn(("R", G, None), ("A", S, "R"), ("A", S, "B"), ("B", S,
 @example([*DUPLICATES.nodes])
 @example([*UNKNOWN_PARENT.nodes])
 @example([*CYCLE_VIA_DUPLICATE.nodes])
+@example([*CYCLE_BEFORE_DUPLICATE.nodes])
 def test_gsn_passes_match_naive_oracles(nodes):
     model = GsnModel("M", tuple(nodes))
 
@@ -101,6 +158,11 @@ def test_examples_cover_each_malformation():
     assert aggregate_gsn(DUPLICATES)["R"].count == DefeaterCount(3, 4)
     with pytest.raises(ValueError):
         aggregate_gsn(CYCLE_VIA_DUPLICATE)
+    cycles = ["cycle through node 'X'", "cycle through node 'X'", "cycle through node 'Y'"]
+    naive = naive_gsn_structure_problems(CYCLE_BEFORE_DUPLICATE)
+    assert sorted(m for m in naive if m.startswith("cycle")) == cycles
+    diags = validate_model(Document((CYCLE_BEFORE_DUPLICATE,)))
+    assert sorted(d.message for d in diags if d.message.startswith("cycle")) == cycles
 
 
 @st.composite
