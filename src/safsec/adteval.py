@@ -186,6 +186,7 @@ def load_policy(text: str) -> VerdictPolicy:
     """
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}  # key -> the line it was last set on
+    unknown: dict[str, int] = {}  # unknown key -> the line it was first set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -195,9 +196,11 @@ def load_policy(text: str) -> VerdictPolicy:
         key, _, value = line.partition("=")
         key = key.strip()
         fields[key], lines[key] = value.strip(), lineno
-    unknown = set(fields) - {"unassessed", "attribute", "op", "threshold", "prob_or"}
+        if key not in ("unassessed", "attribute", "op", "threshold", "prob_or"):
+            unknown.setdefault(key, lineno)
     if unknown:
-        raise ValueError(f"unknown policy keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"policy line {min(unknown.values())}: unknown policy keys: "
+                         f"{', '.join(sorted(unknown))}")
     unassessed = fields.get("unassessed", "false")
     if unassessed.lower() in ("true", "yes", "1"):
         return UNASSESSED

@@ -308,6 +308,8 @@ class TestLoadPolicy:
         ("threshold = 0.5\nprob_or = sum", "policy line 2: prob_or must be max or noisy_or, got 'sum'"),
         ("# header\nop = <\nop = =>", "policy line 3: comparison must be <= or >=, got '=>'"),
         ("threshold = inf\n\nop = >=", "policy line 1: threshold must be a finite number, got inf"),
+        ("op = >=\nzeta = 1\ncolour = red\nzeta = 2\nop = !=",
+         "policy line 2: unknown policy keys: colour, zeta"),
     ])
     def test_invalid_field_names_its_line(self, text, message):
         with pytest.raises(ValueError) as exc:
