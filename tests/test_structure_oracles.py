@@ -2,12 +2,12 @@
 
 :func:`safsec.model.post_order`, the walk they all fold over, is checked
 first against plain recursive reachability on random graphs.  The models
-are random and deliberately malformed: ids drawn from a small
-pool collide, parents may be unknown, and parent pointers or gate children
-may form cycles (through goals, or through non-goal nodes only).  Wherever
-the naive oracle returns, the indexed code must give the same answer; where
-the recursive oracle never returns (a goal whose subtree is a cycle), the
-indexed aggregation must raise ``ValueError`` instead.
+are random and deliberately malformed: ids drawn from a small pool collide,
+parents may be unknown, and parent pointers or gate children may form cycles
+(through goals, or through non-goal nodes only).  Wherever the naive oracle
+returns, the indexed code must give the same answer; where the recursive
+oracle never returns (a goal whose subtree is a cycle), the indexed
+aggregation must raise ``ValueError`` instead.
 """
 
 import pytest
@@ -79,6 +79,7 @@ def test_post_order_needs_no_recursion():
     with pytest.raises(ValueError, match="^cycle through link '0'$"):
         list(post_order(["0"], loop, "link"))
 
+
 IDS = ["A", "B", "C", "D", "E", "F"]
 KINDS = list(NodeKind)
 
@@ -116,7 +117,8 @@ UNKNOWN_PARENT = gsn(("R", G, None), ("A", G, "missing", 2, 2))
 # A goal reaches the cycle only through a duplicate declaration of A.
 CYCLE_VIA_DUPLICATE = gsn(("R", G, None), ("A", S, "R"), ("A", S, "B"), ("B", S, "A"))
 # X's first declaration closes a cycle with Y; its second hangs under R.  The
-# validator follows first declarations, so both of X's and Y's are on it.
+# validator follows each id's first declaration, so it reports both
+# declarations of X and the one of Y.
 CYCLE_BEFORE_DUPLICATE = gsn(("R", G, None), ("X", S, "Y"), ("Y", S, "X"), ("X", S, "R"))
 
 
