@@ -136,6 +136,114 @@ class TestDiagnostics:
         assert "block keyword" in result.diagnostics[0].message
 
 
+# Templates for one record's fields: a GSN node attribute, a security link,
+# an FMEA row, a requirement header, a scenario header and a scenario action.
+GSN_ATTR = 'gsn "g" {{\n  goal G1 "a" {{\n    {}\n  }}\n}}\n'
+LINK = 'gsn "g" {{\n  goal G1 "a"\n  security_link under G1 {}\n}}\n'
+FMEA_ROW = 'fmea "f" {{\n  row R1 {}\n}}\n'
+ROW = 'function = "f" mode = erroneous severity = 3 occurrence = 2 detection = 4'
+REQUIREMENT = 'requirement R {}\n}}\n'
+SCENARIO_HEAD = ('scenario "s" {\n  gsn = "g"\n  adt = "a"\n'
+                 '  thresholds min_belief = 0.8 max_disbelief = 0.2 max_uncertainty = 0.1\n'
+                 '  max_rounds = 3\n}\n')
+ACTION = SCENARIO_HEAD.replace("{", "{{").replace("}\n", "  {}\n}}\n")
+POLICY = 'set_policy attribute = cost op = ">=" threshold = 5'
+
+
+class TestFieldDiagnostics:
+    """Each way a record's ``key = value`` fields can fail, with its message,
+    line and column, and where parsing goes on after it: a value token that
+    is a block keyword starts a new block."""
+
+    @pytest.mark.parametrize("text, diagnostics", [
+        # A missing, misspelled or unexpected field.
+        (GSN_ATTR.format("defeaters outruled = 1"), [("expected 'total', got '}'", 4, 3)]),
+        (FMEA_ROW.format(ROW.replace("occurrence", "occurence")),
+         [("expected 'occurrence', got 'occurence'", 2, 55)]),
+        (FMEA_ROW.format(ROW.replace(" detection = 4", "")),
+         [("expected 'detection', got '}'", 3, 1)]),
+        (LINK.format("weight = 1"), [("expected 'adt', got 'weight'", 3, 26)]),
+        (REQUIREMENT.format("kind = safety {"), [("expected 'trace', got '{'", 1, 29)]),
+        (SCENARIO_HEAD.replace(" max_disbelief = 0.2", ""),
+         [("expected 'max_disbelief', got 'max_uncertainty'", 4, 31)]),
+        (ACTION.format("set_defeaters goal = G1 total = 2"),
+         [("expected 'outruled', got 'total'", 6, 27)]),
+        (GSN_ATTR.format("colour = red"), [("unknown node attribute 'colour'", 3, 5)]),
+        (GSN_ATTR.format("3"), [("expected 'IDENT', got '3'", 3, 5)]),
+        # A misspelled optional field ends its record.
+        (FMEA_ROW.format(ROW + ' efect = "x"'), [("expected '}', got 'efect'", 2, 84)]),
+        (ACTION.format(POLICY + " prob_ro = max"),
+         [("expected 'set_policy' or 'add_counter' or 'set_defeaters', got 'prob_ro'", 6, 55)]),
+        # A missing ``=``; a nested record takes none.
+        (GSN_ATTR.format("defeaters outruled 1 total = 2"), [("expected '=', got '1'", 3, 24)]),
+        (GSN_ATTR.format('fta_ref "t"'), [("expected '=', got 't'", 3, 13)]),
+        (LINK.format('adt "a" weight = 1'), [("expected '=', got 'a'", 3, 30)]),
+        (FMEA_ROW.format(ROW.replace("severity = 3", "severity 3")),
+         [("expected '=', got '3'", 2, 51)]),
+        (FMEA_ROW.format(ROW + ' cause "x"'), [("expected '=', got 'x'", 2, 90)]),
+        (REQUIREMENT.format("kind = safety trace = T {\n  inputs [A]"),
+         [("expected '=', got '['", 2, 10)]),
+        (SCENARIO_HEAD.replace('gsn = "g"', 'gsn "g"'),
+         [("expected '=', got 'g'", 2, 7), ("expected 'STRING', got '='", 3, 7)]),
+        (ACTION.format('add_counter at "x" defense "d"'), [("expected '=', got 'x'", 6, 18)]),
+        (SCENARIO_HEAD.replace("thresholds", "thresholds ="),
+         [("expected 'min_belief', got '='", 4, 14)]),
+        # A wrong token for each value kind.
+        (GSN_ATTR.format("defeaters outruled = x total = 2"),
+         [("expected 'INT', got 'x'", 3, 26)]),
+        (GSN_ATTR.format("defeaters outruled = 1.5 total = 2"),
+         [("expected 'INT', got '1.5'", 3, 26)]),
+        (GSN_ATTR.format("defeaters outruled = gsn total = 2"),
+         [("expected 'INT', got 'gsn'", 3, 26), ("expected 'STRING', got 'total'", 3, 30)]),
+        (GSN_ATTR.format("defeaters outruled = 1 total = " + "9" * 5000),
+         [("integer too long (5000 digits)", 3, 36)]),
+        (GSN_ATTR.format("voter signals = [A] threshold = one trace = T"),
+         [("expected 'INT', got 'one'", 3, 37)]),
+        (SCENARIO_HEAD.replace("max_rounds = 3", "max_rounds = 2.5"),
+         [("expected 'INT', got '2.5'", 5, 16)]),
+        (ACTION.format("set_defeaters goal = G1 outruled = 1 total = 2.0"),
+         [("expected 'INT', got '2.0'", 6, 48)]),
+        (LINK.format('adt = "a" weight = heavy'), [("expected number, got 'heavy'", 3, 45)]),
+        (ACTION.format(POLICY.replace("= 5", "= x")), [("expected number, got 'x'", 6, 53)]),
+        (GSN_ATTR.format("fmea_ref = t"), [("expected 'STRING', got 't'", 3, 16)]),
+        (FMEA_ROW.format(ROW.replace('"f"', "f")), [("expected 'STRING', got 'f'", 2, 21)]),
+        (FMEA_ROW.format(ROW + " effect = x"), [("expected 'STRING', got 'x'", 2, 93)]),
+        (SCENARIO_HEAD.replace('adt = "a"', "adt = a"), [("expected 'STRING', got 'a'", 3, 9)]),
+        (GSN_ATTR.format('hazard impact = high mechanism = stopping trace = "T"'),
+         [("expected 'IDENT', got 'T'", 3, 55)]),
+        (ACTION.format(POLICY.replace("cost", '"cost"')), [("expected 'IDENT', got 'cost'", 6, 26)]),
+        (GSN_ATTR.format('hazard impact = "high" mechanism = stopping trace = T'),
+         [("expected 'IDENT', got 'high'", 3, 21)]),
+        (GSN_ATTR.format("voter signals = A threshold = 1 trace = T"),
+         [("expected '[', got 'A'", 3, 21)]),
+        (GSN_ATTR.format("voter signals = [A B] threshold = 1 trace = T"),
+         [("expected ']', got 'B'", 3, 24)]),
+        (GSN_ATTR.format("voter signals = [] threshold = 1 trace = T"),
+         [("expected 'IDENT', got ']'", 3, 22)]),
+        (ACTION.format(POLICY.replace('">="', "ge")), [("expected 'STRING', got 'ge'", 6, 36)]),
+        (ACTION.format(POLICY.replace(">=", "!=")),
+         [("op must be \"<=\" or \">=\", got '!='", 6, 36)]),
+        (ACTION.format(POLICY + " prob_or = sum"),
+         [("expected 'max' or 'noisy_or', got 'sum'", 6, 65)]),
+        # An unknown member of each enum.
+        (GSN_ATTR.format("hazard impact = severe mechanism = stopping trace = T"),
+         [("unknown impact level 'severe' (one of: low, medium, high)", 3, 21)]),
+        (GSN_ATTR.format("hazard impact = high mechanism = smashing trace = T"),
+         [("unknown guide word 'smashing' (one of: disclosure, disconnected, delay, deletion, "
+           "stopping, denial, trigger, insertion, reset, manipulation)", 3, 38)]),
+        (FMEA_ROW.format(ROW.replace("erroneous", "broken")),
+         [("unknown failure mode 'broken' (one of: loss_of_function, erroneous, "
+           "unintended_action, partial_loss)", 2, 32)]),
+        (REQUIREMENT.format("kind = hazardous trace = T {"),
+         [("unknown requirement kind 'hazardous' (one of: safety, safety_design, security, "
+           "security_design)", 1, 22)]),
+    ])
+    def test_message_and_position(self, text, diagnostics):
+        result = parse(text)
+        assert not result.ok
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == diagnostics
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_files_round_trip(self, name):
