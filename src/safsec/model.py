@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Union, get_args)
+                    Union)
 
 if TYPE_CHECKING:
     from .adteval import VerdictPolicy
@@ -476,6 +476,10 @@ class Scenario:
 
 
 Block = Union[GsnModel, AttackDefenseTree, FaultTree, FmeaTable, Requirement, Scenario]
+# Each block kind and the keyword that opens it in a model file, in the
+# order that a parse error lists them.
+BLOCK_KEYWORDS = {GsnModel: "gsn", AttackDefenseTree: "adt", FaultTree: "fta", FmeaTable: "fmea",
+                  Requirement: "requirement", Scenario: "scenario"}
 
 
 def block_name(block: Block) -> str:
@@ -492,7 +496,7 @@ class Document:
     @cached_property
     def _by_kind(self) -> dict[type, Mapping[str, Block]]:
         """Read-only blocks of each kind by name (requirements by id); last wins."""
-        out: dict[type, dict[str, Block]] = {kind: {} for kind in get_args(Block)}
+        out: dict[type, dict[str, Block]] = {kind: {} for kind in BLOCK_KEYWORDS}
         for b in self.blocks:
             out[type(b)][block_name(b)] = b
         return {kind: MappingProxyType(named) for kind, named in out.items()}

@@ -8,7 +8,11 @@ carry line/column of the offending token.  Only the first diagnostic runs
 `lexer.locate`, for the offsets of the tokens or for a lexical error.
 Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
 the next top-level block keyword so that independent blocks still get
-checked.  Every ``key = value`` pair is read by `Parser.expect_kv`.
+checked.
+
+Every ``key = value`` field of a record is spelled once, in `FIELDS` (and
+in `NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a
+row of it, and the printer writes the same row.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable, Optional
 
 from ..adteval import UNASSESSED, VerdictPolicy
 from ..model import (
+    BLOCK_KEYWORDS,
     Actor,
     AddCounterAction,
     AdtNode,
@@ -52,10 +57,57 @@ from ..model import (
 from .lexer import locate, position, scan, string_value
 
 MAX_ERRORS = 20
-BLOCK_KEYWORDS = {"gsn", "adt", "fta", "fmea", "requirement", "scenario"}
-# Value -> member of each enum the parser reads: a dict lookup, not `Enum.__call__`.
+# Each enum the parser reads, by value, and what a diagnostic calls a value
+# that names no member.
 _MEMBERS = {cls: {member.value: member for member in cls} for cls in (
     Actor, FailureMode, GateOp, GuideWord, Impact, NodeKind, RequirementKind)}
+_WHAT = {Impact: "impact level", GuideWord: "guide word", FailureMode: "failure mode",
+         RequirementKind: "requirement kind"}
+
+# The kinds of a field's value, besides an enum, a tuple of the words it may
+# be and a record of `FIELDS`, which follows its keyword without ``=``.
+INT, NUM, STRING, IDENT, IDS, OP = "INT", "NUM", "STRING", "IDENT", "IDS", "OP"
+
+# The fields of each record in the order that a file writes them and the
+# record holds them, after the record's leading id (FmeaRow.id,
+# SecurityLink.goal_id, Requirement.id, Scenario.name) or flag
+# (VerdictPolicy.unassessed): (field, kind) and, for an optional field, its
+# default, which the printer leaves out.  Requirement, Scenario and
+# AddCounterAction list only their headers; their bodies are read by hand.
+FIELDS = {
+    DefeaterCount: (("outruled", INT), ("total", INT)),
+    HazardMeta: (("impact", Impact), ("mechanism", GuideWord), ("trace", IDENT)),
+    VoterMeta: (("signals", IDS), ("threshold", INT), ("trace", IDENT)),
+    SecurityLink: (("adt_name", STRING), ("weight", NUM)),
+    FmeaRow: (("function", STRING), ("failure_mode", FailureMode), ("severity", INT),
+              ("occurrence", INT), ("detection", INT), ("effect", STRING, ""),
+              ("cause", STRING, "")),
+    Thresholds: (("min_belief", NUM), ("max_disbelief", NUM), ("max_uncertainty", NUM)),
+    VerdictPolicy: (("attribute", IDENT), ("op", OP), ("threshold", NUM),
+                    ("prob_or", ("max", "noisy_or"), "max")),
+    SetDefeatersAction: (("goal_id", IDENT), ("count", DefeaterCount)),
+    AddCounterAction: (("at_label", STRING),),
+    Requirement: (("kind", RequirementKind), ("trace", IDENT)),
+    Scenario: (("gsn_name", STRING), ("adt_name", STRING), ("thresholds", Thresholds),
+               ("max_rounds", INT)),
+}
+# The keyword of each field that a file spells other than by its name; the
+# count of a SetDefeatersAction has none, its fields follow the goal.
+KEYWORDS = {"adt_name": "adt", "at_label": "at", "failure_mode": "mode", "goal_id": "goal",
+            "gsn_name": "gsn", "count": None}
+# A GSN node's optional attributes, each on a line of its own and in any
+# order: GsnNode's fields after its parent, and their kinds.
+NODE_ATTRIBUTES = {"defeaters": DefeaterCount, "hazard": HazardMeta, "voter": VoterMeta,
+                   "fta_ref": STRING, "fmea_ref": STRING}
+# A requirement's optional line of inputs, after its header.
+INPUTS = ("inputs", IDS, ())
+
+
+def prefix(field: str, kind) -> str:
+    """What a file writes before a field's value: ``keyword = ``, or for a
+    record ``keyword `` (or nothing, for a field without a keyword)."""
+    keyword = KEYWORDS.get(field, field)
+    return "" if keyword is None else f"{keyword} " if kind in FIELDS else f"{keyword} = "
 
 
 @dataclass
@@ -101,13 +153,6 @@ class Parser:
 
     # --- token utilities -------------------------------------------------
 
-    def _kind(self, tok: int) -> str:
-        """The kind a syntax error names: INT and FLOAT for NUM, ARROW for ``=>``."""
-        kind, value = self.kinds[tok], self.values[tok]
-        if kind == "NUM":
-            return "FLOAT" if "." in value else "INT"
-        return "ARROW" if value == "=>" else kind
-
     def _got(self, tok: int) -> str:
         value, kind = self.values[tok], self.kinds[tok]
         return repr((string_value(value) if kind == "STRING" else value) or kind)
@@ -123,7 +168,7 @@ class Parser:
 
     def expect(self, kind: str) -> int:
         tok = self.pos
-        if self.kinds[tok] != kind and self._kind(tok) != kind:
+        if self.kinds[tok] != kind:
             raise self._expected(repr(kind), tok)
         self.pos = tok + 1  # a matched token is never the EOF
         return tok
@@ -140,11 +185,15 @@ class Parser:
         return string_value(self.values[self.expect("STRING")])
 
     def expect_int(self) -> int:
-        tok = self.expect("INT")
+        tok = self.pos
+        text = self.values[tok]
+        if self.kinds[tok] != "NUM" or "." in text:
+            raise self._expected("'INT'", tok)
+        self.pos = tok + 1
         try:
-            return int(self.values[tok])
+            return int(text)
         except ValueError:  # longer than ``sys.get_int_max_str_digits()``
-            raise _SyntaxError(f"integer too long ({len(self.values[tok])} digits)", tok)
+            raise _SyntaxError(f"integer too long ({len(text)} digits)", tok)
 
     def expect_num(self) -> float:
         tok = self.pos
@@ -160,11 +209,31 @@ class Parser:
         self.pos = tok + 1
         return tok
 
-    def expect_kv(self, key: str, read: Optional[Callable] = None):
-        """Read ``key = value``; ``read`` reads the value (default: an IDENT token)."""
-        self.expect_ident(key)
-        self.expect_punct("=")
-        return read() if read is not None else self.expect("IDENT")
+    def _op(self) -> str:
+        tok = self.expect("STRING")
+        op = string_value(self.values[tok])
+        if op not in ("<=", ">="):
+            raise _SyntaxError(f"op must be \"<=\" or \">=\", got {op!r}", tok)
+        return op
+
+    def fields(self, record) -> list:
+        """The values of the fields in ``record``'s row of `FIELDS` (or of
+        the one field that a GSN node attribute's name or `INPUTS` names),
+        read from the file in the row's order."""
+        values, out = self.values, []
+        for keyword, skip, read, default in _STEPS[record]:
+            tok = self.pos
+            if values[tok] != keyword:  # only an IDENT can equal a keyword
+                if default is _REQUIRED:
+                    raise self._expected(repr(keyword), tok)
+                out.append(default)
+                continue
+            if skip == 2 and values[tok + 1] != "=":
+                self.pos = tok + 1
+                raise self._expected("'='", tok + 1)
+            self.pos = tok + skip
+            out.append(read(self))
+        return out
 
     def _record_at(self, message: str, tok: int) -> None:
         if self._offsets is None:
@@ -184,18 +253,18 @@ class Parser:
                 depth += 1
             elif value == "}":
                 depth = max(0, depth - 1)
-            elif value in BLOCK_KEYWORDS and depth == 0:
+            elif value in _BLOCKS and depth == 0:
                 return
             self.pos += 1
 
     # --- enum helpers ----------------------------------------------------
 
-    def _enum(self, enum_cls, tok: int, what: str):
+    def _enum(self, enum_cls, tok: int):
         value = self.values[tok]
         member = _MEMBERS[enum_cls].get(value)
         if member is None:
             options = ", ".join(e.value for e in enum_cls)
-            raise _SyntaxError(f"unknown {what} {value!r} (one of: {options})", tok)
+            raise _SyntaxError(f"unknown {_WHAT[enum_cls]} {value!r} (one of: {options})", tok)
         return member
 
     # --- entry point -----------------------------------------------------
@@ -205,18 +274,15 @@ class Parser:
         try:
             while self.kinds[self.pos] != "EOF":
                 tok = self.pos
-                if self.values[tok] not in BLOCK_KEYWORDS:
-                    self._record_at(
-                        f"expected block keyword (gsn, adt, fta, fmea, requirement, "
-                        f"scenario), got {self._got(tok)}",
-                        tok,
-                    )
-                    self.pos = tok + 1
+                read = _BLOCKS.get(self.values[tok])
+                self.pos = tok + 1
+                if read is None:
+                    self._record_at(f"expected block keyword ({', '.join(_BLOCKS)}), "
+                                    f"got {self._got(tok)}", tok)
                     self._skip_to_next_block()
                     continue
                 try:
-                    block = getattr(self, f"_parse_{self.values[tok]}")()
-                    blocks.append(block)
+                    blocks.append(read(self))
                 except _SyntaxError as exc:
                     self._record_at(exc.message, exc.token)
                     self._skip_to_next_block()
@@ -231,7 +297,6 @@ class Parser:
     # --- blocks ----------------------------------------------------------
 
     def _parse_gsn(self) -> GsnModel:
-        self.expect_ident("gsn")
         name = self.expect_string()
         self.expect_punct("{")
         nodes: list[GsnNode] = []
@@ -244,7 +309,10 @@ class Parser:
                 if under_tok is not None:
                     under_refs.append((node.id, under_tok))
             elif self.at_ident("security_link"):
-                links.append(self._parse_security_link())
+                self.pos += 1
+                self.expect_ident("under")
+                goal_id = self.values[self.expect("IDENT")]
+                links.append(SecurityLink(goal_id, *self.fields(SecurityLink)))
             else:
                 raise self._expected("gsn node or security_link", self.pos)
         self.expect_punct("}")
@@ -266,48 +334,16 @@ class Parser:
             self.pos += 1
             under_tok = self.expect("IDENT")
             parent = self.values[under_tok]
-        defeaters = hazard = voter = fta_ref = fmea_ref = None
+        attributes = {}
         if self.at_punct("{"):
             self.pos += 1
             while not self.at_punct("}"):
-                attr = self.expect("IDENT")
-                name = self.values[attr]
-                if name == "defeaters":
-                    outruled = self.expect_kv("outruled", self.expect_int)
-                    total = self.expect_kv("total", self.expect_int)
-                    defeaters = DefeaterCount(outruled, total)
-                elif name == "hazard":
-                    impact = self._enum(Impact, self.expect_kv("impact"), "impact level")
-                    mech = self._enum(GuideWord, self.expect_kv("mechanism"), "guide word")
-                    trace = self.values[self.expect_kv("trace")]
-                    hazard = HazardMeta(impact=impact, mechanism=mech, trace=trace)
-                elif name == "voter":
-                    signals = self.expect_kv("signals", self._parse_id_list)
-                    threshold = self.expect_kv("threshold", self.expect_int)
-                    trace = self.values[self.expect_kv("trace")]
-                    signals = tuple(self.values[t] for t in signals)
-                    voter = VoterMeta(signals=signals, threshold=threshold, trace=trace)
-                elif name == "fta_ref":
-                    self.expect_punct("=")
-                    fta_ref = self.expect_string()
-                elif name == "fmea_ref":
-                    self.expect_punct("=")
-                    fmea_ref = self.expect_string()
-                else:
-                    raise _SyntaxError(
-                        f"unknown node attribute {name!r}", attr
-                    )
+                name = self.values[self.pos]
+                if name not in NODE_ATTRIBUTES:
+                    raise _SyntaxError(f"unknown node attribute {name!r}", self.expect("IDENT"))
+                (attributes[name],) = self.fields(name)
             self.expect_punct("}")
-        node = GsnNode(node_id, kind, text, parent, defeaters, hazard, voter, fta_ref, fmea_ref)
-        return node, under_tok
-
-    def _parse_security_link(self) -> SecurityLink:
-        self.expect_ident("security_link")
-        self.expect_ident("under")
-        goal_id = self.values[self.expect("IDENT")]
-        adt_name = self.expect_kv("adt", self.expect_string)
-        weight = self.expect_kv("weight", self.expect_num)
-        return SecurityLink(goal_id=goal_id, adt_name=adt_name, weight=weight)
+        return GsnNode(node_id, kind, text, parent, **attributes), under_tok
 
     def _parse_id_list(self) -> list[int]:
         self.expect_punct("[")
@@ -319,7 +355,6 @@ class Parser:
         return ids
 
     def _parse_fta(self) -> FaultTree:
-        self.expect_ident("fta")
         name = self.expect_string()
         self.expect_punct("{")
         self.expect_ident("top")
@@ -348,45 +383,23 @@ class Parser:
         for tok in child_refs:
             if self.values[tok] not in declared:
                 self._record_at(f"undefined node {self.values[tok]!r}", tok)
-        return FaultTree(
-            name=name,
-            top=top,
-            gates=tuple(gates),
-            basic_events=frozenset(events),
-        )
+        return FaultTree(name, top, tuple(gates), frozenset(events))
 
     def _parse_fmea(self) -> FmeaTable:
-        self.expect_ident("fmea")
         name = self.expect_string()
         self.expect_punct("{")
         rows: list[FmeaRow] = []
         while self.at_ident("row"):
             self.pos += 1
-            row_id = self.values[self.expect("IDENT")]
-            function = self.expect_kv("function", self.expect_string)
-            mode = self._enum(FailureMode, self.expect_kv("mode"), "failure mode")
-            severity = self.expect_kv("severity", self.expect_int)
-            occurrence = self.expect_kv("occurrence", self.expect_int)
-            detection = self.expect_kv("detection", self.expect_int)
-            effect = cause = ""
-            if self.at_ident("effect"):
-                effect = self.expect_kv("effect", self.expect_string)
-            if self.at_ident("cause"):
-                cause = self.expect_kv("cause", self.expect_string)
-            rows.append(
-                FmeaRow(row_id, function, mode, severity, occurrence, detection, effect, cause))
+            rows.append(FmeaRow(self.values[self.expect("IDENT")], *self.fields(FmeaRow)))
         self.expect_punct("}")
         return FmeaTable(name=name, rows=tuple(rows))
 
     def _parse_requirement(self) -> Requirement:
-        self.expect_ident("requirement")
         req_id = self.values[self.expect("IDENT")]
-        kind = self._enum(RequirementKind, self.expect_kv("kind"), "requirement kind")
-        trace = self.values[self.expect_kv("trace")]
+        kind, trace = self.fields(Requirement)
         self.expect_punct("{")
-        inputs: list[int] = []
-        if self.at_ident("inputs"):
-            inputs = self.expect_kv("inputs", self._parse_id_list)
+        (inputs,) = self.fields(INPUTS)
         clauses: list[Clause] = []
         while self.at_ident("clause"):
             self.pos += 1
@@ -396,17 +409,13 @@ class Parser:
                 while self.at_punct("&"):
                     self.pos += 1
                     body.append(self._parse_literal())
-            self.expect("ARROW")
+            if not self.at_punct("=>"):
+                raise self._expected("'ARROW'", self.pos)
+            self.pos += 1
             head = self._parse_literal()
             clauses.append(Clause(body=tuple(body), head=head))
         self.expect_punct("}")
-        return Requirement(
-            id=req_id,
-            kind=kind,
-            trace=trace,
-            clauses=tuple(clauses),
-            inputs=frozenset(self.values[t] for t in inputs),
-        )
+        return Requirement(req_id, kind, trace, tuple(clauses), frozenset(inputs))
 
     def _parse_literal(self) -> Literal:
         positive = True
@@ -416,7 +425,6 @@ class Parser:
         return Literal(signal=self.values[self.expect("IDENT")], positive=positive)
 
     def _parse_adt(self) -> AttackDefenseTree:
-        self.expect_ident("adt")
         name = self.expect_string()
         self.expect_punct("{")
         root = self._parse_adt_node()
@@ -488,7 +496,7 @@ class Parser:
                             pos += 1
                             raise self._expected("'IDENT'", pos)
                         pos += 2
-                        stack[-1][6] = self._enum(Impact, pos - 1, "impact level")
+                        stack[-1][6] = self._enum(Impact, pos - 1)
                     else:
                         pos = tok
                         raise self._expected("adt item", tok)
@@ -496,28 +504,14 @@ class Parser:
             self.pos = pos
 
     def _parse_scenario(self) -> Scenario:
-        self.expect_ident("scenario")
         name = self.expect_string()
         self.expect_punct("{")
-        gsn_name = self.expect_kv("gsn", self.expect_string)
-        adt_name = self.expect_kv("adt", self.expect_string)
-        self.expect_ident("thresholds")
-        min_belief = self.expect_kv("min_belief", self.expect_num)
-        max_disbelief = self.expect_kv("max_disbelief", self.expect_num)
-        max_uncertainty = self.expect_kv("max_uncertainty", self.expect_num)
-        max_rounds = self.expect_kv("max_rounds", self.expect_int)
+        head = self.fields(Scenario)
         actions: list[ScenarioAction] = []
         while not self.at_punct("}"):
             actions.append(self._parse_action())
         self.expect_punct("}")
-        return Scenario(
-            name=name,
-            gsn_name=gsn_name,
-            adt_name=adt_name,
-            thresholds=Thresholds(min_belief, max_disbelief, max_uncertainty),
-            max_rounds=max_rounds,
-            actions=tuple(actions),
-        )
+        return Scenario(name, *head, tuple(actions))
 
     def _parse_action(self) -> ScenarioAction:
         action = self.values[self.expect_ident("set_policy", "add_counter", "set_defeaters")]
@@ -525,28 +519,47 @@ class Parser:
             if self.at_ident("unassessed"):
                 self.pos += 1
                 return UNASSESSED
-            attribute = self.values[self.expect_kv("attribute")]
-            op_tok = self.expect_kv("op", lambda: self.expect("STRING"))
-            op = string_value(self.values[op_tok])
-            if op not in ("<=", ">="):
-                raise _SyntaxError(f"op must be \"<=\" or \">=\", got {op!r}", op_tok)
-            threshold = self.expect_kv("threshold", self.expect_num)
-            prob_or = "max"
-            if self.at_ident("prob_or"):
-                self.pos += 1
-                self.expect_punct("=")
-                prob_or = self.values[self.expect_ident("max", "noisy_or")]
-            return VerdictPolicy(
-                attribute=attribute, op=op, threshold=threshold, prob_or=prob_or
-            )
+            return VerdictPolicy(False, *self.fields(VerdictPolicy))
         if action == "add_counter":
-            at_label = self.expect_kv("at", self.expect_string)
-            node = self._parse_adt_node()
-            return AddCounterAction(at_label=at_label, node=node)
-        goal_id = self.values[self.expect_kv("goal")]
-        outruled = self.expect_kv("outruled", self.expect_int)
-        total = self.expect_kv("total", self.expect_int)
-        return SetDefeatersAction(goal_id, DefeaterCount(outruled, total))
+            (at_label,) = self.fields(AddCounterAction)
+            return AddCounterAction(at_label, self._parse_adt_node())
+        return SetDefeatersAction(*self.fields(SetDefeatersAction))
+
+
+# The reader of each block by its keyword, which `Parser.parse` has read.
+_BLOCKS = {keyword: getattr(Parser, f"_parse_{keyword}") for keyword in BLOCK_KEYWORDS.values()}
+_REQUIRED = object()  # the default of a field that a record must have
+_READERS = {INT: Parser.expect_int, NUM: Parser.expect_num, STRING: Parser.expect_string,
+            IDENT: lambda p: p.values[p.expect("IDENT")],
+            IDS: lambda p: tuple(p.values[t] for t in p._parse_id_list()), OP: Parser._op}
+
+
+def _reader(kind) -> Callable[[Parser], object]:
+    """The function that reads a value of ``kind``, after its keyword."""
+    if kind in FIELDS:
+        return lambda p: kind(*p.fields(kind))
+    if isinstance(kind, tuple):
+        return lambda p: p.values[p.expect_ident(*kind)]
+    if isinstance(kind, str):
+        return _READERS[kind]
+    return lambda p: p._enum(kind, p.expect("IDENT"))
+
+
+def _steps(row: tuple) -> tuple:
+    """A row of fields, resolved once: each field's keyword (a record without
+    one starts at its own first keyword), the count of tokens before its
+    value, its reader and its default."""
+    steps = []
+    for field, kind, *default in row:
+        words = prefix(field, kind).split()
+        keyword = words[0] if words else prefix(*FIELDS[kind][0][:2]).split()[0]
+        steps.append((keyword, len(words), _reader(kind), default[0] if default else _REQUIRED))
+    return tuple(steps)
+
+
+_STEPS = {record: _steps(row) for record, row in FIELDS.items()}
+_STEPS.update((name, _steps(((name, kind),))) for name, kind in NODE_ATTRIBUTES.items())
+_STEPS[INPUTS] = _steps((INPUTS,))
 
 
 def parse(text: str) -> ParseResult:

@@ -1,11 +1,15 @@
 """Canonical pretty-printer for documents; inverse of the parser.
 
-ADTs print from one :func:`~safsec.model.adt_walk`, so any depth prints.
+A record's ``key = value`` fields are written from the parser's `FIELDS`
+and `NODE_ATTRIBUTES`, the rows that the parser reads them by, so the two
+cannot disagree on a field.  ADTs print from one
+:func:`~safsec.model.adt_walk`, so any depth prints.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
+from operator import attrgetter
 
 from ..adteval import VerdictPolicy
 from ..model import (
@@ -22,6 +26,7 @@ from ..model import (
     SetDefeatersAction,
     adt_walk,
 )
+from .parser import FIELDS, IDENT, IDS, INPUTS, INT, NODE_ATTRIBUTES, NUM, OP, STRING, prefix
 
 HEADER = "# safsec model file"
 
@@ -40,21 +45,46 @@ def _num(v: float) -> str:
     return format(Decimal(text), "f") if "e" in text else text
 
 
+_WRITERS = {INT: str, NUM: _num, STRING: _quote, IDENT: str,
+            IDS: lambda ids: f"[{', '.join(ids)}]", OP: lambda op: f'"{op}"'}
+_ABSENT = object()  # the default of a field that a record must have
+
+
+def _writer(kind):
+    """The function that writes a value of ``kind``, after its keyword."""
+    if kind in FIELDS:
+        return _fields
+    return _WRITERS.get(kind) or (str if isinstance(kind, tuple) else attrgetter("value"))
+
+
+def _layout(row) -> tuple:
+    """A row of fields, resolved once: each field's name, the text before its
+    value, its writer and its default."""
+    return tuple((field, prefix(field, kind), _writer(kind), default[0] if default else _ABSENT)
+                 for field, kind, *default in row)
+
+
+def _written(record, layout: tuple) -> list[str]:
+    """Each field of ``layout`` as a file writes it, but for those that hold
+    their default."""
+    return [start + write(value) for field, start, write, default in layout
+            if (value := getattr(record, field)) != default]
+
+
+def _fields(record) -> str:
+    """``record``'s row of `FIELDS`, on one line."""
+    return " ".join(_written(record, _LAYOUT[type(record)]))
+
+
+_LAYOUT = {record: _layout(row) for record, row in FIELDS.items()}
+# Each attribute of a GSN node on a line of its own, if it is set.
+_NODE_LAYOUT = _layout((name, kind, None) for name, kind in NODE_ATTRIBUTES.items())
+
+
 def print_document(document: Document) -> str:
     lines = [HEADER, ""]
     for block in document.blocks:
-        if isinstance(block, GsnModel):
-            lines.extend(_print_gsn(block))
-        elif isinstance(block, AttackDefenseTree):
-            lines.extend(_print_adt(block))
-        elif isinstance(block, FaultTree):
-            lines.extend(_print_fta(block))
-        elif isinstance(block, FmeaTable):
-            lines.extend(_print_fmea(block))
-        elif isinstance(block, Requirement):
-            lines.extend(_print_requirement(block))
-        elif isinstance(block, Scenario):
-            lines.extend(_print_scenario(block))
+        lines.extend(_PRINTERS[type(block)](block))
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -65,78 +95,30 @@ def _print_gsn(model: GsnModel) -> list[str]:
         head = f"  {node.kind.value} {node.id} {_quote(node.text)}"
         if node.parent is not None:
             head += f" under {node.parent}"
-        attrs: list[str] = []
-        if node.defeaters is not None:
-            attrs.append(
-                f"defeaters outruled = {node.defeaters.outruled} "
-                f"total = {node.defeaters.total}"
-            )
-        if node.hazard is not None:
-            attrs.append(
-                f"hazard impact = {node.hazard.impact.value} "
-                f"mechanism = {node.hazard.mechanism.value} "
-                f"trace = {node.hazard.trace}"
-            )
-        if node.voter is not None:
-            sig = ", ".join(node.voter.signals)
-            attrs.append(
-                f"voter signals = [{sig}] threshold = {node.voter.threshold} "
-                f"trace = {node.voter.trace}"
-            )
-        if node.fta_ref is not None:
-            attrs.append(f"fta_ref = {_quote(node.fta_ref)}")
-        if node.fmea_ref is not None:
-            attrs.append(f"fmea_ref = {_quote(node.fmea_ref)}")
-        if attrs:
-            lines.append(head + " {")
-            lines.extend(f"    {a}" for a in attrs)
-            lines.append("  }")
-        else:
-            lines.append(head)
-    for link in model.security_links:
-        lines.append(
-            f"  security_link under {link.goal_id} adt = {_quote(link.adt_name)} "
-            f"weight = {_num(link.weight)}"
-        )
+        attrs = [f"    {attr}" for attr in _written(node, _NODE_LAYOUT)]
+        lines.extend((head + " {", *attrs, "  }") if attrs else (head,))
+    lines.extend(f"  security_link under {link.goal_id} {_fields(link)}"
+                 for link in model.security_links)
     lines.append("}")
     return lines
 
 
 def _print_fta(tree: FaultTree) -> list[str]:
-    lines = [f"fta {_quote(tree.name)} {{", f"  top {tree.top}"]
-    for gid, op, children in tree.gates:
-        lines.append(f"  gate {gid} {op.value} [{', '.join(children)}]")
-    for event in sorted(tree.basic_events):
-        lines.append(f"  event {event}")
-    lines.append("}")
-    return lines
+    gates = (f"  gate {gid} {op.value} {_WRITERS[IDS](kids)}" for gid, op, kids in tree.gates)
+    return [f"fta {_quote(tree.name)} {{", f"  top {tree.top}", *gates,
+            *(f"  event {event}" for event in sorted(tree.basic_events)), "}"]
 
 
 def _print_fmea(table: FmeaTable) -> list[str]:
-    lines = [f"fmea {_quote(table.name)} {{"]
-    for row in table.rows:
-        line = (
-            f"  row {row.id} function = {_quote(row.function)} "
-            f"mode = {row.failure_mode.value} severity = {row.severity} "
-            f"occurrence = {row.occurrence} detection = {row.detection}"
-        )
-        if row.effect:
-            line += f" effect = {_quote(row.effect)}"
-        if row.cause:
-            line += f" cause = {_quote(row.cause)}"
-        lines.append(line)
-    lines.append("}")
-    return lines
+    rows = (f"  row {row.id} {_fields(row)}" for row in table.rows)
+    return [f"fmea {_quote(table.name)} {{", *rows, "}"]
 
 
 def _print_requirement(req: Requirement) -> list[str]:
-    lines = [
-        f"requirement {req.id} kind = {req.kind.value} trace = {req.trace} {{"
-    ]
+    lines = [f"requirement {req.id} {_fields(req)} {{"]
     if req.inputs:
-        lines.append(f"  inputs = [{', '.join(sorted(req.inputs))}]")
-    for clause in req.clauses:
-        lines.append(f"  clause {clause.text}")
+        lines.append(f"  {prefix(*INPUTS[:2])}{_WRITERS[IDS](sorted(req.inputs))}")
+    lines.extend(f"  clause {clause.text}" for clause in req.clauses)
     lines.append("}")
     return lines
 
@@ -172,34 +154,18 @@ def _print_adt(tree: AttackDefenseTree) -> list[str]:
 
 
 def _print_scenario(scenario: Scenario) -> list[str]:
-    t = scenario.thresholds
-    lines = [
-        f"scenario {_quote(scenario.name)} {{",
-        f"  gsn = {_quote(scenario.gsn_name)}",
-        f"  adt = {_quote(scenario.adt_name)}",
-        f"  thresholds min_belief = {_num(t.min_belief)} "
-        f"max_disbelief = {_num(t.max_disbelief)} "
-        f"max_uncertainty = {_num(t.max_uncertainty)}",
-        f"  max_rounds = {scenario.max_rounds}",
-    ]
+    lines = [f"scenario {_quote(scenario.name)} {{",
+             *(f"  {field}" for field in _written(scenario, _LAYOUT[Scenario]))]
     for action in scenario.actions:
         if isinstance(action, VerdictPolicy):
-            if action.unassessed:
-                lines.append("  set_policy unassessed")
-            else:
-                prob_or = "" if action.prob_or == "max" else f" prob_or = {action.prob_or}"
-                lines.append(
-                    f"  set_policy attribute = {action.attribute} "
-                    f'op = "{action.op}" threshold = {_num(action.threshold)}{prob_or}'
-                )
+            lines.append(f"  set_policy {'unassessed' if action.unassessed else _fields(action)}")
         elif isinstance(action, AddCounterAction):
-            lines.extend(
-                _print_adt_node(action.node, f"  add_counter at = {_quote(action.at_label)} ")
-            )
+            lines.extend(_print_adt_node(action.node, f"  add_counter {_fields(action)} "))
         elif isinstance(action, SetDefeatersAction):
-            lines.append(
-                f"  set_defeaters goal = {action.goal_id} "
-                f"outruled = {action.count.outruled} total = {action.count.total}"
-            )
+            lines.append(f"  set_defeaters {_fields(action)}")
     lines.append("}")
     return lines
+
+
+_PRINTERS = {GsnModel: _print_gsn, AttackDefenseTree: _print_adt, FaultTree: _print_fta,
+             FmeaTable: _print_fmea, Requirement: _print_requirement, Scenario: _print_scenario}

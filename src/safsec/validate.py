@@ -19,6 +19,7 @@ from .adteval import UNASSESSED, VerdictPolicy, leaf_value
 from .model import (
     AddCounterAction,
     AdtNode,
+    BLOCK_KEYWORDS,
     AttackDefenseTree,
     Block,
     Diagnostic,
@@ -40,11 +41,6 @@ from .model import (
 from .process import apply_round, rounds
 
 
-# Each block kind as a model file and a diagnostic's context name it.
-_KINDS = {GsnModel: "gsn", FaultTree: "fta", FmeaTable: "fmea", AttackDefenseTree: "adt",
-          Requirement: "requirement", Scenario: "scenario"}
-
-
 def validate_model(document: Document) -> list[Diagnostic]:
     """Check every invariant; empty list means the document is well formed."""
     diags = [d for block in document.blocks for d in validate_block(block, document)]
@@ -59,7 +55,7 @@ def validate_block(block: Block, document: Document) -> list[Diagnostic]:
     """
     diags = []
     if document.repeats(block):
-        kind, name = _KINDS[type(block)], block_name(block)
+        kind, name = BLOCK_KEYWORDS[type(block)], block_name(block)
         diags.append(_err(f"duplicate {kind} name {name!r}", _context(kind, name)))
     if isinstance(block, GsnModel):
         return diags + _check_gsn(block, document)

@@ -1,5 +1,6 @@
 """Lexer, parser, and canonical printer for the .ssm model format."""
 
+import dataclasses
 import random
 import sys
 
@@ -7,21 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safsec.adteval import VerdictPolicy
 from safsec.model import (
     Actor,
+    AddCounterAction,
     AdtNode,
     AttackDefenseTree,
     Clause,
     Document,
+    FmeaRow,
     GsnModel,
+    GsnNode,
     Impact,
     Literal,
     NodeKind,
     Refinement,
     Requirement,
     Scenario,
+    SecurityLink,
 )
 from safsec.modelfile import parse, print_document
+from safsec.modelfile.parser import FIELDS, NODE_ATTRIBUTES
 from safsec.modelfile.printer import HEADER
 
 from conftest import load_bundled
@@ -242,6 +249,37 @@ class TestFieldDiagnostics:
         result = parse(text)
         assert not result.ok
         assert [(d.message, d.line, d.column) for d in result.diagnostics] == diagnostics
+
+
+# The fields that a record holds before its row of FIELDS (its leading id or
+# flag) and after it (the body that its block reads by hand).
+LEADING = {SecurityLink: ("goal_id",), FmeaRow: ("id",), VerdictPolicy: ("unassessed",),
+           Requirement: ("id",), Scenario: ("name",)}
+BODY = {AddCounterAction: ("node",), Requirement: ("clauses", "inputs"), Scenario: ("actions",)}
+
+
+def record_fields(record: type) -> dict:
+    """A NamedTuple's or a dataclass's fields, in order, and their defaults."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: f.default for f in dataclasses.fields(record)}
+    return {name: record._field_defaults.get(name, dataclasses.MISSING) for name in record._fields}
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("record", list(FIELDS), ids=lambda record: record.__name__)
+    def test_the_row_names_each_field_in_order(self, record):
+        row = tuple(field for field, *_ in FIELDS[record])
+        assert tuple(record_fields(record)) == LEADING.get(record, ()) + row + BODY.get(record, ())
+
+    @pytest.mark.parametrize("record", list(FIELDS), ids=lambda record: record.__name__)
+    def test_an_optional_field_defaults_as_its_record_does(self, record):
+        defaults = record_fields(record)
+        for field, _, *default in FIELDS[record]:
+            assert default in ([], [defaults[field]])
+
+    def test_node_attributes_are_the_fields_after_the_parent(self):
+        fields = GsnNode._fields
+        assert tuple(NODE_ATTRIBUTES) == fields[fields.index("parent") + 1:]
 
 
 class TestRoundTrip:
