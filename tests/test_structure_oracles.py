@@ -8,7 +8,14 @@ parents may be unknown, and parent pointers or gate children may form cycles
 returns, the indexed code must give the same answer; where the recursive
 oracle never returns (a goal whose subtree is a cycle), the indexed
 aggregation must raise ``ValueError`` instead.
+
+Every test here walks in-process under `deadline`, re-armed for each
+Hypothesis example, so that a walk which loses its cycle guard fails the
+test instead of hanging the run.
 """
+
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +39,26 @@ from safsec.validate import validate_model
 POOL = ["a", "b", "c", "d", "e", "f", "g"]
 
 
+@contextmanager
+def deadline(seconds: float = 5.0):
+    """Raise ``TimeoutError`` in the body if it runs longer than ``seconds``;
+    as a decorator, each call of the function gets its own deadline."""
+    if not hasattr(signal, "setitimer"):  # no interval timers on Windows
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still walking after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def graphs(draw):
     """Roots and a children function over ids from ``POOL``.  A child list
@@ -48,6 +75,7 @@ def graphs(draw):
 @example((["a"], lambda node: {"a": ["b", "b"], "b": []}.get(node, [])))
 @example((["a", "c"], lambda node: {"a": ["b"], "b": ["a"]}.get(node, [])))
 @example((["c", "a"], lambda node: {"a": ["b"], "b": ["a"]}.get(node, [])))
+@deadline()
 def test_post_order_matches_naive_reachability(graph):
     roots, children = graph
     reachable = set(roots) | naive_reach(roots, children)
@@ -64,6 +92,7 @@ def test_post_order_matches_naive_reachability(graph):
     assert all(position[child] < position[node] for node in order for child in children(node))
 
 
+@deadline()
 def test_post_order_needs_no_recursion():
     # Far deeper than the interpreter's recursion limit.
     depth = 10_000
@@ -130,6 +159,7 @@ CYCLE_BEFORE_DUPLICATE = gsn(("R", G, None), ("X", S, "Y"), ("Y", S, "X"), ("X",
 @example([*UNKNOWN_PARENT.nodes])
 @example([*CYCLE_VIA_DUPLICATE.nodes])
 @example([*CYCLE_BEFORE_DUPLICATE.nodes])
+@deadline()
 def test_gsn_passes_match_naive_oracles(nodes):
     model = GsnModel("M", tuple(nodes))
 
@@ -150,6 +180,7 @@ def test_gsn_passes_match_naive_oracles(nodes):
     assert {g: (op.count.outruled, op.count.total) for g, op in got.items()} == expected
 
 
+@deadline()
 def test_examples_cover_each_malformation():
     assert "cycle through node 'A'" in naive_gsn_structure_problems(GOAL_CYCLE)
     with pytest.raises(ValueError):
@@ -200,6 +231,7 @@ def fault_trees(draw):
         frozenset({"e1"}),
     )
 )
+@deadline()
 def test_fault_tree_cycle_check_matches_per_gate_dfs(tree):
     messages = [d.message for d in validate_model(Document((tree,)))]
     cycles = [m for m in messages if m.startswith("cycle through gate")]
@@ -222,6 +254,7 @@ def chain(n: int) -> GsnModel:
     return GsnModel("chain", tuple(nodes))
 
 
+@deadline()
 def test_deep_chain_needs_no_recursion():
     # Far deeper than the interpreter's recursion limit.
     model = chain(10_000)
