@@ -383,7 +383,12 @@ class Parser:
         for tok in child_refs:
             if self.values[tok] not in declared:
                 self._record_at(f"undefined node {self.values[tok]!r}", tok)
-        return FaultTree(name, top, tuple(gates), frozenset(events))
+        return FaultTree(
+            name=name,
+            top=top,
+            gates=tuple(gates),
+            basic_events=frozenset(events),
+        )
 
     def _parse_fmea(self) -> FmeaTable:
         name = self.expect_string()

@@ -104,9 +104,13 @@ def _print_gsn(model: GsnModel) -> list[str]:
 
 
 def _print_fta(tree: FaultTree) -> list[str]:
-    gates = (f"  gate {gid} {op.value} {_WRITERS[IDS](kids)}" for gid, op, kids in tree.gates)
-    return [f"fta {_quote(tree.name)} {{", f"  top {tree.top}", *gates,
-            *(f"  event {event}" for event in sorted(tree.basic_events)), "}"]
+    lines = [f"fta {_quote(tree.name)} {{", f"  top {tree.top}"]
+    for gid, op, children in tree.gates:
+        lines.append(f"  gate {gid} {op.value} [{', '.join(children)}]")
+    for event in sorted(tree.basic_events):
+        lines.append(f"  event {event}")
+    lines.append("}")
+    return lines
 
 
 def _print_fmea(table: FmeaTable) -> list[str]:

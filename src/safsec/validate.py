@@ -53,38 +53,31 @@ def validate_block(block: Block, document: Document) -> list[Diagnostic]:
     A block that repeats an earlier block's kind and name is an error: the
     document's lookups would keep only the last of them.
     """
-    diags = []
-    if document.repeats(block):
-        kind, name = BLOCK_KEYWORDS[type(block)], block_name(block)
-        diags.append(_err(f"duplicate {kind} name {name!r}", _context(kind, name)))
+    kind, name = BLOCK_KEYWORDS[type(block)], block_name(block)
+    ctx = f"{kind} {printable(name)}"  # the block's diagnostic context, on one line
+    diags = [_err(f"duplicate {kind} name {name!r}", ctx)] if document.repeats(block) else []
     if isinstance(block, GsnModel):
-        return diags + _check_gsn(block, document)
+        return diags + _check_gsn(block, document, ctx)
     if isinstance(block, FaultTree):
-        return diags + _check_fta(block)
+        return diags + _check_fta(block, ctx)
     if isinstance(block, FmeaTable):
-        return diags + _check_fmea(block)
+        return diags + _check_fmea(block, ctx)
     if isinstance(block, AttackDefenseTree):
-        return diags + _check_adt_nodes(block.root, _context("adt", block.name))
+        return diags + _check_adt_nodes(block.root, ctx)
     if isinstance(block, Requirement):
-        return diags + _check_requirement(block)
-    return diags + _check_scenario(block, document)
+        return diags + _check_requirement(block, ctx)
+    return diags + _check_scenario(block, document, ctx)
 
 
 def _err(message: str, context: str) -> Diagnostic:
     return Diagnostic(message, severity="error", context=context)
 
 
-def _context(kind: str, name: str) -> str:
-    """A block's diagnostic context, on one line."""
-    return f"{kind} {printable(name)}"
-
-
 def _duplicates(keys: Iterable[str]) -> list[str]:
     return sorted(k for k, n in Counter(keys).items() if n > 1)
 
 
-def _check_gsn(model: GsnModel, document: Document) -> list[Diagnostic]:
-    ctx = _context("gsn", model.name)
+def _check_gsn(model: GsnModel, document: Document, ctx: str) -> list[Diagnostic]:
     ids = [n.id for n in model.nodes]
     diags = [_err(f"duplicate node id {dup!r}", ctx) for dup in _duplicates(ids)]
 
@@ -152,8 +145,7 @@ def _gsn_node_problems(node: GsnNode, known: Container[str], document: Document)
         yield f"unresolved fmea_ref {node.fmea_ref!r}"
 
 
-def _check_fta(tree: FaultTree) -> list[Diagnostic]:
-    ctx = _context("fta", tree.name)
+def _check_fta(tree: FaultTree, ctx: str) -> list[Diagnostic]:
     gate_ids = [gid for gid, _, _ in tree.gates]
     diags = [_err(f"duplicate gate {dup!r}", ctx) for dup in _duplicates(gate_ids)]
     diags += (_err(f"{clash!r} declared both gate and basic event", ctx)
@@ -178,8 +170,7 @@ def _check_fta(tree: FaultTree) -> list[Diagnostic]:
     return diags
 
 
-def _check_fmea(table: FmeaTable) -> list[Diagnostic]:
-    ctx = _context("fmea", table.name)
+def _check_fmea(table: FmeaTable, ctx: str) -> list[Diagnostic]:
     diags = [_err(f"duplicate row id {d!r}", ctx) for d in _duplicates(r.id for r in table.rows)]
     return diags + [_err(p, f"{ctx}/{row.id}") for row in table.rows for p in row.problems]
 
@@ -206,16 +197,14 @@ def _check_adt_nodes(root: AdtNode, ctx: str) -> list[Diagnostic]:
     return diags
 
 
-def _check_requirement(req: Requirement) -> list[Diagnostic]:
-    ctx = _context("requirement", req.id)
+def _check_requirement(req: Requirement, ctx: str) -> list[Diagnostic]:
     heads = req.head_signals()
     return [_err(f"signal {lit.signal!r} neither declared input nor derived", ctx)
             for clause in req.clauses for lit in clause.body
             if lit.signal not in req.inputs and lit.signal not in heads]
 
 
-def _check_scenario(scenario: Scenario, document: Document) -> list[Diagnostic]:
-    ctx = _context("scenario", scenario.name)
+def _check_scenario(scenario: Scenario, document: Document, ctx: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for name in ("min_belief", "max_disbelief", "max_uncertainty"):
         v = getattr(scenario.thresholds, name)
