@@ -101,6 +101,7 @@ NODE_ATTRIBUTES = {"defeaters": DefeaterCount, "hazard": HazardMeta, "voter": Vo
                    "fta_ref": STRING, "fmea_ref": STRING}
 # A requirement's optional line of inputs, after its header.
 INPUTS = ("inputs", IDS, ())
+REQUIRED = object()  # the default of a field that a record must have
 
 
 def prefix(field: str, kind) -> str:
@@ -224,7 +225,7 @@ class Parser:
         for keyword, skip, read, default in _STEPS[record]:
             tok = self.pos
             if values[tok] != keyword:  # only an IDENT can equal a keyword
-                if default is _REQUIRED:
+                if default is REQUIRED:
                     raise self._expected(repr(keyword), tok)
                 out.append(default)
                 continue
@@ -533,7 +534,6 @@ class Parser:
 
 # The reader of each block by its keyword, which `Parser.parse` has read.
 _BLOCKS = {keyword: getattr(Parser, f"_parse_{keyword}") for keyword in BLOCK_KEYWORDS.values()}
-_REQUIRED = object()  # the default of a field that a record must have
 _READERS = {INT: Parser.expect_int, NUM: Parser.expect_num, STRING: Parser.expect_string,
             IDENT: lambda p: p.values[p.expect("IDENT")],
             IDS: lambda p: tuple(p.values[t] for t in p._parse_id_list()), OP: Parser._op}
@@ -558,7 +558,7 @@ def _steps(row: tuple) -> tuple:
     for field, kind, *default in row:
         words = prefix(field, kind).split()
         keyword = words[0] if words else prefix(*FIELDS[kind][0][:2]).split()[0]
-        steps.append((keyword, len(words), _reader(kind), default[0] if default else _REQUIRED))
+        steps.append((keyword, len(words), _reader(kind), default[0] if default else REQUIRED))
     return tuple(steps)
 
 

@@ -26,7 +26,8 @@ from ..model import (
     SetDefeatersAction,
     adt_walk,
 )
-from .parser import FIELDS, IDENT, IDS, INPUTS, INT, NODE_ATTRIBUTES, NUM, OP, STRING, prefix
+from .parser import (FIELDS, IDENT, IDS, INPUTS, INT, NODE_ATTRIBUTES, NUM, OP, REQUIRED, STRING,
+                     prefix)
 
 HEADER = "# safsec model file"
 
@@ -47,7 +48,6 @@ def _num(v: float) -> str:
 
 _WRITERS = {INT: str, NUM: _num, STRING: _quote, IDENT: str,
             IDS: lambda ids: f"[{', '.join(ids)}]", OP: lambda op: f'"{op}"'}
-_ABSENT = object()  # the default of a field that a record must have
 
 
 def _writer(kind):
@@ -60,7 +60,7 @@ def _writer(kind):
 def _layout(row) -> tuple:
     """A row of fields, resolved once: each field's name, the text before its
     value, its writer and its default."""
-    return tuple((field, prefix(field, kind), _writer(kind), default[0] if default else _ABSENT)
+    return tuple((field, prefix(field, kind), _writer(kind), default[0] if default else REQUIRED)
                  for field, kind, *default in row)
 
 
