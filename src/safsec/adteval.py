@@ -12,8 +12,10 @@ from the quantitative attack-tree literature:
 Probability OR defaults to max (worst single path); a policy file may select
 noisy-OR instead.
 
-Errors raise ``ValueError``.  :mod:`safsec.validate` checks a scenario's
-leaves with :func:`leaf_value`, the rule that :func:`evaluate` applies.
+Errors raise ``ValueError``.  :func:`refined_value` is the one rule for a
+node's value; :func:`evaluate` and :mod:`safsec.process`'s scenario replay
+both apply it, and :mod:`safsec.validate` checks a scenario's leaves with
+:func:`leaf_value`, the rule it applies to a leaf.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .confidence import SecurityVerdict
 from .model import AdtNode, AttackDefenseTree, Refinement
@@ -94,6 +96,24 @@ def leaf_value(node: AdtNode, domain: AttributeDomain) -> float:
     return value
 
 
+def refined_value(node: AdtNode, domain: AttributeDomain, child_values: Sequence[float]) -> float:
+    """A node's value before its countermeasure: a leaf's attribute, or its
+    children's values reduced in order by its refinement's combine.
+
+    The node's value is this, passed with its countermeasure's value through
+    ``domain.counter_combine`` when it carries one.  A leaf's own value is
+    taken before its countermeasure is evaluated, so of two leaves that lack
+    the attribute the first in :func:`~safsec.model.adt_walk`'s preorder is
+    the one named.
+    """
+    if node.refinement is Refinement.LEAF:
+        return leaf_value(node, domain)
+    combine = domain.and_combine if node.refinement is Refinement.AND else domain.or_combine
+    if (combine is min or combine is max) and child_values:
+        return combine(child_values)  # one C call making reduce's comparisons, in its order
+    return reduce(combine, child_values)
+
+
 def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, float]:
     """Value of every node (keyed by tree path) under the given domain.
 
@@ -103,12 +123,9 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
     values: dict[str, float] = {}
 
     def rec(path: str, node: AdtNode) -> float:
-        if node.refinement is Refinement.LEAF:
-            value = leaf_value(node, domain)
-        else:
-            child_values = [rec(f"{path}.{i}", child) for i, child in enumerate(node.children)]
-            and_node = node.refinement is Refinement.AND
-            value = reduce(domain.and_combine if and_node else domain.or_combine, child_values)
+        children = node.children
+        child_values = [rec(f"{path}.{i}", c) for i, c in enumerate(children)] if children else ()
+        value = refined_value(node, domain, child_values)
         if node.counter is not None:
             counter_value = rec(f"{path}.c", node.counter)
             value = domain.counter_combine(value, counter_value)
@@ -159,14 +176,15 @@ def verdict(tree: AttackDefenseTree, policy: VerdictPolicy,
             evaluated: Optional[tuple[AttributeDomain, float]] = None) -> SecurityVerdict:
     """Compare the root's evaluated value against the policy threshold.
 
-    ``evaluated`` is a domain and the tree's root value in it; when it is
-    the policy's domain, that value is compared and the tree is not
-    evaluated again.
+    ``evaluated`` is a domain and the tree's root value in it; when it
+    equals the policy's domain, that value is compared and the tree is not
+    evaluated again.  (A ``noisy_or`` policy builds a new, equal domain on
+    each :meth:`VerdictPolicy.domain` call.)
     """
     if policy.unassessed:
         return SecurityVerdict.NO_ASSESSMENT
     domain = policy.domain()
-    if evaluated is not None and evaluated[0] is domain:
+    if evaluated is not None and evaluated[0] == domain:
         root_value = evaluated[1]
     else:
         root_value = evaluate(tree, domain)["root"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind, post_order
 
@@ -48,33 +48,53 @@ class GoalOpinion:
     verdict: Optional[SecurityVerdict] = None
 
 
+def subtree_counts(model: GsnModel, roots: Iterable[str]) -> dict[str, tuple[int, int]]:
+    """``(outruled, total)`` defeaters in the subtree of each node that ``roots`` reach.
+
+    A node's sums are its own count, if it is a goal with one, plus its
+    children's sums; strategies and other node kinds are transparent.  A
+    fold over :func:`~safsec.model.post_order` sums each subtree once; a
+    parent cycle below a root raises ``ValueError``.
+    """
+    by_id, by_parent = model._by_id, model._by_parent
+
+    def child_ids(node_id: str) -> list[str]:
+        return [c.id for c in by_parent.get(node_id, ())]
+
+    try:
+        order = list(post_order(roots, child_ids, "node"))
+    except ValueError as exc:
+        raise ValueError(f"gsn {model.name!r}: {exc}") from None
+    sums: dict[str, tuple[int, int]] = {}
+    for node_id in order:
+        node = by_id[node_id]
+        outruled = total = 0
+        if node.kind is NodeKind.GOAL and node.defeaters is not None:
+            outruled, total = node.defeaters
+        for child in by_parent.get(node_id, ()):
+            child_outruled, child_total = sums[child.id]
+            outruled += child_outruled
+            total += child_total
+        sums[node_id] = outruled, total
+    return sums
+
+
 def aggregate_gsn(model: GsnModel) -> dict[str, GoalOpinion]:
     """Aggregate defeater counts bottom-up over the goal structure.
 
-    A goal's count is its own count plus the counts of all descendant goals;
-    strategies and other node kinds are transparent.  Goals whose subtree
-    carries no evidence at all get (0, 0), i.e. full uncertainty.  A fold
-    over :func:`~safsec.model.post_order` from the goals sums each subtree
-    once; a parent cycle below a goal raises ``ValueError``.  The records
-    are in goal order and report their aggregate triple.
+    A goal's count is its own count plus the counts of all descendant goals,
+    summed by :func:`subtree_counts` from the goals.  Goals whose subtree
+    carries no evidence at all get (0, 0), i.e. full uncertainty.  The
+    records are in goal order and report their aggregate triple.
     """
-
-    def child_ids(node_id: str) -> list[str]:
-        return [c.id for c in model.children(node_id)]
-
-    try:
-        order = list(post_order((goal.id for goal in model.goals()), child_ids, "node"))
-    except ValueError as exc:
-        raise ValueError(f"gsn {model.name!r}: {exc}") from None
-    totals: dict[str, DefeaterCount] = {}
-    for node_id in order:
-        node = model.node(node_id)
-        own = DefeaterCount(0, 0)
-        if node.kind is NodeKind.GOAL and node.defeaters is not None:
-            own = node.defeaters
-        totals[node_id] = sum(map(totals.__getitem__, child_ids(node_id)), own)
-    triples = {goal.id: opinion_from_evidence(totals[goal.id]) for goal in model.goals()}
-    return {goal_id: GoalOpinion(totals[goal_id], t, t) for goal_id, t in triples.items()}
+    goals = model.goals()
+    sums = subtree_counts(model, [goal.id for goal in goals])
+    opinions: dict[str, GoalOpinion] = {}
+    for goal in goals:
+        count = DefeaterCount(*sums[goal.id])
+        triple = opinion_from_evidence(count)
+        opinions[goal.id] = GoalOpinion(count, triple, triple)
+    return opinions
 
 
 def update_confidence(
