@@ -5,9 +5,9 @@ single pass reports all problems.  The result is sorted, which makes it
 independent of declaration order.  Gate cycles, reachability and GSN parent
 cycles are found by walks over :func:`safsec.model.post_order`.  A
 scenario's rounds are the ones that :func:`safsec.process.rounds` picks, 1
-up to ``max_rounds``, applied with :func:`safsec.process.apply_round`, so
-the gate refuses the round that ``process run`` refuses and no round that
-it never runs.
+up to ``max_rounds``, applied with a :class:`safsec.process.Replay`, so the
+gate refuses the round that ``process run`` refuses and no round that it
+never runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Container, Iterable, Iterator, Optional
 
-from .adteval import UNASSESSED, VerdictPolicy, leaf_value
+from .adteval import VerdictPolicy, leaf_value
 from .model import (
     AddCounterAction,
     AdtNode,
@@ -38,7 +38,7 @@ from .model import (
     printable,
     sort_key,
 )
-from .process import apply_round, rounds
+from .process import Replay, rounds
 
 
 def validate_model(document: Document) -> list[Diagnostic]:
@@ -227,17 +227,18 @@ def _check_scenario(scenario: Scenario, document: Document, ctx: str) -> list[Di
 
     # Under an assessed policy a ``set_policy`` round checks every leaf and an
     # ``add_counter`` round its counter's: the only leaves that the round
-    # evaluates and no earlier round checked.  The first round that raises is
+    # folds and no earlier round checked.  The first round that raises is
     # the one ``process run`` refuses.
-    policy = UNASSESSED
+    replay = Replay(gsn, adt)
     for round_no, action in rounds(scenario):
         rctx = f"{ctx}/round {round_no}"
         counter = action.node if isinstance(action, AddCounterAction) else None
         if counter is not None:
             diags += _check_adt_nodes(counter, rctx)
         try:
-            gsn, adt, policy = apply_round(action, gsn, adt, policy)
-            unchecked = adt.root if isinstance(action, VerdictPolicy) else counter
+            replay.apply(action)
+            policy = replay.policy
+            unchecked = replay.adt.root if isinstance(action, VerdictPolicy) else counter
             if unchecked is not None and not policy.unassessed:
                 domain = policy.domain()
                 for _, node, entering in adt_walk(unchecked):

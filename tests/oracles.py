@@ -8,24 +8,34 @@ implementations they check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
+from safsec import adteval
+from safsec.adteval import VerdictPolicy
+from safsec.confidence import GoalOpinion, SecurityVerdict, aggregate_gsn, apply_security_links
 from safsec.conflicts import ContradictionWitness
 from safsec.dot import _esc
 from safsec.model import (
+    AddCounterAction,
     AdtNode,
     AttackDefenseTree,
+    ConfidenceTriple,
     Diagnostic,
+    Document,
     FaultTree,
     GsnModel,
     GsnNode,
     NodeKind,
     Refinement,
+    Scenario,
+    ScenarioAction,
+    adt_walk,
 )
 from safsec.modelfile.lexer import string_value
 from safsec.modelfile.printer import _num, _quote
+from safsec.process import RoundEntry, Transcript, describe_action, rounds, set_defeaters
 
 
 def all_subsets(items):
@@ -403,6 +413,95 @@ def naive_subtree_counts(model: GsnModel) -> dict[str, tuple[int, int]]:
         return outruled, total
 
     return {n.id: subtree(n.id) for n in model.nodes if n.kind is NodeKind.GOAL}
+
+
+# The whole-model scenario replay that ``process.Replay`` replaced, kept as
+# the reference for its differential test.  Every round re-evaluates the
+# whole ADT, re-aggregates the whole model after a ``set_defeaters`` round
+# and walks the tree to each ``add_counter`` target.  It shares the round
+# numbering, the action descriptions and ``set_defeaters`` with the code it
+# checks, and none of the incremental state.
+
+
+def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> AttackDefenseTree:
+    """Return a copy of the tree with a countermeasure under the labeled node.
+
+    The target is the first node in :func:`adt_walk`'s preorder, so a
+    countermeasure can be countered too.  The walk keeps the open nodes on a
+    stack and stops at the target; then only the target and its ancestors,
+    the nodes on that stack, are rebuilt.
+    """
+    spine: list[tuple[str, AdtNode]] = []  # the open nodes, root first
+    for path, node, entering in adt_walk(tree.root):
+        if not entering:
+            spine.pop()
+            continue
+        spine.append((path, node))
+        if node.label == at_label:
+            break
+    else:
+        raise ValueError(f"unknown adt node {at_label!r}")
+    path, target = spine.pop()
+    if target.counter is not None:
+        raise ValueError(f"node {at_label!r} already carries a countermeasure")
+    if counter.actor is not target.actor.opposite:
+        raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
+    new = target._replace(counter=counter)
+    for parent_path, parent in reversed(spine):
+        slot = path[len(parent_path) + 1:]
+        if slot == "c":
+            new = parent._replace(counter=new)
+        else:
+            i = int(slot)
+            new = parent._replace(children=parent.children[:i] + (new,) + parent.children[i + 1:])
+        path = parent_path
+    return replace(tree, root=new)
+
+
+def apply_round(
+    action: ScenarioAction, model: GsnModel, adt: AttackDefenseTree, policy: VerdictPolicy
+) -> tuple[GsnModel, AttackDefenseTree, VerdictPolicy]:
+    """The GSN model, ADT and verdict policy after one round's action."""
+    if isinstance(action, VerdictPolicy):
+        return model, adt, action
+    if isinstance(action, AddCounterAction):
+        return model, attach_counter(adt, action.at_label, action.node), policy
+    return set_defeaters(model, action.goal_id, action.count), adt, policy
+
+
+def naive_run_process(document: Document, scenario: Scenario) -> Transcript:
+    """Replay ``scenario``, re-deriving the whole model every round."""
+    model = document.gsns[scenario.gsn_name]
+    adt = document.adts[scenario.adt_name]
+    policy = adteval.UNASSESSED
+    root_goal = model.root().id
+    aggregate: Optional[dict[str, GoalOpinion]] = None  # of ``model``; None once stale
+
+    def current_triple() -> tuple[SecurityVerdict, ConfidenceTriple]:
+        nonlocal aggregate
+        v = adteval.verdict(adt, policy)
+        if aggregate is None:
+            aggregate = aggregate_gsn(model)
+        linked = apply_security_links(model, aggregate, {scenario.adt_name: v})
+        return v, linked[root_goal].reported
+
+    _, initial = current_triple()
+    met = scenario.thresholds.met_by(initial)
+    entries: list[RoundEntry] = []
+    for round_no, action in rounds(scenario):
+        if met:
+            break
+        try:
+            revised, adt, policy = apply_round(action, model, adt, policy)
+            if revised is not model:
+                model, aggregate = revised, None
+            verdict, triple = current_triple()
+        except ValueError as exc:
+            raise ValueError(f"round {round_no}: {exc}")
+        entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
+        met = scenario.thresholds.met_by(triple)
+    status = "accepted" if met else "exhausted"
+    return Transcript(initial, tuple(entries), status)
 
 
 NAIVE_PUNCT = {"{", "}", "[", "]", "=", ",", "&", "!"}
