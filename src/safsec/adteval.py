@@ -14,8 +14,8 @@ noisy-OR instead.
 
 Errors raise ``ValueError``.  :func:`refined_value` is the one rule for a
 node's value; :func:`evaluate` and :mod:`safsec.process`'s scenario replay
-both apply it, and :mod:`safsec.validate` checks a scenario's leaves with
-:func:`leaf_value`, the rule it applies to a leaf.
+both apply it, and :mod:`safsec.validate` checks a scenario's rounds by
+running that replay.
 """
 
 from __future__ import annotations
@@ -108,8 +108,10 @@ def refined_value(node: AdtNode, domain: AttributeDomain, child_values: Sequence
     """
     if node.refinement is Refinement.LEAF:
         return leaf_value(node, domain)
+    if not child_values:
+        raise ValueError(f"{node.refinement.value} node {node.label!r} has no children")
     combine = domain.and_combine if node.refinement is Refinement.AND else domain.or_combine
-    if (combine is min or combine is max) and child_values:
+    if combine is min or combine is max:
         return combine(child_values)  # one C call making reduce's comparisons, in its order
     return reduce(combine, child_values)
 
@@ -118,7 +120,7 @@ def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, floa
     """Value of every node (keyed by tree path) under the given domain.
 
     The tree's node invariants are :mod:`safsec.validate`'s: a leaf has no
-    children and an AND/OR node has at least one.
+    children, and an AND/OR node without any raises ``ValueError``.
     """
     values: dict[str, float] = {}
 

@@ -26,8 +26,9 @@ A round costs what it changes, not what the model holds.  A replay keeps:
   still recurses: without recursion, the benchmark's 1,200-deep ``adt
   eval`` request would answer with a 1.5 MB payload instead of failing
   fast, which waits on ROADMAP items 1 and 2.
-- The root goal's subtree evidence as a running total: summed once, then
-  each ``set_defeaters`` round adds the new count less the old one.
+- The root goal's subtree evidence, summed once from the model, which no
+  round copies, and each goal's latest ``set_defeaters`` count: a round
+  adds its new count less the old one to a running delta.
 - Each label's first node in :func:`~safsec.model.adt_walk`'s preorder
   (children before countermeasures), the node that ``add_counter``
   targets, as a tree path: found by one walk at the first ``add_counter``
@@ -35,9 +36,9 @@ A round costs what it changes, not what the model holds.  A replay keeps:
   countermeasure fills an empty slot, so no other node's path moves.
 
 A round that cannot be applied raises ``ValueError`` naming it.  The
-validator applies the rounds with the same :class:`Replay` and checks the
-leaves each round folds, so it refuses the same round; it reads no values,
-so it folds nothing and also replays structurally broken trees.
+validator applies the rounds with the same :class:`Replay` and reads each
+round's verdict while the trees pass their node checks, so it refuses the
+round that ``process run`` refuses.
 """
 
 from __future__ import annotations
@@ -90,17 +91,6 @@ class Transcript:
         return self.entries[-1].triple if self.entries else self.initial_triple
 
 
-def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnModel:
-    """Return a copy of the model with ``count`` on the goal ``goal_id``."""
-    node = next((n for n in model.nodes if n.id == goal_id), None)
-    if node is None or node.kind is not NodeKind.GOAL:
-        raise ValueError(f"set_defeaters target {goal_id!r} is not a goal of gsn {model.name!r}")
-    if count.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
-        raise ValueError("; ".join(count.problems))
-    new_node = node._replace(defeaters=count)
-    return replace(model, nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
-
-
 def describe_action(action: ScenarioAction) -> str:
     if isinstance(action, VerdictPolicy):
         if action.unassessed:
@@ -136,16 +126,19 @@ class Replay:
     """A scenario's GSN model, ADT and verdict policy, round by round.
 
     :meth:`apply` applies one round's action; :meth:`verdict` and
-    :meth:`triple` read the state that it leaves.  ``model`` and ``adt`` are
-    rebuilt, never changed in place, so the blocks passed in stay as they
-    are.  Nothing is read from the model until a triple is asked for.
+    :meth:`triple` read the state that it leaves.  ``adt`` is rebuilt, never
+    changed in place, and ``model`` is kept as it is: ``counts`` holds the
+    rounds' defeater counts.  Nothing is read from the model but its id
+    index until a triple is asked for.
     """
 
     def __init__(self, model: GsnModel, adt: AttackDefenseTree) -> None:
         self.model, self.adt, self.policy = model, adt, adteval.UNASSESSED
+        self.counts: dict[str, DefeaterCount] = {}  # goal id -> the last count a round set
         self._memos: dict[AttributeDomain, _Memo] = {}
         self._paths: Optional[dict[str, str]] = None  # label -> path of its first node
-        self._count: Optional[DefeaterCount] = None  # the root goal's subtree evidence
+        self._count: Optional[DefeaterCount] = None  # the root goal's evidence in ``model``
+        self._delta = DefeaterCount(0, 0)  # what the rounds' counts add to it
         self._link: Optional[SecurityLink] = None  # the root goal's security link
 
     def apply(self, action: ScenarioAction) -> None:
@@ -155,13 +148,16 @@ class Replay:
         elif isinstance(action, AddCounterAction):
             self._attach(action.at_label, action.node)
         else:
-            revised = set_defeaters(self.model, action.goal_id, action.count)
-            if self._count is not None:
-                old = self.model.node(action.goal_id).defeaters or DefeaterCount(0, 0)
-                new, total = action.count, self._count
-                self._count = DefeaterCount(total.outruled + new.outruled - old.outruled,
-                                            total.total + new.total - old.total)
-            self.model = revised
+            goal_id, new = action.goal_id, action.count
+            node = self.model._by_id.get(goal_id)
+            if node is None or node.kind is not NodeKind.GOAL:
+                raise ValueError(f"set_defeaters target {goal_id!r} is not a goal of gsn "
+                                 f"{self.model.name!r}")
+            if new.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
+                raise ValueError("; ".join(new.problems))
+            old = self.counts.get(goal_id, node.defeaters) or DefeaterCount(0, 0)
+            self.counts[goal_id] = new
+            self._delta += DefeaterCount(new.outruled - old.outruled, new.total - old.total)
 
     def verdict(self) -> SecurityVerdict:
         """The ADT's verdict under the current policy."""
@@ -180,7 +176,7 @@ class Replay:
             self._count = DefeaterCount(*subtree_counts(self.model, [root])[root])
             links = self.model.links_for(root)
             self._link = links[0] if links else None  # validation rejects a goal with two
-        triple = opinion_from_evidence(self._count)
+        triple = opinion_from_evidence(self._count + self._delta)
         link = self._link
         if link is None:
             return triple

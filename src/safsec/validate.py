@@ -5,9 +5,9 @@ single pass reports all problems.  The result is sorted, which makes it
 independent of declaration order.  Gate cycles, reachability and GSN parent
 cycles are found by walks over :func:`safsec.model.post_order`.  A
 scenario's rounds are the ones that :func:`safsec.process.rounds` picks, 1
-up to ``max_rounds``, applied with a :class:`safsec.process.Replay`, so the
-gate refuses the round that ``process run`` refuses and no round that it
-never runs.
+up to ``max_rounds``, applied and folded by a :class:`safsec.process.Replay`
+as ``process run`` does, so the gate refuses the round that it refuses and
+no round that it never runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Container, Iterable, Iterator, Optional
 
-from .adteval import VerdictPolicy, leaf_value
 from .model import (
     AddCounterAction,
     AdtNode,
@@ -225,25 +224,21 @@ def _check_scenario(scenario: Scenario, document: Document, ctx: str) -> list[Di
     if gsn is None or adt is None:
         return diags
 
-    # Under an assessed policy a ``set_policy`` round checks every leaf and an
-    # ``add_counter`` round its counter's: the only leaves that the round
-    # folds and no earlier round checked.  The first round that raises is
-    # the one ``process run`` refuses.
+    # Each round folds what ``run_process`` folds, so the first round that
+    # raises is the one ``process run`` refuses.  A tree that fails its node
+    # checks is not folded: ``process run`` refuses it before any round.
+    sound = not _check_adt_nodes(adt.root, ctx)
     replay = Replay(gsn, adt)
     for round_no, action in rounds(scenario):
         rctx = f"{ctx}/round {round_no}"
-        counter = action.node if isinstance(action, AddCounterAction) else None
-        if counter is not None:
-            diags += _check_adt_nodes(counter, rctx)
+        if isinstance(action, AddCounterAction):
+            problems = _check_adt_nodes(action.node, rctx)
+            diags += problems
+            sound = sound and not problems
         try:
             replay.apply(action)
-            policy = replay.policy
-            unchecked = replay.adt.root if isinstance(action, VerdictPolicy) else counter
-            if unchecked is not None and not policy.unassessed:
-                domain = policy.domain()
-                for _, node, entering in adt_walk(unchecked):
-                    if entering and node.refinement is Refinement.LEAF:
-                        leaf_value(node, domain)
+            if sound:
+                replay.verdict()
         except ValueError as exc:
             diags.append(_err(str(exc), rctx))
             break

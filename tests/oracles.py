@@ -22,6 +22,7 @@ from safsec.model import (
     AdtNode,
     AttackDefenseTree,
     ConfidenceTriple,
+    DefeaterCount,
     Diagnostic,
     Document,
     FaultTree,
@@ -35,7 +36,7 @@ from safsec.model import (
 )
 from safsec.modelfile.lexer import string_value
 from safsec.modelfile.printer import _num, _quote
-from safsec.process import RoundEntry, Transcript, describe_action, rounds, set_defeaters
+from safsec.process import RoundEntry, Transcript, describe_action, rounds
 
 
 def all_subsets(items):
@@ -417,10 +418,21 @@ def naive_subtree_counts(model: GsnModel) -> dict[str, tuple[int, int]]:
 
 # The whole-model scenario replay that ``process.Replay`` replaced, kept as
 # the reference for its differential test.  Every round re-evaluates the
-# whole ADT, re-aggregates the whole model after a ``set_defeaters`` round
-# and walks the tree to each ``add_counter`` target.  It shares the round
-# numbering, the action descriptions and ``set_defeaters`` with the code it
+# whole ADT, copies and re-aggregates the whole model after a
+# ``set_defeaters`` round and walks the tree to each ``add_counter`` target.
+# It shares the round numbering and the action descriptions with the code it
 # checks, and none of the incremental state.
+
+
+def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnModel:
+    """Return a copy of the model with ``count`` on the goal ``goal_id``."""
+    node = next((n for n in model.nodes if n.id == goal_id), None)
+    if node is None or node.kind is not NodeKind.GOAL:
+        raise ValueError(f"set_defeaters target {goal_id!r} is not a goal of gsn {model.name!r}")
+    if count.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
+        raise ValueError("; ".join(count.problems))
+    new_node = node._replace(defeaters=count)
+    return replace(model, nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
 
 
 def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> AttackDefenseTree:

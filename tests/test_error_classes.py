@@ -9,7 +9,13 @@ import ast
 import builtins
 from pathlib import Path
 
+import pytest
+
+import safsec
 from safsec import cli
+from safsec.adteval import COST, PROBABILITY
+from safsec.model import Actor, AdtNode, AttackDefenseTree, GsnModel, Refinement
+from safsec.process import Replay
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "safsec"
 
@@ -49,3 +55,17 @@ def test_the_guard_sees_an_exception_class():
     text = ("class A(ValueError):\n    pass\nclass B(A):\n    pass\nclass C:\n    pass\n"
             "class D(errors.Problem, Exception):\n    pass\nclass E(C):\n    pass\n")
     assert exception_classes({"m": text}) == {"m.A", "m.B", "m.D"}
+
+
+def test_a_childless_refinement_is_a_value_error_in_every_fold():
+    # The validator's text; ``reduce`` over no children raised TypeError.
+    for refinement in (Refinement.AND, Refinement.OR):
+        tree = AttackDefenseTree("a", AdtNode(Actor.ATTACK, "r", Refinement.OR, children=(
+            AdtNode(Actor.ATTACK, "x", attributes=(("cost", 1.0), ("probability", 0.5))),
+            AdtNode(Actor.ATTACK, "bare", refinement))))
+        message = f"^{refinement.value} node 'bare' has no children$"
+        for domain in (COST, PROBABILITY):
+            with pytest.raises(ValueError, match=message):
+                safsec.evaluate(tree, domain)
+            with pytest.raises(ValueError, match=message):
+                Replay(GsnModel("m", ()), tree).root_value(domain)

@@ -29,7 +29,8 @@ from safsec.model import (
     Thresholds,
     adt_walk,
 )
-from safsec.process import TRANSCRIPT_NOTE, Replay, rounds, run_process, set_defeaters
+from safsec.process import TRANSCRIPT_NOTE, Replay, rounds, run_process
+from safsec.validate import validate_block
 
 import oracles
 from oracles import apply_round, attach_counter, naive_run_process
@@ -189,6 +190,9 @@ class TestAcceptanceAndExhaustion:
             assert list(rounds(scenario)) == list(enumerate(actions[:ran], start=1))
 
 
+ONE_LEAF = AttackDefenseTree("a", AdtNode(Actor.ATTACK, "x"))
+
+
 class TestErrors:
     def test_unknown_counter_target_names_the_round(self):
         doc, scenario = simple_document(
@@ -213,16 +217,21 @@ class TestErrors:
             ),
         )
         with pytest.raises(ValueError, match="not a goal"):
-            set_defeaters(model, "C1", DefeaterCount(1, 2))
+            Replay(model, ONE_LEAF).apply(SetDefeatersAction("C1", DefeaterCount(1, 2)))
 
     def test_set_defeaters_replaces_count(self):
         model = GsnModel(
             name="m",
             nodes=(GsnNode(id="G1", kind=NodeKind.GOAL, text="root"),),
         )
-        updated = set_defeaters(model, "G1", DefeaterCount(3, 4))
-        assert updated.node("G1").defeaters == DefeaterCount(3, 4)
-        assert model.node("G1").defeaters is None
+        replay = Replay(model, ONE_LEAF)
+        replay.apply(SetDefeatersAction("G1", DefeaterCount(3, 4)))
+        replay.apply(SetDefeatersAction("G1", DefeaterCount(1, 2)))
+        assert replay.counts == {"G1": DefeaterCount(1, 2)}
+        assert replay.model is model and model.node("G1").defeaters is None
+        revised = GsnModel("m", (model.nodes[0]._replace(defeaters=DefeaterCount(1, 2)),))
+        verdict = SecurityVerdict.NO_ASSESSMENT
+        assert replay.triple(verdict) == Replay(revised, ONE_LEAF).triple(verdict)
 
     def test_set_defeaters_refuses_a_count_that_aggregation_hides(self):
         # G1's 5/3 plus G2's 0/4 aggregates to 5/7, which is a valid count.
@@ -233,15 +242,21 @@ class TestErrors:
                            defeaters=DefeaterCount(0, 4))),
         )
         with pytest.raises(ValueError, match=r"^outruled defeaters \(5\) exceed total \(3\)$"):
-            set_defeaters(model, "G1", DefeaterCount(5, 3))
+            Replay(model, ONE_LEAF).apply(SetDefeatersAction("G1", DefeaterCount(5, 3)))
 
 
 def replay_round(action, model, adt, policy):
-    """``apply_round`` through a :class:`Replay` that starts at ``policy``."""
+    """``apply_round`` through a :class:`Replay` that starts at ``policy``;
+    the revised model is rebuilt from the counts that the replay records."""
     replay = Replay(model, adt)
     replay.policy = policy
     replay.apply(action)
-    return replay.model, replay.adt, replay.policy
+    assert replay.model is model
+    counts = replay.counts
+    if counts:
+        model = replace(model, nodes=tuple(n._replace(defeaters=counts.get(n.id, n.defeaters))
+                                           for n in model.nodes))
+    return model, replay.adt, replay.policy
 
 
 def replay_attach(tree, at_label, counter):
@@ -627,3 +642,37 @@ def test_a_counter_chain_folds_each_leaf_once(monkeypatch):
     calls, _ = count_work(monkeypatch)
     assert repr(run_process(document, scenario)) == repr(expected)
     assert max(calls.values()) == 1 and len(calls) == 21
+
+
+def test_a_defeater_ladder_revises_counts_and_keeps_the_model():
+    # n goals under the root, each set twice; no round copies the model.
+    n = 200
+    document, _ = ladder(1)
+    goals = (GsnNode("G1", NodeKind.GOAL, "top", defeaters=DefeaterCount(1, 4)),
+             *(GsnNode(f"G{i}", NodeKind.GOAL, "sub", parent="G1",
+                       defeaters=DefeaterCount(0, i % 3) if i % 2 else None)
+               for i in range(2, n + 1)))
+    model = GsnModel("m", goals, (SecurityLink("G1", "a", 1.0),))
+    actions = tuple(SetDefeatersAction(f"G{i % n + 1}", DefeaterCount(i % 3, 2 + i % 4))
+                    for i in range(2 * n))
+    scenario = Scenario("s", "m", "a", Thresholds(1.0, 0.0, 0.0), len(actions), actions)
+    document = Document((model, document.adts["a"], scenario))
+    assert repr(run_process(document, scenario)) == repr(naive_run_process(document, scenario))
+    replay = Replay(model, document.adts["a"])
+    for action in actions:
+        replay.apply(action)
+    assert replay.model is model and len(replay.counts) == n
+
+
+def test_the_validator_folds_each_leaf_once_per_domain(monkeypatch):
+    # n set_policy rounds alternate two domains; each leaf is read once in each.
+    n = 200
+    document, scenario = ladder(n)
+    policies = tuple(VerdictPolicy(attribute=("probability", "cost")[i % 2], op="<=",
+                                   threshold=0.5) for i in range(n))
+    scenario = replace(scenario, max_rounds=n, actions=policies)
+    document = Document((*document.blocks[:2], scenario))
+    calls, _ = count_work(monkeypatch)
+    assert validate_block(scenario, document) == []
+    assert calls == Counter({(f"leaf {i}", key): 1 for i in range(n)
+                             for key in ("probability", "cost")})

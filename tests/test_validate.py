@@ -307,6 +307,22 @@ def test_an_unknown_gsn_or_adt_replays_no_round(gsn_name, adt_name, message):
     assert errors(LINKED, COUNTERED, rounds) == [(message, "scenario s")]
 
 
+def test_a_tree_that_fails_its_node_checks_is_not_folded():
+    # process run refuses such a tree before its first round, so no round
+    # reads a leaf: "x" lacks cost, but only the node check is reported.
+    bare_and = AdtNode(Actor.ATTACK, "bare", Refinement.AND)
+    adt = AttackDefenseTree("a", AdtNode(Actor.ATTACK, "r", Refinement.OR,
+                                         children=(AdtNode(Actor.ATTACK, "x"), bare_and)))
+    cost = VerdictPolicy(attribute="cost", op="<=", threshold=1.0)
+    assert errors(LINKED, adt, scenario(cost)) == [("AND node 'bare' has no children", "adt a")]
+    # The same for a counter, and for every round after it.
+    bypass = AdtNode(Actor.ATTACK, "bypass", Refinement.OR,
+                     children=(AdtNode(Actor.ATTACK, "y"), bare_and))
+    rounds = scenario(AddCounterAction("d", bypass), cost)
+    assert errors(LINKED, COUNTERED, rounds) == [
+        ("AND node 'bare' has no children", "scenario s/round 1")]
+
+
 @pytest.mark.parametrize("max_rounds, ran, diags", [
     (1, [1], []),
     (0, [], [("max_rounds must be positive", "scenario s")]),
