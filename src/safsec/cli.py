@@ -3,19 +3,20 @@
 Each analysis command computes its result once and builds one payload dict.
 ``--format machine`` prints that payload as canonical JSON: the machine
 output *is* the payload, in the bytes of ``json.dumps(payload,
-sort_keys=True, indent=2)``.  CPython writes an indented document in pure
-Python, one call per container, so `_dumps` writes the same bytes a column
-at a time: the values that start on one indent level, encoded together by
-one ``map`` per scalar type and joined into one text per container.  Text
-output is a rendering of the same payload, written in blocks of lines, so
-the two formats cannot disagree.  The exit code comes from the payload's
-finding: 0 success, 1 analysis finding (invariant violation, contradiction,
-thresholds unmet), 2 usage, parse or analysis error.  Exit 2 writes one
-``error:`` line to stderr, or one ``file:line:col`` diagnostic per line for
-a file that does not parse.  Before an analysis runs, the blocks it reads
-go through the validator: exit 2 then writes the line ``validate`` prints
-for the first error among them.  ``SAFSEC_COLOR=0`` disables color in text
-output.
+sort_keys=True, indent=2)``, where a cut-set family (``fta.CutSets``) is the
+list of its rows in canonical order.  CPython writes an indented document in
+pure Python, one call per container, so `_dumps` writes the same bytes a
+column at a time: the values that start on one indent level, encoded
+together by one ``map`` per scalar type and joined into one text per
+container.  Text output is a rendering of the same payload, written in
+blocks of lines, so the two formats cannot disagree.  The exit code comes
+from the payload's finding: 0 success, 1 analysis finding (invariant
+violation, contradiction, thresholds unmet), 2 usage, parse or analysis
+error.  Exit 2 writes one ``error:`` line to stderr, or one
+``file:line:col`` diagnostic per line for a file that does not parse.
+Before an analysis runs, the blocks it reads go through the validator: exit
+2 then writes the line ``validate`` prints for the first error among them.
+``SAFSEC_COLOR=0`` disables color in text output.
 """
 
 from __future__ import annotations
@@ -137,19 +138,30 @@ Writer = Callable[[list], Iterable[str]]
 
 def _kind(kind: type) -> type:
     """How values of type ``kind`` are written: as a key of `_SCALARS`, as
-    ``dict`` (dicts) or as ``list`` (lists and tuples)."""
-    if kind in _SCALARS:
+    ``CutSets``, as ``dict`` (dicts) or as ``list`` (lists and tuples)."""
+    if kind in _SCALARS or kind is fta_mod.CutSets:
         return kind
     if issubclass(kind, dict):
         return dict
     return list if issubclass(kind, (list, tuple)) else object
 
 
+def _family(family: fta_mod.CutSets, newline: str) -> str:
+    """A cut-set family, starting on the line ``newline`` ends, as the list
+    of its canonical rows; each event is encoded once, at its rows' indent."""
+    inner = newline + "  "
+    names = list(map(f",{inner}  ".__add__, map(encode_basestring_ascii, family.events)))
+    rows = [f"[{row[1:]}{inner}]" if row else "[]" for row in fta_mod.canonical_rows(family, names)]
+    return f"[{inner}{f',{inner}'.join(rows)}{newline}]" if rows else "[]"
+
+
 def _box(values: list, kind: type, newline: str, jobs: list) -> list:
     """The box that will hold the texts of a column of one ``kind``: now for
-    scalars (encoded when read), else once the job it adds is written."""
+    scalars and families (written when read), else once its job is written."""
     if kind in _SCALARS:
         return [_SCALARS[kind](values)]
+    if kind is fta_mod.CutSets:
+        return [map(_family, values, repeat(newline))]
     box: list = []
     jobs.append((values, newline, kind, box))
     return box
@@ -267,7 +279,8 @@ def _plan(values: list, newline: str, kind: type, jobs: list) -> tuple[Writer, l
 
 
 def _dumps(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(value, sort_keys=True, indent=2, default=...)``, byte for
+    byte, where ``default`` turns a cut-set family into its canonical rows.
 
     CPython encodes with an ``indent`` in pure Python only, one generator
     call per container.  This writer works a *column* at a time: the values
@@ -276,8 +289,9 @@ def _dumps(value: Any) -> str:
     into one column in sorted-key order, and lists flatten into one column
     of items; lists of strings are joined at once.  A column of one exact
     scalar type is encoded by one ``map``, and a mixed column splits by
-    kind.  One forward pass over the job list plans every column of
-    containers, and one reversed pass writes each column's texts from its
+    kind.  A family is written as its rows at once, each event encoded
+    once (`_family`).  One forward pass over the job list plans every column
+    of containers, and one reversed pass writes each column's texts from its
     child columns', which it then drops, so nothing recurses.  A container's
     text is copied once more for each level above it, except along a chain
     of one-item containers, which is joined at once.  Dict keys are strings,
@@ -389,8 +403,9 @@ def validate(file: str) -> None:
 
 
 def _text_cutsets(p: dict) -> Lines:
-    for cut in p["cut_sets"]:
-        yield "{" + ", ".join(cut) + "}", None
+    family = p["cut_sets"]
+    for row in fta_mod.canonical_rows(family, [", " + event for event in family.events]):
+        yield "{" + row[2:] + "}", None
 
 
 @fta.command("cutsets")
@@ -405,7 +420,7 @@ def fta_cutsets(file: str, tree: str, minimal: bool) -> None:
         "command": "fta cutsets",
         "tree": tree,
         "minimal": minimal,
-        "cut_sets": fta_mod.canonical_order(family),
+        "cut_sets": family,
     }
     _emit(payload, _text_cutsets)
 

@@ -6,46 +6,41 @@ child families (an AND's leaf children make one set).  A cut set is an
 ``int`` bit mask.  The leaf events that the top event reaches are ranked in
 sorted name order, and each event's bit is its rank, so a union is ``a | b``
 and ``k`` is a subset of ``c`` exactly when ``k & c == k``.  A fold over
-:func:`safsec.model.post_order` from the top event expands each gate once,
-after its inputs (shared gates are memoised); a gate cycle raises
-``ValueError``.  For the minimal family, absorption runs after every AND
-product step and at the end of every OR gate, so subsumed sets never grow
-past the gate that made them and each gate's work is bounded by its
-children's minimal families, not by the raw family.
+the tree's post-order from its top event (``FaultTree.top_order``, cached
+for the validator too) expands each gate once, after its inputs (shared
+gates are memoised); a gate cycle raises ``ValueError``.  For the minimal
+family, absorption runs after every AND product step and at the end of
+every OR gate, so subsumed sets never grow past the gate that made them and
+each gate's work is bounded by its children's minimal families, not by the
+raw family.
 
 Both expansions return a :class:`CutSets`: the masks and the ranked event
-names, read as a set of ``frozenset``s of names.  :func:`canonical_order`
-lists each set's events in sorted order and the sets in sorted order of
-those tuples, whatever order the events were declared in.  It turns masks
-into name tuples a byte at a time, through a table of name tuples per byte
-position; since rank order is name order, every tuple comes out sorted, and
-one sort of the tuples orders the family.
+names, read as a set of ``frozenset``s of names.  Canonical order lists
+each set's events in sorted order and the sets in sorted order of those
+name tuples, whatever order the events were declared in.
+:func:`canonical_rows` puts a family in that order straight from its masks,
+a byte of them at a time: it joins each set's rank bytes into its key and
+the caller's fragments into its row, and one sort of the keys orders the
+rows.  The CLI writes JSON and text rows this way; :func:`canonical_order`
+returns rows of names.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from collections.abc import Set as AbstractSet
-from functools import reduce
-from itertools import groupby, product, repeat
-from operator import add, itemgetter, or_
+from functools import partial, reduce
+from itertools import compress, groupby, product, repeat
+from operator import or_
+from typing import TypeVar
 
-from .model import FaultTree, GateOp, post_order
+from .model import FaultTree, GateOp
 
 CutSet = frozenset[str]
-
-
-def _selector(byte: int) -> itemgetter:
-    """A function from up to 8 names to the tuple of those at ``byte``'s set bits."""
-    bits = [bit for bit in range(8) if byte >> bit & 1]
-    if len(bits) > 1:
-        return itemgetter(*bits)
-    return itemgetter(slice(bits[0], bits[0] + 1) if bits else slice(0))
-
-
-# Byte -> its selector; and byte -> 1 if it is nonzero, for ``bytes.translate``.
-_SELECT = tuple(map(_selector, range(256)))
-_NONZERO = bytes(byte > 0 for byte in range(256))
+Row = TypeVar("Row", str, bytes, tuple)
+Joiner = Callable[[Iterable[Row]], Row]  # e.g. "".join
+_BIT = (1, 2, 4, 8, 16, 32, 64, 128)  # each bit of a byte
 
 
 def _bits(events: tuple[str, ...]) -> dict[str, int]:
@@ -87,7 +82,7 @@ class CutSets(AbstractSet):
         return len(self.masks)
 
     def __iter__(self) -> Iterator[CutSet]:
-        return map(frozenset, _name_tuples(self))
+        return map(frozenset, canonical_order(self))
 
     def __contains__(self, cut: object) -> bool:
         if not isinstance(cut, AbstractSet):
@@ -119,7 +114,7 @@ def _expand(tree: FaultTree, minimal: bool) -> CutSets:
     Memoised families are shared between parents and never mutated.
     """
     try:
-        order = list(post_order([tree.top], tree.inputs, "gate"))
+        order = tree.top_order
     except ValueError as exc:
         raise ValueError(f"fault tree {tree.name!r}: {exc}") from None
     events = tuple(sorted(node for node in order if tree.gate(node) is None))
@@ -169,41 +164,65 @@ def minimize(family: Iterable[Iterable[str]]) -> CutSets:
     return CutSets(set(kept), family.events)
 
 
-def _name_tuples(family: CutSets) -> list[tuple[str, ...]]:
-    """Each mask's event names in rank order, in the order of ``family.masks``.
+def canonical_rows(family: CutSets, fragments: Sequence[Row], join: Joiner = "".join) -> list[Row]:
+    """For each set of ``family`` in canonical order, the ``join`` of
+    ``fragments[i]`` over its events ``family.events[i]``, in rank order.
 
-    The masks' little-endian bytes are laid end to end, so a strided slice is
-    the column of one byte position, and a position that no mask uses is
-    skipped.  Where at least half the masks use a position, a table maps each
-    byte value in its column to the names of its set bits, and every tuple is
-    extended at once; elsewhere only the masks that use it are, found a run
-    of zero bytes at a time.  So the work per mask is bounded by its nonzero
-    bytes.
+    Rank order is name order, so a set's key, the bytes of its ranks (as
+    many per rank as the largest needs), sorts as its name tuple does, and
+    no two sets share one.  The masks' little-endian bytes are laid end to
+    end, so a strided slice is the column of one byte position; a column
+    that fewer than half the masks use is read only at those masks, so the
+    work per mask is bounded by its nonzero bytes.
     """
-    masks, events = family.masks, family.events
-    count, width = len(masks), (len(events) + 7) >> 3
-    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    tuples: list[tuple[str, ...]] = [()] * count
+    events, count = family.events, len(family.masks)
+    width, size = (len(events) + 7) >> 3, max(1, ((len(events) - 1).bit_length() + 7) >> 3)
+    data = b"".join(map(int.to_bytes, family.masks, repeat(width), repeat("little")))
+    columns = []  # (position, column, byte values present, users or None if read whole)
     for position in range(width):
         column = data[position::width]
         zeros = column.count(0)
-        if zeros == count:
+        if zeros < count:  # else no mask uses this byte
+            users = [m.start() for m in re.finditer(b"[^\0]", column)] if 2 * zeros > count else None
+            present = set(column) if users is None else set(map(column.__getitem__, users))
+            columns.append((position, column, present, users))
+    keys = _joined(columns, count, [rank.to_bytes(size, "big") for rank in range(len(events))], b"".join)
+    rows = _joined(columns, count, fragments, join)
+    return list(map(rows.__getitem__, sorted(range(count), key=keys.__getitem__)))
+
+
+def _joined(columns: list, count: int, fragments: Sequence[Row], join: Joiner) -> list[Row]:
+    """For each of ``count`` masks, the ``join`` of ``fragments[i]`` over its
+    set bits ``i``, from the ``columns`` of their bytes.  Each run of
+    columns read whole is joined into every row at once; another column
+    extends only the rows of its users."""
+    rows, run = [join(())] * count, []
+    for position, column, present, users in columns:
+        table = _table(present, fragments[8 * position:8 * position + 8], join)
+        if users is None:
+            run.append(map(table.__getitem__, column))
             continue
-        names = events[8 * position:8 * position + 8]
-        if 2 * zeros <= count:
-            table = {byte: _SELECT[byte](names) for byte in set(column)}
-            tuples = list(map(add, tuples, map(table.__getitem__, column)))
-            continue
-        flags = column.translate(_NONZERO)
-        i = flags.find(1)
-        while i >= 0:
-            tuples[i] += _SELECT[column[i]](names)
-            i = flags.find(1, i + 1)
-    return tuples
+        if run:
+            rows, run = list(map(join, zip(rows, *run))), []
+        for i in users:
+            rows[i] += table[column[i]]
+    return list(map(join, zip(rows, *run))) if run else rows
+
+
+def _table(present: set[int], names: Sequence[Row], join: Joiner) -> Sequence[Row]:
+    """Byte value -> the ``join`` of ``names[bit]`` over its set bits: for
+    each value ``present`` when there are few, else for every value up to
+    the highest bit in use, built by doubling."""
+    used = reduce(or_, present)
+    if len(present) << 3 < 1 << used.bit_length():
+        return {value: join(compress(names, map(value.__and__, _BIT))) for value in present}
+    table = [join(())]
+    for bit in range(used.bit_length()):
+        table += [row + names[bit] for row in table] if used >> bit & 1 else table
+    return table
 
 
 def canonical_order(family: Iterable[Iterable[str]]) -> list[tuple[str, ...]]:
     """Stable report order: events sorted within sets, sets sorted as tuples."""
-    tuples = _name_tuples(CutSets.of(family))
-    tuples.sort()
-    return tuples
+    family = CutSets.of(family)
+    return canonical_rows(family, [(event,) for event in family.events], partial(sum, start=()))

@@ -291,6 +291,11 @@ class FaultTree:
     def gate(self, gate_id: str) -> Optional[tuple[GateOp, tuple[str, ...]]]:
         return self._gate_by_id.get(gate_id)
 
+    @cached_property
+    def top_order(self) -> tuple[str, ...]:
+        """Every node the top event reaches, after its inputs; a cycle raises."""
+        return tuple(post_order([self.top], self.inputs, "gate"))
+
     def inputs(self, node: str) -> tuple[str, ...]:
         """A gate's inputs; ``()`` for an event or an undeclared node."""
         return self._gate_by_id.get(node, (None, ()))[1]

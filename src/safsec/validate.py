@@ -163,7 +163,7 @@ def _check_fta(tree: FaultTree, ctx: str) -> list[Diagnostic]:
     except ValueError as exc:
         return diags + [_err(str(exc), ctx)]
 
-    reachable = set(post_order([tree.top], tree.inputs, "gate"))
+    reachable = set(tree.top_order)
     diags += (_err(f"node {orphan!r} unreachable from top event", ctx)
               for orphan in declared - reachable)
     return diags

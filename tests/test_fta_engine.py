@@ -5,18 +5,32 @@ declaration wins, as in ``FaultTree.gate``).  Where the recursive oracle
 returns, raw families must be identical and minimal families must match the
 brute-force minimal cut sets; where it never returns (a gate cycle), the
 engine must raise ``ValueError`` instead.
+
+The canonical order, which ``canonical_rows`` builds from the masks and the
+CLI writes from, must equal the sort of the sets' sorted name tuples, and
+``fta cutsets`` must print exactly ``json.dumps`` of those rows and one
+``{a, b}`` line per row.
 """
 
+import json
 import math
+import random
 import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import safsec.fta
+import safsec.model
+import safsec.validate
+from conftest import load_bundled
+from generators import random_fault_tree
 from oracles import brute_force_minimal_cut_sets, naive_cut_sets
-from safsec.fta import CutSets, canonical_order, cut_sets, minimal_cut_sets, minimize
-from safsec.model import FaultTree, GateOp
+from safsec.cli import main
+from safsec.fta import CutSets, canonical_order, canonical_rows, cut_sets, minimal_cut_sets, minimize
+from safsec.model import FaultTree, GateOp, post_order
 
 EVENTS = ["e0", "e1", "e2", "e3", "e4"]
 OPS = list(GateOp)
@@ -193,7 +207,7 @@ def test_deep_chain_needs_no_recursion():
 
 def test_deep_cycle_names_the_gate():
     t = chain(10_000, close_cycle=True)
-    with pytest.raises(ValueError, match="cycle through gate 'G0'"):
+    with pytest.raises(ValueError, match="^fault tree 'T': cycle through gate 'G0'$"):
         minimal_cut_sets(t)
 
 
@@ -238,3 +252,106 @@ def test_and_of_14_minimal_family_is_fast():
     assert len(family) == 2**14
     assert all(len(s) == 14 for s in family)
     assert elapsed < 5.0, f"AND-of-14 took {elapsed:.2f} s"
+
+
+# --- the canonical order against a sort of name tuples, through the CLI --------
+
+
+def decoded(family):
+    """The family's sets as sorted name tuples, read off the masks alone."""
+    return {tuple(e for i, e in enumerate(family.events) if mask >> i & 1) for mask in family.masks}
+
+
+def ssm(t):
+    lines = [f'fta "{t.name}" {{', f"  top {t.top}"]
+    lines += [f"  gate {g} {op.value} [{', '.join(kids)}]" for g, op, kids in t.gates]
+    return "\n".join(lines + [f"  event {e}" for e in sorted(t.basic_events)] + ["}", ""])
+
+
+def check_canonical_order(t, tmp_path):
+    """For the raw and the minimal family of ``t``: the routine's order, the
+    machine output and the text output against the sort of name tuples."""
+    path = tmp_path / "tree.ssm"
+    path.write_text(ssm(t), encoding="utf-8")
+    for minimal, family in ((False, cut_sets(t)), (True, minimal_cut_sets(t))):
+        expected = sorted(decoded(family))
+        assert canonical_order(family) == expected
+        rows = canonical_rows(family, [f"<{e}>" for e in family.events])
+        assert rows == ["".join(f"<{e}>" for e in cut) for cut in expected]
+
+        args = ["fta", "cutsets", str(path), "--tree", t.name] + ["--minimal"] * minimal
+        machine = CliRunner().invoke(main, ["--format", "machine", *args])
+        payload = {"command": "fta cutsets", "tree": t.name, "minimal": minimal,
+                   "cut_sets": [list(cut) for cut in expected]}
+        assert (machine.exit_code, machine.stdout) == (0, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = CliRunner().invoke(main, args, env={"SAFSEC_COLOR": "0"})
+        assert (text.exit_code, text.stdout) == (0, "".join("{" + ", ".join(cut) + "}\n" for cut in expected))
+
+
+def renamed(t, names):
+    """``t`` with its events renamed, in sorted order, to ``names``."""
+    new = dict(zip(sorted(t.basic_events), names))
+    gates = tuple((g, op, tuple(new.get(k, k) for k in kids)) for g, op, kids in t.gates)
+    return FaultTree(t.name, new.get(t.top, t.top), gates, frozenset(new.values()))
+
+
+# Identifiers that JSON escapes, whose code point order interleaves ASCII and
+# non-ASCII names, and whose sorted order differs from their declared order.
+ESCAPED = ["é1", "Ω", "日本", "𝔘x", "Zeta", "ä", "w10", "w2", "ß", "É"]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_trees_order_and_print_as_sorted_tuples(seed, tmp_path):
+    t = random_fault_tree(random.Random(seed))
+    check_canonical_order(t, tmp_path)
+    check_canonical_order(renamed(t, random.Random(seed).sample(ESCAPED, len(ESCAPED))), tmp_path)
+
+
+def test_an_or_of_300_events_orders_past_256_events(tmp_path):
+    names = [f"n{i}" for i in range(300)]  # "n10" sorts before "n2"
+    check_canonical_order(tree("T", [("T", GateOp.OR, tuple(reversed(names)))], names), tmp_path)
+
+
+def test_an_and_of_two_ors_of_150_events(tmp_path):
+    left, right = [f"l{i}" for i in range(150)], [f"R{i}" for i in range(150)]
+    t = tree("T", [("T", GateOp.AND, ("A", "B")), ("A", GateOp.OR, tuple(left)),
+                   ("B", GateOp.OR, tuple(right[::-1]))], left + right)
+    check_canonical_order(t, tmp_path)
+
+
+def test_escaped_names_across_byte_boundaries(tmp_path):
+    names = [f"{stem}{i}" for i, stem in enumerate("wÉzßΩa日Zé𝔘" * 3)]  # 30 events, 4 bytes
+    ors = [(f"O{i}", GateOp.OR, (names[i], names[-1 - i])) for i in range(15)]
+    t = tree("T", [("T", GateOp.OR, ("A", "B")), ("A", GateOp.AND, tuple(g for g, _, _ in ors[:6])),
+                   ("B", GateOp.OR, tuple(g for g, _, _ in ors[3:])), *ors], names)
+    check_canonical_order(t, tmp_path)
+
+
+def test_dense_sparse_and_unused_byte_columns(tmp_path):
+    """Byte 0 is used by most sets, bytes 1 and 2 by a few, and byte 3 only by
+    a set that the minimal family absorbs."""
+    n = [f"n{i:02d}" for i in range(32)]
+    t = tree("T", [("T", GateOp.OR, ("X", "Y", "Z", "W")),
+                   ("X", GateOp.AND, ("P", "Q")), ("P", GateOp.OR, tuple(n[0:4])),
+                   ("Q", GateOp.OR, tuple(n[4:8])), ("Y", GateOp.AND, ("n00", "R")),
+                   ("R", GateOp.OR, tuple(n[8:16])), ("Z", GateOp.AND, tuple(n[16:24])),
+                   ("W", GateOp.AND, ("n00", "n04", *n[24:]))], n)
+    assert not any(mask >> 24 for mask in minimal_cut_sets(t).masks)
+    check_canonical_order(t, tmp_path)
+
+
+def test_a_cutsets_request_walks_the_gates_twice(monkeypatch, tmp_path):
+    """The validator's cycle check walks from every gate; its reachability
+    check and the expansion share the tree's one walk from the top."""
+    walks = []
+
+    def counted(roots, children, kind):
+        walks.append(kind)
+        return post_order(roots, children, kind)
+
+    for module in (safsec.model, safsec.validate, safsec.fta):
+        monkeypatch.setattr(module, "post_order", counted, raising=False)
+    path = tmp_path / "servertheft.ssm"
+    path.write_text(load_bundled("servertheft.ssm"), encoding="utf-8")
+    result = CliRunner().invoke(main, ["fta", "cutsets", str(path), "--tree", "ServerTheft", "--minimal"])
+    assert (result.exit_code, walks) == (0, ["gate", "gate"])

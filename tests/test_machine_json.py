@@ -2,9 +2,11 @@
 
 ``cli._dumps`` writes a column of values at a time: dicts that share their
 keys split into one column per key, other dicts and lists pour their items
-into one column, and each column of one scalar type is encoded at once.
-Every value it writes must come out byte for byte as the standard library's
-indenting encoder writes it.
+into one column, and each column of one scalar type is encoded at once.  A
+cut-set family is written as its canonical rows, the lists of its sets'
+names in ``fta.canonical_order``.  Every value it writes must come out byte
+for byte as the standard library's indenting encoder writes it, given a
+``default`` that turns a family into those rows.
 """
 
 import json
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safsec.cli import _dumps
+from safsec.fta import CutSets, cut_sets
+from safsec.model import FaultTree
 
 
 class Record(dict):
@@ -212,3 +216,40 @@ def test_a_nest_with_a_sibling_at_each_level():
     for level in range(400):
         value = {"k": value, "n": level} if level % 2 else [level, value]
     assert _dumps(value) == oracle(value)
+
+
+# --- cut-set families ------------------------------------------------------------
+
+
+def rows(family):
+    """A family's canonical rows, read off its masks alone."""
+    return sorted(tuple(e for i, e in enumerate(family.events) if mask >> i & 1)
+                  for mask in family.masks)
+
+
+def family_oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, default=rows)
+
+
+WIDE = CutSets.of([{f"w{i}", f"W{j}"} for i in range(3) for j in range(12)] + [{"é", "\u2028"}])
+HOLDS_EMPTY_SET = CutSets({0, 1, 6}, ("a", "b\"", "c"))
+SINGLE_EVENT = cut_sets(FaultTree("T", "A", (), frozenset("A")))
+FAMILIES = st.sets(st.frozensets(STRINGS, max_size=4), max_size=6).map(CutSets.of)
+
+
+@pytest.mark.parametrize("value", [
+    [WIDE, 1, [WIDE]],
+    {"a": WIDE, "b": {"c": [HOLDS_EMPTY_SET, "x"]}},
+    [{"cut_sets": WIDE, "n": 1}, {"cut_sets": SINGLE_EVENT, "n": 2}],
+    {"empty": CutSets(set(), ()), "no sets": CutSets(set(), ("a",)), "one empty set": CutSets({0}, ())},
+    {"command": "fta cutsets", "cut_sets": SINGLE_EVENT, "minimal": True, "tree": "T"},
+    SINGLE_EVENT,
+], ids=["in a list", "in a dict", "two in one column", "empty", "single event", "alone"])
+def test_families(value):
+    assert _dumps(value) == family_oracle(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(SCALARS | FAMILIES, containers, max_leaves=12))
+def test_families_anywhere_match_indenting_encoder(value):
+    assert _dumps(value) == family_oracle(value)
