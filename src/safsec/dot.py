@@ -3,8 +3,8 @@
 Presentation only: attack nodes are red boxes, defense nodes green, and
 countermeasure attachments use dotted edges.  AND refinements and gates are
 marked in the node label.  An ADT's nodes are named by their tree paths; a
-node's line is written when the walk enters it and the edge from its parent
-when the walk leaves it, so each edge follows its child's whole subtree.
+node's line is written when the walk enters it and the edge from its open
+parent when the walk leaves it, so each edge follows its child's subtree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .model import (
     GsnModel,
     NodeKind,
     Refinement,
-    adt_walk,
+    adt_paths,
 )
 
 GSN_SHAPES = {
@@ -67,8 +67,10 @@ def fta_to_dot(tree: FaultTree) -> str:
 
 def adt_to_dot(tree: AttackDefenseTree) -> str:
     lines = [f'digraph "{_esc(tree.name)}" {{', "  rankdir=TB;"]
-    for path, node, entering in adt_walk(tree.root):
+    opened: list[str] = []  # the open nodes' paths
+    for path, place, node, entering in adt_paths(tree.root):
         if entering:
+            opened.append(path)
             label = _esc(node.label)
             if node.refinement is not Refinement.LEAF:
                 label += f"\\n[{node.refinement.value}]"
@@ -80,9 +82,10 @@ def adt_to_dot(tree: AttackDefenseTree) -> str:
                 f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
                 f'label="{label}"];'
             )
-        elif path != "root":
-            parent, _, step = path.rpartition(".")
-            style = " [style=dotted]" if step == "c" else ""
-            lines.append(f'  "{parent}" -> "{path}"{style};')
+        else:
+            opened.pop()
+            if place:
+                style = " [style=dotted]" if place[1] == "c" else ""
+                lines.append(f'  "{opened[-1]}" -> "{path}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

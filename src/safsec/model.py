@@ -8,9 +8,9 @@ FaultTree, ...) are built leniently by the parser and checked by
 :mod:`safsec.validate`, which turns invariant violations into located
 diagnostics instead of exceptions.  An attack-defense tree nests to any
 depth, so every walk over one goes through :func:`adt_walk`, which keeps its
-own stack instead of recursing.  Gates and GSN nodes are named, so a file
-can join them into a cycle: bottom-up walks over them fold over
-:func:`post_order` and its one cycle guard.
+own stack and names each node by its place; only output spells paths.  Gates
+and GSN nodes are named, so a file can join them into a cycle: bottom-up
+walks over them fold over :func:`post_order` and its one cycle guard.
 
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
@@ -353,30 +353,40 @@ class AdtNode(NamedTuple):
         return None
 
 
-def adt_walk(root: AdtNode) -> Iterator[tuple[str, AdtNode, bool]]:
-    """Yield ``(path, node, entering)`` twice per node, on its own stack.
+def adt_walk(root: AdtNode, place: tuple = ()) -> Iterator[tuple[tuple, AdtNode, bool]]:
+    """Yield ``(place, node, entering)`` twice per node, on its own stack.
 
     Entry events come in preorder (a node, its children, then its counter);
-    a node's exit event follows everything under it.  Paths are ``root``
-    plus ``.i`` per i-th child and ``.c`` per counter.
+    a node's exit event follows everything under it.  A child's place is
+    ``(place, i)``, a counter's ``(place, "c")``; places nest as deep as the
+    tree, so never hash, compare or ``repr`` one.
     """
-    stack = [("root", root, True)]
+    stack = [(place, root, True)]
     pop, push = stack.pop, stack.append
     while stack:
         event = pop()
         yield event
-        path, node, entering = event
+        place, node, entering = event
         if not entering:
             continue
         children = node.children
         if not children and node.counter is None:  # nothing under it: leave at once
-            yield path, node, False
+            yield place, node, False
             continue
-        push((path, node, False))
+        push((place, node, False))
         if node.counter is not None:
-            push((path + ".c", node.counter, True))
+            push(((place, "c"), node.counter, True))
         for i in range(len(children) - 1, -1, -1):
-            push((f"{path}.{i}", children[i], True))
+            push(((place, i), children[i], True))
+
+
+def adt_paths(root: AdtNode) -> Iterator[tuple[str, tuple, AdtNode, bool]]:
+    """Each :func:`adt_walk` event led by its place spelled as a path, ``root.0.c``."""
+    opened: list[str] = []  # the open nodes' paths
+    for place, node, entering in adt_walk(root):
+        if entering:
+            opened.append(f"{opened[-1]}.{place[1]}" if place else "root")
+        yield opened[-1] if entering else opened.pop(), place, node, entering
 
 
 @dataclass(frozen=True)
@@ -386,7 +396,7 @@ class AttackDefenseTree:
 
     def walk(self) -> Iterator[tuple[str, AdtNode]]:
         """Yield (path, node) pairs in preorder; counters get suffix ``.c``."""
-        return ((path, node) for path, node, entering in adt_walk(self.root) if entering)
+        return ((path, node) for path, _, node, entering in adt_paths(self.root) if entering)
 
 
 class Literal(NamedTuple):

@@ -131,7 +131,7 @@ def _print_adt_node(root: AdtNode, lead: str) -> list[str]:
     """``root``'s subtree one level in, led by ``lead``; ``}`` is written on exit."""
     lines: list[str] = []
     pad = ""
-    for path, node, entering in adt_walk(root):
+    for place, node, entering in adt_walk(root):
         block = node.children or node.attributes or node.counter or node.impact is not None
         if not entering:
             if block:
@@ -139,7 +139,7 @@ def _print_adt_node(root: AdtNode, lead: str) -> list[str]:
             pad = pad[:-2]
             continue
         pad += "  "
-        head = lead if path == "root" else pad + "counter " if path[-2:] == ".c" else pad
+        head = lead if not place else pad + "counter " if place[1] == "c" else pad
         refinement = "" if node.refinement is Refinement.LEAF else " " + node.refinement.value
         head = f"{head}{node.actor.value}{refinement} {_quote(node.label)}"
         if block:

@@ -31,9 +31,9 @@ A round costs what it changes, not what the model holds.  A replay keeps:
   adds its new count less the old one to a running delta.
 - Each label's first node in :func:`~safsec.model.adt_walk`'s preorder
   (children before countermeasures), the node that ``add_counter``
-  targets, as a tree path: found by one walk at the first ``add_counter``
-  round and extended with each attached countermeasure's subtree.  A
-  countermeasure fills an empty slot, so no other node's path moves.
+  targets, as its place: found by one walk at the first ``add_counter``
+  round and extended by a walk of each new countermeasure from its place.
+  A countermeasure fills an empty slot, so no other node's place moves.
 
 A round that cannot be applied raises ``ValueError`` naming it.  The
 validator applies the rounds with the same :class:`Replay` and reads each
@@ -107,9 +107,14 @@ def rounds(scenario: Scenario) -> Iterator[tuple[int, ScenarioAction]]:
     return zip(range(1, scenario.max_rounds + 1), scenario.actions)
 
 
-def _preorder_key(path: str) -> list[float]:
-    """A tree path's place in preorder: children in order, then the countermeasure."""
-    return [math.inf if slot == "c" else int(slot) for slot in path.split(".")[1:]]
+def _preorder_key(place: tuple) -> list[float]:
+    """The slots from the root to ``place``, a counter's as ``inf``, so that
+    keys compare in preorder: children in order, then the countermeasure."""
+    key = []
+    while place:
+        place, slot = place
+        key.append(math.inf if slot == "c" else slot)
+    return key[::-1]
 
 
 class _Memo(NamedTuple):
@@ -136,7 +141,7 @@ class Replay:
         self.model, self.adt, self.policy = model, adt, adteval.UNASSESSED
         self.counts: dict[str, DefeaterCount] = {}  # goal id -> the last count a round set
         self._memos: dict[AttributeDomain, _Memo] = {}
-        self._paths: Optional[dict[str, str]] = None  # label -> path of its first node
+        self._places: Optional[dict[str, tuple]] = None  # label -> place of its first node
         self._count: Optional[DefeaterCount] = None  # the root goal's evidence in ``model``
         self._delta = DefeaterCount(0, 0)  # what the rounds' counts add to it
         self._link: Optional[SecurityLink] = None  # the root goal's security link
@@ -240,19 +245,19 @@ class Replay:
 
     def _attach(self, at_label: str, counter: AdtNode) -> None:
         """Attach ``counter`` under the first node labelled ``at_label``."""
-        paths = self._paths
-        if paths is None:
-            paths = self._paths = {}
-            for path, node, entering in adt_walk(self.adt.root):
+        places = self._places
+        if places is None:
+            places = self._places = {}
+            for place, node, entering in adt_walk(self.adt.root):
                 if entering:
-                    paths.setdefault(node.label, path)
-        path = paths.get(at_label)
-        if path is None:
+                    places.setdefault(node.label, place)
+        place = places.get(at_label)
+        if place is None:
             raise ValueError(f"unknown adt node {at_label!r}")
-        slots = path.split(".")[1:]
+        slots = _preorder_key(place)
         spine = [self.adt.root]  # the target and its ancestors, root first
         for slot in slots:
-            spine.append(spine[-1].counter if slot == "c" else spine[-1].children[int(slot)])
+            spine.append(spine[-1].counter if slot == math.inf else spine[-1].children[slot])
         target = spine[-1]
         if target.counter is not None:
             raise ValueError(f"node {at_label!r} already carries a countermeasure")
@@ -260,13 +265,9 @@ class Replay:
             raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
         rebuilt = [target._replace(counter=counter)]
         for slot, parent in zip(reversed(slots), spine[-2::-1]):
-            new = rebuilt[-1]
-            if slot == "c":
-                rebuilt.append(parent._replace(counter=new))
-            else:
-                i = int(slot)
-                rebuilt.append(parent._replace(
-                    children=parent.children[:i] + (new,) + parent.children[i + 1:]))
+            new, kids = rebuilt[-1], parent.children
+            rebuilt.append(parent._replace(counter=new) if slot == math.inf else
+                           parent._replace(children=kids[:slot] + (new,) + kids[slot + 1:]))
         rebuilt.reverse()
         self.adt = replace(self.adt, root=rebuilt[0])
 
@@ -278,22 +279,22 @@ class Replay:
             for old, new, slot in zip(spine, rebuilt, [*slots, None]):
                 key = id(old)
                 value, own, row = values.pop(key, None), owns.pop(key, None), rows.pop(key, None)
-                if slot is None and value is not None and value[0] is old:
-                    owns[id(new)] = (new, value[1])
-                if slot == "c" and own is not None and own[0] is old:
-                    owns[id(new)] = (new, own[1])
+                kept = value if slot is None else own if slot == math.inf else None
+                if kept is not None and kept[0] is old:
+                    owns[id(new)] = (new, kept[1])
                 if row is not None and row[0] is old:
-                    unknown = row[2] if slot in (None, "c") else sorted({*row[2], int(slot)})
+                    unknown = row[2] if slot in (None, math.inf) else sorted({*row[2], slot})
                     rows[id(new)] = (new, row[1], unknown)
 
-        firsts: dict[str, str] = {}
-        for sub, node, entering in adt_walk(counter):
+        firsts: dict[str, tuple] = {}
+        for sub, node, entering in adt_walk(counter, (place, "c")):
             if entering:
-                firsts.setdefault(node.label, path + ".c" + sub[len("root"):])
+                firsts.setdefault(node.label, sub)
+        after = slots + [math.inf]  # begins every new node's key
         for label, found in firsts.items():
-            known = paths.get(label)
-            if known is None or _preorder_key(found) < _preorder_key(known):
-                paths[label] = found
+            known = places.get(label)
+            if known is None or after < _preorder_key(known):
+                places[label] = found
 
 
 def run_process(document: Document, scenario: Scenario) -> Transcript:

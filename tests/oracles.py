@@ -443,30 +443,29 @@ def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> 
     stack and stops at the target; then only the target and its ancestors,
     the nodes on that stack, are rebuilt.
     """
-    spine: list[tuple[str, AdtNode]] = []  # the open nodes, root first
-    for path, node, entering in adt_walk(tree.root):
+    spine: list[tuple[tuple, AdtNode]] = []  # the open nodes and their places, root first
+    for place, node, entering in adt_walk(tree.root):
         if not entering:
             spine.pop()
             continue
-        spine.append((path, node))
+        spine.append((place, node))
         if node.label == at_label:
             break
     else:
         raise ValueError(f"unknown adt node {at_label!r}")
-    path, target = spine.pop()
+    place, target = spine.pop()
     if target.counter is not None:
         raise ValueError(f"node {at_label!r} already carries a countermeasure")
     if counter.actor is not target.actor.opposite:
         raise ValueError(f"countermeasure for {at_label!r} must have opposite actor")
     new = target._replace(counter=counter)
-    for parent_path, parent in reversed(spine):
-        slot = path[len(parent_path) + 1:]
+    for _, parent in reversed(spine):
+        place, slot = place  # the parent's place, and the slot under it
         if slot == "c":
             new = parent._replace(counter=new)
         else:
-            i = int(slot)
-            new = parent._replace(children=parent.children[:i] + (new,) + parent.children[i + 1:])
-        path = parent_path
+            kids = parent.children
+            new = parent._replace(children=kids[:slot] + (new,) + kids[slot + 1:])
     return replace(tree, root=new)
 
 

@@ -1,13 +1,18 @@
 """One explicit-stack walk over attack-defense trees.
 
-``model.adt_walk`` drives ``AttackDefenseTree.walk``, the validator's ADT
-checks, the printer (trees and ``add_counter`` nodes) and DOT export.  Each
-must match the recursive version it replaced (kept in ``oracles.py``) on
-random trees, and each must handle chains deeper than Python's recursion
-limit, of children and of counters.
+``model.adt_walk`` names each node by its place, which shares its parent's,
+and ``model.adt_paths`` spells places as ``root.0.c`` paths for
+``AttackDefenseTree.walk`` and DOT export.  The walk also drives the
+validator's ADT checks, the printer (trees and ``add_counter`` nodes) and
+the replay's label index.  Each must match the recursive version it replaced
+(kept in ``oracles.py``) on random trees, and each must handle chains deeper
+than Python's recursion limit, of children and of counters.  At 10,000
+levels the walk, the validator and a replay's counter round must each hold
+under 20 MB; a walk that kept spelled paths held about 100 MB.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -21,14 +26,17 @@ from safsec.model import (
     AdtNode,
     AttackDefenseTree,
     Document,
+    GsnModel,
     Refinement,
     Scenario,
     Thresholds,
+    adt_paths,
     adt_walk,
     sort_key,
 )
 from safsec.modelfile import parse, print_document
 from safsec.modelfile.printer import HEADER
+from safsec.process import Replay
 from safsec.validate import validate_model
 
 from oracles import (
@@ -72,16 +80,26 @@ class TestMatchesTheRecursiveWalkers:
         root = AdtNode(Actor.ATTACK, "r", Refinement.AND,
                        children=(AdtNode(Actor.ATTACK, "a"), AdtNode(Actor.ATTACK, "b")),
                        counter=leaf)
-        assert [(path, entering) for path, _, entering in adt_walk(root)] == [
+        top, a, b, c = (), ((), 0), ((), 1), ((), "c")
+        assert [(place, entering) for place, _, entering in adt_walk(root)] == [
+            (top, True), (a, True), (a, False), (b, True),
+            (b, False), (c, True), (c, False), (top, False),
+        ]
+        assert [(path, entering) for path, _, _, entering in adt_paths(root)] == [
             ("root", True), ("root.0", True), ("root.0", False), ("root.1", True),
             ("root.1", False), ("root.c", True), ("root.c", False), ("root", False),
         ]
+        # A walk from a place extends it; the places below share it.
+        events = list(adt_walk(root, a))
+        assert [place for place, _, _ in events] == [a, (a, 0), (a, 0), (a, 1), (a, 1),
+                                                     (a, "c"), (a, "c"), a]
+        assert events[1][0][0] is a
 
 
-def deep_chain(via: str) -> AttackDefenseTree:
-    """``DEPTH`` levels above a leaf; each level's only child, or its counter, is the next."""
+def deep_chain(via: str, depth: int = DEPTH) -> AttackDefenseTree:
+    """``depth`` levels above a leaf; each level's only child, or its counter, is the next."""
     node = AdtNode(Actor.ATTACK, "bottom", attributes=(("cost", 1.0),))
-    for i in reversed(range(DEPTH)):
+    for i in reversed(range(depth)):
         if via == "child":
             node = AdtNode(Actor.ATTACK, f"level {i}", Refinement.OR, children=(node,))
         else:
@@ -119,6 +137,55 @@ class TestDeeperThanTheRecursionLimit:
         assert len(lines) == 2 + (DEPTH + 1) + DEPTH + 1
         step, style = (".0", "") if via == "child" else (".c", " [style=dotted]")
         assert lines[-2:] == [f'  "root" -> "root{step}"{style};', "}"]
+
+
+def traced_peak(run) -> int:
+    """The most memory, in bytes, that ``run()`` holds at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("via", ["child", "counter"])
+class TestTenThousandLevelsInLinearMemory:
+    """A place shares its parent's, so a walk over a chain of depth d holds
+    O(d) memory; spelled paths would hold O(d²), about 100 MB here."""
+
+    DEPTH = 10_000
+    LIMIT = 20_000_000
+
+    def test_walk(self, via):
+        root = deep_chain(via, self.DEPTH).root
+        counts = {True: 0, False: 0}
+
+        def run():
+            for _, _, entering in adt_walk(root):
+                counts[entering] += 1
+
+        assert traced_peak(run) < self.LIMIT
+        assert counts == {True: self.DEPTH + 1, False: self.DEPTH + 1}
+
+    def test_validate(self, via):
+        document = Document((deep_chain(via, self.DEPTH),))
+        found = []
+        assert traced_peak(lambda: found.extend(validate_model(document))) < self.LIMIT
+        assert found == []
+
+    def test_replay_counters_the_bottom(self, via):
+        tree = deep_chain(via, self.DEPTH)
+        bottom = tree.root
+        while bottom.children or bottom.counter:
+            bottom = bottom.children[0] if via == "child" else bottom.counter
+        guard = AdtNode(bottom.actor.opposite, "guard")
+        replay = Replay(GsnModel("m", ()), tree)
+        assert traced_peak(lambda: replay.apply(AddCounterAction("bottom", guard))) < self.LIMIT
+        node, depth = replay.adt.root, 0
+        while node.label != "bottom":
+            node, depth = (node.children[0] if via == "child" else node.counter), depth + 1
+        assert (depth, node.counter) == (self.DEPTH, guard)
 
 
 def test_cli_validates_a_ten_thousand_deep_chain(tmp_path):

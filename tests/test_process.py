@@ -359,8 +359,8 @@ class TestAttachCounter:
                                               children=(a, d)))
         seen = []
 
-        def counted_walk(root):
-            for event in adt_walk(root):
+        def counted_walk(root, place=()):
+            for event in adt_walk(root, place):
                 seen.append(event)
                 yield event
 
@@ -426,6 +426,28 @@ class TestReplayIndex:
         assert walked == replayed
         assert replayed.root.children[0].counter.children[0].counter.label == "bypass"
         assert replayed.root.children[1].counter is None
+
+    @pytest.mark.parametrize("shallow_first", [True, False])
+    def test_a_label_in_a_counter_ten_thousand_levels_down(self, shallow_first):
+        # "x" is a leaf beside a 10,000-level chain and twice inside the
+        # counter on the chain's bottom: the earliest in preorder keeps it.
+        chain = AdtNode(Actor.ATTACK, "bottom")
+        for i in range(10_000):
+            chain = AdtNode(Actor.ATTACK, f"level {i}", Refinement.OR, children=(chain,))
+        x = AdtNode(Actor.ATTACK, "x")
+        root = AdtNode(Actor.ATTACK, "r", Refinement.OR,
+                       children=(x, chain) if shallow_first else (chain, x))
+        guard = AdtNode(Actor.DEFENSE, "g", Refinement.OR,
+                        children=(AdtNode(Actor.ATTACK, "x"), AdtNode(Actor.ATTACK, "x")))
+        bypass = AdtNode(Actor.DEFENSE, "bypass")
+        for tree in self.both(AttackDefenseTree("t", root), ("bottom", guard), ("x", bypass)):
+            shallow, deep = tree.root.children if shallow_first else tree.root.children[::-1]
+            while deep.children:  # a loop, not ``==``: comparing two trees recurses
+                deep = deep.children[0]
+            assert deep.label == "bottom"
+            first, second = deep.counter.children
+            assert (shallow.counter, first.counter, second.counter) == (
+                (bypass, None, None) if shallow_first else (None, bypass, None))
 
     def test_a_refused_counter_leaves_the_tree(self):
         replay = Replay(GsnModel("m", ()), TestAttachCounter().leaf_tree())
@@ -595,8 +617,8 @@ def count_work(monkeypatch):
         calls[node.label, domain.key] += 1
         return leaf_value(node, domain)
 
-    def counted_walk(root):
-        for event in adt_walk(root):
+    def counted_walk(root, place=()):
+        for event in adt_walk(root, place):
             events.append(event)
             yield event
 

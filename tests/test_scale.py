@@ -1,0 +1,121 @@
+"""The CLI contract at scale: each command in a child process of its own.
+
+Each case runs ``python -m safsec.cli`` with a 60 s timeout.  ``preexec_fn``
+caps the child's address space at 1 GiB, so a blow-up fails the child and
+not the test run, and the child's peak resident set, read from
+``os.wait4``, must stay under 60 MB.  The bare CLI takes about 19 MB of it
+(Python 3.11, Linux x86-64).
+
+On Linux a child's peak resident set starts at its parent's, which fork and
+exec both carry over, and the test process may hold hundreds of MB by the
+time these cases run.  So a small launcher process, which holds a few MB,
+starts the CLI and reads its peak.
+
+The input is an attack-defense tree 20,000 levels deep (549 kB), with a GSN
+linked to it and a scenario that sets a policy and adds two
+countermeasures, the second under the first, at the bottom of the chain.
+``validate`` and ``process run``, in both formats, run here.  Two commands
+are still out:
+
+- ``adt eval``: ``adteval.evaluate`` recurses, so the chain raises
+  ``RecursionError`` (ROADMAP item 2).
+- ``export dot``: its node ids are tree paths, whose text grows with the
+  square of the depth, 301 MB at 10,000 levels (ROADMAP item 12).
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import signal
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TIMEOUT_S = 60
+ADDRESS_SPACE = 1 << 30
+PEAK_KB = 60 * 1024
+DEPTH = 20_000
+
+
+def deep_case(depth: int) -> str:
+    """A GSN, an ADT chain ``depth`` levels deep and a three-round scenario."""
+    return "".join([
+        'gsn "G" {\n  goal G1 "top" {\n    defeaters outruled = 3 total = 4\n  }\n',
+        '  security_link under G1 adt = "deep" weight = 1\n}\n',
+        'adt "deep" {\n', *(f'attack OR "level {i}" {{\n' for i in range(depth)),
+        'attack "bottom" {\nattr probability = 0.5\n}\n', "}\n" * (depth + 1),
+        'scenario "S" {\n  gsn = "G"\n  adt = "deep"\n',
+        "  thresholds min_belief = 0.8 max_disbelief = 0.2 max_uncertainty = 0.1\n",
+        '  max_rounds = 3\n  set_policy attribute = probability op = "<=" threshold = 0.4\n',
+        '  add_counter at = "bottom" defense "guard" {\n    attr probability = 0.5\n  }\n',
+        '  add_counter at = "guard" attack "bypass" {\n    attr probability = 0.5\n  }\n}\n',
+    ])
+
+
+# Runs ``python -m safsec.cli`` with the arguments after the first, writes
+# the CLI's peak resident set (kB) to the file that the first names, and
+# exits with the CLI's exit code.
+LAUNCHER = """\
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "safsec.cli", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as report:
+    report.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_cli(args: list[str], tmp_path: Path) -> tuple[int, str, str, int]:
+    """Exit code, stdout, stderr and peak resident set (kB) of one CLI child."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    report = tmp_path / "maxrss"
+    launcher = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(report), *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                                preexec_fn=_limit_address_space, start_new_session=True)
+    try:
+        out, err = launcher.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(launcher.pid, signal.SIGKILL)  # the launcher and the CLI
+        launcher.communicate()
+        raise AssertionError(f"{args} ran past {TIMEOUT_S} s")
+    return (launcher.returncode, out.decode("utf-8"), err.decode("utf-8"),
+            int(report.read_text()))
+
+
+@pytest.fixture(scope="module")
+def deep_file(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("scale") / "deep.ssm"
+    path.write_text(deep_case(DEPTH), encoding="utf-8")
+    return path
+
+
+def test_validate_a_twenty_thousand_deep_chain(deep_file, tmp_path):
+    code, out, err, peak = run_cli(["validate", str(deep_file)], tmp_path)
+    assert (code, out, err) == (0, "ok\n", "")
+    assert peak < PEAK_KB
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_process_run_on_a_twenty_thousand_deep_chain(deep_file, tmp_path, fmt):
+    code, out, err, peak = run_cli(["--format", fmt, "process", "run", str(deep_file),
+                                    "--scenario", "S"], tmp_path)
+    assert err == ""
+    if fmt == "machine":
+        transcript = json.loads(out)
+        status, rounds = transcript["status"], len(transcript["rounds"])
+    else:
+        lines = out.splitlines()
+        status, rounds = lines[-1].split()[1], sum(line.startswith("round ") for line in lines)
+    assert rounds == 3
+    assert code == (0 if status == "accepted" else 1)
+    assert peak < PEAK_KB
