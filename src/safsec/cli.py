@@ -37,7 +37,7 @@ from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
 from .model import (AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel, Scenario,
                     printable, sort_key)
-from .validate import validate_block, validate_model
+from .validate import validate_block, validate_model, validate_scenario
 
 FINDING, USAGE = 1, 2
 
@@ -74,11 +74,14 @@ _MODELS = ("gsn model", "adt", "fault tree")
 _TO_DOT = {GsnModel: dot.gsn_to_dot, AttackDefenseTree: dot.adt_to_dot, FaultTree: dot.fta_to_dot}
 
 
-def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
+def _load(path: str, kind: str = "", name: str = "",
+          reads: Callable[[Document, Any], Iterable[Any]] = lambda document, block: ()
+          ) -> tuple[Document, Any]:
     """The document parsed from ``path`` and, given a ``kind`` of
     :data:`_BLOCKS` or ``"model"`` for any of :data:`_MODELS`, its one block
-    of that kind named ``name``, which must pass validation together with a
-    scenario's GSN model and ADT."""
+    of that kind named ``name``, which must pass validation together with the
+    blocks that ``reads`` gives for it, or a scenario's GSN model and ADT.  A
+    scenario comes back as the :class:`~safsec.process.RoundLog` of its check."""
     result = modelfile.parse(_read(path))
     if not result.ok:
         for diag in result.diagnostics:
@@ -95,20 +98,18 @@ def _load(path: str, kind: str = "", name: str = "") -> tuple[Document, Any]:
     if len(found) > 1:
         raise ValueError(f"{kind} {name!r} names blocks of {len(found)} kinds: {', '.join(found)}")
     block = blocks[found[0]][name]
-    reads = [block]
     if isinstance(block, Scenario):
-        reads += filter(None, (document.gsns.get(block.gsn_name),
+        others = filter(None, (document.gsns.get(block.gsn_name),
                                document.adts.get(block.adt_name)))
-    _refuse_invalid(path, document, reads)
-    return document, block
-
-
-def _refuse_invalid(path: str, document: Document, blocks: Iterable[Any]) -> None:
-    """Exit 2 with the line ``validate`` prints for the first error in ``blocks``."""
-    errors = [d for b in blocks for d in validate_block(b, document) if d.severity == "error"]
+        diags, block = validate_scenario(block, document)
+    else:
+        others, diags = reads(document, block), validate_block(block, document)
+    diags += (d for other in others for d in validate_block(other, document))
+    errors = [d for d in diags if d.severity == "error"]
     if errors:
         click.echo(f"{path}: {min(errors, key=sort_key)}", err=True)
         raise click.exceptions.Exit(USAGE)
+    return document, block
 
 
 _BOOLS = ("false", "true")
@@ -526,6 +527,13 @@ def gsn_confidence(file: str, model_name: str, verdicts_path: Optional[str]) -> 
     _emit(payload, _text_confidence)
 
 
+def _referenced(document: Document, model: GsnModel) -> list[Any]:
+    """The fault trees and FMEA tables that ``model``'s solutions name."""
+    ftas = [document.ftas[r] for r in {n.fta_ref for n in model.nodes} & document.ftas.keys()]
+    return ftas + [document.fmeas[r] for r in {n.fmea_ref for n in model.nodes}
+                   & document.fmeas.keys()]
+
+
 @main.command("derive")
 @click.argument("kind", type=click.Choice(["adt"]))
 @click.argument("file", type=click.Path())
@@ -536,10 +544,7 @@ def derive_cmd(
     kind: str, file: str, gsn_name: str, out: Optional[str], dot_path: Optional[str]
 ) -> None:
     """Derive the preliminary attack tree from a GSN model."""
-    document, model = _load(file, "gsn model", gsn_name)
-    reads = [document.ftas[r] for r in {n.fta_ref for n in model.nodes} & document.ftas.keys()]
-    reads += [document.fmeas[r] for r in {n.fmea_ref for n in model.nodes} & document.fmeas.keys()]
-    _refuse_invalid(file, document, reads)
+    document, model = _load(file, "gsn model", gsn_name, _referenced)
     tree = derive.derive_adt(model, document.ftas, document.fmeas)
     rendered = modelfile.print_document(Document((tree,)))
     if out:
@@ -668,8 +673,8 @@ def _text_process(p: dict) -> Lines:
 @click.option("--scenario", "scenario_name", required=True, help="Scenario name.")
 def process_run(file: str, scenario_name: str) -> None:
     """Replay a scenario until thresholds hold or rounds run out."""
-    document, scenario = _load(file, "scenario", scenario_name)
-    transcript = process_mod.run_process(document, scenario)
+    _, log = _load(file, "scenario", scenario_name)
+    transcript = log.transcript()
     payload = {
         "command": "process run",
         "scenario": scenario_name,

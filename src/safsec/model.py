@@ -6,11 +6,13 @@ Scalar types that feed the confidence arithmetic (ConfidenceTriple) enforce
 their invariants at construction time; structural types (GsnModel,
 FaultTree, ...) are built leniently by the parser and checked by
 :mod:`safsec.validate`, which turns invariant violations into located
-diagnostics instead of exceptions.  An attack-defense tree nests to any
-depth, so every walk over one goes through :func:`adt_walk`, which keeps its
-own stack and names each node by its place; only output spells paths.  Gates
-and GSN nodes are named, so a file can join them into a cycle: bottom-up
-walks over them fold over :func:`post_order` and its one cycle guard.
+diagnostics instead of exceptions; a record's own rules are its
+``problems``, as an ADT's node rules are, found once per tree.  An
+attack-defense tree nests to any depth, so every walk over one goes through
+:func:`adt_walk`, which keeps its own stack and names each node by its
+place; only output spells paths.  Gates and GSN nodes are named, so a file
+can join them into a cycle: bottom-up walks over them fold over
+:func:`post_order` and its one cycle guard.
 
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
@@ -26,6 +28,7 @@ attribute assignment, compare and hash as tuples, and are copied with
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -352,6 +355,29 @@ class AdtNode(NamedTuple):
                 return value
         return None
 
+    @property
+    def problems(self) -> list[str]:
+        """The node invariants that the tree under this node breaks, in preorder."""
+        out = []
+        for node in (node for _, node, entering in adt_walk(self) if entering):
+            if node.children and node.refinement is Refinement.LEAF:
+                out.append(f"node {node.label!r} has children but no AND/OR refinement")
+            if not node.children and node.refinement is not Refinement.LEAF:
+                out.append(f"{node.refinement.value} node {node.label!r} has no children")
+            out += (f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
+                    for child in node.children if child.actor is not node.actor)
+            if node.counter is not None and node.counter.actor is not node.actor.opposite:
+                out.append(f"countermeasure of {node.label!r} must have opposite actor")
+            if len(dict(node.attributes)) < len(node.attributes):  # one C call; Counter is slow
+                out += (f"duplicate attribute {key!r} on {node.label!r}"
+                        for key in duplicates(key for key, _ in node.attributes))
+        return out
+
+
+def duplicates(keys: Iterable[str]) -> list[str]:
+    """The keys that occur more than once, sorted."""
+    return sorted(k for k, n in Counter(keys).items() if n > 1)
+
 
 def adt_walk(root: AdtNode, place: tuple = ()) -> Iterator[tuple[tuple, AdtNode, bool]]:
     """Yield ``(place, node, entering)`` twice per node, on its own stack.
@@ -393,6 +419,11 @@ def adt_paths(root: AdtNode) -> Iterator[tuple[str, tuple, AdtNode, bool]]:
 class AttackDefenseTree:
     name: str
     root: AdtNode
+
+    @cached_property
+    def problems(self) -> list[str]:
+        """Its root's problems, found once for every check that reads them."""
+        return self.root.problems
 
     def walk(self) -> Iterator[tuple[str, AdtNode]]:
         """Yield (path, node) pairs in preorder; counters get suffix ``.c``."""

@@ -3,11 +3,12 @@
 A scenario names a GSN model and an ADT, acceptance thresholds on the root
 goal's confidence triple, and one action per round; a ``set_policy`` round
 is the :class:`~safsec.adteval.VerdictPolicy` that it switches to.  The
-round rules live here alone: :func:`rounds` picks the rounds that can run
-and a :class:`Replay` applies them one by one.  :func:`run_process` asks the
-replay after each round for the ADT's verdict under the current policy and
-for the root goal's triple with that verdict folded in (updates never
-compound across rounds), and stops as soon as the thresholds hold.
+round rules live here alone: a :class:`RoundLog` is the one loop that
+applies rounds 1 up to ``max_rounds``, through a :class:`Replay`.  The log
+is both what the validator reports and what ``process run`` prints:
+:meth:`RoundLog.transcript` adds the root goal's triple with each verdict
+folded in (updates never compound across rounds), up to the round at which
+the thresholds hold.
 
 A round costs what it changes, not what the model holds.  A replay keeps:
 
@@ -26,19 +27,16 @@ A round costs what it changes, not what the model holds.  A replay keeps:
   still recurses: without recursion, the benchmark's 1,200-deep ``adt
   eval`` request would answer with a 1.5 MB payload instead of failing
   fast, which waits on ROADMAP items 1 and 2.
-- The root goal's subtree evidence, summed once from the model, which no
-  round copies, and each goal's latest ``set_defeaters`` count: a round
-  adds its new count less the old one to a running delta.
+- Each goal's latest ``set_defeaters`` count: a round adds its new count
+  less the old one to a running delta.  The transcript sums the root goal's
+  subtree evidence once from the model, which no round copies.
 - Each label's first node in :func:`~safsec.model.adt_walk`'s preorder
   (children before countermeasures), the node that ``add_counter``
   targets, as its place: found by one walk at the first ``add_counter``
   round and extended by a walk of each new countermeasure from its place.
   A countermeasure fills an empty slot, so no other node's place moves.
 
-A round that cannot be applied raises ``ValueError`` naming it.  The
-validator applies the rounds with the same :class:`Replay` and reads each
-round's verdict while the trees pass their node checks, so it refuses the
-round that ``process run`` refuses.
+A round that cannot be applied raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import adteval
 from .adteval import AttributeDomain, VerdictPolicy
@@ -62,7 +60,6 @@ from .model import (
     NodeKind,
     Scenario,
     ScenarioAction,
-    SecurityLink,
     adt_walk,
 )
 
@@ -102,11 +99,6 @@ def describe_action(action: ScenarioAction) -> str:
     return f"set_defeaters {action.goal_id} {action.count.outruled}/{action.count.total}"
 
 
-def rounds(scenario: Scenario) -> Iterator[tuple[int, ScenarioAction]]:
-    """``(number, action)`` of each round that can run: 1 up to ``max_rounds``."""
-    return zip(range(1, scenario.max_rounds + 1), scenario.actions)
-
-
 def _preorder_key(place: tuple) -> list[float]:
     """The slots from the root to ``place``, a counter's as ``inf``, so that
     keys compare in preorder: children in order, then the countermeasure."""
@@ -130,11 +122,11 @@ class _Memo(NamedTuple):
 class Replay:
     """A scenario's GSN model, ADT and verdict policy, round by round.
 
-    :meth:`apply` applies one round's action; :meth:`verdict` and
-    :meth:`triple` read the state that it leaves.  ``adt`` is rebuilt, never
-    changed in place, and ``model`` is kept as it is: ``counts`` holds the
-    rounds' defeater counts.  Nothing is read from the model but its id
-    index until a triple is asked for.
+    :meth:`apply` applies one round's action; :meth:`verdict` reads the
+    state that it leaves.  ``adt`` is rebuilt, never changed in place, and
+    ``model`` is kept as it is, of which only its id index is read:
+    ``counts`` holds the rounds' defeater counts, and ``delta`` what they add
+    to the root goal's evidence.
     """
 
     def __init__(self, model: GsnModel, adt: AttackDefenseTree) -> None:
@@ -142,9 +134,7 @@ class Replay:
         self.counts: dict[str, DefeaterCount] = {}  # goal id -> the last count a round set
         self._memos: dict[AttributeDomain, _Memo] = {}
         self._places: Optional[dict[str, tuple]] = None  # label -> place of its first node
-        self._count: Optional[DefeaterCount] = None  # the root goal's evidence in ``model``
-        self._delta = DefeaterCount(0, 0)  # what the rounds' counts add to it
-        self._link: Optional[SecurityLink] = None  # the root goal's security link
+        self.delta = DefeaterCount(0, 0)
 
     def apply(self, action: ScenarioAction) -> None:
         """Apply one round's action, or raise ``ValueError`` saying why it cannot be."""
@@ -162,7 +152,7 @@ class Replay:
                 raise ValueError("; ".join(new.problems))
             old = self.counts.get(goal_id, node.defeaters) or DefeaterCount(0, 0)
             self.counts[goal_id] = new
-            self._delta += DefeaterCount(new.outruled - old.outruled, new.total - old.total)
+            self.delta += DefeaterCount(new.outruled - old.outruled, new.total - old.total)
 
     def verdict(self) -> SecurityVerdict:
         """The ADT's verdict under the current policy."""
@@ -171,23 +161,6 @@ class Replay:
             return SecurityVerdict.NO_ASSESSMENT
         domain = policy.domain()
         return adteval.verdict(self.adt, policy, (domain, self.root_value(domain)))
-
-    def triple(self, verdict: SecurityVerdict) -> ConfidenceTriple:
-        """The root goal's reported triple: the opinion of its subtree's
-        evidence, passed through its security link with ``verdict``, or with
-        no assessment when the link names another ADT."""
-        if self._count is None:
-            root = self.model.root().id
-            self._count = DefeaterCount(*subtree_counts(self.model, [root])[root])
-            links = self.model.links_for(root)
-            self._link = links[0] if links else None  # validation rejects a goal with two
-        triple = opinion_from_evidence(self._count + self._delta)
-        link = self._link
-        if link is None:
-            return triple
-        if link.adt_name != self.adt.name:
-            verdict = SecurityVerdict.NO_ASSESSMENT
-        return update_confidence(triple, verdict, link.weight)
 
     def root_value(self, domain: AttributeDomain) -> float:
         """The root's value in ``domain``, computing only what the domain's
@@ -297,22 +270,70 @@ class Replay:
                 places[label] = found
 
 
+class RoundLog:
+    """One pass over a scenario's rounds through one :class:`Replay`, up to
+    the first round that raises, reading each round's verdict while the ADT
+    and every countermeasure so far pass their node checks."""
+
+    def __init__(self, scenario: Scenario, model: GsnModel, adt: AttackDefenseTree) -> None:
+        self.thresholds, self.replay = scenario.thresholds, Replay(model, adt)
+        # Each applied round: its number and action, its verdict (None once a
+        # tree fails its node checks) and the replay's ``delta`` after it.
+        self.steps: list[tuple[int, ScenarioAction, Optional[SecurityVerdict], DefeaterCount]] = []
+        # (round, message) of each countermeasure's node problem, then of the refused round.
+        self.problems: list[tuple[int, str]] = []
+        self.refused = False
+        for round_no, action in zip(range(1, scenario.max_rounds + 1), scenario.actions):
+            if isinstance(action, AddCounterAction):
+                self.problems += ((round_no, message) for message in action.node.problems)
+            try:
+                self.replay.apply(action)
+                verdict = None if adt.problems or self.problems else self.replay.verdict()
+            except ValueError as exc:
+                self.problems.append((round_no, str(exc)))
+                self.refused = True
+                break
+            self.steps.append((round_no, action, verdict, self.replay.delta))
+
+    def transcript(self) -> Transcript:
+        """The rounds up to the one at which the thresholds hold, each with
+        the root goal's triple: its evidence plus the round's ``delta``,
+        passed through its security link with the round's verdict (none when
+        the link names another ADT).  A refused round among them raises."""
+        replay, thresholds = self.replay, self.thresholds
+        root = replay.model.root().id
+        count = DefeaterCount(*subtree_counts(replay.model, [root])[root])
+        links = replay.model.links_for(root)  # validation rejects a goal with two
+
+        def triple(verdict: SecurityVerdict, delta: DefeaterCount) -> ConfidenceTriple:
+            opinion = opinion_from_evidence(count + delta)
+            if not links:
+                return opinion
+            if links[0].adt_name != replay.adt.name:
+                verdict = SecurityVerdict.NO_ASSESSMENT
+            return update_confidence(opinion, verdict, links[0].weight)
+
+        initial = triple(SecurityVerdict.NO_ASSESSMENT, DefeaterCount(0, 0))
+        met = thresholds.met_by(initial)
+        entries: list[RoundEntry] = []
+        for round_no, action, verdict, delta in self.steps:
+            if met:
+                break
+            try:
+                if verdict is None:
+                    raise ValueError(f"adt {replay.adt.name!r} fails its node checks")
+                reported = triple(verdict, delta)
+            except ValueError as exc:
+                raise ValueError(f"round {round_no}: {exc}")
+            entries.append(RoundEntry(round_no, describe_action(action), verdict, reported))
+            met = thresholds.met_by(reported)
+        if not met and self.refused:
+            raise ValueError("round {}: {}".format(*self.problems[-1]))
+        return Transcript(initial, tuple(entries), "accepted" if met else "exhausted")
+
+
 def run_process(document: Document, scenario: Scenario) -> Transcript:
-    """Replay ``scenario``, whose blocks :func:`~safsec.validate.validate_block` accepts."""
-    replay = Replay(document.gsns[scenario.gsn_name], document.adts[scenario.adt_name])
-    initial = replay.triple(SecurityVerdict.NO_ASSESSMENT)
-    met = scenario.thresholds.met_by(initial)
-    entries: list[RoundEntry] = []
-    for round_no, action in rounds(scenario):
-        if met:
-            break
-        try:
-            replay.apply(action)
-            verdict = replay.verdict()
-            triple = replay.triple(verdict)
-        except ValueError as exc:
-            raise ValueError(f"round {round_no}: {exc}")
-        entries.append(RoundEntry(round_no, describe_action(action), verdict, triple))
-        met = scenario.thresholds.met_by(triple)
-    status = "accepted" if met else "exhausted"
-    return Transcript(initial, tuple(entries), status)
+    """Replay ``scenario``, whose blocks :func:`~safsec.validate.validate_block`
+    accepts: the transcript of its :class:`RoundLog`."""
+    return RoundLog(scenario, document.gsns[scenario.gsn_name],
+                    document.adts[scenario.adt_name]).transcript()

@@ -4,20 +4,16 @@ Turns every type invariant into a diagnostic rather than an exception, so a
 single pass reports all problems.  The result is sorted, which makes it
 independent of declaration order.  Gate cycles, reachability and GSN parent
 cycles are found by walks over :func:`safsec.model.post_order`.  A
-scenario's rounds are the ones that :func:`safsec.process.rounds` picks, 1
-up to ``max_rounds``, applied and folded by a :class:`safsec.process.Replay`
-as ``process run`` does, so the gate refuses the round that it refuses and
-no round that it never runs.
+scenario's rounds are checked by the pass whose log ``process run`` prints,
+a :class:`safsec.process.RoundLog`, so the gate refuses the round that it
+refuses and no round that it never runs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Container, Iterable, Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from .model import (
-    AddCounterAction,
-    AdtNode,
     BLOCK_KEYWORDS,
     AttackDefenseTree,
     Block,
@@ -28,16 +24,15 @@ from .model import (
     GsnModel,
     GsnNode,
     NodeKind,
-    Refinement,
     Requirement,
     Scenario,
-    adt_walk,
     block_name,
+    duplicates,
     post_order,
     printable,
     sort_key,
 )
-from .process import Replay, rounds
+from .process import RoundLog
 
 
 def validate_model(document: Document) -> list[Diagnostic]:
@@ -52,9 +47,9 @@ def validate_block(block: Block, document: Document) -> list[Diagnostic]:
     A block that repeats an earlier block's kind and name is an error: the
     document's lookups would keep only the last of them.
     """
-    kind, name = BLOCK_KEYWORDS[type(block)], block_name(block)
-    ctx = f"{kind} {printable(name)}"  # the block's diagnostic context, on one line
-    diags = [_err(f"duplicate {kind} name {name!r}", ctx)] if document.repeats(block) else []
+    if isinstance(block, Scenario):
+        return validate_scenario(block, document)[0]
+    ctx, diags = _head(block, document)
     if isinstance(block, GsnModel):
         return diags + _check_gsn(block, document, ctx)
     if isinstance(block, FaultTree):
@@ -62,23 +57,24 @@ def validate_block(block: Block, document: Document) -> list[Diagnostic]:
     if isinstance(block, FmeaTable):
         return diags + _check_fmea(block, ctx)
     if isinstance(block, AttackDefenseTree):
-        return diags + _check_adt_nodes(block.root, ctx)
-    if isinstance(block, Requirement):
-        return diags + _check_requirement(block, ctx)
-    return diags + _check_scenario(block, document, ctx)
+        return diags + [_err(message, ctx) for message in block.problems]
+    return diags + _check_requirement(block, ctx)
 
 
 def _err(message: str, context: str) -> Diagnostic:
     return Diagnostic(message, severity="error", context=context)
 
 
-def _duplicates(keys: Iterable[str]) -> list[str]:
-    return sorted(k for k, n in Counter(keys).items() if n > 1)
+def _head(block: Block, document: Document) -> tuple[str, list[Diagnostic]]:
+    """The block's diagnostic context, on one line, and its repeated-name error."""
+    kind, name = BLOCK_KEYWORDS[type(block)], block_name(block)
+    ctx = f"{kind} {printable(name)}"
+    return ctx, [_err(f"duplicate {kind} name {name!r}", ctx)] if document.repeats(block) else []
 
 
 def _check_gsn(model: GsnModel, document: Document, ctx: str) -> list[Diagnostic]:
     ids = [n.id for n in model.nodes]
-    diags = [_err(f"duplicate node id {dup!r}", ctx) for dup in _duplicates(ids)]
+    diags = [_err(f"duplicate node id {dup!r}", ctx) for dup in duplicates(ids)]
 
     roots = model.roots()
     if not model.nodes:
@@ -146,7 +142,7 @@ def _gsn_node_problems(node: GsnNode, known: Container[str], document: Document)
 
 def _check_fta(tree: FaultTree, ctx: str) -> list[Diagnostic]:
     gate_ids = [gid for gid, _, _ in tree.gates]
-    diags = [_err(f"duplicate gate {dup!r}", ctx) for dup in _duplicates(gate_ids)]
+    diags = [_err(f"duplicate gate {dup!r}", ctx) for dup in duplicates(gate_ids)]
     diags += (_err(f"{clash!r} declared both gate and basic event", ctx)
               for clash in set(gate_ids) & tree.basic_events)
 
@@ -170,30 +166,8 @@ def _check_fta(tree: FaultTree, ctx: str) -> list[Diagnostic]:
 
 
 def _check_fmea(table: FmeaTable, ctx: str) -> list[Diagnostic]:
-    diags = [_err(f"duplicate row id {d!r}", ctx) for d in _duplicates(r.id for r in table.rows)]
+    diags = [_err(f"duplicate row id {d!r}", ctx) for d in duplicates(r.id for r in table.rows)]
     return diags + [_err(p, f"{ctx}/{row.id}") for row in table.rows for p in row.problems]
-
-
-def _check_adt_nodes(root: AdtNode, ctx: str) -> list[Diagnostic]:
-    """The node invariants of the tree under ``root``: an ADT's, or a counter's."""
-    diags: list[Diagnostic] = []
-    for _, node, entering in adt_walk(root):
-        if not entering:
-            continue
-        if node.children and node.refinement is Refinement.LEAF:
-            diags.append(_err(f"node {node.label!r} has children but no AND/OR refinement", ctx))
-        if not node.children and node.refinement is not Refinement.LEAF:
-            diags.append(_err(f"{node.refinement.value} node {node.label!r} has no children", ctx))
-        for child in node.children:
-            if child.actor is not node.actor:
-                text = f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
-                diags.append(_err(text, ctx))
-        if node.counter is not None and node.counter.actor is not node.actor.opposite:
-            diags.append(_err(f"countermeasure of {node.label!r} must have opposite actor", ctx))
-        if len(dict(node.attributes)) < len(node.attributes):  # one C call; Counter is slow
-            diags += (_err(f"duplicate attribute {d!r} on {node.label!r}", ctx)
-                      for d in _duplicates(k for k, _ in node.attributes))
-    return diags
 
 
 def _check_requirement(req: Requirement, ctx: str) -> list[Diagnostic]:
@@ -203,8 +177,12 @@ def _check_requirement(req: Requirement, ctx: str) -> list[Diagnostic]:
             if lit.signal not in req.inputs and lit.signal not in heads]
 
 
-def _check_scenario(scenario: Scenario, document: Document, ctx: str) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+def validate_scenario(scenario: Scenario,
+                      document: Document) -> tuple[list[Diagnostic], Optional[RoundLog]]:
+    """:func:`validate_block` of ``scenario``, and the log of the pass over
+    its rounds that it made: ``None`` when its GSN model or ADT is unknown,
+    since then no round runs."""
+    ctx, diags = _head(scenario, document)
     for name in ("min_belief", "max_disbelief", "max_uncertainty"):
         v = getattr(scenario.thresholds, name)
         if not 0.0 <= v <= 1.0:
@@ -222,24 +200,7 @@ def _check_scenario(scenario: Scenario, document: Document, ctx: str) -> list[Di
     if adt is None:
         diags.append(_err(f"unknown adt {scenario.adt_name!r}", ctx))
     if gsn is None or adt is None:
-        return diags
-
-    # Each round folds what ``run_process`` folds, so the first round that
-    # raises is the one ``process run`` refuses.  A tree that fails its node
-    # checks is not folded: ``process run`` refuses it before any round.
-    sound = not _check_adt_nodes(adt.root, ctx)
-    replay = Replay(gsn, adt)
-    for round_no, action in rounds(scenario):
-        rctx = f"{ctx}/round {round_no}"
-        if isinstance(action, AddCounterAction):
-            problems = _check_adt_nodes(action.node, rctx)
-            diags += problems
-            sound = sound and not problems
-        try:
-            replay.apply(action)
-            if sound:
-                replay.verdict()
-        except ValueError as exc:
-            diags.append(_err(str(exc), rctx))
-            break
-    return diags
+        return diags, None
+    log = RoundLog(scenario, gsn, adt)
+    diags += (_err(message, f"{ctx}/round {round_no}") for round_no, message in log.problems)
+    return diags, log

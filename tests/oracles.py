@@ -36,7 +36,7 @@ from safsec.model import (
 )
 from safsec.modelfile.lexer import string_value
 from safsec.modelfile.printer import _num, _quote
-from safsec.process import RoundEntry, Transcript, describe_action, rounds
+from safsec.process import RoundEntry, Transcript, describe_action
 
 
 def all_subsets(items):
@@ -499,7 +499,7 @@ def naive_run_process(document: Document, scenario: Scenario) -> Transcript:
     _, initial = current_triple()
     met = scenario.thresholds.met_by(initial)
     entries: list[RoundEntry] = []
-    for round_no, action in rounds(scenario):
+    for round_no, action in zip(range(1, scenario.max_rounds + 1), scenario.actions):
         if met:
             break
         try:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from safsec.cli import main
 from safsec.modelfile import parse
+from safsec.process import run_process
 
 from conftest import load_bundled
 
@@ -580,7 +581,8 @@ class TestMalformedInputExitsTwo:
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [f"{model}: error: cycle through node 'S1' [gsn H]"]
+        # The fault tree's cycle sorts before the GSN's, as validate lists them.
+        assert proc.stderr.splitlines() == [f"{model}: error: cycle through gate 'T' [fta C]"]
 
     @pytest.mark.parametrize("side", ["model", "verdicts", "policy"])
     def test_non_utf8_file(self, runner, workdir, tmp_path, side):
@@ -810,6 +812,60 @@ def test_a_command_refuses_a_block_it_reads_with_the_first_validate_line(
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.splitlines() == checked.stdout.splitlines()[:1]
+
+
+# A context with a voter line, and a solution naming fault tree "T", which
+# declares gate X twice.  The fault tree's error sorts first.
+VOTER_AND_TWICE_X = (
+    'gsn "H" {\n  goal G1 "top"\n  context C1 "ctx" under G1 {\n'
+    "    voter signals = [a, b] threshold = 1 trace = X\n  }\n"
+    '  solution SOL "s" under G1 {\n    fta_ref = "T"\n  }\n}\n'
+    'fta "T" {\n  top X\n  gate X OR [A, B]\n  gate X OR [A, B]\n  event A\n  event B\n}\n'
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_derive_refuses_with_the_first_error_among_the_blocks_it_reads(runner, workdir, tmp_path,
+                                                                       fmt):
+    model = tmp_path / "derive.ssm"
+    model.write_text(VOTER_AND_TWICE_X, encoding="utf-8")
+    checked = run(runner, workdir, "validate", model)
+    assert checked.exit_code == 1, checked.output
+    assert checked.stdout.splitlines() == [
+        f"{model}: error: duplicate gate 'X' [fta T]",
+        f"{model}: error: voter annotation allowed only on solutions [gsn H/C1]"]
+    result = run(runner, workdir, "--format", fmt, "derive", "adt", model, "--gsn", "H")
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == checked.stdout.splitlines()[:1]
+
+
+def test_a_bad_round_after_the_thresholds_hold(runner, workdir, tmp_path, airbag_doc):
+    # The bundled scenario is accepted at round 3 of 5.  Round 4 is never
+    # printed, but the gate checks every round up to max_rounds.
+    text = load_bundled("airbag.ssm").rstrip()
+    assert text.endswith("}")
+    text = text[:-1] + (
+        '  add_counter at = "no such node" defense "late guard" {\n'
+        "    attr probability = 0.5\n  }\n}\n")
+    model = tmp_path / "late.ssm"
+    model.write_text(text, encoding="utf-8")
+    line = (f"{model}: error: unknown adt node 'no such node' "
+            "[scenario Airbag Hardening/round 4]")
+    for fmt in ("text", "machine"):
+        result = run(runner, workdir, "--format", fmt, "process", "run", model,
+                     "--scenario", "Airbag Hardening")
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [line]
+    checked = run(runner, workdir, "validate", model)
+    assert checked.exit_code == 1, checked.output
+    assert checked.stdout.splitlines() == [line]
+    document = parse(text).document
+    transcript = run_process(document, document.scenarios["Airbag Hardening"])
+    scenario = airbag_doc.scenarios["Airbag Hardening"]
+    assert transcript == run_process(airbag_doc, scenario)
+    assert (transcript.status, [e.round for e in transcript.entries]) == ("accepted", [1, 2, 3])
 
 
 # Two blocks each of one kind and name.  The lookups keep the last block,

@@ -2,10 +2,12 @@
 
 import functools
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,9 @@ from safsec.model import (
     Thresholds,
     adt_walk,
 )
-from safsec.process import TRANSCRIPT_NOTE, Replay, rounds, run_process
+from safsec.cli import main
+from safsec.modelfile import print_document
+from safsec.process import TRANSCRIPT_NOTE, Replay, RoundLog, run_process
 from safsec.validate import validate_block
 
 import oracles
@@ -184,10 +188,11 @@ class TestAcceptanceAndExhaustion:
 
     def test_rounds_stop_at_the_bound(self):
         # Counting stops at max_rounds, so a bound below one runs no round.
-        actions = [UNASSESSED, AddCounterAction("x", AdtNode(Actor.DEFENSE, "d")), UNASSESSED]
+        actions = [UNASSESSED, SetDefeatersAction("G1", DefeaterCount(1, 2)), UNASSESSED]
         for max_rounds, ran in [(-5, 0), (-1, 0), (0, 0), (1, 1), (3, 3), (9, 3)]:
-            _, scenario = simple_document(Thresholds(0.99, 0.01, 0.01), actions, max_rounds)
-            assert list(rounds(scenario)) == list(enumerate(actions[:ran], start=1))
+            doc, scenario = simple_document(Thresholds(0.99, 0.01, 0.01), actions, max_rounds)
+            log = RoundLog(scenario, doc.gsns["m"], doc.adts["a"])
+            assert [step[:2] for step in log.steps] == list(enumerate(actions[:ran], start=1))
 
 
 ONE_LEAF = AttackDefenseTree("a", AdtNode(Actor.ATTACK, "x"))
@@ -229,9 +234,7 @@ class TestErrors:
         replay.apply(SetDefeatersAction("G1", DefeaterCount(1, 2)))
         assert replay.counts == {"G1": DefeaterCount(1, 2)}
         assert replay.model is model and model.node("G1").defeaters is None
-        revised = GsnModel("m", (model.nodes[0]._replace(defeaters=DefeaterCount(1, 2)),))
-        verdict = SecurityVerdict.NO_ASSESSMENT
-        assert replay.triple(verdict) == Replay(revised, ONE_LEAF).triple(verdict)
+        assert replay.delta == DefeaterCount(1, 2)  # G1 had no count: all of the last one
 
     def test_set_defeaters_refuses_a_count_that_aggregation_hides(self):
         # G1's 5/3 plus G2's 0/4 aggregates to 5/7, which is a valid count.
@@ -698,3 +701,38 @@ def test_the_validator_folds_each_leaf_once_per_domain(monkeypatch):
     assert validate_block(scenario, document) == []
     assert calls == Counter({(f"leaf {i}", key): 1 for i in range(n)
                              for key in ("probability", "cost")})
+
+
+def count_walks(monkeypatch):
+    """Each ``adt_walk`` call by (the module that made it, the label it starts at)."""
+    walks = Counter()
+    for name, module in list(sys.modules.items()):
+        walk = getattr(module, "adt_walk", None) if name.startswith("safsec") else None
+        if walk is not None:
+            def counted(root, place=(), walk=walk, name=name):
+                walks[name, root.label] += 1
+                return walk(root, place)
+            monkeypatch.setattr(module, "adt_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("command, code", [(["validate"], 0), (["process", "run"], 1)],
+                         ids=["validate", "process run"])
+def test_a_ladder_command_folds_each_leaf_once_and_checks_the_tree_once(monkeypatch, tmp_path,
+                                                                          command, code):
+    # The gate's pass over the rounds is the one whose transcript process
+    # run prints, and the ADT's block check and the scenario's soundness
+    # test read one walk's node checks.
+    n = 200
+    document, _ = ladder(n)
+    path = tmp_path / "ladder.ssm"
+    path.write_text(print_document(document), encoding="utf-8")
+    calls, _ = count_work(monkeypatch)
+    walks = count_walks(monkeypatch)
+    scenario = ["--scenario", "s"] if command[0] == "process" else []
+    result = CliRunner().invoke(main, [*command, str(path), *scenario])
+    assert result.exit_code == code, result.output
+    assert max(calls.values()) == 1 and len(calls) == 2 * n  # every leaf and guard, once
+    # One walk from the root for the node checks, one for the label index.
+    assert {module: count for (module, label), count in walks.items() if label == "root"} == {
+        "safsec.model": 1, "safsec.process": 1}

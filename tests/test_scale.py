@@ -11,11 +11,15 @@ exec both carry over, and the test process may hold hundreds of MB by the
 time these cases run.  So a small launcher process, which holds a few MB,
 starts the CLI and reads its peak.
 
-The input is an attack-defense tree 20,000 levels deep (549 kB), with a GSN
-linked to it and a scenario that sets a policy and adds two
+One input is an attack-defense tree 20,000 levels deep (549 kB), with a
+GSN linked to it and a scenario that sets a policy and adds two
 countermeasures, the second under the first, at the bottom of the chain.
-``validate`` and ``process run``, in both formats, run here.  Two commands
-are still out:
+``validate`` and ``process run``, in both formats, run on it.  Three more
+are scenarios of 2,000 rounds whose thresholds never hold, one per round
+kind: ``set_policy`` rounds alternating two attribute domains, a policy
+and then ``add_counter`` rounds that counter the leaves of a 2,000-leaf OR
+one by one, and ``set_defeaters`` rounds over 200 goals.  ``validate`` and ``process run``
+run on each.  Two commands are still out:
 
 - ``adt eval``: ``adteval.evaluate`` recurses, so the chain raises
   ``RecursionError`` (ROADMAP item 2).
@@ -53,6 +57,38 @@ def deep_case(depth: int) -> str:
         '  add_counter at = "bottom" defense "guard" {\n    attr probability = 0.5\n  }\n',
         '  add_counter at = "guard" attack "bypass" {\n    attr probability = 0.5\n  }\n}\n',
     ])
+
+
+ROUNDS = 2_000
+LADDER_HEAD = (
+    'scenario "S" {\n  gsn = "G"\n  adt = "A"\n'
+    "  thresholds min_belief = 1 max_disbelief = 0 max_uncertainty = 0\n"
+    f"  max_rounds = {ROUNDS}\n"
+)
+
+
+def ladder_case(kind: str) -> str:
+    """A GSN, an OR over ``ROUNDS`` leaves and a scenario of ``ROUNDS``
+    rounds of ``kind``, whose thresholds never hold."""
+    goals = 200 if kind == "set_defeaters" else 1
+    gsn = ['gsn "G" {\n  goal G0 "top" {\n    defeaters outruled = 1 total = 4\n  }\n',
+           *(f'  goal G{i} "sub" under G0\n' for i in range(1, goals)),
+           '  security_link under G0 adt = "A" weight = 1\n}\n']
+    adt = ['adt "A" {\n  attack OR "root" {\n',
+           *(f'    attack "leaf {i}" {{\n      attr probability = {(i % 9 + 1) / 10}\n'
+             f"      attr cost = {i}\n    }}\n" for i in range(ROUNDS)), "  }\n}\n"]
+    if kind == "set_policy":
+        rounds = [f'  set_policy attribute = {("probability", "cost")[i % 2]} op = "<=" '
+                  "threshold = 0.5\n" for i in range(ROUNDS)]
+    elif kind == "add_counter":
+        rounds = ['  set_policy attribute = probability op = "<=" threshold = 0.5\n',
+                  *(f'  add_counter at = "leaf {i}" defense "guard {i}" {{\n'
+                    f"    attr probability = {(i % 7 + 2) / 10}\n  }}\n"
+                    for i in range(ROUNDS - 1))]
+    else:
+        rounds = [f"  set_defeaters goal = G{i % goals} outruled = {i % 3} total = {2 + i % 4}\n"
+                  for i in range(ROUNDS)]
+    return "".join([*gsn, *adt, LADDER_HEAD, *rounds, "}\n"])
 
 
 # Runs ``python -m safsec.cli`` with the arguments after the first, writes
@@ -118,4 +154,20 @@ def test_process_run_on_a_twenty_thousand_deep_chain(deep_file, tmp_path, fmt):
         status, rounds = lines[-1].split()[1], sum(line.startswith("round ") for line in lines)
     assert rounds == 3
     assert code == (0 if status == "accepted" else 1)
+    assert peak < PEAK_KB
+
+
+@pytest.mark.parametrize("kind", ["set_policy", "add_counter", "set_defeaters"])
+def test_validate_and_process_run_on_a_two_thousand_round_scenario(tmp_path, kind):
+    path = tmp_path / "ladder.ssm"
+    path.write_text(ladder_case(kind), encoding="utf-8")
+    code, out, err, peak = run_cli(["validate", str(path)], tmp_path)
+    assert (code, out, err) == (0, "ok\n", "")
+    assert peak < PEAK_KB
+    code, out, err, peak = run_cli(["--format", "machine", "process", "run", str(path),
+                                    "--scenario", "S"], tmp_path)
+    assert (code, err) == (1, "")
+    transcript = json.loads(out)
+    assert transcript["status"] == "exhausted"
+    assert [r["round"] for r in transcript["rounds"]] == list(range(1, ROUNDS + 1))
     assert peak < PEAK_KB
