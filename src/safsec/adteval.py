@@ -26,7 +26,7 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .confidence import SecurityVerdict
-from .model import AdtNode, AttackDefenseTree, Refinement
+from .model import AdtNode, AttackDefenseTree, Refinement, printable
 
 
 @dataclass(frozen=True)
@@ -117,14 +117,17 @@ def refined_value(node: AdtNode, domain: AttributeDomain, child_values: Sequence
 
 
 def evaluate(tree: AttackDefenseTree, domain: AttributeDomain) -> dict[str, float]:
-    """Value of every node (keyed by tree path) under the given domain.
+    """Value of every node under the given domain, keyed by tree path.
 
-    The tree's node invariants are :mod:`safsec.validate`'s: a leaf has no
+    A path is ``root`` plus ``.i`` per i-th child and ``.c`` per counter;
+    this is the one place that spells one.  The keys come in preorder.  The
+    tree's node invariants are :mod:`safsec.validate`'s: a leaf has no
     children, and an AND/OR node without any raises ``ValueError``.
     """
     values: dict[str, float] = {}
 
     def rec(path: str, node: AdtNode) -> float:
+        values[path] = math.nan  # reserve the key on entry, in preorder
         children = node.children
         child_values = [rec(f"{path}.{i}", c) for i, c in enumerate(children)] if children else ()
         value = refined_value(node, domain, child_values)
@@ -202,12 +205,13 @@ def load_policy(text: str) -> VerdictPolicy:
 
     Keys: ``unassessed`` (true/yes/1 or false/no/0, in any case),
     ``attribute``, ``op`` (<= or >=), ``threshold``, ``prob_or`` (max or
-    noisy_or).  Lines starting with ``#`` and blank lines are ignored.
+    noisy_or).  Lines end at ``\\n`` only; lines starting with ``#`` and
+    blank lines are ignored.
     """
     fields: dict[str, str] = {}
     lines: dict[str, int] = {}  # key -> the line it was last set on
     unknown: dict[str, int] = {}  # unknown key -> the line it was first set on
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -220,7 +224,7 @@ def load_policy(text: str) -> VerdictPolicy:
             unknown.setdefault(key, lineno)
     if unknown:
         raise ValueError(f"policy line {min(unknown.values())}: unknown policy keys: "
-                         f"{', '.join(sorted(unknown))}")
+                         f"{', '.join(map(printable, sorted(unknown)))}")
     unassessed = fields.get("unassessed", "false")
     if unassessed.lower() in ("true", "yes", "1"):
         return UNASSESSED

@@ -36,7 +36,7 @@ from . import fta as fta_mod
 from . import modelfile, process as process_mod
 from .confidence import SecurityVerdict, aggregate_gsn, apply_security_links
 from .model import (AttackDefenseTree, ConfidenceTriple, Document, FaultTree, GsnModel, Scenario,
-                    printable, sort_key)
+                    adt_preorder, printable, sort_key)
 from .validate import validate_block, validate_model, validate_scenario
 
 FINDING, USAGE = 1, 2
@@ -587,9 +587,9 @@ def adt_eval(file: str, adt_name: str, attribute: str, policy_path: Optional[str
         "command": "adt eval",
         "adt": adt_name,
         "attribute": attribute,
-        "values": {
-            path: {"label": node.label, "value": values[path]}
-            for path, node in tree.walk()
+        "values": {  # evaluate's keys and adt_preorder's nodes, both in preorder
+            path: {"label": node.label, "value": value}
+            for (path, value), node in zip(values.items(), adt_preorder(tree.root))
         },
         "root": values["root"],
         "verdict": verdict_value,

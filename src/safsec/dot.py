@@ -2,9 +2,10 @@
 
 Presentation only: attack nodes are red boxes, defense nodes green, and
 countermeasure attachments use dotted edges.  AND refinements and gates are
-marked in the node label.  An ADT's nodes are named by their tree paths; a
-node's line is written when the walk enters it and the edge from its open
-parent when the walk leaves it, so each edge follows its child's subtree.
+marked in the node label.  An ADT's nodes are named ``n0``, ``n1``, ... in
+:func:`~safsec.model.adt_walk`'s preorder; a node's line is written when the
+walk enters it and the edge from its open parent when the walk leaves it, so
+each edge follows its child's subtree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .model import (
     GsnModel,
     NodeKind,
     Refinement,
-    adt_paths,
+    adt_walk,
 )
 
 GSN_SHAPES = {
@@ -67,10 +68,12 @@ def fta_to_dot(tree: FaultTree) -> str:
 
 def adt_to_dot(tree: AttackDefenseTree) -> str:
     lines = [f'digraph "{_esc(tree.name)}" {{', "  rankdir=TB;"]
-    opened: list[str] = []  # the open nodes' paths
-    for path, place, node, entering in adt_paths(tree.root):
+    opened: list[str] = []  # the open nodes' ids
+    entered = 0  # the nodes entered so far
+    for place, node, entering in adt_walk(tree.root):
         if entering:
-            opened.append(path)
+            opened.append(f"n{entered}")
+            entered += 1
             label = _esc(node.label)
             if node.refinement is not Refinement.LEAF:
                 label += f"\\n[{node.refinement.value}]"
@@ -79,13 +82,13 @@ def adt_to_dot(tree: AttackDefenseTree) -> str:
             color = "indianred" if node.actor.value == "attack" else "palegreen"
             shape = "box" if node.actor.value == "attack" else "ellipse"
             lines.append(
-                f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
+                f'  "{opened[-1]}" [shape={shape}, style=filled, fillcolor={color}, '
                 f'label="{label}"];'
             )
         else:
-            opened.pop()
+            node_id = opened.pop()
             if place:
                 style = " [style=dotted]" if place[1] == "c" else ""
-                lines.append(f'  "{opened[-1]}" -> "{path}"{style};')
+                lines.append(f'  "{opened[-1]}" -> "{node_id}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ diagnostics instead of exceptions; a record's own rules are its
 ``problems``, as an ADT's node rules are, found once per tree.  An
 attack-defense tree nests to any depth, so every walk over one goes through
 :func:`adt_walk`, which keeps its own stack and names each node by its
-place; only output spells paths.  Gates and GSN nodes are named, so a file
+place; only :func:`safsec.adteval.evaluate` spells paths, as ``adt eval``'s
+keys.  Gates and GSN nodes are named, so a file
 can join them into a cycle: bottom-up walks over them fold over
 :func:`post_order` and its one cycle guard.
 
@@ -231,9 +232,6 @@ class GsnModel:
             raise ValueError(f"model {self.name!r} has {len(roots)} roots")
         return roots[0]
 
-    def children(self, node_id: str) -> list[GsnNode]:
-        return list(self._by_parent.get(node_id, ()))
-
     @cached_property
     def _goals(self) -> tuple[GsnNode, ...]:
         return tuple(n for n in self.nodes if n.kind is NodeKind.GOAL)
@@ -359,7 +357,7 @@ class AdtNode(NamedTuple):
     def problems(self) -> list[str]:
         """The node invariants that the tree under this node breaks, in preorder."""
         out = []
-        for node in (node for _, node, entering in adt_walk(self) if entering):
+        for node in adt_preorder(self):
             if node.children and node.refinement is Refinement.LEAF:
                 out.append(f"node {node.label!r} has children but no AND/OR refinement")
             if not node.children and node.refinement is not Refinement.LEAF:
@@ -406,13 +404,9 @@ def adt_walk(root: AdtNode, place: tuple = ()) -> Iterator[tuple[tuple, AdtNode,
             push(((place, i), children[i], True))
 
 
-def adt_paths(root: AdtNode) -> Iterator[tuple[str, tuple, AdtNode, bool]]:
-    """Each :func:`adt_walk` event led by its place spelled as a path, ``root.0.c``."""
-    opened: list[str] = []  # the open nodes' paths
-    for place, node, entering in adt_walk(root):
-        if entering:
-            opened.append(f"{opened[-1]}.{place[1]}" if place else "root")
-        yield opened[-1] if entering else opened.pop(), place, node, entering
+def adt_preorder(root: AdtNode) -> Iterator[AdtNode]:
+    """``root`` and every node under it in :func:`adt_walk`'s preorder."""
+    return (node for _, node, entering in adt_walk(root) if entering)
 
 
 @dataclass(frozen=True)
@@ -424,10 +418,6 @@ class AttackDefenseTree:
     def problems(self) -> list[str]:
         """Its root's problems, found once for every check that reads them."""
         return self.root.problems
-
-    def walk(self) -> Iterator[tuple[str, AdtNode]]:
-        """Yield (path, node) pairs in preorder; counters get suffix ``.c``."""
-        return ((path, node) for path, _, node, entering in adt_paths(self.root) if entering)
 
 
 class Literal(NamedTuple):

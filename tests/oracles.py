@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, product
+from itertools import chain, combinations, count, product
 from typing import Iterator, NamedTuple, Optional
 
 from safsec import adteval
@@ -343,9 +343,12 @@ def recursive_adt_lines(node: AdtNode, indent: int) -> list[str]:
 
 
 def recursive_adt_to_dot(tree: AttackDefenseTree) -> str:
+    """The ADT's DOT, its nodes numbered ``n0``, ``n1``, ... in preorder."""
     lines = [f'digraph "{_esc(tree.name)}" {{', "  rankdir=TB;"]
+    numbered = count()
 
-    def emit(path: str, node: AdtNode) -> None:
+    def emit(node: AdtNode) -> str:
+        node_id = f"n{next(numbered)}"
         label = _esc(node.label)
         if node.refinement is not Refinement.LEAF:
             label += f"\\n[{node.refinement.value}]"
@@ -354,19 +357,18 @@ def recursive_adt_to_dot(tree: AttackDefenseTree) -> str:
         color = "indianred" if node.actor.value == "attack" else "palegreen"
         shape = "box" if node.actor.value == "attack" else "ellipse"
         lines.append(
-            f'  "{path}" [shape={shape}, style=filled, fillcolor={color}, '
+            f'  "{node_id}" [shape={shape}, style=filled, fillcolor={color}, '
             f'label="{label}"];'
         )
-        for i, child in enumerate(node.children):
-            child_path = f"{path}.{i}"
-            emit(child_path, child)
-            lines.append(f'  "{path}" -> "{child_path}";')
+        for child in node.children:
+            child_id = emit(child)
+            lines.append(f'  "{node_id}" -> "{child_id}";')
         if node.counter is not None:
-            counter_path = f"{path}.c"
-            emit(counter_path, node.counter)
-            lines.append(f'  "{path}" -> "{counter_path}" [style=dotted];')
+            counter_id = emit(node.counter)
+            lines.append(f'  "{node_id}" -> "{counter_id}" [style=dotted];')
+        return node_id
 
-    emit("root", tree.root)
+    emit(tree.root)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,14 +1,14 @@
 """One explicit-stack walk over attack-defense trees.
 
-``model.adt_walk`` names each node by its place, which shares its parent's,
-and ``model.adt_paths`` spells places as ``root.0.c`` paths for
-``AttackDefenseTree.walk`` and DOT export.  The walk also drives the
-validator's ADT checks, the printer (trees and ``add_counter`` nodes) and
-the replay's label index.  Each must match the recursive version it replaced
-(kept in ``oracles.py``) on random trees, and each must handle chains deeper
-than Python's recursion limit, of children and of counters.  At 10,000
-levels the walk, the validator and a replay's counter round must each hold
-under 20 MB; a walk that kept spelled paths held about 100 MB.
+``model.adt_walk`` names each node by its place, which shares its parent's.
+The walk drives ``model.adt_preorder``, the validator's ADT checks, the
+printer (trees and ``add_counter`` nodes), DOT export, which numbers the
+nodes ``n0``, ``n1``, ... in preorder, and the replay's label index.  Each
+must match the recursive version it replaced (kept in ``oracles.py``) on
+random trees, and each must handle chains deeper than Python's recursion
+limit, of children and of counters.  At 10,000 levels the walk, the
+validator and a replay's counter round must each hold under 20 MB; a walk
+that kept spelled paths held about 100 MB.
 """
 
 import sys
@@ -30,7 +30,7 @@ from safsec.model import (
     Refinement,
     Scenario,
     Thresholds,
-    adt_paths,
+    adt_preorder,
     adt_walk,
     sort_key,
 )
@@ -57,7 +57,7 @@ class TestMatchesTheRecursiveWalkers:
     @given(adt_nodes())
     def test_walk_validate_print_and_dot(self, root):
         tree = AttackDefenseTree(name="t", root=root)
-        assert list(tree.walk()) == recursive_adt_walk(tree)
+        assert list(adt_preorder(root)) == [node for _, node in recursive_adt_walk(tree)]
         assert validate_model(Document((tree,))) == sorted(
             recursive_adt_diagnostics(tree), key=sort_key
         )
@@ -85,10 +85,6 @@ class TestMatchesTheRecursiveWalkers:
             (top, True), (a, True), (a, False), (b, True),
             (b, False), (c, True), (c, False), (top, False),
         ]
-        assert [(path, entering) for path, _, _, entering in adt_paths(root)] == [
-            ("root", True), ("root.0", True), ("root.0", False), ("root.1", True),
-            ("root.1", False), ("root.c", True), ("root.c", False), ("root", False),
-        ]
         # A walk from a place extends it; the places below share it.
         events = list(adt_walk(root, a))
         assert [place for place, _, _ in events] == [a, (a, 0), (a, 0), (a, 1), (a, 1),
@@ -111,9 +107,8 @@ def deep_chain(via: str, depth: int = DEPTH) -> AttackDefenseTree:
 class TestDeeperThanTheRecursionLimit:
     def test_walk(self, via):
         assert sys.getrecursionlimit() < DEPTH
-        paths = [path for path, _ in deep_chain(via).walk()]
-        step = ".0" if via == "child" else ".c"
-        assert paths == ["root" + step * i for i in range(DEPTH + 1)]
+        labels = [node.label for node in adt_preorder(deep_chain(via).root)]
+        assert labels == [f"level {i}" for i in range(DEPTH)] + ["bottom"]
 
     def test_validate(self, via):
         assert validate_model(Document((deep_chain(via),))) == []
@@ -133,10 +128,13 @@ class TestDeeperThanTheRecursionLimit:
 
     def test_dot(self, via):
         lines = adt_to_dot(deep_chain(via)).splitlines()
-        # Two header lines, one line per node, one per edge, and the closing brace.
-        assert len(lines) == 2 + (DEPTH + 1) + DEPTH + 1
-        step, style = (".0", "") if via == "child" else (".c", " [style=dotted]")
-        assert lines[-2:] == [f'  "root" -> "root{step}"{style};', "}"]
+        # Two header lines, one line per node, then one per edge, deepest
+        # first, and the closing brace.
+        nodes, edges = lines[2:DEPTH + 3], lines[DEPTH + 3:-1]
+        assert [line.split(" [", 1)[0] for line in nodes] == [f'  "n{i}"' for i in range(DEPTH + 1)]
+        style = "" if via == "child" else " [style=dotted]"
+        assert edges == [f'  "n{i - 1}" -> "n{i}"{style};' for i in range(DEPTH, 0, -1)]
+        assert lines[-1] == "}"
 
 
 def traced_peak(run) -> int:

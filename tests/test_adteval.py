@@ -24,7 +24,7 @@ from safsec.confidence import SecurityVerdict
 from safsec.model import Actor, AdtNode, AttackDefenseTree, Refinement
 
 from generators import random_cost_adt
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, recursive_adt_walk
 
 
 def leaf(label, **attrs):
@@ -142,10 +142,24 @@ class TestEvaluate:
             evaluate(tree(leaf("mystery")), COST)
 
     def test_every_node_path_gets_a_value(self):
-        rng = random.Random(5)
-        t = random_cost_adt(rng)
-        values = evaluate(t, COST)
-        assert set(values) == {path for path, _ in t.walk()}
+        """The keys are the recursive walk's paths, in its preorder: a node,
+        its children, then its counter."""
+        def defense(label, **attrs):
+            return leaf(label, **attrs)._replace(actor=Actor.DEFENSE)
+
+        alarm = defense("alarm", cost=3)._replace(counter=leaf("bypass", cost=1))
+        guard = AdtNode(Actor.DEFENSE, "guard", Refinement.AND,
+                        children=(defense("lock", cost=2), alarm),
+                        counter=leaf("cut power", cost=4))
+        guarded = leaf("a", cost=5)._replace(counter=guard)
+        nested = tree(AdtNode(Actor.ATTACK, "r", Refinement.OR,
+                              children=(guarded, leaf("b", cost=9))))
+        trees = [random_cost_adt(random.Random(seed)) for seed in range(40)] + [nested]
+        for t in trees:
+            assert list(evaluate(t, COST)) == [path for path, _ in recursive_adt_walk(t)]
+        assert list(evaluate(nested, COST)) == [
+            "root", "root.0", "root.0.c", "root.0.c.0", "root.0.c.1", "root.0.c.1.c",
+            "root.0.c.c", "root.1"]
 
 
 class TestCostOracle:
@@ -315,3 +329,17 @@ class TestLoadPolicy:
         with pytest.raises(ValueError) as exc:
             load_policy(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\r", "\x1c", "\x1d", "\x1e",
+                                           "\x85", "\u2028", "\u2029"])
+    def test_only_a_newline_ends_a_line(self, separator):
+        # ``str.splitlines`` would break at each of these and count line 3.
+        with pytest.raises(ValueError) as exc:
+            load_policy(f"attribute = cost{separator}op = <=\nthreshold = x\n")
+        assert str(exc.value) == "policy line 2: threshold must be a number, got 'x'"
+
+    def test_unknown_keys_print_on_one_line(self):
+        with pytest.raises(ValueError) as exc:
+            load_policy("colour\vhue = red\nshade\u2028tone = dark")
+        assert str(exc.value) == (
+            "policy line 1: unknown policy keys: colour\\x0bhue, shade\\u2028tone")

@@ -87,14 +87,6 @@ class TestStructuralIndexes:
         with pytest.raises(KeyError):
             model.node("nope")
 
-    def test_children_list_every_declaration(self):
-        model = GsnModel("M", self.NODES)
-        assert [n.text for n in model.children("G1")] == ["s", "g2"]
-        assert [n.text for n in model.children("S1")] == ["second"]
-        assert model.children("G2") == []
-        model.children("G1").clear()  # callers get a copy of the index
-        assert len(model.children("G1")) == 2
-
     def test_gate_lookup_first_declaration_wins(self):
         tree = FaultTree(
             "T",
@@ -107,7 +99,7 @@ class TestStructuralIndexes:
 
     def test_indexes_leave_equality_and_hash_alone(self):
         used, fresh = GsnModel("M", self.NODES), GsnModel("M", self.NODES)
-        used.node("G1"), used.children("G1")
+        used.node("G1"), used.roots()
         assert used == fresh and hash(used) == hash(fresh)
         doc, other = Document((used,)), Document((fresh,))
         assert doc.gsns["M"] is used

@@ -29,6 +29,7 @@ from safsec.model import (
     SecurityLink,
     SetDefeatersAction,
     Thresholds,
+    adt_preorder,
     adt_walk,
 )
 from safsec.cli import main
@@ -42,7 +43,7 @@ from test_validate import ALL_ATTRIBUTES, LABELS, SOME_ATTRIBUTES, well_formed_n
 
 
 def node_by_label(tree, label):
-    for _, node in tree.walk():
+    for node in adt_preorder(tree.root):
         if node.label == label:
             return node
     raise AssertionError(f"no node labelled {label!r}")
@@ -384,7 +385,7 @@ class TestAttachCounter:
             node = AdtNode(Actor.ATTACK, f"level {i}", Refinement.OR, children=(node,))
         guard = AdtNode(Actor.DEFENSE, "guard")
         updated = attach(AttackDefenseTree("deep", node), "bottom", guard)
-        (bottom,) = [n for _, n in updated.walk() if n.label == "bottom"]
+        (bottom,) = [n for n in adt_preorder(updated.root) if n.label == "bottom"]
         assert bottom.counter is guard
 
 

@@ -14,17 +14,14 @@ starts the CLI and reads its peak.
 One input is an attack-defense tree 20,000 levels deep (549 kB), with a
 GSN linked to it and a scenario that sets a policy and adds two
 countermeasures, the second under the first, at the bottom of the chain.
-``validate`` and ``process run``, in both formats, run on it.  Three more
-are scenarios of 2,000 rounds whose thresholds never hold, one per round
-kind: ``set_policy`` rounds alternating two attribute domains, a policy
-and then ``add_counter`` rounds that counter the leaves of a 2,000-leaf OR
-one by one, and ``set_defeaters`` rounds over 200 goals.  ``validate`` and ``process run``
-run on each.  Two commands are still out:
-
-- ``adt eval``: ``adteval.evaluate`` recurses, so the chain raises
-  ``RecursionError`` (ROADMAP item 2).
-- ``export dot``: its node ids are tree paths, whose text grows with the
-  square of the depth, 301 MB at 10,000 levels (ROADMAP item 12).
+``validate``, ``process run`` (in both formats) and ``export dot`` run on
+it.  Three more are scenarios of 2,000 rounds whose thresholds never hold,
+one per round kind: ``set_policy`` rounds alternating two attribute
+domains, a policy and then ``add_counter`` rounds that counter the leaves
+of a 2,000-leaf OR one by one, and ``set_defeaters`` rounds over 200
+goals.  ``validate`` and ``process run`` run on each.  One command is still
+out: ``adt eval``, since ``adteval.evaluate`` recurses, so the chain raises
+``RecursionError`` (ROADMAP item 2).
 """
 
 import json
@@ -154,6 +151,16 @@ def test_process_run_on_a_twenty_thousand_deep_chain(deep_file, tmp_path, fmt):
         status, rounds = lines[-1].split()[1], sum(line.startswith("round ") for line in lines)
     assert rounds == 3
     assert code == (0 if status == "accepted" else 1)
+    assert peak < PEAK_KB
+
+
+def test_export_dot_on_a_twenty_thousand_deep_chain(deep_file, tmp_path):
+    code, out, err, peak = run_cli(["export", "dot", str(deep_file), "--model", "deep"],
+                                   tmp_path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(" [shape=" in line for line in lines) == DEPTH + 1
+    assert sum(" -> " in line for line in lines) == DEPTH
     assert peak < PEAK_KB
 
 
