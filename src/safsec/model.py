@@ -11,9 +11,9 @@ diagnostics instead of exceptions; a record's own rules are its
 attack-defense tree nests to any depth, so every walk over one goes through
 :func:`adt_walk`, which keeps its own stack and names each node by its
 place; only :func:`safsec.adteval.evaluate` spells paths, as ``adt eval``'s
-keys.  Gates and GSN nodes are named, so a file
-can join them into a cycle: bottom-up walks over them fold over
-:func:`post_order` and its one cycle guard.
+keys.  Gates and GSN nodes are named, so a file can join them into a cycle:
+bottom-up walks over them fold over :func:`post_order` and its one cycle
+guard.
 
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
