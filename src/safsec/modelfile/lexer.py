@@ -1,14 +1,16 @@
 """Tokenizer for the ``.ssm`` model format: one pattern, `_SCAN`.
 
-`scan` cuts the text with one `re.split` over `_SCAN`, all in C, and gives
-two columns, token texts and kinds (told by the first character), or None
-on a lexical error.  `_SCAN` has one capture group, so the tokens are every
-other piece of the split; its catch-all ``.`` comes last and catches each
-character that starts no valid token.  Such a token has a kind that the
-first character does not tell, or it is a lone ``"``: a quote that opens no
-complete string (unterminated, or with an unknown escape).  STRING texts
-keep their quotes, so only an IDENT can equal a keyword and only a PUNCT a
-punctuation mark; `string_value` decodes them.
+`scan` cuts the text with one `_SCAN.findall`, all in C, and gives two
+columns: the token texts, and their kinds as one string of one-letter codes
+(`KIND_NAMES`), or None on a lexical error.  The first character tells a
+token's kind: one `str.translate` of the tokens' joined first characters
+gives the codes, and only a non-ASCII first character is told by its
+Unicode class.  `_SCAN`'s catch-all ``.`` comes last and catches each
+character that starts no valid token, whose code is ``?``, and a lone
+``"``: a quote that opens no complete string (unterminated, or with an
+unknown escape); `scan` refuses both.  STRING texts keep their quotes, so
+only an IDENT can equal a keyword and only a PUNCT a punctuation mark;
+`string_value` decodes them.
 
 `locate` runs only for diagnostics: one `_SCAN.finditer` pass gives the
 character offset of each token, and names the first lexical error by the
@@ -40,10 +42,13 @@ _SCAN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
     rf'(=>|[{{}}\[\]=,&!]|"{_BODY}"|\d+\.\d+|\d+|\w+|\Z|.)'
 )
-_FIRST = {  # a token's kind by its first character, for ASCII; "=>" is a PUNCT
-    **dict.fromkeys("{}[]=,&!", "PUNCT"), '"': "STRING", **dict.fromkeys("0123456789", "NUM"),
-    **{c: "IDENT" for c in map(chr, range(128)) if c.isalpha() or c == "_"},
-}
+# A token's kind code by its first character, for ASCII: IDENT, STRING, NUM,
+# PUNCT ("=>" is one), and ``?`` for a character that starts no token.
+_CODES = str.maketrans({chr(c): "?" for c in range(128)} | {
+    **dict.fromkeys("{}[]=,&!", "P"), '"': "S", **dict.fromkeys("0123456789", "N"),
+    **{c: "I" for c in map(chr, range(128)) if c.isalpha() or c == "_"}})
+# The name of each kind code, for diagnostics; "E" is the final EOF token.
+KIND_NAMES = {"I": "IDENT", "S": "STRING", "N": "NUM", "P": "PUNCT", "E": "EOF"}
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
@@ -59,20 +64,21 @@ def string_value(raw: str) -> str:
     return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], value) if "\\" in value else value
 
 
-def scan(text: str) -> Optional[tuple[list[str], list[str]]]:
-    """The texts and kinds (IDENT, STRING, NUM, PUNCT) of the tokens of
-    ``text`` and a final ``("", "EOF")``, or None on a lexical error (see `locate`)."""
-    values = _SCAN.split(text)[1::2]
+def scan(text: str) -> Optional[tuple[list[str], str]]:
+    """The texts of the tokens of ``text`` and a final ``""``, and their kind
+    codes ending in ``E``, or None on a lexical error (see `locate`)."""
+    values = _SCAN.findall(text)
     del values[values.index("") :]  # the end of the text matches once or twice
     if '"' in values:  # a quote that opens no complete string
         return None
-    kinds = list(map(_FIRST.get, map(itemgetter(0), values)))
-    if None in kinds:  # a non-ASCII start, or a character that starts no token
-        kinds = [kind or ("NUM" if v[0].isdecimal() else "IDENT" if v[0].isalpha() else "")
-                 for kind, v in zip(kinds, values)]
-        if "" in kinds:
-            return None
-    return values + [""], kinds + ["EOF"]
+    kinds = "".join(map(itemgetter(0), values)).translate(_CODES)
+    if not kinds.isascii():  # a non-ASCII start, which translate leaves as it is
+        kinds = "".join(k if k.isascii() else "N" if k.isdecimal() else "I" if k.isalpha()
+                        else "?" for k in kinds)
+    if "?" in kinds:  # a character that starts no token
+        return None
+    values.append("")
+    return values, kinds + "E"
 
 
 def locate(text: str) -> tuple[list[int], Optional[tuple[str, int]]]:
@@ -100,7 +106,7 @@ def locate(text: str) -> tuple[list[int], Optional[tuple[str, int]]]:
         if first.isdecimal():
             if "." not in value and text.startswith(".", m.end()):
                 return offsets, (f"malformed number {value + '.'!r}", offset)
-        elif first not in _FIRST and not first.isalpha():
+        elif first.translate(_CODES) == "?" or not (first.isascii() or first.isalpha()):
             return offsets, (f"unexpected character {first!r}", offset)
     return offsets, None
 

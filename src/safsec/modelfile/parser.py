@@ -1,14 +1,15 @@
 """Parser for the ``.ssm`` model format.
 
 A token is an index into the columns of texts and kinds that `lexer.scan`
-gives; keywords and punctuation are told by their text alone.  A block is
-read by descent; ADT nodes, which nest without limit, by one loop over an
-explicit stack: a header opens a node, its ``}`` closes it.  Diagnostics
-carry line/column of the offending token.  Only the first diagnostic runs
-`lexer.locate`, for the offsets of the tokens or for a lexical error.
-Parsing aborts after 20 errors.  Syntax errors inside a block skip ahead to
-the next top-level block keyword so that independent blocks still get
-checked.
+gives: a list of texts and a string of one-letter kind codes, which
+`KIND_NAMES` spells out for diagnostics.  Keywords and punctuation are told
+by their text alone.  A block is read by descent; ADT nodes, which nest
+without limit, by one loop over an explicit stack: a header opens a node,
+its ``}`` closes it.  Diagnostics carry line/column of the offending token.
+Only the first diagnostic runs `lexer.locate`, for the offsets of the
+tokens or for a lexical error.  Parsing aborts after 20 errors.  Syntax
+errors inside a block skip ahead to the next top-level block keyword so
+that independent blocks still get checked.
 
 Every ``key = value`` field of a record is spelled once, in `FIELDS` (and
 in `NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a
@@ -54,7 +55,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import locate, position, scan, string_value
+from .lexer import KIND_NAMES, locate, position, scan, string_value
 
 MAX_ERRORS = 20
 # Each enum the parser reads, by value, and what a diagnostic calls a value
@@ -146,7 +147,7 @@ class Parser:
         self.pos = 0
         self._offsets: Optional[list[int]] = None  # token offsets, for diagnostics only
         columns = scan(text)
-        self.values, self.kinds = columns or ([""], ["EOF"])
+        self.values, self.kinds = columns or ([""], "E")
         if columns is None:
             _, (message, offset) = locate(text)
             self._offsets = [offset]
@@ -156,7 +157,7 @@ class Parser:
 
     def _got(self, tok: int) -> str:
         value, kind = self.values[tok], self.kinds[tok]
-        return repr((string_value(value) if kind == "STRING" else value) or kind)
+        return repr((string_value(value) if kind == "S" else value) or KIND_NAMES[kind])
 
     def at_ident(self, *words: str) -> bool:
         return self.values[self.pos] in words
@@ -168,27 +169,28 @@ class Parser:
         return _SyntaxError(f"expected {what}, got {self._got(tok)}", tok)
 
     def expect(self, kind: str) -> int:
+        """The token at the cursor, which must have the kind code ``kind``."""
         tok = self.pos
         if self.kinds[tok] != kind:
-            raise self._expected(repr(kind), tok)
+            raise self._expected(repr(KIND_NAMES[kind]), tok)
         self.pos = tok + 1  # a matched token is never the EOF
         return tok
 
     def expect_ident(self, *values: str) -> int:
         tok = self.pos
-        if self.kinds[tok] != "IDENT" or (values and self.values[tok] not in values):
+        if self.kinds[tok] != "I" or (values and self.values[tok] not in values):
             want = " or ".join(repr(v) for v in values) if values else "identifier"
             raise self._expected(want, tok)
         self.pos = tok + 1
         return tok
 
     def expect_string(self) -> str:
-        return string_value(self.values[self.expect("STRING")])
+        return string_value(self.values[self.expect("S")])
 
     def expect_int(self) -> int:
         tok = self.pos
         text = self.values[tok]
-        if self.kinds[tok] != "NUM" or "." in text:
+        if self.kinds[tok] != "N" or "." in text:
             raise self._expected("'INT'", tok)
         self.pos = tok + 1
         try:
@@ -198,7 +200,7 @@ class Parser:
 
     def expect_num(self) -> float:
         tok = self.pos
-        if self.kinds[tok] != "NUM":
+        if self.kinds[tok] != "N":
             raise self._expected("number", tok)
         self.pos = tok + 1
         return _number(self.values[tok], tok)
@@ -211,7 +213,7 @@ class Parser:
         return tok
 
     def _op(self) -> str:
-        tok = self.expect("STRING")
+        tok = self.expect("S")
         op = string_value(self.values[tok])
         if op not in ("<=", ">="):
             raise _SyntaxError(f"op must be \"<=\" or \">=\", got {op!r}", tok)
@@ -248,7 +250,7 @@ class Parser:
 
     def _skip_to_next_block(self) -> None:
         depth = 0
-        while self.kinds[self.pos] != "EOF":
+        while self.kinds[self.pos] != "E":
             value = self.values[self.pos]
             if value == "{":
                 depth += 1
@@ -273,7 +275,7 @@ class Parser:
     def parse(self) -> ParseResult:
         blocks: list = []
         try:
-            while self.kinds[self.pos] != "EOF":
+            while self.kinds[self.pos] != "E":
                 tok = self.pos
                 read = _BLOCKS.get(self.values[tok])
                 self.pos = tok + 1
@@ -312,7 +314,7 @@ class Parser:
             elif self.at_ident("security_link"):
                 self.pos += 1
                 self.expect_ident("under")
-                goal_id = self.values[self.expect("IDENT")]
+                goal_id = self.values[self.expect("I")]
                 links.append(SecurityLink(goal_id, *self.fields(SecurityLink)))
             else:
                 raise self._expected("gsn node or security_link", self.pos)
@@ -327,13 +329,13 @@ class Parser:
 
     def _parse_gsn_node(self) -> tuple[GsnNode, Optional[int]]:
         kind = _MEMBERS[NodeKind][self.values[self.expect_ident()]]
-        node_id = self.values[self.expect("IDENT")]
+        node_id = self.values[self.expect("I")]
         text = self.expect_string()
         parent = None
         under_tok = None
         if self.at_ident("under"):
             self.pos += 1
-            under_tok = self.expect("IDENT")
+            under_tok = self.expect("I")
             parent = self.values[under_tok]
         attributes = {}
         if self.at_punct("{"):
@@ -341,17 +343,17 @@ class Parser:
             while not self.at_punct("}"):
                 name = self.values[self.pos]
                 if name not in NODE_ATTRIBUTES:
-                    raise _SyntaxError(f"unknown node attribute {name!r}", self.expect("IDENT"))
+                    raise _SyntaxError(f"unknown node attribute {name!r}", self.expect("I"))
                 (attributes[name],) = self.fields(name)
             self.expect_punct("}")
         return GsnNode(node_id, kind, text, parent, **attributes), under_tok
 
     def _parse_id_list(self) -> list[int]:
         self.expect_punct("[")
-        ids = [self.expect("IDENT")]
+        ids = [self.expect("I")]
         while self.at_punct(","):
             self.pos += 1
-            ids.append(self.expect("IDENT"))
+            ids.append(self.expect("I"))
         self.expect_punct("]")
         return ids
 
@@ -359,21 +361,21 @@ class Parser:
         name = self.expect_string()
         self.expect_punct("{")
         self.expect_ident("top")
-        top_tok = self.expect("IDENT")
+        top_tok = self.expect("I")
         gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
         events: list[str] = []
         child_refs: list[int] = []
         while not self.at_punct("}"):
             if self.at_ident("gate"):
                 self.pos += 1
-                gate_id = self.values[self.expect("IDENT")]
+                gate_id = self.values[self.expect("I")]
                 op = _MEMBERS[GateOp][self.values[self.expect_ident("AND", "OR")]]
                 child_tokens = self._parse_id_list()
                 child_refs.extend(child_tokens)
                 gates.append((gate_id, op, tuple(self.values[t] for t in child_tokens)))
             elif self.at_ident("event"):
                 self.pos += 1
-                events.append(self.values[self.expect("IDENT")])
+                events.append(self.values[self.expect("I")])
             else:
                 raise self._expected("gate or event", self.pos)
         self.expect_punct("}")
@@ -397,12 +399,12 @@ class Parser:
         rows: list[FmeaRow] = []
         while self.at_ident("row"):
             self.pos += 1
-            rows.append(FmeaRow(self.values[self.expect("IDENT")], *self.fields(FmeaRow)))
+            rows.append(FmeaRow(self.values[self.expect("I")], *self.fields(FmeaRow)))
         self.expect_punct("}")
         return FmeaTable(name=name, rows=tuple(rows))
 
     def _parse_requirement(self) -> Requirement:
-        req_id = self.values[self.expect("IDENT")]
+        req_id = self.values[self.expect("I")]
         kind, trace = self.fields(Requirement)
         self.expect_punct("{")
         (inputs,) = self.fields(INPUTS)
@@ -428,7 +430,7 @@ class Parser:
         if self.at_punct("!"):
             self.pos += 1
             positive = False
-        return Literal(signal=self.values[self.expect("IDENT")], positive=positive)
+        return Literal(signal=self.values[self.expect("I")], positive=positive)
 
     def _parse_adt(self) -> AttackDefenseTree:
         name = self.expect_string()
@@ -452,7 +454,7 @@ class Parser:
                     raise self._expected("'attack' or 'defense'", pos)
                 refinement = branches.get(values[pos + 1], Refinement.LEAF)
                 pos += 1 if refinement is Refinement.LEAF else 2
-                if kinds[pos] != "STRING":
+                if kinds[pos] != "S":
                     raise self._expected("'STRING'", pos)
                 label, node = string_value(values[pos]), None
                 if values[pos + 1] == "{":
@@ -485,20 +487,20 @@ class Parser:
                         is_counter = True
                         break
                     elif value == "attr":
-                        if kinds[pos] != "IDENT":
+                        if kinds[pos] != "I":
                             raise self._expected("'IDENT'", pos)
                         if values[pos + 1] != "=":
                             pos += 1
                             raise self._expected("'='", pos)
                         pos += 2
-                        if kinds[pos] != "NUM":
+                        if kinds[pos] != "N":
                             raise self._expected("number", pos)
                         stack[-1][5].append((values[tok + 1], _number(values[pos], pos)))
                         pos += 1
                     elif value == "impact":
                         if values[pos] != "=":
                             raise self._expected("'='", pos)
-                        if kinds[pos + 1] != "IDENT":
+                        if kinds[pos + 1] != "I":
                             pos += 1
                             raise self._expected("'IDENT'", pos)
                         pos += 2
@@ -535,7 +537,7 @@ class Parser:
 # The reader of each block by its keyword, which `Parser.parse` has read.
 _BLOCKS = {keyword: getattr(Parser, f"_parse_{keyword}") for keyword in BLOCK_KEYWORDS.values()}
 _READERS = {INT: Parser.expect_int, NUM: Parser.expect_num, STRING: Parser.expect_string,
-            IDENT: lambda p: p.values[p.expect("IDENT")],
+            IDENT: lambda p: p.values[p.expect("I")],
             IDS: lambda p: tuple(p.values[t] for t in p._parse_id_list()), OP: Parser._op}
 
 
@@ -547,7 +549,7 @@ def _reader(kind) -> Callable[[Parser], object]:
         return lambda p: p.values[p.expect_ident(*kind)]
     if isinstance(kind, str):
         return _READERS[kind]
-    return lambda p: p._enum(kind, p.expect("IDENT"))
+    return lambda p: p._enum(kind, p.expect("I"))
 
 
 def _steps(row: tuple) -> tuple:

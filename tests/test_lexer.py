@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safsec.modelfile import parse
-from safsec.modelfile.lexer import locate, position, scan, string_value
+from safsec.modelfile.lexer import KIND_NAMES, locate, position, scan, string_value
 
 from oracles import LexError, NaiveLexError, naive_tokenize, tokenize
 
@@ -170,7 +170,8 @@ def test_scan_agrees_with_tokenize(text):
     if tokens is None or columns is None:
         assert tokens is None and columns is None, (tokens, columns)
         return
-    values, kinds = columns
+    values, codes = columns
+    kinds = [KIND_NAMES[code] for code in codes]
     assert [string_value(v) if k == "STRING" else v for v, k in zip(values, kinds)] == [
         tok.value for tok in tokens]
     coarse = {"INT": "NUM", "FLOAT": "NUM", "ARROW": "PUNCT"}
