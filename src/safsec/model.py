@@ -10,7 +10,8 @@ diagnostics instead of exceptions; a record's own rules are its
 ``problems``, as an ADT's node rules are, found once per tree.  An
 attack-defense tree nests to any depth, so every walk over one goes through
 :func:`adt_walk`, which keeps its own stack and names each node by its
-place; only :func:`safsec.adteval.evaluate` spells paths, as ``adt eval``'s
+place, or through :func:`adt_preorder`, which keeps a stack of bare nodes;
+only :func:`safsec.adteval.evaluate` spells paths, as ``adt eval``'s
 keys.  Gates and GSN nodes are named, so a file can join them into a cycle:
 bottom-up walks over them fold over :func:`post_order` and its one cycle
 guard.
@@ -355,20 +356,25 @@ class AdtNode(NamedTuple):
 
     @property
     def problems(self) -> list[str]:
-        """The node invariants that the tree under this node breaks, in preorder."""
-        out = []
-        for node in adt_preorder(self):
-            if node.children and node.refinement is Refinement.LEAF:
-                out.append(f"node {node.label!r} has children but no AND/OR refinement")
-            if not node.children and node.refinement is not Refinement.LEAF:
-                out.append(f"{node.refinement.value} node {node.label!r} has no children")
-            out += (f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
-                    for child in node.children if child.actor is not node.actor)
-            if node.counter is not None and node.counter.actor is not node.actor.opposite:
-                out.append(f"countermeasure of {node.label!r} must have opposite actor")
-            if len(dict(node.attributes)) < len(node.attributes):  # one C call; Counter is slow
-                out += (f"duplicate attribute {key!r} on {node.label!r}"
-                        for key in duplicates(key for key, _ in node.attributes))
+        """The node invariants that the tree under this node breaks, in
+        preorder: one loop that unpacks each node once."""
+        out, leaf = [], Refinement.LEAF
+        for actor, label, refinement, children, counter, attributes, _ in adt_preorder(self):
+            if children:
+                if refinement is leaf:
+                    out.append(f"node {label!r} has children but no AND/OR refinement")
+                for child in children:
+                    if child.actor is not actor:
+                        out.append(f"refinement child {child.label!r} of {label!r} "
+                                   "has mismatching actor")
+            elif refinement is not leaf:
+                out.append(f"{refinement.value} node {label!r} has no children")
+            if counter is not None and counter.actor is not actor.opposite:
+                out.append(f"countermeasure of {label!r} must have opposite actor")
+            # One C call finds a duplicate; Counter is slow.
+            if len(attributes) > 1 and len(dict(attributes)) < len(attributes):
+                out += (f"duplicate attribute {key!r} on {label!r}"
+                        for key in duplicates(key for key, _ in attributes))
         return out
 
 
@@ -405,8 +411,17 @@ def adt_walk(root: AdtNode, place: tuple = ()) -> Iterator[tuple[tuple, AdtNode,
 
 
 def adt_preorder(root: AdtNode) -> Iterator[AdtNode]:
-    """``root`` and every node under it in :func:`adt_walk`'s preorder."""
-    return (node for _, node, entering in adt_walk(root) if entering)
+    """``root`` and every node under it in :func:`adt_walk`'s entry order (a
+    node, its children in order, then its counter), on a stack of nodes."""
+    stack = [root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        if node.counter is not None:
+            push(node.counter)
+        if node.children:
+            extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

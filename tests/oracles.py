@@ -319,6 +319,25 @@ def recursive_adt_diagnostics(tree: AttackDefenseTree) -> list[Diagnostic]:
     return out
 
 
+def generator_adt_problems(root: AdtNode) -> list[str]:
+    """``AdtNode.problems`` as it was before its one loop: a generator per
+    check over the entering nodes of ``adt_walk``, in the same order."""
+    out = []
+    for node in (node for _, node, entering in adt_walk(root) if entering):
+        if node.children and node.refinement is Refinement.LEAF:
+            out.append(f"node {node.label!r} has children but no AND/OR refinement")
+        if not node.children and node.refinement is not Refinement.LEAF:
+            out.append(f"{node.refinement.value} node {node.label!r} has no children")
+        out += (f"refinement child {child.label!r} of {node.label!r} has mismatching actor"
+                for child in node.children if child.actor is not node.actor)
+        if node.counter is not None and node.counter.actor is not node.actor.opposite:
+            out.append(f"countermeasure of {node.label!r} must have opposite actor")
+        keys = [key for key, _ in node.attributes]
+        out += (f"duplicate attribute {key!r} on {node.label!r}"
+                for key in sorted({key for key in keys if keys.count(key) > 1}))
+    return out
+
+
 def recursive_adt_lines(node: AdtNode, indent: int) -> list[str]:
     """The printed lines of ``node``'s subtree at ``indent`` levels."""
     pad = "  " * indent

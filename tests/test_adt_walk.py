@@ -1,12 +1,14 @@
 """One explicit-stack walk over attack-defense trees.
 
 ``model.adt_walk`` names each node by its place, which shares its parent's.
-The walk drives ``model.adt_preorder``, the validator's ADT checks, the
-printer (trees and ``add_counter`` nodes), DOT export, which numbers the
-nodes ``n0``, ``n1``, ... in preorder, and the replay's label index.  Each
-must match the recursive version it replaced (kept in ``oracles.py``) on
-random trees, and each must handle chains deeper than Python's recursion
-limit, of children and of counters.  At 10,000 levels the walk, the
+The walk drives the printer (trees and ``add_counter`` nodes), DOT export,
+which numbers the nodes ``n0``, ``n1``, ... in preorder, and the replay's
+label index.  ``model.adt_preorder`` keeps a stack of bare nodes, in the
+walk's entry order, for ``adt eval`` and the node checks of
+``AdtNode.problems``, which read each node once.  Each must match the
+version it replaced (kept in ``oracles.py``) on random trees, and each must
+handle chains deeper than Python's recursion limit, of children and of
+counters.  At 10,000 levels the walk, the
 validator and a replay's counter round must each hold under 20 MB; a walk
 that kept spelled paths held about 100 MB.
 """
@@ -40,6 +42,7 @@ from safsec.process import Replay
 from safsec.validate import validate_model
 
 from oracles import (
+    generator_adt_problems,
     recursive_adt_diagnostics,
     recursive_adt_lines,
     recursive_adt_to_dot,
@@ -90,6 +93,47 @@ class TestMatchesTheRecursiveWalkers:
         assert [place for place, _, _ in events] == [a, (a, 0), (a, 0), (a, 1), (a, 1),
                                                      (a, "c"), (a, "c"), a]
         assert events[1][0][0] is a
+
+
+class TestOneLoopNodeChecks:
+    """``AdtNode.problems`` and ``adt_preorder`` against the generator over
+    ``adt_walk``'s entering nodes that they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(adt_nodes())
+    def test_problems_match_the_generator_checks(self, root):
+        assert root.problems == generator_adt_problems(root)
+
+    def test_a_tree_that_breaks_every_invariant(self):
+        attack, defense = Actor.ATTACK, Actor.DEFENSE
+        twice = (("cost", 1.0), ("time", 2.0), ("cost", 3.0), ("time", 4.0), ("skill", 5.0))
+        root = AdtNode(attack, "root", Refinement.LEAF, children=(
+            AdtNode(attack, "and", Refinement.AND, attributes=twice),
+            AdtNode(defense, "other", Refinement.OR, children=(AdtNode(attack, "leaf"),)),
+            AdtNode(attack, "fine", attributes=(("cost", 1.0),)),
+        ), counter=AdtNode(attack, "same", counter=AdtNode(defense, "ok")))
+        assert root.problems == generator_adt_problems(root) == [
+            "node 'root' has children but no AND/OR refinement",
+            "refinement child 'other' of 'root' has mismatching actor",
+            "countermeasure of 'root' must have opposite actor",
+            "AND node 'and' has no children",
+            "duplicate attribute 'cost' on 'and'",
+            "duplicate attribute 'time' on 'and'",
+            "refinement child 'leaf' of 'other' has mismatching actor",
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(adt_nodes())
+    def test_preorder_is_the_walks_entering_nodes(self, root):
+        entering = [node for _, node, entering in adt_walk(root) if entering]
+        assert list(map(id, adt_preorder(root))) == list(map(id, entering))
+
+    @pytest.mark.parametrize("via", ["child", "counter"])
+    def test_preorder_of_a_ten_thousand_deep_chain(self, via):
+        root = deep_chain(via, 10_000).root
+        entering = [node for _, node, entering in adt_walk(root) if entering]
+        assert list(map(id, adt_preorder(root))) == list(map(id, entering))
+        assert len(entering) == 10_001
 
 
 def deep_chain(via: str, depth: int = DEPTH) -> AttackDefenseTree:

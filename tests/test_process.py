@@ -705,15 +705,17 @@ def test_the_validator_folds_each_leaf_once_per_domain(monkeypatch):
 
 
 def count_walks(monkeypatch):
-    """Each ``adt_walk`` call by (the module that made it, the label it starts at)."""
+    """Each ``adt_walk`` and ``adt_preorder`` call by (the module that made
+    it, the label it starts at)."""
     walks = Counter()
     for name, module in list(sys.modules.items()):
-        walk = getattr(module, "adt_walk", None) if name.startswith("safsec") else None
-        if walk is not None:
-            def counted(root, place=(), walk=walk, name=name):
-                walks[name, root.label] += 1
-                return walk(root, place)
-            monkeypatch.setattr(module, "adt_walk", counted)
+        for walker in ("adt_walk", "adt_preorder"):
+            walk = getattr(module, walker, None) if name.startswith("safsec") else None
+            if walk is not None:
+                def counted(root, *place, walk=walk, name=name):
+                    walks[name, root.label] += 1
+                    return walk(root, *place)
+                monkeypatch.setattr(module, walker, counted)
     return walks
 
 
