@@ -316,7 +316,10 @@ _BLOCK = 64  # text lines per write: a write per line costs more than rendering 
 def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False) -> None:
     """Print ``payload`` as JSON or as ``render``'s text lines; exit 1 on a finding."""
     if click.get_current_context().obj == "machine":
-        click.echo(_dumps(payload), nl=False)  # echo would copy the whole text to add a newline
+        # ASCII bytes, as `_dumps` escapes every other character, go straight
+        # to the binary stream: click neither scans them for ANSI codes nor
+        # encodes them.  The newline goes apart, not copying the whole text.
+        click.echo(_dumps(payload).encode("ascii"), nl=False)
         click.echo()
     else:
         lines = (click.style(line, fg=colour) if colour else line for line, colour in render(payload))

@@ -6,7 +6,8 @@ into one column, and each column of one scalar type is encoded at once.  A
 cut-set family is written as its canonical rows, the lists of its sets'
 names in ``fta.canonical_order``.  Every value it writes must come out byte
 for byte as the standard library's indenting encoder writes it, given a
-``default`` that turns a family into those rows.
+``default`` that turns a family into those rows.  The CLI writes that text
+as ASCII bytes, so a non-ASCII label must arrive escaped.
 """
 
 import json
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safsec.cli import _dumps
+from click.testing import CliRunner
+
+from safsec.cli import _dumps, main
 from safsec.fta import CutSets, cut_sets
 from safsec.model import FaultTree
 
@@ -253,3 +256,37 @@ def test_families(value):
 @given(st.recursive(SCALARS | FAMILIES, containers, max_leaves=12))
 def test_families_anywhere_match_indenting_encoder(value):
     assert _dumps(value) == family_oracle(value)
+
+
+# --- the bytes the CLI writes ------------------------------------------------------
+
+LOCK = """adt "Türschloss ✓" {
+  attack OR "Türschloss ✓" {
+    attack "Schlüssel kopieren" {
+      attr probability = 0.25
+    }
+    attack "Fenster — öffnen" {
+      attr probability = 0.5
+    }
+  }
+}
+"""
+
+
+def test_machine_output_of_non_ascii_labels_is_the_indenting_encoders_bytes(tmp_path):
+    # The CLI writes the JSON as ASCII bytes to the binary stream, so every
+    # non-ASCII character must arrive escaped, as json.dumps writes it.
+    model = tmp_path / "lock.ssm"
+    model.write_text(LOCK, encoding="utf-8")
+    result = CliRunner().invoke(main, ["--format", "machine", "adt", "eval", str(model),
+                                       "--adt", "Türschloss ✓",
+                                       "--attribute", "probability"])
+    assert result.exit_code == 0, result.output
+    payload = {
+        "adt": "Türschloss ✓", "attribute": "probability", "command": "adt eval",
+        "root": 0.5, "verdict": None, "values": {
+            "root": {"label": "Türschloss ✓", "value": 0.5},
+            "root.0": {"label": "Schlüssel kopieren", "value": 0.25},
+            "root.1": {"label": "Fenster — öffnen", "value": 0.5}}}
+    expected = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+    assert result.stdout_bytes == expected
