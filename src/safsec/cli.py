@@ -319,7 +319,11 @@ def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False)
         # ASCII bytes, as `_dumps` escapes every other character, go straight
         # to the binary stream: click neither scans them for ANSI codes nor
         # encodes them.  The newline goes apart, not copying the whole text.
-        click.echo(_dumps(payload).encode("ascii"), nl=False)
+        text = _dumps(payload)
+        try:
+            click.echo(text.encode("ascii"), nl=False)
+        except TypeError:  # a stdout with no binary stream, such as an io.StringIO
+            click.echo(text, nl=False)
         click.echo()
     else:
         lines = (click.style(line, fg=colour) if colour else line for line, colour in render(payload))

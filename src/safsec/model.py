@@ -356,8 +356,7 @@ class AdtNode(NamedTuple):
 
     @property
     def problems(self) -> list[str]:
-        """The node invariants that the tree under this node breaks, in
-        preorder: one loop that unpacks each node once."""
+        """The node invariants that the tree under this node breaks, in preorder."""
         out, leaf = [], Refinement.LEAF
         for actor, label, refinement, children, counter, attributes, _ in adt_preorder(self):
             if children:

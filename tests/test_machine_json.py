@@ -10,6 +10,8 @@ for byte as the standard library's indenting encoder writes it, given a
 as ASCII bytes, so a non-ASCII label must arrive escaped.
 """
 
+import contextlib
+import io
 import json
 import math
 
@@ -290,3 +292,16 @@ def test_machine_output_of_non_ascii_labels_is_the_indenting_encoders_bytes(tmp_
             "root.1": {"label": "Fenster — öffnen", "value": 0.5}}}
     expected = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
     assert result.stdout_bytes == expected
+
+
+def test_a_stdout_without_a_binary_stream_gets_the_same_text(tmp_path):
+    # A caller that redirects sys.stdout to an io.StringIO has no binary
+    # stream to take the bytes, so the JSON goes to it as text.
+    model = tmp_path / "lock.ssm"
+    model.write_text(LOCK, encoding="utf-8")
+    argv = ["--format", "machine", "adt", "eval", str(model), "--adt", "Türschloss ✓",
+            "--attribute", "probability"]
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        main(argv, standalone_mode=False)
+    assert captured.getvalue() == CliRunner().invoke(main, argv).stdout
