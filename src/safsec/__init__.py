@@ -10,7 +10,6 @@ from .confidence import (
 from .conflicts import check_pair, conflict_candidates, find_contradictions
 from .derive import derive_adt, fmea_attack_subtree, voter_attack_subtree
 from .adteval import evaluate, verdict
-from .fmea import compute_rpn, rank_failures
 from .fta import cut_sets, minimal_cut_sets
 from .model import ConfidenceTriple, DefeaterCount, Document
 from .modelfile import parse, print_document
@@ -26,7 +25,6 @@ __all__ = [
     "aggregate_gsn",
     "apply_security_links",
     "check_pair",
-    "compute_rpn",
     "conflict_candidates",
     "cut_sets",
     "derive_adt",
@@ -37,7 +35,6 @@ __all__ = [
     "opinion_from_evidence",
     "parse",
     "print_document",
-    "rank_failures",
     "update_confidence",
     "validate_block",
     "validate_model",

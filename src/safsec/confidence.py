@@ -52,17 +52,15 @@ def subtree_counts(model: GsnModel, roots: Iterable[str]) -> dict[str, tuple[int
     """``(outruled, total)`` defeaters in the subtree of each node that ``roots`` reach.
 
     A node's sums are its own count, if it is a goal with one, plus its
-    children's sums; strategies and other node kinds are transparent.  A
-    fold over :func:`~safsec.model.post_order` sums each subtree once; a
-    parent cycle below a root raises ``ValueError``.
+    children's sums; strategies and other node kinds are transparent.  Each
+    id counts once, as its first declaration, under the parent that
+    :attr:`~safsec.model.GsnModel.children` gives it.  A fold over
+    :func:`~safsec.model.post_order` sums each subtree once; a parent cycle
+    below a root raises ``ValueError``.
     """
-    by_id, by_parent = model._by_id, model._by_parent
-
-    def child_ids(node_id: str) -> list[str]:
-        return [c.id for c in by_parent.get(node_id, ())]
-
+    by_id, children = model._by_id, model.children
     try:
-        order = list(post_order(roots, child_ids, "node"))
+        order = list(post_order(roots, lambda node_id: children.get(node_id, ()), "node"))
     except ValueError as exc:
         raise ValueError(f"gsn {model.name!r}: {exc}") from None
     sums: dict[str, tuple[int, int]] = {}
@@ -71,8 +69,8 @@ def subtree_counts(model: GsnModel, roots: Iterable[str]) -> dict[str, tuple[int
         outruled = total = 0
         if node.kind is NodeKind.GOAL and node.defeaters is not None:
             outruled, total = node.defeaters
-        for child in by_parent.get(node_id, ()):
-            child_outruled, child_total = sums[child.id]
+        for child in children.get(node_id, ()):
+            child_outruled, child_total = sums[child]
             outruled += child_outruled
             total += child_total
         sums[node_id] = outruled, total

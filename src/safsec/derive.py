@@ -5,7 +5,9 @@ word and traced component.  Solution annotations expand into attack
 fragments: voters by M-of-N subset enumeration, fault trees via their
 minimal cut sets, FMEA tables row by row.  Voter fragments cross-cut: a
 voter traced to component X shows up in every hazard branch for X, because
-stopping or triggering the voter stops or triggers the component.
+stopping or triggering the voter stops or triggers the component.  FTA and
+FMEA fragments attach under a solution's nearest hazard-goal ancestor, found
+for every id in one walk down :attr:`safsec.model.GsnModel.tree_order`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .model import (
     FaultTree,
     FmeaTable,
     GsnModel,
-    GsnNode,
     GuideWord,
     Impact,
     NodeKind,
@@ -139,20 +140,6 @@ def fmea_attack_subtree(table: FmeaTable) -> list[AdtNode]:
     return fragments
 
 
-def _nearest_hazard_ancestor(model: GsnModel, node: GsnNode) -> Optional[str]:
-    seen: set[str] = set()
-    cur = node.parent
-    while cur is not None:
-        if cur in seen:
-            raise ValueError(f"node {node.id!r}: parent cycle through {cur!r}")
-        seen.add(cur)
-        ancestor = model.node(cur)
-        if ancestor.kind is NodeKind.GOAL and ancestor.hazard is not None:
-            return ancestor.id
-        cur = ancestor.parent
-    return None
-
-
 def derive_adt(
     model: GsnModel,
     fault_trees: Mapping[str, FaultTree] = {},
@@ -161,43 +148,48 @@ def derive_adt(
     """Build the preliminary attack tree for the item assessed by the model.
 
     ``model`` passes :mod:`safsec.validate` and the mappings hold every
-    block its solutions reference; a parent cycle still raises
-    ``ValueError`` rather than loop.
+    block its solutions reference.  One pass over the solutions hands each
+    fragment to its branches, so the work is linear in the model and its
+    fragments.  A solution on or under a parent cycle raises ``ValueError``.
     """
     hazard_goals = [n for n in model.goals() if n.hazard is not None]
     if not hazard_goals:
         raise ValueError(f"nothing to derive: gsn {model.name!r} has no hazard-annotated goals")
-    solutions = [n for n in model.nodes if n.kind is NodeKind.SOLUTION]
-    anchored = [(sol, _nearest_hazard_ancestor(model, sol)) for sol in solutions]
-    branches: list[AdtNode] = []
-    for goal in hazard_goals:
-        hazard = goal.hazard
-        assert hazard is not None
-        fragments: list[AdtNode] = []
-        for sol, anchor in anchored:
-            # Voters cross-cut by trace; FTA/FMEA fragments attach under the
-            # hazard goal they argue for (strategies in between are skipped).
-            if (
-                sol.voter is not None
-                and sol.voter.trace == hazard.trace
-                and hazard.mechanism in (GuideWord.TRIGGER, GuideWord.STOPPING)
-            ):
-                fragments.append(voter_attack_subtree(sol.voter, hazard.mechanism))
-            if anchor != goal.id:
-                continue
+    # One fragment list per hazard goal declaration: each declaration of a
+    # repeated id is a branch of its own and gets the fragments anchored at
+    # the id.
+    fragments: list[list[AdtNode]] = [[] for _ in hazard_goals]
+    voters: dict[str, list[tuple[GuideWord, list[AdtNode]]]] = {}  # by hazard trace
+    by_goal_id: dict[str, list[list[AdtNode]]] = {}
+    for goal, out in zip(hazard_goals, fragments):
+        if goal.hazard.mechanism in (GuideWord.TRIGGER, GuideWord.STOPPING):
+            voters.setdefault(goal.hazard.trace, []).append((goal.hazard.mechanism, out))
+        by_goal_id.setdefault(goal.id, []).append(out)
+
+    nodes, hazard_nodes = model._by_id, set(hazard_goals)
+    anchor: dict[str, Optional[str]] = {}  # each id's nearest hazard-goal ancestor
+    for node_id in reversed(model.tree_order):  # parents first
+        parent = nodes[node_id].parent
+        anchor[node_id] = parent if nodes.get(parent) in hazard_nodes else anchor.get(parent)
+
+    for sol in (n for n in model.nodes if n.kind is NodeKind.SOLUTION):
+        if sol.id not in anchor:
+            raise ValueError(f"gsn {model.name!r}: cycle through node {sol.id!r}")
+        # Voters cross-cut by trace; FTA/FMEA fragments attach under the
+        # hazard goal they argue for (strategies in between are skipped).
+        if sol.voter is not None:
+            for mechanism, out in voters.get(sol.voter.trace, ()):
+                out.append(voter_attack_subtree(sol.voter, mechanism))
+        for out in by_goal_id.get(anchor[sol.id], ()):
             if sol.fta_ref is not None:
                 fragment = fta_attack_subtree(fault_trees[sol.fta_ref])
                 if fragment is not None:
-                    fragments.append(fragment)
+                    out.append(fragment)
             if sol.fmea_ref is not None:
-                fragments.extend(fmea_attack_subtree(fmea_tables[sol.fmea_ref]))
-        label = f"{ATTACK_VERB[hazard.mechanism]} {hazard.trace}"
-        branches.append(_node(label, Refinement.OR, fragments, hazard.impact))
+                out += fmea_attack_subtree(fmea_tables[sol.fmea_ref])
 
-    root = AdtNode(
-        actor=Actor.ATTACK,
-        label=f"Attack {model.name}",
-        refinement=Refinement.OR,
-        children=tuple(branches),
-    )
-    return AttackDefenseTree(name=f"Attack {model.name}", root=root)
+    branches = [_node(f"{ATTACK_VERB[goal.hazard.mechanism]} {goal.hazard.trace}",
+                      Refinement.OR, out, goal.hazard.impact)
+                for goal, out in zip(hazard_goals, fragments)]
+    return AttackDefenseTree(f"Attack {model.name}",
+                             _node(f"Attack {model.name}", Refinement.OR, branches))

@@ -1,20 +1,8 @@
-"""Risk priority number computation and ranking for FMEA tables."""
+"""Risk priority ranking for FMEA tables; a row's RPN is :attr:`FmeaRow.rpn`."""
 
 from __future__ import annotations
 
 from .model import FmeaRow, FmeaTable
-
-
-def compute_rpn(severity: int, occurrence: int, detection: int) -> int:
-    """Product of the three 1..10 factors."""
-    for name, value in (
-        ("severity", severity),
-        ("occurrence", occurrence),
-        ("detection", detection),
-    ):
-        if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 10:
-            raise ValueError(f"{name} must be an integer in 1..10, got {value!r}")
-    return severity * occurrence * detection
 
 
 def ranked_rows(table: FmeaTable) -> list[FmeaRow]:
@@ -26,7 +14,3 @@ def ranked_rows(table: FmeaTable) -> list[FmeaRow]:
     """
     return sorted(table.rows, key=lambda row: (-row.rpn, -row.severity))
 
-
-def rank_failures(table: FmeaTable) -> list[str]:
-    """Row ids in :func:`ranked_rows` order."""
-    return [row.id for row in ranked_rows(table)]

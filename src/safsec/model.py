@@ -14,7 +14,9 @@ place, or through :func:`adt_preorder`, which keeps a stack of bare nodes;
 only :func:`safsec.adteval.evaluate` spells paths, as ``adt eval``'s
 keys.  Gates and GSN nodes are named, so a file can join them into a cycle:
 bottom-up walks over them fold over :func:`post_order` and its one cycle
-guard.
+guard.  A GSN id names its first declaration in every analysis: the
+validator, aggregation and derivation read one tree of them,
+:attr:`GsnModel.children` and its walk :attr:`GsnModel.tree_order`.
 
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
@@ -215,17 +217,28 @@ class GsnModel:
         return {n.id: n for n in reversed(self.nodes)}  # first declaration wins
 
     @cached_property
-    def _by_parent(self) -> dict[Optional[str], list[GsnNode]]:
-        out: dict[Optional[str], list[GsnNode]] = {}
-        for n in self.nodes:
-            out.setdefault(n.parent, []).append(n)
+    def children(self) -> dict[Optional[str], list[str]]:
+        """Child ids by parent id: each id once, under its first declaration's parent."""
+        out: dict[Optional[str], list[str]] = {}
+        for node_id, node in reversed(self._by_id.items()):
+            out.setdefault(node.parent, []).append(node_id)
         return out
+
+    @cached_property
+    def tree_order(self) -> tuple[str, ...]:
+        """Every id under a top, after its children; a top's parent is None or
+        undeclared.  Each id has one parent, so no walk from a top meets a
+        cycle: the ids left out are on or under a parent cycle."""
+        children = self.children
+        tops = [top for parent, kids in children.items() if parent not in self._by_id for top in kids]
+        return tuple(post_order(tops, lambda node_id: children.get(node_id, ()), "node"))
 
     def node(self, node_id: str) -> GsnNode:
         return self._by_id[node_id]
 
     def roots(self) -> list[GsnNode]:
-        return list(self._by_parent.get(None, ()))
+        """Every declaration whose parent is None."""
+        return [n for n in self.nodes if n.parent is None]
 
     def root(self) -> GsnNode:
         roots = self.roots()

@@ -2,10 +2,12 @@
 
 Turns every type invariant into a diagnostic rather than an exception, so a
 single pass reports all problems.  The result is sorted, which makes it
-independent of declaration order.  Gate cycles, reachability and GSN parent
-cycles are found by walks over :func:`safsec.model.post_order`.  A
-scenario's rounds are checked by the pass whose log ``process run`` prints,
-a :class:`safsec.process.RoundLog`, so the gate refuses the round that it
+independent of declaration order.  Gate cycles and reachability are found
+by walks over :func:`safsec.model.post_order`; GSN parent cycles by
+:attr:`safsec.model.GsnModel.tree_order`, the walk down each id's first
+declaration that aggregation and derivation read too.  A scenario's rounds
+are checked by the pass whose log ``process run`` prints, a
+:class:`safsec.process.RoundLog`, so the gate refuses the round that it
 refuses and no round that it never runs.
 """
 
@@ -85,24 +87,18 @@ def _check_gsn(model: GsnModel, document: Document, ctx: str) -> list[Diagnostic
         names = ", ".join(sorted(n.id for n in roots))
         diags.append(_err(f"multiple roots: {names}", ctx))
 
-    parent_of = {n.id: n.parent for n in reversed(model.nodes)}  # first declaration wins
+    known = model._by_id
     diags += (_err(message, f"{ctx}/{node.id}") for node in model.nodes
-              for message in _gsn_node_problems(node, parent_of, document))
-
-    # A node is on or under a parent cycle when no walk down from a node
-    # whose parent is None or unknown reaches it.
-    kids: dict[Optional[str], list[str]] = {}
-    for node_id, parent in parent_of.items():
-        kids.setdefault(parent, []).append(node_id)
-    tops = [node_id for node_id, parent in parent_of.items() if parent not in parent_of]
-    reached = set(post_order(tops, lambda node_id: kids.get(node_id, ()), "node"))
+              for message in _gsn_node_problems(node, known, document))
+    # An id that no walk down from a top reaches is on or under a parent cycle.
+    reached = set(model.tree_order)
     diags += (_err(f"cycle through node {n.id!r}", ctx) for n in model.nodes if n.id not in reached)
 
     goal_ids = {n.id for n in model.goals()}
     linked: set[str] = set()
     for link in model.security_links:
         lctx = f"{ctx}/security_link {link.adt_name!r}"
-        if link.goal_id not in parent_of:
+        if link.goal_id not in known:
             diags.append(_err(f"unknown goal {link.goal_id!r}", lctx))
         elif link.goal_id not in goal_ids:
             diags.append(_err(f"security link target {link.goal_id!r} is not a goal", lctx))

@@ -16,8 +16,10 @@ from safsec import adteval
 from safsec.adteval import VerdictPolicy
 from safsec.confidence import GoalOpinion, SecurityVerdict, aggregate_gsn, apply_security_links
 from safsec.conflicts import ContradictionWitness
+from safsec.derive import ATTACK_VERB, fmea_attack_subtree, fta_attack_subtree, voter_attack_subtree
 from safsec.dot import _esc
 from safsec.model import (
+    Actor,
     AddCounterAction,
     AdtNode,
     AttackDefenseTree,
@@ -28,6 +30,7 @@ from safsec.model import (
     FaultTree,
     GsnModel,
     GsnNode,
+    GuideWord,
     NodeKind,
     Refinement,
     Scenario,
@@ -419,22 +422,83 @@ def naive_gsn_structure_problems(model: GsnModel) -> list[str]:
 def naive_subtree_counts(model: GsnModel) -> dict[str, tuple[int, int]]:
     """(outruled, total) per goal, re-summing every subtree recursively.
 
-    A goal whose subtree runs into a parent cycle recurses forever and ends
-    in ``RecursionError``.
+    Each id counts once, as its first declaration, under that declaration's
+    parent.  A goal whose subtree runs into a parent cycle recurses forever
+    and ends in ``RecursionError``.
     """
+    ids = list(dict.fromkeys(n.id for n in model.nodes))
 
     def subtree(node_id: str) -> tuple[int, int]:
         node = _first_node(model, node_id)
         outruled = total = 0
         if node.kind is NodeKind.GOAL and node.defeaters is not None:
             outruled, total = node.defeaters.outruled, node.defeaters.total
-        for child in model.nodes:
-            if child.parent == node_id:
-                o, t = subtree(child.id)
+        for child_id in ids:
+            if _first_node(model, child_id).parent == node_id:
+                o, t = subtree(child_id)
                 outruled, total = outruled + o, total + t
         return outruled, total
 
     return {n.id: subtree(n.id) for n in model.nodes if n.kind is NodeKind.GOAL}
+
+
+# The derivation that ``derive.derive_adt`` replaced, kept as the reference
+# for its differential test: each solution walks up to its nearest hazard
+# goal, and each hazard goal scans every solution.  It shares the fragment
+# builders and the branch labels with the code it checks, and none of the
+# walk.
+
+
+def _naive_nearest_hazard_ancestor(model: GsnModel, node: GsnNode) -> Optional[str]:
+    seen: set[str] = set()
+    cur = node.parent
+    while cur is not None:
+        if cur in seen:
+            raise ValueError(f"node {node.id!r}: parent cycle through {cur!r}")
+        seen.add(cur)
+        ancestor = _first_node(model, cur)
+        if ancestor.kind is NodeKind.GOAL and ancestor.hazard is not None:
+            return ancestor.id
+        cur = ancestor.parent
+    return None
+
+
+def naive_derive_adt(model: GsnModel, fault_trees=None, fmea_tables=None) -> AttackDefenseTree:
+    """The preliminary attack tree, by the goal x solution scan."""
+    fault_trees, fmea_tables = fault_trees or {}, fmea_tables or {}
+    hazard_goals = [n for n in model.nodes if n.kind is NodeKind.GOAL and n.hazard is not None]
+    if not hazard_goals:
+        raise ValueError(f"nothing to derive: gsn {model.name!r} has no hazard-annotated goals")
+    solutions = [n for n in model.nodes if n.kind is NodeKind.SOLUTION]
+    anchored = [(sol, _naive_nearest_hazard_ancestor(model, sol)) for sol in solutions]
+    branches: list[AdtNode] = []
+    for goal in hazard_goals:
+        hazard = goal.hazard
+        fragments: list[AdtNode] = []
+        for sol, anchor in anchored:
+            if (
+                sol.voter is not None
+                and sol.voter.trace == hazard.trace
+                and hazard.mechanism in (GuideWord.TRIGGER, GuideWord.STOPPING)
+            ):
+                fragments.append(voter_attack_subtree(sol.voter, hazard.mechanism))
+            if anchor != goal.id:
+                continue
+            if sol.fta_ref is not None:
+                fragment = fta_attack_subtree(fault_trees[sol.fta_ref])
+                if fragment is not None:
+                    fragments.append(fragment)
+            if sol.fmea_ref is not None:
+                fragments.extend(fmea_attack_subtree(fmea_tables[sol.fmea_ref]))
+        label = f"{ATTACK_VERB[hazard.mechanism]} {hazard.trace}"
+        if fragments:
+            branch = AdtNode(Actor.ATTACK, label, Refinement.OR, tuple(fragments),
+                             impact=hazard.impact)
+        else:
+            branch = AdtNode(Actor.ATTACK, label, impact=hazard.impact)
+        branches.append(branch)
+    root = AdtNode(Actor.ATTACK, f"Attack {model.name}", Refinement.OR, tuple(branches))
+    return AttackDefenseTree(f"Attack {model.name}", root)
 
 
 # The whole-model scenario replay that ``process.Replay`` replaced, kept as

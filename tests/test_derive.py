@@ -1,7 +1,11 @@
+import re
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_derive_adt
 from safsec.derive import (
     derive_adt,
     fmea_attack_subtree,
@@ -12,6 +16,7 @@ from safsec.derive import (
 from safsec.model import (
     Actor,
     DefeaterCount,
+    Document,
     FailureMode,
     FaultTree,
     FmeaRow,
@@ -26,6 +31,7 @@ from safsec.model import (
     Refinement,
     VoterMeta,
 )
+from safsec.validate import validate_model
 
 GOAL, SOLUTION, STRATEGY = NodeKind.GOAL, NodeKind.SOLUTION, NodeKind.STRATEGY
 
@@ -244,8 +250,9 @@ class TestDeriveAdt:
         assert [c.label for c in frag.children] == ["trigger B", "trigger C"]
 
     def test_parent_cycle_is_an_error(self):
-        # The one structural check derivation keeps: without it the walk up
-        # from S1 would never end.  Validation reports the cycle too.
+        # The one structural check derivation keeps: S1 hangs under a loop,
+        # so no walk down from a top reaches it.  Validation reports the
+        # cycle in the same words.
         hazard = HazardMeta(Impact.LOW, GuideWord.TRIGGER, "Item")
         model = GsnModel(
             name="Item",
@@ -256,7 +263,7 @@ class TestDeriveAdt:
                 GsnNode("S1", SOLUTION, "fta done", parent="ST"),
             ),
         )
-        with pytest.raises(ValueError, match="node 'S1': parent cycle through 'ST'"):
+        with pytest.raises(ValueError, match="^gsn 'Item': cycle through node 'S1'$"):
             derive_adt(model)
 
     def test_impact_preserved_per_branch(self, airbag_doc):
@@ -270,3 +277,108 @@ class TestDeriveAdt:
         }
         for branch in tree.root.children:
             assert branch.impact is hazard_impacts[branch.label]
+
+
+# Blocks that the random models' solutions reference: fault trees with one
+# and with two minimal cut sets, and FMEA tables with rows of every failure
+# mode and with none.
+FAULT_TREES = {
+    "F1": FaultTree("F1", "Y", (("Y", GateOp.AND, ("B", "C")),), frozenset("BC")),
+    "F2": FaultTree("F2", "Y", (("Y", GateOp.OR, ("A", "BC")), ("BC", GateOp.AND, ("B", "C"))),
+                    frozenset("ABC")),
+}
+FMEA_TABLES = {
+    "T1": FmeaTable("T1", tuple(FmeaRow(f"r{i}", f"f{i}", mode, 2 + 3 * i, 1, 1)
+                                for i, mode in enumerate(FailureMode))),
+    "T0": FmeaTable("T0", ()),
+}
+TRACES = ["X", "Y"]
+
+
+@st.composite
+def derivable_models(draw):
+    """GSN models whose every solution reaches a top: each node's parent is
+    None or an id declared before it.  Goals may carry hazards (of voter
+    mechanisms and of another), strategies sit between them, solutions
+    carry voters whose traces match a hazard's or miss (``Z``), ``fta_ref``
+    and ``fmea_ref``, and a goal id may be declared again, hazard and all."""
+    nodes: list[GsnNode] = []
+    for i in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from([GOAL, GOAL, STRATEGY, SOLUTION, SOLUTION]))
+        parent = draw(st.sampled_from([None, *dict.fromkeys(n.id for n in nodes)]))
+        if kind is GOAL:
+            goal_ids = [n.id for n in nodes if n.kind is GOAL]
+            repeat = goal_ids and draw(st.booleans())
+            hazard = draw(st.none() | st.builds(
+                HazardMeta, st.sampled_from(list(Impact)),
+                st.sampled_from([GuideWord.TRIGGER, GuideWord.STOPPING, GuideWord.DISCLOSURE]),
+                st.sampled_from(TRACES)))
+            node_id = draw(st.sampled_from(goal_ids)) if repeat else f"G{i}"
+            nodes.append(GsnNode(node_id, kind, "t", parent=parent, hazard=hazard))
+        elif kind is STRATEGY:
+            nodes.append(GsnNode(f"ST{i}", kind, "t", parent=parent))
+        else:
+            signals = draw(st.lists(st.sampled_from(["s1", "s2", "s3"]), min_size=1,
+                                    max_size=3, unique=True))
+            voter = draw(st.none() | st.builds(
+                VoterMeta, st.just(tuple(signals)), st.integers(1, len(signals)),
+                st.sampled_from([*TRACES, "Z"])))
+            nodes.append(GsnNode(f"S{i}", kind, "t", parent=parent, voter=voter,
+                                 fta_ref=draw(st.sampled_from([None, *FAULT_TREES])),
+                                 fmea_ref=draw(st.sampled_from([None, *FMEA_TABLES]))))
+    return GsnModel("M", tuple(nodes))
+
+
+def hazard_goal(node_id, mechanism, trace="X", parent=None):
+    return GsnNode(node_id, GOAL, "t", parent=parent,
+                   hazard=HazardMeta(Impact.HIGH, mechanism, trace))
+
+
+# A hazard goal id declared twice, with a voter traced to it and FTA and
+# FMEA solutions under its first declaration through a strategy.
+REPEATED_HAZARD = GsnModel("M", (
+    hazard_goal("G0", GuideWord.TRIGGER),
+    GsnNode("ST", STRATEGY, "t", parent="G0"),
+    GsnNode("S1", SOLUTION, "t", parent="ST", fta_ref="F2", fmea_ref="T1"),
+    GsnNode("S2", SOLUTION, "t", parent="G0", voter=VoterMeta(("s1", "s2"), 1, "X")),
+    hazard_goal("G0", GuideWord.STOPPING, parent="ST"),
+))
+
+
+class TestDeriveMatchesNaive:
+    @settings(max_examples=300, deadline=None)
+    @given(derivable_models())
+    @example(REPEATED_HAZARD)
+    def test_derivation_matches_the_goal_by_solution_scan(self, model):
+        try:
+            expected = naive_derive_adt(model, FAULT_TREES, FMEA_TABLES)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                derive_adt(model, FAULT_TREES, FMEA_TABLES)
+            return
+        assert derive_adt(model, FAULT_TREES, FMEA_TABLES) == expected
+
+    def test_each_declaration_of_a_repeated_hazard_goal_gets_one_copy(self):
+        # Both declarations get the fragments anchored at the id, and each
+        # gets the voter fragment of its own mechanism, once.
+        trigger, stop = derive_adt(REPEATED_HAZARD, FAULT_TREES, FMEA_TABLES).root.children
+        anchored = ["trigger F2", "disable f0", "tamper f1", "trigger f2",
+                    "deny_service sub-function of f3"]
+        assert [c.label for c in trigger.children] == [*anchored, "defeat voter X"]
+        assert [c.label for c in stop.children] == [*anchored, "deny_service voter X"]
+
+    def test_a_solution_under_a_strategy_loop_raises(self):
+        # S1's nearest hazard goal, G1, hangs under the A/B loop, so S1 is on
+        # no walk down from a top, and derivation refuses it as the
+        # validator does.
+        model = GsnModel("Loop", (
+            hazard_goal("G0", GuideWord.TRIGGER),
+            GsnNode("A", STRATEGY, "t", parent="B"),
+            GsnNode("B", STRATEGY, "t", parent="A"),
+            hazard_goal("G1", GuideWord.TRIGGER, parent="A"),
+            GsnNode("S1", SOLUTION, "t", parent="G1", fmea_ref="T1"),
+        ))
+        with pytest.raises(ValueError, match="^gsn 'Loop': cycle through node 'S1'$"):
+            derive_adt(model, {}, FMEA_TABLES)
+        messages = [d.message for d in validate_model(Document((model, FMEA_TABLES["T1"])))]
+        assert "cycle through node 'S1'" in messages

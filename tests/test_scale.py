@@ -19,9 +19,11 @@ it.  Three more are scenarios of 2,000 rounds whose thresholds never hold,
 one per round kind: ``set_policy`` rounds alternating two attribute
 domains, a policy and then ``add_counter`` rounds that counter the leaves
 of a 2,000-leaf OR one by one, and ``set_defeaters`` rounds over 200
-goals.  ``validate`` and ``process run`` run on each.  One command is still
-out: ``adt eval``, since ``adteval.evaluate`` recurses, so the chain raises
-``RecursionError`` (ROADMAP item 2).
+goals.  ``validate`` and ``process run`` run on each.  ``derive adt`` runs
+on a hazard goal over a chain of 20,000 strategies with a solution under
+each, whose bottom solution's FMEA fragment must anchor at the top goal.
+One command is still out: ``adt eval``, since ``adteval.evaluate``
+recurses, so the chain raises ``RecursionError`` (ROADMAP item 2).
 """
 
 import json
@@ -53,6 +55,21 @@ def deep_case(depth: int) -> str:
         '  max_rounds = 3\n  set_policy attribute = probability op = "<=" threshold = 0.4\n',
         '  add_counter at = "bottom" defense "guard" {\n    attr probability = 0.5\n  }\n',
         '  add_counter at = "guard" attack "bypass" {\n    attr probability = 0.5\n  }\n}\n',
+    ])
+
+
+def strategy_chain_case(depth: int) -> str:
+    """One hazard goal over a chain of ``depth`` strategies, a solution under
+    each; the bottom solution's FMEA table anchors at the goal at the top."""
+    levels = [f'  strategy T{i} "level {i}" under {f"T{i - 1}" if i else "G0"}\n'
+              f'  solution S{i} "evidence {i}" under T{i}'
+              + (' {\n    fmea_ref = "V"\n  }' if i == depth - 1 else "") + "\n"
+              for i in range(depth)]
+    return "".join([
+        'gsn "C" {\n  goal G0 "top" {\n    hazard impact = high mechanism = trigger trace = X\n',
+        "  }\n", *levels, "}\n",
+        'fmea "V" {\n  row V1 function = "open valve" mode = loss_of_function severity = 7 '
+        "occurrence = 3 detection = 4\n}\n",
     ])
 
 
@@ -161,6 +178,15 @@ def test_export_dot_on_a_twenty_thousand_deep_chain(deep_file, tmp_path):
     lines = out.splitlines()
     assert sum(" [shape=" in line for line in lines) == DEPTH + 1
     assert sum(" -> " in line for line in lines) == DEPTH
+    assert peak < PEAK_KB
+
+
+def test_derive_adt_on_a_twenty_thousand_level_strategy_chain(tmp_path):
+    path = tmp_path / "chain.ssm"
+    path.write_text(strategy_chain_case(DEPTH), encoding="utf-8")
+    code, out, err, peak = run_cli(["derive", "adt", str(path), "--gsn", "C"], tmp_path)
+    assert (code, err) == (0, "")
+    assert out.count('attack OR "disable open valve"') == 1
     assert peak < PEAK_KB
 
 

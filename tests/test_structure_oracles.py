@@ -143,7 +143,8 @@ GOAL_CYCLE = gsn(("A", G, "B", 1, 2), ("B", G, "A"))
 NON_GOAL_CYCLE = gsn(("R", G, None, 1, 1), ("A", S, "B"), ("B", C, "A"), ("G", G, "A", 2, 3))
 DUPLICATES = gsn(("R", G, None, 1, 2), ("A", G, "R", 1, 1), ("A", G, "R", 3, 4), ("B", S, "A"))
 UNKNOWN_PARENT = gsn(("R", G, None), ("A", G, "missing", 2, 2))
-# A goal reaches the cycle only through a duplicate declaration of A.
+# A's second declaration would close a loop with B, but an id names its
+# first declaration, which hangs under R: a duplicate id, and no cycle.
 CYCLE_VIA_DUPLICATE = gsn(("R", G, None), ("A", S, "R"), ("A", S, "B"), ("B", S, "A"))
 # X's first declaration closes a cycle with Y; its second hangs under R.  The
 # validator follows each id's first declaration, so it reports both
@@ -188,9 +189,11 @@ def test_examples_cover_each_malformation():
     # A non-goal cycle that no goal reaches is reported but not aggregated.
     assert "cycle through node 'G'" in naive_gsn_structure_problems(NON_GOAL_CYCLE)
     assert aggregate_gsn(NON_GOAL_CYCLE)["R"].count == DefeaterCount(1, 1)
-    assert aggregate_gsn(DUPLICATES)["R"].count == DefeaterCount(3, 4)
-    with pytest.raises(ValueError):
-        aggregate_gsn(CYCLE_VIA_DUPLICATE)
+    # A repeated id counts once, as its first declaration: R sums A's (1, 1).
+    assert aggregate_gsn(DUPLICATES)["R"].count == DefeaterCount(2, 3)
+    assert aggregate_gsn(CYCLE_VIA_DUPLICATE)["R"].count == DefeaterCount(0, 0)
+    assert [d.message for d in validate_model(Document((CYCLE_VIA_DUPLICATE,)))] == [
+        "duplicate node id 'A'"]
     cycles = ["cycle through node 'X'", "cycle through node 'X'", "cycle through node 'Y'"]
     naive = naive_gsn_structure_problems(CYCLE_BEFORE_DUPLICATE)
     assert sorted(m for m in naive if m.startswith("cycle")) == cycles
