@@ -36,11 +36,11 @@ import re
 from operator import itemgetter
 from typing import Optional
 
-_BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
-_STRING_BODY = re.compile(_BODY)  # where a lone quote's string stops, for its diagnostic
+BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
+_STRING_BODY = re.compile(BODY)  # where a lone quote's string stops, for its diagnostic
 _SCAN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    rf'(=>|[{{}}\[\]=,&!]|"{_BODY}"|\d+\.\d+|\d+|\w+|\Z|.)'
+    rf'(=>|[{{}}\[\]=,&!]|"{BODY}"|\d+\.\d+|\d+|\w+|\Z|.)'
 )
 # A token's kind code by its first character, for ASCII: IDENT, STRING, NUM,
 # PUNCT ("=>" is one), and ``?`` for a character that starts no token.

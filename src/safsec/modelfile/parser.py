@@ -1,4 +1,19 @@
-"""Parser for the ``.ssm`` model format.
+"""Parser for the ``.ssm`` model format, by two paths.
+
+`parse` first tries the fast path, `fast_parse`: one regex match per
+record (a block's header, a GSN node with its attribute lines, a security
+link, a gate, an event, an FMEA row, a clause, an ADT node header,
+``attr``, ``impact``, a ``}``, a scenario's action), laid out as the
+printer writes them, where any run of blanks may stand for a blank, with
+``#`` comment lines between records.  The patterns are built from
+`FIELDS`, `KEYWORDS` and `NODE_ATTRIBUTES`, and the values go through the
+token parser's converters.  On anything else (a comment inside a record,
+an identifier that starts with a non-ASCII letter, any lexical or syntax
+error, a reference that the token parser refuses, a converter's error) it
+gives up, and the token parser, `Parser`, reads the whole text.  Only the
+token parser reports, so each diagnostic keeps its text and position; and
+it is the oracle that the tests hold the fast path to.  Which path runs
+depends on the text alone.
 
 A token is an index into the columns of texts and kinds that `lexer.scan`
 gives: a list of texts and a string of one-letter kind codes, which
@@ -13,14 +28,17 @@ that independent blocks still get checked.
 
 Every ``key = value`` field of a record is spelled once, in `FIELDS` (and
 in `NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a
-row of it, and the printer writes the same row.
+row of it, `_fast_record` makes its pattern, and the printer writes it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cache
+from itertools import accumulate
+from typing import Callable, Iterable, Optional
 
 from ..adteval import UNASSESSED, VerdictPolicy
 from ..model import (
@@ -55,7 +73,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import KIND_NAMES, locate, position, scan, string_value
+from .lexer import BODY, KIND_NAMES, locate, position, scan, string_value
 
 MAX_ERRORS = 20
 # Each enum the parser reads, by value, and what a diagnostic calls a value
@@ -103,6 +121,7 @@ NODE_ATTRIBUTES = {"defeaters": DefeaterCount, "hazard": HazardMeta, "voter": Vo
 # A requirement's optional line of inputs, after its header.
 INPUTS = ("inputs", IDS, ())
 REQUIRED = object()  # the default of a field that a record must have
+_BRANCHES = {"AND": Refinement.AND, "OR": Refinement.OR}
 
 
 def prefix(field: str, kind) -> str:
@@ -441,75 +460,54 @@ class Parser:
 
     def _parse_adt_node(self) -> AdtNode:
         """An ADT node and all under it, read by one loop over an explicit stack."""
-        values, kinds, actors = self.values, self.kinds, _MEMBERS[Actor]
-        branches = {"AND": Refinement.AND, "OR": Refinement.OR}
         # The open nodes, innermost last: actor, label, refinement, children,
         # counter, attributes, impact and whether it is its parent's counter.
         stack: list[list] = []
-        pos, is_counter = self.pos, False
-        try:
-            while True:  # at a node's header
-                actor = actors.get(values[pos])
-                if actor is None:
-                    raise self._expected("'attack' or 'defense'", pos)
-                refinement = branches.get(values[pos + 1], Refinement.LEAF)
-                pos += 1 if refinement is Refinement.LEAF else 2
-                if kinds[pos] != "S":
-                    raise self._expected("'STRING'", pos)
-                label, node = string_value(values[pos]), None
-                if values[pos + 1] == "{":
-                    stack.append([actor, label, refinement, [], None, [], None, is_counter])
-                    pos += 2
-                else:
-                    node, pos = AdtNode(actor, label, refinement), pos + 1
-                while True:  # at an item or the ``}`` of the innermost open node
-                    if node is not None:  # a node is complete: hand it to its parent
-                        if not stack:
-                            return node
-                        if is_counter:
-                            stack[-1][4] = node
-                        else:
-                            stack[-1][3].append(node)
-                    tok, node = pos, None
-                    value = values[tok]
-                    pos += 1
-                    if value == "}":
-                        actor, label, refinement, children, counter, attributes, impact, \
-                            is_counter = stack.pop()
-                        node = AdtNode(actor, label, refinement, tuple(children), counter,
-                                       tuple(attributes), impact)
-                    elif value in actors:
-                        pos, is_counter = tok, False
-                        break
-                    elif value == "counter":
-                        if stack[-1][4] is not None:
-                            raise _SyntaxError("at most one countermeasure per node", tok)
-                        is_counter = True
-                        break
-                    elif value == "attr":
-                        if kinds[pos] != "I":
-                            raise self._expected("'IDENT'", pos)
-                        if values[pos + 1] != "=":
-                            pos += 1
-                            raise self._expected("'='", pos)
-                        pos += 2
-                        if kinds[pos] != "N":
-                            raise self._expected("number", pos)
-                        stack[-1][5].append((values[tok + 1], _number(values[pos], pos)))
-                        pos += 1
-                    elif value == "impact":
-                        if values[pos] != "=":
-                            raise self._expected("'='", pos)
-                        if kinds[pos + 1] != "I":
-                            pos += 1
-                            raise self._expected("'IDENT'", pos)
-                        pos += 2
-                        stack[-1][6] = self._enum(Impact, pos - 1)
+        is_counter = False
+        while True:  # at a node's header
+            actor = _MEMBERS[Actor].get(self.values[self.pos])
+            if actor is None:
+                raise self._expected("'attack' or 'defense'", self.pos)
+            refinement = _BRANCHES.get(self.values[self.pos + 1], Refinement.LEAF)
+            self.pos += 1 if refinement is Refinement.LEAF else 2
+            entry = [actor, self.expect_string(), refinement, [], None, [], None, is_counter]
+            if self.at_punct("{"):
+                self.pos += 1
+                stack.append(entry)
+                entry = None
+            while True:  # at an item or the ``}`` of the innermost open node
+                if entry is not None:  # a node is complete: hand it to its parent
+                    *head, children, counter, attributes, impact, is_counter = entry
+                    node = AdtNode(*head, tuple(children), counter, tuple(attributes), impact)
+                    if not stack:
+                        return node
+                    if is_counter:
+                        stack[-1][4] = node
                     else:
-                        pos = tok
+                        stack[-1][3].append(node)
+                tok, entry = self.pos, None
+                value = self.values[tok]
+                self.pos = tok + 1
+                if value == "}":
+                    entry = stack.pop()
+                elif value == "counter":
+                    if stack[-1][4] is not None:
+                        raise _SyntaxError("at most one countermeasure per node", tok)
+                    is_counter = True
+                    break
+                elif value == "attr":
+                    key = self.values[self.expect("I")]
+                    self.expect_punct("=")
+                    stack[-1][5].append((key, self.expect_num()))
+                elif value == "impact":
+                    self.expect_punct("=")
+                    stack[-1][6] = self._enum(Impact, self.expect("I"))
+                else:
+                    self.pos = tok
+                    if value not in _MEMBERS[Actor]:
                         raise self._expected("adt item", tok)
-        finally:  # where parsing, or recovery from an error, goes on
-            self.pos = pos
+                    is_counter = False
+                    break
 
     def _parse_scenario(self) -> Scenario:
         name = self.expect_string()
@@ -569,5 +567,252 @@ _STEPS.update((name, _steps(((name, kind),))) for name, kind in NODE_ATTRIBUTES.
 _STEPS[INPUTS] = _steps((INPUTS,))
 
 
+# --- the fast path: one regex match per record ------------------------------
+
+_G, _W = r"[ \t\r\n]*", r"[ \t\r\n]+"  # the blanks inside a record; _W between two words
+_NAME = r"[A-Za-z_]\w*"  # an IDENT; one that starts with a non-ASCII letter gives up
+_VALUES = {INT: r"(\d+)", NUM: r"(\d+(?:\.\d+)?)", STRING: f'("{BODY}")', IDENT: f"({_NAME})",
+           OP: r'"([<>]=)"', IDS: rf"\[{_G}({_NAME}(?:{_G},{_G}{_NAME})*){_G}\]"}
+_CONVERT = {INT: int, NUM: lambda v: _number(v, 0), STRING: string_value, IDENT: str, OP: str,
+            IDS: lambda v: tuple(map(str.strip, v.split(",")))}  # their errors make it give up
+_LITERAL = re.compile(rf"(!?){_G}({_NAME})")  # a literal of a clause's body
+
+
+def _fast_record(*items, build: Callable = lambda *values: values) -> tuple[str, int, Callable]:
+    """A record of ``items``, each a pattern with no group (a keyword, or
+    ``\\{``) or a field as in `FIELDS`, where a field named None is a bare
+    value: its pattern, its count of groups, and the function from its
+    groups to ``build`` of the fields' values."""
+    pattern, count, parts, last = "", 0, [], None
+    for item in items:
+        gap = "" if last is None else _G if r"\{" in (item, last) else _W  # a blank between words
+        last = item
+        if isinstance(item, str):
+            pattern += gap + item
+            continue
+        field, kind, *default = item
+        start = prefix(field, kind) if field else ""
+        start = start.replace(" = ", f"{_G}={_G}") if "=" in start else start.replace(" ", _W)
+        if kind in FIELDS:
+            part, n, read = _FLAT_RECORDS[kind]
+        else:
+            part, n = _VALUES.get(kind, r"(\w+)"), 1
+            read = (_CONVERT[kind] if isinstance(kind, str) else _MEMBERS[kind].__getitem__
+                    if kind in _MEMBERS else lambda v, kind=kind: kind[kind.index(v)])
+        if default:  # the group of a field left out is None
+            read = lambda v, read=read, default=default[0]: default if v is None else read(v)
+        parts.append((count if n == 1 else slice(count, count + n), read))
+        part = gap + start + part
+        pattern, count = pattern + (f"(?:{part})?" if default else part), count + n
+    return pattern, count, lambda groups: build(*[read(groups[at]) for at, read in parts])
+
+
+# Each record whose fields hold no record, read as a field of another.
+_FLAT_RECORDS = {record: _fast_record(*row, build=record) for record, row in FIELDS.items()
+                 if not any(kind in FIELDS for _, kind, *_ in row)}
+
+
+def _records(**alternatives) -> tuple[re.Pattern, dict[int, tuple]]:
+    """The records of one context as one pattern: blanks, then the first of
+    ``alternatives`` (as `_fast_record` gives them) that matches, a run of
+    ``#`` comment lines, or else any one character, on which the fast path
+    gives up.  Each alternative ends in an empty group named for it, which
+    `Match.lastindex` gives; that maps to the alternative's name, its slice
+    of `Match.groups` and its reader."""
+    alternatives["note"] = (r"#[^\n]*(?:\n[ \t\r\n]*#[^\n]*)*", 0, None)
+    pattern = re.compile(_G + "(?:" + "|".join(f"{alternative}(?P<{name}>)" for name, (
+        alternative, *_) in alternatives.items()) + "|(?s:.))")
+    marks = [0, *map(pattern.groupindex.get, alternatives)]
+    return pattern, {b: (name, slice(a, b - 1), read) for (name, (*_, read)), a, b
+                     in zip(alternatives.items(), marks, marks[1:])}
+
+
+_ADT, _ADT_RECORDS = _records(
+    attr=(rf"attr{_W}({_NAME}){_G}={_G}{_VALUES[NUM]}", 2, None), end=(r"\}", 0, None),
+    node=(rf"(counter{_W})?(attack|defense)(?:{_W}(AND|OR))?{_G}{_VALUES[STRING]}({_G}\{{)?",
+          5, None), impact=(rf"impact{_G}={_G}(\w+)", 1, None))
+_ATTR, _END, _NODE, _IMPACT, _NOTE = _ADT_RECORDS
+
+
+def _fast_adt_node(text: str, pos: int) -> tuple[AdtNode, int]:
+    """The ADT node at ``pos`` with all under it, and where it ends."""
+    stack: list[list] = []  # the open nodes, as in `Parser._parse_adt_node`
+    for m in _ADT.finditer(text, pos):
+        k = m.lastindex
+        if k == _ATTR:
+            stack[-1][5].append((m[1], _number(m[2], 0)))
+            continue
+        if k == _NODE:
+            counter, actor, branch, label, opens = m.groups()[_ADT_RECORDS[k][1]]
+            entry = [_MEMBERS[Actor][actor], string_value(label),
+                     _BRANCHES.get(branch, Refinement.LEAF), [], None, [], None, counter]
+            if opens:
+                stack.append(entry)
+                continue
+        elif k == _END:
+            entry = stack.pop()
+        elif k == _IMPACT:
+            stack[-1][6] = _MEMBERS[Impact][m[_IMPACT - 1]]
+            continue
+        elif k == _NOTE:
+            continue
+        else:
+            break
+        actor, label, branch, children, counter_node, attributes, impact, counter = entry
+        node = AdtNode(actor, label, branch, tuple(children), counter_node, tuple(attributes),
+                       impact)
+        if not stack:  # the node at ``pos`` is complete
+            if counter is None:
+                return node, m.end()
+            break
+        if counter is None:
+            stack[-1][3].append(node)
+        elif stack[-1][4] is None:
+            stack[-1][4] = node
+        else:
+            break
+    raise ValueError("not read by the fast path")
+
+
+# A GSN node's attribute lines, in any order, are part of its record: the
+# groups of each attribute hold the values of its last line.  A record
+# attribute is read as the record.
+_ATTRIBUTES = [(pattern, n, _FLAT_RECORDS[kind][2] if kind in FIELDS else read) for kind, (
+    pattern, n, read) in ((kind, _fast_record((name, kind), build=lambda value: value))
+                          for name, kind in NODE_ATTRIBUTES.items())]
+_STARTS = list(accumulate([5] + [n for _, n, _ in _ATTRIBUTES]))  # of each one's groups
+
+
+def _fast_node(groups: tuple) -> GsnNode:
+    kind, node_id, label, parent, block = groups[:5]
+    return GsnNode(node_id, _MEMBERS[NodeKind][kind], string_value(label), parent, *[
+        None if groups[at] is None else read(groups[at:at + n])
+        for at, (_, n, read) in zip(_STARTS, _ATTRIBUTES)] if block else ())
+
+
+def _fast_clause(groups: tuple) -> Clause:
+    body, negated, head = groups
+    return Clause(tuple(Literal(signal, not sign) for sign, signal in _LITERAL.findall(body or "")),
+                  Literal(head, not negated))
+
+
+def _values(records: list, name: str) -> tuple:
+    """The values of a block's records named ``name``, in order."""
+    return tuple(value for record, value in records if record == name)
+
+
+def _checked(block, references: Iterable[str], known: set):
+    """``block``, if each of ``references`` is ``known``, as the token parser checks."""
+    if not known.issuperset(references):
+        raise ValueError("an undefined reference")
+    return block
+
+
+def _fast_gsn(head: tuple, records: list) -> GsnModel:
+    nodes = _values(records, "node")
+    return _checked(GsnModel(*head, nodes, _values(records, "link")),
+                    (node.parent for node in nodes if node.parent is not None),
+                    {node.id for node in nodes})
+
+
+def _fast_fta(head: tuple, records: list) -> FaultTree:
+    gates, events = _values(records, "gate"), frozenset(_values(records, "event"))
+    return _checked(FaultTree(*head, gates, events),
+                    (head[1], *(child for *_, children in gates for child in children)),
+                    events.union(gate for gate, _, _ in gates))
+
+
+def _fast_adt(head: tuple, records: list) -> AttackDefenseTree:
+    ((_, root),) = records  # its one root node
+    return AttackDefenseTree(*head, root)
+
+
+_STRING, _IDENT = (None, STRING), (None, IDENT)  # a bare name
+# Each block kind by its keyword: its header record, its body's records,
+# and the function from the header's values and the body's records, as
+# (name, value) pairs, to the block.
+_FAST_BLOCKS = {
+    "gsn": (_fast_record("gsn", _STRING, r"\{"), dict(
+        node=(rf"(goal|strategy|solution|context){_W}({_NAME}){_G}{_VALUES[STRING]}"
+              rf"(?:{_G}under{_W}({_NAME}))?(?:{_G}(\{{)(?:{_G}\b(?:"
+              + "|".join(pattern for pattern, _, _ in _ATTRIBUTES) + rf"))*{_G}\}})?", _STARTS[-1],
+              _fast_node),
+        link=_fast_record("security_link", "under", _IDENT, *FIELDS[SecurityLink],
+                          build=SecurityLink)),
+        _fast_gsn),
+    "adt": (_fast_record("adt", _STRING, r"\{"), dict(root=(r"(?=attack\b|defense\b)", 0, None)),
+            _fast_adt),
+    "fta": (_fast_record("fta", _STRING, r"\{", "top", _IDENT), dict(
+        gate=_fast_record("gate", _IDENT, (None, GateOp), (None, IDS)),
+        event=_fast_record("event", _IDENT, build=lambda event: event)), _fast_fta),
+    "fmea": (_fast_record("fmea", _STRING, r"\{"), dict(
+        row=_fast_record("row", _IDENT, *FIELDS[FmeaRow], build=FmeaRow)),
+        lambda head, records: FmeaTable(*head, _values(records, "row"))),
+    "requirement": (_fast_record("requirement", _IDENT, *FIELDS[Requirement], r"\{", INPUTS), dict(
+        clause=(rf"clause\b{_G}(?:((?:!{_G})?{_NAME}(?:{_G}&{_G}(?:!{_G})?{_NAME})*){_G})?=>{_G}"
+                rf"(!?){_G}({_NAME})", 3, _fast_clause)),
+        lambda head, records: Requirement(*head[:3], _values(records, "clause"),
+                                          frozenset(head[3]))),
+    "scenario": (_fast_record("scenario", _STRING, r"\{", *FIELDS[Scenario]), dict(
+        unassessed=_fast_record("set_policy", r"unassessed\b", build=lambda: UNASSESSED),
+        policy=_fast_record("set_policy", *FIELDS[VerdictPolicy],
+                            build=lambda *values: VerdictPolicy(False, *values)),
+        add_counter=_fast_record("add_counter", *FIELDS[AddCounterAction]),
+        set_defeaters=_fast_record("set_defeaters", *FIELDS[SetDefeatersAction],
+                                   build=SetDefeatersAction)),
+        lambda head, records: Scenario(*head, tuple(value for _, value in records))),
+}
+_BLOCK, _BLOCK_RECORDS = _records(end=(r"\Z", 0, None), **{
+    keyword: header for keyword, (header, _, _) in _FAST_BLOCKS.items()})
+
+
+@cache
+def _body(keyword: str) -> tuple[re.Pattern, dict[int, tuple]]:
+    """The records of a block's body, compiled when a file first has one."""
+    return _records(end=(r"\}", 0, None), **_FAST_BLOCKS[keyword][1])
+
+
+def _fast_body(text: str, pos: int, keyword: str) -> tuple[list, int]:
+    """The records of a block's body from ``pos`` to the ``}`` that closes
+    it, as (name, value) pairs, and where the block ends."""
+    pattern, alternatives = _body(keyword)
+    records: list = []
+    while True:  # again after each ADT node
+        for m in pattern.finditer(text, pos):
+            name, groups, read = alternatives[m.lastindex]  # a KeyError on the catch-all
+            if name == "end":
+                return records, m.end()
+            if read is not None:
+                records.append((name, read(m.groups()[groups])))
+            if name in ("root", "add_counter"):
+                node, pos = _fast_adt_node(text, m.end())
+                records.append((name, node) if read is None else (
+                    name, AddCounterAction(*records.pop()[1], node)))
+                break
+        else:
+            raise ValueError("not read by the fast path")
+
+
+def fast_parse(text: str) -> Optional[Document]:
+    """``text``'s document, read one record per regex match, or None where
+    the fast path gives up; `parse` then runs the token parser.  Tests call
+    it to see which path a text takes."""
+    blocks, pos = [], 0
+    try:
+        while True:
+            m = _BLOCK.match(text, pos)  # never None: at the end, ``\Z`` matches
+            keyword, groups, read = _BLOCK_RECORDS[m.lastindex]  # a KeyError on the catch-all
+            if keyword == "end":
+                return Document(tuple(blocks))
+            pos = m.end()
+            if read is not None:  # else comments
+                head = read(m.groups()[groups])
+                records, pos = _fast_body(text, pos, keyword)
+                blocks.append(_FAST_BLOCKS[keyword][2](head, records))
+    except (LookupError, ValueError, _SyntaxError):  # a give-up, or a converter's error
+        return None
+
+
 def parse(text: str) -> ParseResult:
-    return Parser(text).parse()
+    document = fast_parse(text)
+    return Parser(text).parse() if document is None else ParseResult(document, [])
