@@ -21,16 +21,14 @@ running that replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .confidence import SecurityVerdict
-from .model import AdtNode, AttackDefenseTree, Refinement, printable
+from .model import AdtNode, AttackDefenseTree, Record, Refinement, printable
 
 
-@dataclass(frozen=True)
-class AttributeDomain:
+class AttributeDomain(Record):
     name: str
     or_combine: Callable[[float, float], float]
     and_combine: Callable[[float, float], float]
@@ -67,8 +65,7 @@ TIME = AttributeDomain(
     counter_combine=lambda attack, delay: attack + delay,
 )
 
-TIME_SEQUENTIAL = replace(
-    TIME,
+TIME_SEQUENTIAL = TIME._replace(
     name="time_sequential",
     and_combine=lambda a, b: a + b,
     attribute_key="time",
@@ -152,8 +149,7 @@ def _policy_problem(op: str, prob_or: str, threshold: float) -> Optional[tuple[s
     return None
 
 
-@dataclass(frozen=True)
-class VerdictPolicy:
+class VerdictPolicy(Record):
     """Threshold comparison on the root value, or no assessment at all."""
 
     unassessed: bool = False
@@ -170,7 +166,7 @@ class VerdictPolicy:
     def domain(self) -> AttributeDomain:
         d = get_domain(self.attribute)
         if d.name == "probability" and self.prob_or == "noisy_or":
-            d = replace(d, or_combine=_noisy_or)
+            d = d._replace(or_combine=_noisy_or)
         return d
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import ExitStack
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_, itemgetter
@@ -56,9 +57,24 @@ def _read(path: str) -> str:
         raise ValueError(f"{path}: not UTF-8 text ({exc})")
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _write(texts: dict[str, str]) -> None:
+    """Write each text to its path, or none if a path cannot be opened: each
+    is opened before any is written, without truncating it, and a file that
+    an earlier open made is removed."""
+    made, opened = {path for path in texts if not os.path.exists(path)}, []
+    with ExitStack() as files:
+        try:
+            for path, text in texts.items():
+                opened.append((files.enter_context(open(path, "a", encoding="utf-8")), text))
+        except OSError:
+            files.close()
+            for handle, _ in opened:
+                if handle.name in made:
+                    os.remove(handle.name)
+            raise
+        for handle, text in opened:
+            handle.truncate(0)
+            handle.write(text)
 
 
 # Block kind named in messages -> that kind's blocks of a document by name.
@@ -554,12 +570,12 @@ def derive_cmd(
     document, model = _load(file, "gsn model", gsn_name, _referenced)
     tree = derive.derive_adt(model, document.ftas, document.fmeas)
     rendered = modelfile.print_document(Document((tree,)))
-    if out:
-        _write(out, rendered)
-    else:
-        click.echo(rendered, nl=False)
+    texts = {out: rendered} if out else {}
     if dot_path:
-        _write(dot_path, dot.adt_to_dot(tree))
+        texts[dot_path] = dot.adt_to_dot(tree)
+    _write(texts)  # an output that cannot be written stops the command before any other
+    if not out:
+        click.echo(rendered, nl=False)
 
 
 def _text_adt(p: dict) -> Lines:

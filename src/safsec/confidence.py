@@ -8,11 +8,10 @@ Security verdicts then rescale the triple by a non-negative weight w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind, post_order
+from .model import ConfidenceTriple, DefeaterCount, GsnModel, NodeKind, Record, post_order
 
 PRIOR_WEIGHT = 2.0
 
@@ -35,8 +34,7 @@ def opinion_from_evidence(count: DefeaterCount) -> ConfidenceTriple:
     )
 
 
-@dataclass(frozen=True)
-class GoalOpinion:
+class GoalOpinion(Record):
     """One goal's confidence.  ``count`` is its subtree's defeater evidence
     and ``triple`` that evidence's opinion; ``reported`` is the triple after
     the goal's security link, with the link's ``verdict`` applied, and is

@@ -32,16 +32,15 @@ assignment dict.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Clause, Literal, Requirement
+from .model import Clause, Literal, Record, Requirement
 
 MAX_INPUTS = 20
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     clauses: tuple[Clause, ...]
     owners: tuple[str, ...]  # owners[i] declared clauses[i]; "" for none
     inputs: tuple[str, ...]  # sorted
@@ -67,11 +66,14 @@ class ContradictionWitness(NamedTuple):
     fired_clauses: tuple[Clause, ...] = ()
 
 
-# Byte -> its set bits, ascending; and pattern -> the values of inputs 0-7.
-_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
-_LOW_VALUES = tuple(tuple(bool(p >> i & 1) for i in range(8)) for p in range(256))
-# Bit -> the translate table mapping each byte to that bit of it.
-_FLAGS = tuple(bytes(byte >> bit & 1 for byte in range(256)) for bit in range(8))
+@cache
+def _tables() -> tuple[tuple, tuple, tuple]:
+    """Byte -> its set bits, ascending; pattern -> the values of inputs 0-7;
+    and bit -> the translate table mapping each byte to that bit of it.
+    Built for the first contradiction found, not at import."""
+    return (tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)),
+            tuple(tuple(bool(p >> i & 1) for i in range(8)) for p in range(256)),
+            tuple(bytes(byte >> bit & 1 for byte in range(256)) for bit in range(8)))
 
 
 def conflict_candidates(reqs: Sequence[Requirement], wide: bool = False) -> list[tuple[str, str]]:
@@ -193,6 +195,7 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
     shared: dict[bytes, tuple] = {}  # flags -> (conflicted signal, owners, clauses)
     by_fired: dict[bytes, tuple] = {}  # the fired rules' flags -> (owners, clauses)
     witnesses: list[ContradictionWitness] = []
+    bits_of, low_values, flags_of = _tables()
     for byte_index, byte in enumerate(hit.to_bytes(nbytes, "little")):
         if not byte:
             continue
@@ -202,8 +205,8 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
         if rest is None:
             rest = high_values[high] = tuple(bool(high >> i & 1) for i in high_inputs)
         low = (byte_index & 31) << 3
-        for bit in _BITS[byte]:
-            flags = column.translate(_FLAGS[bit])
+        for bit in bits_of[byte]:
+            flags = column.translate(flags_of[bit])
             found = shared.get(flags)
             if found is None:
                 tuples = by_fired.get(flags[:nfires])
@@ -215,7 +218,7 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
                     )
                 found = shared[flags] = (conflicts[flags.index(1, nfires) - nfires][0], *tuples)
             witnesses.append(
-                ContradictionWitness(dict(zip(inputs, _LOW_VALUES[low | bit] + rest)), *found))
+                ContradictionWitness(dict(zip(inputs, low_values[low | bit] + rest)), *found))
     return witnesses
 
 

@@ -21,21 +21,22 @@ validator, aggregation and derivation read one tree of them,
 The records a file holds many of (:class:`GsnNode`, :class:`AdtNode`,
 :class:`DefeaterCount`, :class:`HazardMeta`, :class:`VoterMeta`,
 :class:`SecurityLink`, :class:`FmeaRow` and :class:`Literal`) are typed
-``NamedTuple`` classes.  Their ``__new__`` hands the fields to
-``tuple.__new__`` in one call, where a frozen dataclass's ``__init__`` sets
-each field through ``object.__setattr__``: a ``GsnNode`` is built in about a
-quarter of the time (0.43 against 1.9 µs on Python 3.11).  They refuse
-attribute assignment, compare and hash as tuples, and are copied with
-``_replace``.  The blocks and the other records stay frozen dataclasses.
+``NamedTuple`` classes, built by one ``tuple.__new__`` call.  The blocks and
+the other records subclass :class:`Record`, which reads a class's fields
+once, where a dataclass compiles each class's methods at import (about 1 ms
+a class); their fields are plain instance attributes, read in about half the
+time of a ``NamedTuple``'s, beside the ``cached_property`` indexes.  Both refuse
+assignment, compare and hash by their fields, and offer ``_replace``,
+``_fields`` and ``_field_defaults``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Union)
@@ -44,6 +45,63 @@ if TYPE_CHECKING:
     from .adteval import VerdictPolicy
 
 SUM_TOLERANCE = 1e-9
+
+
+class Record:
+    """A frozen record of the fields that its classes annotate, in order; a
+    field with a class value defaults to it.  ``__post_init__``, where a
+    subclass defines one, checks each new instance."""
+
+    _fields: tuple[str, ...] = ()
+    __post_init__: Optional[Callable[[], None]] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(dict.fromkeys((*cls._fields, *cls.__annotations__)))  # a base's first
+        cls._field_defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        cls._values = attrgetter(*cls._fields)
+        cls._names = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            values = dict(zip(fields, args))
+        elif not args and kwargs.keys() == self._names:
+            values = kwargs  # a dict of its own, made for this call
+        else:  # defaults, or values and keywords: refused where a function would refuse them
+            values = {**self._field_defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or values.keys() != self._names
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; "
+                                f"got {args!r}, {kwargs!r}")
+        _set_dict(self, values)
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` to its fields, checked as a new record is."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
+_set_dict = Record.__dict__["__dict__"].__set__  # a record's own __setattr__ refuses
 
 
 class GuideWord(Enum):
@@ -108,8 +166,7 @@ class Refinement(Enum):
     LEAF = "leaf"
 
 
-@dataclass(frozen=True)
-class ConfidenceTriple:
+class ConfidenceTriple(Record):
     """Belief/disbelief/uncertainty opinion; components sum to 1."""
 
     belief: float
@@ -206,8 +263,7 @@ class SecurityLink(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class GsnModel:
+class GsnModel(Record):
     name: str
     nodes: tuple[GsnNode, ...]
     security_links: tuple[SecurityLink, ...] = ()
@@ -292,8 +348,7 @@ def post_order(roots: Iterable[str], children: Callable[[str], Iterable[str]],
                 yield node
 
 
-@dataclass(frozen=True)
-class FaultTree:
+class FaultTree(Record):
     name: str
     top: str
     gates: tuple[tuple[str, GateOp, tuple[str, ...]], ...]
@@ -340,8 +395,7 @@ class FmeaRow(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
-class FmeaTable:
+class FmeaTable(Record):
     name: str
     rows: tuple[FmeaRow, ...]
 
@@ -436,8 +490,7 @@ def adt_preorder(root: AdtNode) -> Iterator[AdtNode]:
             extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
-class AttackDefenseTree:
+class AttackDefenseTree(Record):
     name: str
     root: AdtNode
 
@@ -461,8 +514,7 @@ class Literal(NamedTuple):
         return self.signal if self.positive else f"!{self.signal}"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """Implication clause: conjunction of body literals entails the head."""
 
     body: tuple[Literal, ...]
@@ -479,8 +531,7 @@ class Clause:
         return self.text
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(Record):
     id: str
     kind: RequirementKind
     trace: str
@@ -494,8 +545,7 @@ class Requirement:
         return {lit.signal for c in self.clauses for lit in (c.head, *c.body)} | self.inputs
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Record):
     min_belief: float
     max_disbelief: float
     max_uncertainty: float
@@ -508,16 +558,14 @@ class Thresholds:
         )
 
 
-@dataclass(frozen=True)
-class AddCounterAction:
+class AddCounterAction(Record):
     """Attach a countermeasure node under the ADT node with the given label."""
 
     at_label: str
     node: AdtNode
 
 
-@dataclass(frozen=True)
-class SetDefeatersAction:
+class SetDefeatersAction(Record):
     """Revise a goal's defeater evidence counts."""
 
     goal_id: str
@@ -528,8 +576,7 @@ class SetDefeatersAction:
 ScenarioAction = Union["VerdictPolicy", AddCounterAction, SetDefeatersAction]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     gsn_name: str
     adt_name: str
@@ -550,8 +597,7 @@ def block_name(block: Block) -> str:
     return block.id if isinstance(block, Requirement) else block.name
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """All blocks of one model file, in declaration order."""
 
     blocks: tuple[Block, ...] = ()
@@ -598,8 +644,7 @@ class Document:
         return self._by_kind[Scenario]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     message: str
     severity: str = "error"  # "error" | "warning"
     line: Optional[int] = None

@@ -1,18 +1,19 @@
-"""Tokenizer for the ``.ssm`` model format: one pattern, `_SCAN`.
+"""Tokenizer for the ``.ssm`` model format: one pattern, `_scan`'s, compiled
+on first use.
 
-`scan` cuts the text with one `_SCAN.findall`, all in C, and gives two
+`scan` cuts the text with one `findall` of it, all in C, and gives two
 columns: the token texts, and their kinds as one string of one-letter codes
 (`KIND_NAMES`), or None on a lexical error.  The first character tells a
 token's kind: one `str.translate` of the tokens' joined first characters
 gives the codes, and only a non-ASCII first character is told by its
-Unicode class.  `_SCAN`'s catch-all ``.`` comes last and catches each
+Unicode class.  The pattern's catch-all ``.`` comes last and catches each
 character that starts no valid token, whose code is ``?``, and a lone
 ``"``: a quote that opens no complete string (unterminated, or with an
 unknown escape); `scan` refuses both.  STRING texts keep their quotes, so
 only an IDENT can equal a keyword and only a PUNCT a punctuation mark;
 `string_value` decodes them.
 
-`locate` runs only for diagnostics: one `_SCAN.finditer` pass gives the
+`locate` runs only for diagnostics: one `finditer` pass gives the
 character offset of each token, and names the first lexical error by the
 first token that `scan` refuses.  A lone ``"`` is an unterminated string
 (at the quote), or an unterminated or unknown escape (at the backslash
@@ -33,15 +34,14 @@ cannot compile them (they came in 3.11).
 from __future__ import annotations
 
 import re
+from functools import cache
 from operator import itemgetter
 from typing import Optional
 
 BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
-_STRING_BODY = re.compile(BODY)  # where a lone quote's string stops, for its diagnostic
-_SCAN = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    rf'(=>|[{{}}\[\]=,&!]|"{BODY}"|\d+\.\d+|\d+|\w+|\Z|.)'
-)
+# The one pattern, compiled on first use: a file that the fast path reads needs no tokens.
+_scan = cache(lambda: re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+                                 rf'(=>|[{{}}\[\]=,&!]|"{BODY}"|\d+\.\d+|\d+|\w+|\Z|.)'))
 # A token's kind code by its first character, for ASCII: IDENT, STRING, NUM,
 # PUNCT ("=>" is one), and ``?`` for a character that starts no token.
 _CODES = str.maketrans({chr(c): "?" for c in range(128)} | {
@@ -67,7 +67,7 @@ def string_value(raw: str) -> str:
 def scan(text: str) -> Optional[tuple[list[str], str]]:
     """The texts of the tokens of ``text`` and a final ``""``, and their kind
     codes ending in ``E``, or None on a lexical error (see `locate`)."""
-    values = _SCAN.findall(text)
+    values = _scan().findall(text)
     del values[values.index("") :]  # the end of the text matches once or twice
     if '"' in values:  # a quote that opens no complete string
         return None
@@ -86,14 +86,14 @@ def locate(text: str) -> tuple[list[int], Optional[tuple[str, int]]]:
     `scan` gives None, up to its first lexical error, and that error's
     message and offset."""
     offsets: list[int] = []
-    for m in _SCAN.finditer(text):
+    for m in _scan().finditer(text):
         value, offset = m[1], m.start(1)
         offsets.append(offset)
         if not value:
             break
         first = value[0]
         if value == '"':
-            end = _STRING_BODY.match(text, offset + 1).end()
+            end = re.compile(BODY).match(text, offset + 1).end()  # where the string stops
             if not text.startswith("\\", end):
                 return offsets, ("unterminated string", offset)
             escape = text[end + 1 : end + 2]

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
@@ -63,6 +62,7 @@ from ..model import (
     Impact,
     Literal,
     NodeKind,
+    Record,
     Refinement,
     Requirement,
     RequirementKind,
@@ -131,8 +131,7 @@ def prefix(field: str, kind) -> str:
     return "" if keyword is None else f"{keyword} " if kind in FIELDS else f"{keyword} = "
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Record):
     document: Optional[Document]
     diagnostics: list[Diagnostic]
 
@@ -575,7 +574,7 @@ _VALUES = {INT: r"(\d+)", NUM: r"(\d+(?:\.\d+)?)", STRING: f'("{BODY}")', IDENT:
            OP: r'"([<>]=)"', IDS: rf"\[{_G}({_NAME}(?:{_G},{_G}{_NAME})*){_G}\]"}
 _CONVERT = {INT: int, NUM: lambda v: _number(v, 0), STRING: string_value, IDENT: str, OP: str,
             IDS: lambda v: tuple(map(str.strip, v.split(",")))}  # their errors make it give up
-_LITERAL = re.compile(rf"(!?){_G}({_NAME})")  # a literal of a clause's body
+_literal = cache(lambda: re.compile(rf"(!?){_G}({_NAME})"))  # a literal of a clause's body
 
 
 def _fast_record(*items, build: Callable = lambda *values: values) -> tuple[str, int, Callable]:
@@ -627,34 +626,35 @@ def _records(**alternatives) -> tuple[re.Pattern, dict[int, tuple]]:
                      in zip(alternatives.items(), marks, marks[1:])}
 
 
-_ADT, _ADT_RECORDS = _records(
+_adt = cache(lambda: _records(  # the records inside an ADT node, when a file first has one
     attr=(rf"attr{_W}({_NAME}){_G}={_G}{_VALUES[NUM]}", 2, None), end=(r"\}", 0, None),
     node=(rf"(counter{_W})?(attack|defense)(?:{_W}(AND|OR))?{_G}{_VALUES[STRING]}({_G}\{{)?",
-          5, None), impact=(rf"impact{_G}={_G}(\w+)", 1, None))
-_ATTR, _END, _NODE, _IMPACT, _NOTE = _ADT_RECORDS
+          5, None), impact=(rf"impact{_G}={_G}(\w+)", 1, None)))
 
 
 def _fast_adt_node(text: str, pos: int) -> tuple[AdtNode, int]:
     """The ADT node at ``pos`` with all under it, and where it ends."""
     stack: list[list] = []  # the open nodes, as in `Parser._parse_adt_node`
-    for m in _ADT.finditer(text, pos):
+    pattern, records = _adt()
+    k_attr, k_end, k_node, k_impact, k_note = records
+    for m in pattern.finditer(text, pos):
         k = m.lastindex
-        if k == _ATTR:
+        if k == k_attr:
             stack[-1][5].append((m[1], _number(m[2], 0)))
             continue
-        if k == _NODE:
-            counter, actor, branch, label, opens = m.groups()[_ADT_RECORDS[k][1]]
+        if k == k_node:
+            counter, actor, branch, label, opens = m.groups()[records[k][1]]
             entry = [_MEMBERS[Actor][actor], string_value(label),
                      _BRANCHES.get(branch, Refinement.LEAF), [], None, [], None, counter]
             if opens:
                 stack.append(entry)
                 continue
-        elif k == _END:
+        elif k == k_end:
             entry = stack.pop()
-        elif k == _IMPACT:
-            stack[-1][6] = _MEMBERS[Impact][m[_IMPACT - 1]]
+        elif k == k_impact:
+            stack[-1][6] = _MEMBERS[Impact][m[k_impact - 1]]
             continue
-        elif k == _NOTE:
+        elif k == k_note:
             continue
         else:
             break
@@ -692,7 +692,7 @@ def _fast_node(groups: tuple) -> GsnNode:
 
 def _fast_clause(groups: tuple) -> Clause:
     body, negated, head = groups
-    return Clause(tuple(Literal(signal, not sign) for sign, signal in _LITERAL.findall(body or "")),
+    return Clause(tuple(Literal(signal, not sign) for sign, signal in _literal().findall(body or "")),
                   Literal(head, not negated))
 
 

@@ -8,7 +8,6 @@ cannot disagree on a field.  ADTs print from one
 
 from __future__ import annotations
 
-from decimal import Decimal
 from operator import attrgetter
 
 from ..adteval import VerdictPolicy
@@ -43,7 +42,10 @@ def _num(v: float) -> str:
     if float(v).is_integer():
         return str(int(v))
     text = repr(float(v))
-    return format(Decimal(text), "f") if "e" in text else text
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # only here: its import costs every command 1-2 ms
+    return format(Decimal(text), "f")
 
 
 _WRITERS = {INT: str, NUM: _num, STRING: _quote, IDENT: str,

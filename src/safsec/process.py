@@ -42,7 +42,6 @@ A round that cannot be applied raises ``ValueError`` naming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -58,6 +57,7 @@ from .model import (
     Document,
     GsnModel,
     NodeKind,
+    Record,
     Scenario,
     ScenarioAction,
     adt_walk,
@@ -69,16 +69,14 @@ TRANSCRIPT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RoundEntry:
+class RoundEntry(Record):
     round: int
     action: str
     verdict: SecurityVerdict
     triple: ConfidenceTriple
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Record):
     initial_triple: ConfidenceTriple
     entries: tuple[RoundEntry, ...]
     status: str  # "accepted" | "exhausted"
@@ -242,7 +240,7 @@ class Replay:
             rebuilt.append(parent._replace(counter=new) if slot == math.inf else
                            parent._replace(children=kids[:slot] + (new,) + kids[slot + 1:]))
         rebuilt.reverse()
-        self.adt = replace(self.adt, root=rebuilt[0])
+        self.adt = self.adt._replace(root=rebuilt[0])
 
         # Each memo moves the old spine's entries to the new one.  The target
         # carried no countermeasure, so its value is its new own value; an

@@ -8,7 +8,7 @@ implementations they check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations, count, product
 from typing import Iterator, NamedTuple, Optional
 
@@ -517,7 +517,7 @@ def set_defeaters(model: GsnModel, goal_id: str, count: DefeaterCount) -> GsnMod
     if count.problems:  # summed with its subgoals' counts, a bad count can pass aggregation
         raise ValueError("; ".join(count.problems))
     new_node = node._replace(defeaters=count)
-    return replace(model, nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
+    return model._replace(nodes=tuple(new_node if n.id == goal_id else n for n in model.nodes))
 
 
 def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> AttackDefenseTree:
@@ -551,7 +551,7 @@ def attach_counter(tree: AttackDefenseTree, at_label: str, counter: AdtNode) -> 
         else:
             kids = parent.children
             new = parent._replace(children=kids[:slot] + (new,) + kids[slot + 1:])
-    return replace(tree, root=new)
+    return tree._replace(root=new)
 
 
 def apply_round(

@@ -636,14 +636,27 @@ class TestMalformedInputExitsTwo:
         self.refused(result, model,
                      "multiple security links on goal 'G1' [gsn M/security_link 'A']")
 
-    @pytest.mark.parametrize("flag", ["--out", "--dot"])
-    def test_unwritable_derive_output(self, runner, workdir, tmp_path, flag):
+    @pytest.mark.parametrize("flag, out", [("--out", None), ("--dot", "x.ssm"), ("--dot", None)],
+                             ids=["--out", "--dot", "--dot-stdout"])
+    def test_unwritable_derive_output(self, runner, workdir, tmp_path, flag, out):
+        """An output that cannot be written stops the command before it
+        writes any other, to a file or to stdout."""
         target = tmp_path / "nonexistent" / "x.out"
         args = ["derive", "adt", workdir / "airbag.ssm", "--gsn", "Airbag", flag, target]
-        if flag == "--dot":
-            args += ["--out", tmp_path / "x.ssm"]
+        if out:
+            args += ["--out", tmp_path / out]
         result = run(runner, workdir, *args)
-        self.check(result, "x.out")
+        self.check(result, "x.out")  # with nothing on stdout
+        assert not (tmp_path / "x.ssm").exists()
+
+    def test_an_unwritable_dot_output_leaves_an_existing_out_file_as_it_was(
+            self, runner, workdir, tmp_path):
+        kept = tmp_path / "x.ssm"
+        kept.write_text("kept\n", encoding="utf-8")
+        result = run(runner, workdir, "derive", "adt", workdir / "airbag.ssm", "--gsn", "Airbag",
+                     "--out", kept, "--dot", tmp_path / "nonexistent" / "x.dot")
+        self.check(result, "x.dot")
+        assert kept.read_text(encoding="utf-8") == "kept\n"
 
 
 # Attack "x", countered by defense "d"; round 2 attacks the defense.

@@ -10,7 +10,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +43,7 @@ def shape(document) -> str:
         if isinstance(block, AttackDefenseTree):
             out.append((block.name, _adt(block.root)))
         elif isinstance(block, Scenario):
-            out.append((replace(block, actions=()), [
+            out.append((block._replace(actions=()), [
                 (action.at_label, _adt(action.node)) if isinstance(action, AddCounterAction)
                 else action for action in block.actions]))
         else:

@@ -1,6 +1,5 @@
 """Lexer, parser, and canonical printer for the .ssm model format."""
 
-import dataclasses
 import random
 import sys
 
@@ -28,7 +27,7 @@ from safsec.model import (
     SecurityLink,
 )
 from safsec.modelfile import parse, print_document
-from safsec.modelfile.parser import FIELDS, NODE_ATTRIBUTES
+from safsec.modelfile.parser import FIELDS, NODE_ATTRIBUTES, REQUIRED
 from safsec.modelfile.printer import HEADER
 
 from conftest import load_bundled
@@ -259,10 +258,8 @@ BODY = {AddCounterAction: ("node",), Requirement: ("clauses", "inputs"), Scenari
 
 
 def record_fields(record: type) -> dict:
-    """A NamedTuple's or a dataclass's fields, in order, and their defaults."""
-    if dataclasses.is_dataclass(record):
-        return {f.name: f.default for f in dataclasses.fields(record)}
-    return {name: record._field_defaults.get(name, dataclasses.MISSING) for name in record._fields}
+    """A record's fields, in order, and their defaults (``REQUIRED`` for none)."""
+    return {name: record._field_defaults.get(name, REQUIRED) for name in record._fields}
 
 
 class TestFieldTable:

@@ -4,7 +4,6 @@ import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -258,7 +257,7 @@ def replay_round(action, model, adt, policy):
     assert replay.model is model
     counts = replay.counts
     if counts:
-        model = replace(model, nodes=tuple(n._replace(defeaters=counts.get(n.id, n.defeaters))
+        model = model._replace(nodes=tuple(n._replace(defeaters=counts.get(n.id, n.defeaters))
                                            for n in model.nodes))
     return model, replay.adt, replay.policy
 
@@ -585,7 +584,7 @@ def test_min_and_max_are_reduced_in_c_in_reduces_order():
     # Signed zeros and NaN tell the orders apart.
     node = AdtNode(Actor.ATTACK, "r", Refinement.OR, children=(AdtNode(Actor.ATTACK, "x"),))
     for combine in (min, max):
-        domain = replace(PROBABILITY, or_combine=combine)
+        domain = PROBABILITY._replace(or_combine=combine)
         for values in ([0.0, -0.0], [-0.0, 0.0], [math.nan, 1.0], [1.0, math.nan, 0.5],
                        [2.0, 2.0, -1.0, math.nan]):
             expected = functools.reduce(combine, values)
@@ -696,7 +695,7 @@ def test_the_validator_folds_each_leaf_once_per_domain(monkeypatch):
     document, scenario = ladder(n)
     policies = tuple(VerdictPolicy(attribute=("probability", "cost")[i % 2], op="<=",
                                    threshold=0.5) for i in range(n))
-    scenario = replace(scenario, max_rounds=n, actions=policies)
+    scenario = scenario._replace(max_rounds=n, actions=policies)
     document = Document((*document.blocks[:2], scenario))
     calls, _ = count_work(monkeypatch)
     assert validate_block(scenario, document) == []
