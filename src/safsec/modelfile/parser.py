@@ -10,21 +10,22 @@ printer writes them, where any run of blanks may stand for a blank, with
 token parser's converters.  On anything else (a comment inside a record,
 an identifier that starts with a non-ASCII letter, any lexical or syntax
 error, a reference that the token parser refuses, a converter's error) it
-gives up, and the token parser, `Parser`, reads the whole text.  Only the
-token parser reports, so each diagnostic keeps its text and position; and
-it is the oracle that the tests hold the fast path to.  Which path runs
-depends on the text alone.
+gives up, and the token parser, `Parser`, reads on from the start of that
+block: it carries nothing from one block to the next but its diagnostics,
+and the fast path reads only lexically valid text that passes its checks.
+Only the token parser reports, so each diagnostic keeps its text and
+position; and it is the oracle that the tests hold the fast path to.  Which
+path reads a block depends on the text alone.
 
-A token is an index into the columns of texts and kinds that `lexer.scan`
-gives: a list of texts and a string of one-letter kind codes, which
-`KIND_NAMES` spells out for diagnostics.  Keywords and punctuation are told
-by their text alone.  A block is read by descent; ADT nodes, which nest
-without limit, by one loop over an explicit stack: a header opens a node,
-its ``}`` closes it.  Diagnostics carry line/column of the offending token.
-Only the first diagnostic runs `lexer.locate`, for the offsets of the
-tokens or for a lexical error.  Parsing aborts after 20 errors.  Syntax
-errors inside a block skip ahead to the next top-level block keyword so
-that independent blocks still get checked.
+A token is an index into the columns that `lexer.tokenize` gives in one
+pass: texts, one-letter kind codes, which `KIND_NAMES` spells out for
+diagnostics, and offsets.  Keywords and punctuation are told by their text
+alone.  A block is read by descent; ADT nodes, which nest without limit, by
+one loop over an explicit stack: a header opens a node, its ``}`` closes it.
+Diagnostics carry line/column of the offending token; a lexical error is
+the only one.  Parsing aborts after 20 errors.  Syntax errors inside a block
+skip ahead to the next top-level block keyword so that independent blocks
+still get checked.
 
 Every ``key = value`` field of a record is spelled once, in `FIELDS` (and
 in `NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a
@@ -73,7 +74,7 @@ from ..model import (
     Thresholds,
     VoterMeta,
 )
-from .lexer import BODY, KIND_NAMES, locate, position, scan, string_value
+from .lexer import BODY, KIND_NAMES, position, string_value, tokenize
 
 MAX_ERRORS = 20
 # Each enum the parser reads, by value, and what a diagnostic calls a value
@@ -159,16 +160,14 @@ def _number(text: str, tok: int) -> float:
 
 
 class Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, start: int = 0):
         self.text = text
         self.diagnostics: list[Diagnostic] = []
         self.pos = 0
-        self._offsets: Optional[list[int]] = None  # token offsets, for diagnostics only
-        columns = scan(text)
-        self.values, self.kinds = columns or ([""], "E")
-        if columns is None:
-            _, (message, offset) = locate(text)
-            self._offsets = [offset]
+        self.values, self.kinds, self.offsets, error = tokenize(text, start)
+        if error is not None:  # no tokens: only the EOF, at the error
+            message, offset = error
+            self.values, self.kinds, self.offsets = [""], "E", [offset]
             self._record_at(message, 0)
 
     # --- token utilities -------------------------------------------------
@@ -257,9 +256,7 @@ class Parser:
         return out
 
     def _record_at(self, message: str, tok: int) -> None:
-        if self._offsets is None:
-            self._offsets = locate(self.text)[0]
-        line, column = position(self.text, self._offsets[tok])
+        line, column = position(self.text, self.offsets[tok])
         self.diagnostics.append(
             Diagnostic(message, severity="error", line=line, column=column)
         )
@@ -290,8 +287,9 @@ class Parser:
 
     # --- entry point -----------------------------------------------------
 
-    def parse(self) -> ParseResult:
-        blocks: list = []
+    def parse(self, blocks: tuple = ()) -> ParseResult:
+        """The document of ``blocks`` and those that follow them, or the diagnostics."""
+        blocks = list(blocks)
         try:
             while self.kinds[self.pos] != "E":
                 tok = self.pos
@@ -793,26 +791,35 @@ def _fast_body(text: str, pos: int, keyword: str) -> tuple[list, int]:
             raise ValueError("not read by the fast path")
 
 
-def fast_parse(text: str) -> Optional[Document]:
-    """``text``'s document, read one record per regex match, or None where
-    the fast path gives up; `parse` then runs the token parser.  Tests call
-    it to see which path a text takes."""
+def _fast_blocks(text: str) -> tuple[list, Optional[int]]:
+    """The blocks that the fast path reads, one record per regex match, and
+    None; or, where it gives up, those before that block and where it starts."""
     blocks, pos = [], 0
     try:
         while True:
             m = _BLOCK.match(text, pos)  # never None: at the end, ``\Z`` matches
             keyword, groups, read = _BLOCK_RECORDS[m.lastindex]  # a KeyError on the catch-all
             if keyword == "end":
-                return Document(tuple(blocks))
-            pos = m.end()
+                return blocks, None
+            end = m.end()
             if read is not None:  # else comments
                 head = read(m.groups()[groups])
-                records, pos = _fast_body(text, pos, keyword)
+                records, end = _fast_body(text, end, keyword)
                 blocks.append(_FAST_BLOCKS[keyword][2](head, records))
+            pos = end
     except (LookupError, ValueError, _SyntaxError):  # a give-up, or a converter's error
-        return None
+        return blocks, pos
+
+
+def fast_parse(text: str) -> Optional[Document]:
+    """``text``'s document as the fast path alone reads it, or None where it
+    gives up.  Tests call it to see which path a text takes."""
+    blocks, start = _fast_blocks(text)
+    return Document(tuple(blocks)) if start is None else None
 
 
 def parse(text: str) -> ParseResult:
-    document = fast_parse(text)
-    return Parser(text).parse() if document is None else ParseResult(document, [])
+    blocks, start = _fast_blocks(text)
+    if start is None:
+        return ParseResult(Document(tuple(blocks)), [])
+    return Parser(text, start).parse(blocks)

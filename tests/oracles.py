@@ -710,8 +710,8 @@ def naive_tokenize(text: str) -> Iterator[NaiveToken]:
     yield NaiveToken("EOF", "", line, col)
 
 
-# The master-pattern tokenizer that `safsec.modelfile.lexer.locate` replaced:
-# the reference for its offsets and lexical errors.
+# The master-pattern tokenizer that `safsec.modelfile.lexer.tokenize`
+# replaced: the reference for its texts, kinds, offsets and lexical errors.
 _BODY = r'[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'  # string characters and valid escapes
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*"

@@ -151,14 +151,18 @@ def test_parse_runs_the_token_parser_only_where_the_fast_path_gives_up(monkeypat
     texts = []
 
     class Counted(Parser):
-        def __init__(self, text: str):
-            texts.append(text)
-            super().__init__(text)
+        def __init__(self, text: str, start: int = 0):
+            texts.append((text, start))
+            super().__init__(text, start)
 
     monkeypatch.setattr(parser, "Parser", Counted)
     good, bad = load_bundled("airbag.ssm"), 'gsn "m" {'
     assert parse(good).ok and texts == []
-    assert not parse(bad).ok and texts == [bad]
+    assert not parse(bad).ok and texts == [(bad, 0)]
+    # The token parser starts where the last block that the fast path read ends.
+    late = good + 'fta "Late" {\n  top T\n  gate T XOR [A]\n  event A\n}\n'
+    texts.clear()
+    assert not parse(late).ok and texts == [(late, len(good.rstrip()))]
 
 
 # --- edge cases: each gives the token parser's document or diagnostics --------
@@ -207,6 +211,27 @@ EDGES = {
 def test_edge_cases_agree(name):
     text, fast = EDGES[name]
     assert check(text) is fast
+
+
+# The bundled airbag case, which the fast path reads, then a block that it
+# gives up on: the token parser reads from there on, and `parse` gives what
+# it gives on the whole text.
+AIRBAG, TREE = load_bundled("airbag.ssm"), 'fta "T" {\n  top T\n  event T\n}\n'
+LATE = {
+    "syntax error": AIRBAG + 'fta "Late" {\n  top T\n  gate T XOR [A]\n  event A\n}\n'
+                    + GSN.format('\n  goal G2 "b" under G9'),
+    "lexical error": AIRBAG + 'fta "Late" {\n  top 1.\n}\n' + TREE,
+    "comment in a node record": AIRBAG + 'gsn "G" {\n  goal G0 "top"\n  goal G1 "a" # note\n'
+                                '    under G0\n}\n' + TREE,
+    "text that starts no block": AIRBAG + 'goal G1 "a"\n' + TREE,
+}
+
+
+@pytest.mark.parametrize("name", LATE)
+def test_blocks_after_those_the_fast_path_reads_agree(name):
+    text = LATE[name]
+    assert not check(text)
+    assert parse(text).ok is (name == "comment in a node record")
 
 
 def test_the_last_defeaters_and_impact_win_on_the_fast_path():

@@ -24,6 +24,16 @@ on a hazard goal over a chain of 20,000 strategies with a solution under
 each, whose bottom solution's FMEA fragment must anchor at the top goal.
 One command is still out: ``adt eval``, since ``adteval.evaluate``
 recurses, so the chain raises ``RecursionError`` (ROADMAP item 2).
+
+``validate`` also runs on four files that test where the token parser
+starts.  Three are 417 kB: the bundled airbag case 200 times, renamed, as
+the benchmark's ``parse_400kb`` probe builds it, which the fast path reads;
+the same with a comment line inside each of its 400 GSN node records, which
+the token parser reads from the first; and the 200 copies followed by a
+fault tree with an ``XOR`` gate, where the token parser reads only that last
+block and names the gate's line and column.  The fourth is the
+20,000-deep chain with a comment inside its goal record, so that the token
+parser reads all of it.
 """
 
 import json
@@ -35,6 +45,8 @@ import signal
 from pathlib import Path
 
 import pytest
+
+from safsec.modelfile.parser import fast_parse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT_S = 60
@@ -203,4 +215,46 @@ def test_validate_and_process_run_on_a_two_thousand_round_scenario(tmp_path, kin
     transcript = json.loads(out)
     assert transcript["status"] == "exhausted"
     assert [r["round"] for r in transcript["rounds"]] == list(range(1, ROUNDS + 1))
+    assert peak < PEAK_KB
+
+
+def airbag_copies(copies: int) -> str:
+    """The bundled airbag case ``copies`` times, each with its names changed."""
+    text = (SRC / "safsec" / "data" / "airbag.ssm").read_text(encoding="utf-8")
+    return "".join(text.replace('"Airbag', f'"Copy{i} Airbag') for i in range(copies))
+
+
+LATE_TREE = 'fta "Late" {\n  top T\n  gate T XOR [A]\n  event A\n}\n'
+TOKEN_PATH = {  # the edit, and whether the token parser reads it
+    "printed": (lambda text: text, False),
+    "a comment in each node record": (
+        lambda text: text.replace("\n    defeaters", "\n    # note\n    defeaters"), True),
+    "a bad fault tree last": (lambda text: text + LATE_TREE, True),
+}
+
+
+@pytest.mark.parametrize("case", TOKEN_PATH)
+def test_validate_four_hundred_kilobytes(tmp_path, case):
+    edit, token_path = TOKEN_PATH[case]
+    text = edit(airbag_copies(200))
+    assert (fast_parse(text) is None) is token_path
+    path = tmp_path / "airbags.ssm"
+    path.write_text(text, encoding="utf-8")
+    code, out, err, peak = run_cli(["validate", str(path)], tmp_path)
+    if case == "a bad fault tree last":
+        line = text.count("\n") - 2  # the gate's, two lines above the last
+        assert (code, out, err) == (
+            2, "", f"{path}:{line}:10: error: expected 'AND' or 'OR', got 'XOR'\n")
+    else:
+        assert (code, out, err) == (0, "ok\n", "")
+    assert peak < PEAK_KB
+
+
+def test_validate_a_twenty_thousand_deep_chain_by_the_token_parser(tmp_path):
+    text = deep_case(DEPTH).replace('goal G1 "top"', 'goal G1 # note\n  "top"', 1)
+    assert fast_parse(text) is None
+    path = tmp_path / "deep.ssm"
+    path.write_text(text, encoding="utf-8")
+    code, out, err, peak = run_cli(["validate", str(path)], tmp_path)
+    assert (code, out, err) == (0, "ok\n", "")
     assert peak < PEAK_KB
