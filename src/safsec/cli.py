@@ -14,8 +14,10 @@ from the payload's finding: 0 success, 1 analysis finding (invariant
 violation, contradiction, thresholds unmet), 2 usage, parse or analysis
 error.  Exit 2 writes one ``error:`` line to stderr, or one
 ``file:line:col`` diagnostic per line for a file that does not parse.
-Before an analysis runs, the blocks it reads go through the validator: exit
-2 then writes the line ``validate`` prints for the first error among them.
+Before ``fta cutsets``, ``fmea rpn``, ``gsn confidence``, ``derive adt``,
+``adt eval``, ``process run`` or ``export dot`` runs, the blocks it reads go
+through the validator: exit 2 then writes the line ``validate`` prints for
+the first error among them.  ``conflicts`` runs no such gate.
 ``SAFSEC_COLOR=0`` disables color in text output.
 """
 
@@ -226,11 +228,9 @@ def _joiner(heads: list[str], lengths: list[int], brackets: str, newline: str) -
 
 def _plan_dicts(dicts: list, newline: str, jobs: list) -> tuple[Writer, list]:
     inner = newline + "  "
-    if len(dicts) > 1 and all(map(tuple(dicts[0]).__eq__, map(tuple, dicts))):
+    if len(dicts) > 1 and dicts[0] and all(map(tuple(dicts[0]).__eq__, map(tuple, dicts))):
         # Dicts with one key order: one column per key, each dict one join.
         keys = sorted(dicts[0])
-        if not keys:
-            return lambda parts: ["{}"] * len(dicts), []
         heads = [f",{inner}{encode_basestring_ascii(key)}: " for key in keys]
         heads[0] = "{" + heads[0][1:]
         boxes = [_column(list(map(itemgetter(key), dicts)), inner, jobs) for key in keys]

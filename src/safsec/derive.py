@@ -48,6 +48,16 @@ ATTACK_VERB = {
 
 SEVERITY_BANDS = ((3, Impact.LOW), (7, Impact.MEDIUM), (10, Impact.HIGH))
 
+# Each failure mode's fragment, as `str.format` templates of the row's
+# function: its label, then the labels of the ways it ORs (none: a leaf).
+FMEA_FRAGMENTS = {
+    FailureMode.LOSS_OF_FUNCTION: ("disable {}", "deny_service {}", "tamper {}"),
+    FailureMode.ERRONEOUS: ("tamper {}",),
+    FailureMode.UNINTENDED_ACTION: ("trigger {}",),
+    # partial loss: hit one redundant sub-function
+    FailureMode.PARTIAL_LOSS: ("deny_service sub-function of {}",),
+}
+
 
 def _leaf(label: str, impact: Optional[Impact] = None) -> AdtNode:
     return AdtNode(actor=Actor.ATTACK, label=label, impact=impact)
@@ -116,27 +126,9 @@ def fmea_attack_subtree(table: FmeaTable) -> list[AdtNode]:
     """One attack fragment per FMEA row, keyed on its failure mode."""
     fragments: list[AdtNode] = []
     for row in table.rows:
-        impact = severity_to_impact(row.severity)
-        if row.failure_mode is FailureMode.LOSS_OF_FUNCTION:
-            fragments.append(
-                _node(
-                    f"disable {row.function}",
-                    Refinement.OR,
-                    [
-                        _leaf(f"deny_service {row.function}"),
-                        _leaf(f"tamper {row.function}"),
-                    ],
-                    impact,
-                )
-            )
-        elif row.failure_mode is FailureMode.ERRONEOUS:
-            fragments.append(_leaf(f"tamper {row.function}", impact))
-        elif row.failure_mode is FailureMode.UNINTENDED_ACTION:
-            fragments.append(_leaf(f"trigger {row.function}", impact))
-        else:  # partial loss: hit one redundant sub-function
-            fragments.append(
-                _leaf(f"deny_service sub-function of {row.function}", impact)
-            )
+        label, *ways = (text.format(row.function) for text in FMEA_FRAGMENTS[row.failure_mode])
+        fragments.append(_node(label, Refinement.OR, list(map(_leaf, ways)),
+                               severity_to_impact(row.severity)))
     return fragments
 
 

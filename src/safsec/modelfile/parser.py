@@ -176,11 +176,15 @@ class Parser:
         value, kind = self.values[tok], self.kinds[tok]
         return repr((string_value(value) if kind == "S" else value) or KIND_NAMES[kind])
 
-    def at_ident(self, *words: str) -> bool:
+    def at(self, *words: str) -> bool:
         return self.values[self.pos] in words
 
-    def at_punct(self, value: str) -> bool:
-        return self.values[self.pos] == value
+    def accept(self, *words: str) -> bool:
+        """Whether the token at the cursor is one of ``words``, which it then passes."""
+        if self.values[self.pos] not in words:
+            return False
+        self.pos += 1
+        return True
 
     def _expected(self, what: str, tok: int) -> _SyntaxError:
         return _SyntaxError(f"expected {what}, got {self._got(tok)}", tok)
@@ -193,11 +197,11 @@ class Parser:
         self.pos = tok + 1  # a matched token is never the EOF
         return tok
 
-    def expect_ident(self, *values: str) -> int:
+    def expect_word(self, *words: str) -> int:
+        """The token at the cursor, whose text must be one of ``words``."""
         tok = self.pos
-        if self.kinds[tok] != "I" or (values and self.values[tok] not in values):
-            want = " or ".join(repr(v) for v in values) if values else "identifier"
-            raise self._expected(want, tok)
+        if self.values[tok] not in words:
+            raise self._expected(" or ".join(map(repr, words)), tok)
         self.pos = tok + 1
         return tok
 
@@ -221,13 +225,6 @@ class Parser:
             raise self._expected("number", tok)
         self.pos = tok + 1
         return _number(self.values[tok], tok)
-
-    def expect_punct(self, value: str) -> int:
-        tok = self.pos
-        if self.values[tok] != value:
-            raise self._expected(repr(value), tok)
-        self.pos = tok + 1
-        return tok
 
     def _op(self) -> str:
         tok = self.expect("S")
@@ -317,24 +314,23 @@ class Parser:
 
     def _parse_gsn(self) -> GsnModel:
         name = self.expect_string()
-        self.expect_punct("{")
+        self.expect_word("{")
         nodes: list[GsnNode] = []
         links: list[SecurityLink] = []
         under_refs: list[tuple[str, int]] = []
-        while not self.at_punct("}"):
-            if self.at_ident("goal", "strategy", "solution", "context"):
+        while not self.at("}"):
+            if self.at("goal", "strategy", "solution", "context"):
                 node, under_tok = self._parse_gsn_node()
                 nodes.append(node)
                 if under_tok is not None:
                     under_refs.append((node.id, under_tok))
-            elif self.at_ident("security_link"):
-                self.pos += 1
-                self.expect_ident("under")
+            elif self.accept("security_link"):
+                self.expect_word("under")
                 goal_id = self.values[self.expect("I")]
                 links.append(SecurityLink(goal_id, *self.fields(SecurityLink)))
             else:
                 raise self._expected("gsn node or security_link", self.pos)
-        self.expect_punct("}")
+        self.expect_word("}")
         known = {n.id for n in nodes}
         for node_id, tok in under_refs:
             if self.values[tok] not in known:
@@ -344,57 +340,52 @@ class Parser:
         return GsnModel(name=name, nodes=tuple(nodes), security_links=tuple(links))
 
     def _parse_gsn_node(self) -> tuple[GsnNode, Optional[int]]:
-        kind = _MEMBERS[NodeKind][self.values[self.expect_ident()]]
+        kind = _MEMBERS[NodeKind][self.values[self.expect("I")]]
         node_id = self.values[self.expect("I")]
         text = self.expect_string()
         parent = None
         under_tok = None
-        if self.at_ident("under"):
-            self.pos += 1
+        if self.accept("under"):
             under_tok = self.expect("I")
             parent = self.values[under_tok]
         attributes = {}
-        if self.at_punct("{"):
-            self.pos += 1
-            while not self.at_punct("}"):
+        if self.accept("{"):
+            while not self.at("}"):
                 name = self.values[self.pos]
                 if name not in NODE_ATTRIBUTES:
                     raise _SyntaxError(f"unknown node attribute {name!r}", self.expect("I"))
                 (attributes[name],) = self.fields(name)
-            self.expect_punct("}")
+            self.expect_word("}")
         return GsnNode(node_id, kind, text, parent, **attributes), under_tok
 
     def _parse_id_list(self) -> list[int]:
-        self.expect_punct("[")
+        self.expect_word("[")
         ids = [self.expect("I")]
-        while self.at_punct(","):
-            self.pos += 1
+        while self.accept(","):
             ids.append(self.expect("I"))
-        self.expect_punct("]")
+        self.expect_word("]")
         return ids
 
     def _parse_fta(self) -> FaultTree:
         name = self.expect_string()
-        self.expect_punct("{")
-        self.expect_ident("top")
+        self.expect_word("{")
+        self.expect_word("top")
         top_tok = self.expect("I")
         gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
         events: list[str] = []
         child_refs: list[int] = []
-        while not self.at_punct("}"):
-            if self.at_ident("gate"):
-                self.pos += 1
+        while not self.at("}"):
+            if self.accept("gate"):
                 gate_id = self.values[self.expect("I")]
-                op = _MEMBERS[GateOp][self.values[self.expect_ident("AND", "OR")]]
+                op = _MEMBERS[GateOp][self.values[self.expect_word("AND", "OR")]]
                 child_tokens = self._parse_id_list()
                 child_refs.extend(child_tokens)
                 gates.append((gate_id, op, tuple(self.values[t] for t in child_tokens)))
-            elif self.at_ident("event"):
-                self.pos += 1
+            elif self.accept("event"):
                 events.append(self.values[self.expect("I")])
             else:
                 raise self._expected("gate or event", self.pos)
-        self.expect_punct("}")
+        self.expect_word("}")
         declared = {g for g, _, _ in gates} | set(events)
         top = self.values[top_tok]
         if top not in declared:
@@ -411,48 +402,41 @@ class Parser:
 
     def _parse_fmea(self) -> FmeaTable:
         name = self.expect_string()
-        self.expect_punct("{")
+        self.expect_word("{")
         rows: list[FmeaRow] = []
-        while self.at_ident("row"):
-            self.pos += 1
+        while self.accept("row"):
             rows.append(FmeaRow(self.values[self.expect("I")], *self.fields(FmeaRow)))
-        self.expect_punct("}")
+        self.expect_word("}")
         return FmeaTable(name=name, rows=tuple(rows))
 
     def _parse_requirement(self) -> Requirement:
         req_id = self.values[self.expect("I")]
         kind, trace = self.fields(Requirement)
-        self.expect_punct("{")
+        self.expect_word("{")
         (inputs,) = self.fields(INPUTS)
         clauses: list[Clause] = []
-        while self.at_ident("clause"):
-            self.pos += 1
+        while self.accept("clause"):
             body: list[Literal] = []
-            if not self.at_punct("=>"):
+            if not self.at("=>"):
                 body.append(self._parse_literal())
-                while self.at_punct("&"):
-                    self.pos += 1
+                while self.accept("&"):
                     body.append(self._parse_literal())
-            if not self.at_punct("=>"):
+            if not self.accept("=>"):
                 raise self._expected("'ARROW'", self.pos)
-            self.pos += 1
             head = self._parse_literal()
             clauses.append(Clause(body=tuple(body), head=head))
-        self.expect_punct("}")
+        self.expect_word("}")
         return Requirement(req_id, kind, trace, tuple(clauses), frozenset(inputs))
 
     def _parse_literal(self) -> Literal:
-        positive = True
-        if self.at_punct("!"):
-            self.pos += 1
-            positive = False
+        positive = not self.accept("!")
         return Literal(signal=self.values[self.expect("I")], positive=positive)
 
     def _parse_adt(self) -> AttackDefenseTree:
         name = self.expect_string()
-        self.expect_punct("{")
+        self.expect_word("{")
         root = self._parse_adt_node()
-        self.expect_punct("}")
+        self.expect_word("}")
         return AttackDefenseTree(name=name, root=root)
 
     def _parse_adt_node(self) -> AdtNode:
@@ -468,8 +452,7 @@ class Parser:
             refinement = _BRANCHES.get(self.values[self.pos + 1], Refinement.LEAF)
             self.pos += 1 if refinement is Refinement.LEAF else 2
             entry = [actor, self.expect_string(), refinement, [], None, [], None, is_counter]
-            if self.at_punct("{"):
-                self.pos += 1
+            if self.accept("{"):
                 stack.append(entry)
                 entry = None
             while True:  # at an item or the ``}`` of the innermost open node
@@ -494,10 +477,10 @@ class Parser:
                     break
                 elif value == "attr":
                     key = self.values[self.expect("I")]
-                    self.expect_punct("=")
+                    self.expect_word("=")
                     stack[-1][5].append((key, self.expect_num()))
                 elif value == "impact":
-                    self.expect_punct("=")
+                    self.expect_word("=")
                     stack[-1][6] = self._enum(Impact, self.expect("I"))
                 else:
                     self.pos = tok
@@ -508,19 +491,18 @@ class Parser:
 
     def _parse_scenario(self) -> Scenario:
         name = self.expect_string()
-        self.expect_punct("{")
+        self.expect_word("{")
         head = self.fields(Scenario)
         actions: list[ScenarioAction] = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             actions.append(self._parse_action())
-        self.expect_punct("}")
+        self.expect_word("}")
         return Scenario(name, *head, tuple(actions))
 
     def _parse_action(self) -> ScenarioAction:
-        action = self.values[self.expect_ident("set_policy", "add_counter", "set_defeaters")]
+        action = self.values[self.expect_word("set_policy", "add_counter", "set_defeaters")]
         if action == "set_policy":
-            if self.at_ident("unassessed"):
-                self.pos += 1
+            if self.accept("unassessed"):
                 return UNASSESSED
             return VerdictPolicy(False, *self.fields(VerdictPolicy))
         if action == "add_counter":
@@ -541,7 +523,7 @@ def _reader(kind) -> Callable[[Parser], object]:
     if kind in FIELDS:
         return lambda p: kind(*p.fields(kind))
     if isinstance(kind, tuple):
-        return lambda p: p.values[p.expect_ident(*kind)]
+        return lambda p: p.values[p.expect_word(*kind)]
     if isinstance(kind, str):
         return _READERS[kind]
     return lambda p: p._enum(kind, p.expect("I"))

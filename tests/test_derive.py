@@ -147,6 +147,34 @@ class TestFmeaSubtree:
         assert frag.label == "tamper steer"
         assert frag.impact is Impact.HIGH
 
+    @staticmethod
+    def fragment(function, mode, severity):
+        row = FmeaRow(id="r1", function=function, failure_mode=mode, severity=severity,
+                      occurrence=1, detection=1)
+        (frag,) = fmea_attack_subtree(FmeaTable(name="T", rows=(row,)))
+        return frag
+
+    def test_unintended_action(self):
+        frag = self.fragment("deploy", FailureMode.UNINTENDED_ACTION, 2)
+        assert frag.refinement is Refinement.LEAF
+        assert frag.label == "trigger deploy"
+        assert frag.impact is Impact.LOW
+
+    def test_partial_loss(self):
+        frag = self.fragment("pump", FailureMode.PARTIAL_LOSS, 6)
+        assert frag.refinement is Refinement.LEAF
+        assert frag.label == "deny_service sub-function of pump"
+        assert frag.impact is Impact.MEDIUM
+
+    def test_function_with_braces_is_inserted_verbatim(self):
+        frag = self.fragment("map {x} {}", FailureMode.LOSS_OF_FUNCTION, 8)
+        assert frag.label == "disable map {x} {}"
+        assert [c.label for c in frag.children] == [
+            "deny_service map {x} {}",
+            "tamper map {x} {}",
+        ]
+        assert frag.impact is Impact.HIGH
+
     def test_empty_table(self):
         assert fmea_attack_subtree(FmeaTable(name="T", rows=())) == []
 

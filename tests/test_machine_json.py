@@ -89,7 +89,7 @@ def test_payload_dict_matches_indenting_encoder(payload):
 
 
 @pytest.mark.parametrize("value", [[], {}, (), Row(), Record(), [[]], {"a": {}}, [[], [()]],
-                                   {"": [{"": []}]}])
+                                   {"": [{"": []}]}, [{}, {}], {"a": [{}, {}, {}]}])
 def test_empty_containers_at_every_depth(value):
     assert _dumps(value) == oracle(value)
 

@@ -23,7 +23,8 @@ goals.  ``validate`` and ``process run`` run on each.  ``derive adt`` runs
 on a hazard goal over a chain of 20,000 strategies with a solution under
 each, whose bottom solution's FMEA fragment must anchor at the top goal.
 One command is still out: ``adt eval``, since ``adteval.evaluate``
-recurses, so the chain raises ``RecursionError`` (ROADMAP item 2).
+recurses, so the chain raises ``RecursionError`` (ROADMAP items 1-2).  A
+strict xfail pins that crash on the benchmark's deep ADT, 1,200 levels.
 
 ``validate`` also runs on four files that test where the token parser
 starts.  Three are 417 kB: the bundled airbag case 200 times, renamed, as
@@ -258,3 +259,18 @@ def test_validate_a_twenty_thousand_deep_chain_by_the_token_parser(tmp_path):
     code, out, err, peak = run_cli(["validate", str(path)], tmp_path)
     assert (code, out, err) == (0, "ok\n", "")
     assert peak < PEAK_KB
+
+
+@pytest.mark.xfail(strict=True, reason="adteval.evaluate recurses and raises RecursionError "
+                   "on a deep ADT (ROADMAP items 1-2)")
+def test_adt_eval_on_the_benchmarks_deep_adt(tmp_path):
+    depth = 1200  # as perfbench's malformed workload builds it
+    path = tmp_path / "deep.ssm"
+    path.write_text("\n".join(['adt "deep" {', *(f'attack OR "level {i}" {{' for i in range(depth)),
+                               'attack "bottom" { attr cost = 1 }', *["}"] * (depth + 1)]) + "\n",
+                    encoding="utf-8")
+    code, out, err, peak = run_cli(["--format", "machine", "adt", "eval", str(path), "--adt", "deep",
+                                    "--attribute", "cost"], tmp_path)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["root"], len(result["values"])) == (1, depth + 1)
