@@ -4,16 +4,19 @@ Each analysis command computes its result once and builds one payload dict.
 ``--format machine`` prints that payload as canonical JSON: the machine
 output *is* the payload, in the bytes of ``json.dumps(payload,
 sort_keys=True, indent=2)``, where a cut-set family (``fta.CutSets``) is the
-list of its rows in canonical order.  CPython writes an indented document in
-pure Python, one call per container, so `_dumps` writes the same bytes a
-column at a time: the values that start on one indent level, encoded
-together by one ``map`` per scalar type and joined into one text per
-container.  Text output is a rendering of the same payload, written in
-blocks of lines, so the two formats cannot disagree.  The exit code comes
-from the payload's finding: 0 success, 1 analysis finding (invariant
-violation, contradiction, thresholds unmet), 2 usage, parse or analysis
-error.  Exit 2 writes one ``error:`` line to stderr, or one
-``file:line:col`` diagnostic per line for a file that does not parse.
+list of its rows in canonical order and the ``conflicts`` witness families
+(``conflicts.Witnesses``) are the list of their witnesses' dicts.  CPython
+writes an indented document in pure Python, one call per container, so
+`_dumps` writes the same bytes a column at a time: the values that start on
+one indent level, encoded together by one ``map`` per scalar type and joined
+into one text per container.  Families are written straight from their
+masks and patterns, without building the sets or witnesses they stand for.
+Text output is a rendering of the same payload, written in blocks of lines,
+so the two formats cannot disagree.  The exit code comes from the payload's
+finding: 0 success, 1 analysis finding (invariant violation, contradiction,
+thresholds unmet), 2 usage, parse or analysis error.  Exit 2 writes one
+``error:`` line to stderr, or one ``file:line:col`` diagnostic per line for
+a file that does not parse.
 Before ``fta cutsets``, ``fmea rpn``, ``gsn confidence``, ``derive adt``,
 ``adt eval``, ``process run`` or ``export dot`` runs, the blocks it reads go
 through the validator: exit 2 then writes the line ``validate`` prints for
@@ -156,9 +159,9 @@ Writer = Callable[[list], Iterable[str]]
 
 
 def _kind(kind: type) -> type:
-    """How values of type ``kind`` are written: as a key of `_SCALARS`, as
-    ``CutSets``, as ``dict`` (dicts) or as ``list`` (lists and tuples)."""
-    if kind in _SCALARS or kind is fta_mod.CutSets:
+    """How values of type ``kind`` are written: as a key of `_SCALARS` or of
+    `_FAMILIES`, as ``dict`` (dicts) or as ``list`` (lists and tuples)."""
+    if kind in _SCALARS or kind in _FAMILIES:
         return kind
     if issubclass(kind, dict):
         return dict
@@ -174,13 +177,70 @@ def _family(family: fta_mod.CutSets, newline: str) -> str:
     return f"[{inner}{f',{inner}'.join(rows)}{newline}]" if rows else "[]"
 
 
+class _Contradictions:
+    """The ``conflicts`` payload's contradictions: by candidate pair, in
+    candidate order, the witness family of each pair that has one.  It is
+    written as the list of every witness's dict (`_witnesses`)."""
+
+    __slots__ = ("families",)
+
+    def __init__(self, families: dict[tuple[str, str], conflicts_mod.Witnesses]) -> None:
+        self.families = families
+
+
+def _list(items: Iterable[str], newline: str) -> str:
+    """A list that starts on the line ``newline`` ends, from its items'
+    texts, each led by a comma and its line break."""
+    body = "".join(items)
+    return f"[{body[1:]}{newline}]" if body else "[]"
+
+
+def _witnesses(contradictions: _Contradictions, newline: str) -> str:
+    """Every family's witnesses, starting on the line ``newline`` ends, as
+    the list of their dicts, written straight from the patterns.  Each
+    witness's assignment is read off tables of the pattern bytes
+    (``Witnesses.assignment_texts``).  Per family, each fired clause is
+    encoded once, and so is each shared tuple's text of the keys after the
+    assignment, with the pair.  One join writes every witness."""
+    item, inner = newline + "  ", newline + "    "
+    head = f",{item}{{{inner}\"assignment\": {{"
+    strings = lambda values: _list(
+        map(f",{inner}  ".__add__, map(encode_basestring_ascii, values)), inner)
+    pieces = []
+    for pair, family in contradictions.families.items():
+        names = [f"{inner}  {encode_basestring_ascii(name)}: " for name in family.inputs]
+        after = (f"{inner}}}" if names else "}") + f",{inner}\"conflicted_signal\": "
+        ending = f",{inner}\"pair\": {strings(pair)}{item}}}"
+        shared = {id(s): s for s in family.shared}
+        clauses = {id(c): c for _, _, fired in shared.values() for c in fired}
+        item_of = {key: f",{inner}  {encode_basestring_ascii(c.text)}" for key, c in clauses.items()}
+        tails = {key: "".join((after, encode_basestring_ascii(signal), f",{inner}\"fired_clauses\": ",
+                               _list(map(item_of.__getitem__, map(id, fired)), inner),
+                               f",{inner}\"involved_requirements\": ", strings(involved), ending))
+                 for key, (signal, involved, fired) in shared.items()}
+        pieces += chain.from_iterable(zip(repeat(head), *family.assignment_texts(names, ","),
+                                          map(tails.__getitem__, map(id, family.shared))))
+    if not pieces:
+        return "[]"
+    pieces[0] = "[" + head[1:]
+    pieces.append(newline + "]")
+    return "".join(pieces)
+
+
+# A family kind -> the writer of one family that starts on a given line.
+_FAMILIES: dict[type, Callable[[Any, str], str]] = {
+    fta_mod.CutSets: _family,
+    _Contradictions: _witnesses,
+}
+
+
 def _box(values: list, kind: type, newline: str, jobs: list) -> list:
     """The box that will hold the texts of a column of one ``kind``: now for
     scalars and families (written when read), else once its job is written."""
     if kind in _SCALARS:
         return [_SCALARS[kind](values)]
-    if kind is fta_mod.CutSets:
-        return [map(_family, values, repeat(newline))]
+    if kind in _FAMILIES:
+        return [map(_FAMILIES[kind], values, repeat(newline))]
     box: list = []
     jobs.append((values, newline, kind, box))
     return box
@@ -297,7 +357,9 @@ def _plan(values: list, newline: str, kind: type, jobs: list) -> tuple[Writer, l
 
 def _dumps(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2, default=...)``, byte for
-    byte, where ``default`` turns a cut-set family into its canonical rows.
+    byte, where ``default`` turns a cut-set family into its canonical rows
+    and the ``conflicts`` payload's witness families into the list of their
+    witnesses' dicts.
 
     CPython encodes with an ``indent`` in pure Python only, one generator
     call per container.  This writer works a *column* at a time: the values
@@ -306,8 +368,10 @@ def _dumps(value: Any) -> str:
     into one column in sorted-key order, and lists flatten into one column
     of items; lists of strings are joined at once.  A column of one exact
     scalar type is encoded by one ``map``, and a mixed column splits by
-    kind.  A family is written as its rows at once, each event encoded
-    once (`_family`).  One forward pass over the job list plans every column
+    kind.  A cut-set family is written as its rows at once, each event
+    encoded once (`_family`); witness families are written from their
+    patterns, each witness one run of table entries and one encoded tail
+    (`_witnesses`).  One forward pass over the job list plans every column
     of containers, and one reversed pass writes each column's texts from its
     child columns', which it then drops, so nothing recurses.  A container's
     text is copied once more for each level above it, except along a chain
@@ -623,23 +687,22 @@ def adt_eval(file: str, adt_name: str, attribute: str, policy_path: Optional[str
 def _text_conflicts(p: dict) -> Lines:
     if not p["candidates"]:
         yield "no conflict candidates (no shared signals)", None
-    witnesses: dict[tuple, list[dict]] = {}
-    for w in p["contradictions"]:
-        witnesses.setdefault(tuple(w["pair"]), []).append(w)
+    families = p["contradictions"].families
     for first, second in p["candidates"]:
         pair = f"{first} / {second}"
-        if (first, second) not in witnesses:
+        family = families.get((first, second))
+        if family is None:
             yield f"{pair}: consistent", "green"
-        for w in witnesses.get((first, second), ()):
-            assign = ", ".join(
-                f"{k}={'true' if v else 'false'}" for k, v in w["assignment"].items()
-            )
-            yield (
-                f"{pair}: CONTRADICTION on {w['conflicted_signal']} under {{{assign}}}",
-                "red",
-            )
-            for clause in w["fired_clauses"]:
-                yield f"  fired: {clause}", None
+            continue
+        heads = {key: f"{pair}: CONTRADICTION on {signal} under {{"
+                 for key, (signal, _, _) in {id(s): s for s in family.shared}.items()}
+        assignments = family.assignment_texts([name + "=" for name in family.inputs], ", ")
+        lines = map("".join, zip(map(heads.__getitem__, map(id, family.shared)), *assignments,
+                                 repeat("}")))
+        for line, (_, _, fired) in zip(lines, family.shared):
+            yield line, "red"
+            for clause in fired:
+                yield f"  fired: {clause.text}", None
 
 
 @main.command("conflicts")
@@ -654,33 +717,17 @@ def conflicts_cmd(file: str, wide_candidates: bool) -> None:
     document, _ = _load(file)
     by_id = document.requirements
     candidates = conflicts_mod.conflict_candidates(list(by_id.values()), wide=wide_candidates)
-    contradictions = []
+    families = {}
     for first, second in candidates:
-        # Witnesses that fired the same rules share their tuples, and so
-        # their payload lists: keyed by identity while ``witnesses`` holds
-        # every tuple alive.  A pair's witnesses share its list too; the
-        # machine writer writes a list met more than once only once.
         witnesses = conflicts_mod.check_pair(by_id[first], by_id[second])
-        pair = [first, second]
-        lists: dict[int, tuple[list[str], list[str]]] = {}
-        for w in witnesses:
-            shared = lists.get(id(w.fired_clauses))
-            if shared is None:
-                shared = lists[id(w.fired_clauses)] = (
-                    list(w.involved_requirements), [c.text for c in w.fired_clauses])
-            contradictions.append({
-                "pair": pair,
-                "assignment": w.input_assignment,
-                "conflicted_signal": w.conflicted_signal,
-                "involved_requirements": shared[0],
-                "fired_clauses": shared[1],
-            })
+        if witnesses:
+            families[first, second] = witnesses
     payload = {
         "command": "conflicts",
         "candidates": [list(c) for c in candidates],
-        "contradictions": contradictions,
+        "contradictions": _Contradictions(families),
     }
-    _emit(payload, _text_conflicts, finding=bool(contradictions))
+    _emit(payload, _text_conflicts, finding=bool(families))
 
 
 def _text_process(p: dict) -> Lines:

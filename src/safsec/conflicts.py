@@ -9,7 +9,7 @@ which some signal is derived with both polarities is reported.  A
 positive)`` tuple, so facts may be given either way.  Negated signals are
 distinct atoms, so nothing follows from the mere absence of a fact: an atom
 holds only if a rule supports it.  :func:`check_pair` returns a pair's
-witnesses, none when the pair is consistent.
+witness family, empty when the pair is consistent.
 
 The search is bit-parallel.  With n inputs, assignment pattern ``p`` (bit
 ``i`` of ``p`` is the value of input ``i``) is bit ``p`` of a 2**n-bit
@@ -19,21 +19,27 @@ fire log of ``(rule, patterns newly fired)`` keeps each pattern's firing
 order.  Per pattern, rules fire in the order that chaining that assignment
 alone would; :func:`forward_chain` is the same fixpoint at width one.
 
-Witnesses are read off little-endian byte views of the masks, a byte at a
-time: per nonzero byte of the conflict mask, one slice takes that byte of
-every fired rule's and conflict's view, and a table lists its set bits.  Per
-witness, one C-level translate of that slice gives the flags of the rules it
-fired and the signals in conflict, and its assignment is zipped from table
-rows of input values.  Witnesses that fired the same rules share one
-``involved_requirements`` and one ``fired_clauses`` tuple; each has its own
-assignment dict.
+Witnesses are read off little-endian byte views of the masks: a table lists
+the set bits of each byte of the conflict mask, which are the patterns.  Per
+witness, one strided slice takes its byte of every fired rule's and
+conflict's view, and one C-level translate of that slice gives the flags of
+the rules it fired and the signals in conflict, which key its shared tuple.
+The answer is a :class:`Witnesses` family, as :class:`~safsec.fta.CutSets`
+is a family of masks: the patterns in ascending order and, per pattern, the
+``(conflicted signal, involved requirements, fired clauses)`` tuple that
+every witness firing the same rules shares.  Each
+:class:`ContradictionWitness`, with an assignment dict of its own, is built
+only when read; the CLI writes both formats straight from the patterns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence as AbstractSequence
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, compress, repeat
+from operator import and_, eq, rshift
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .model import Clause, Literal, Record, Requirement
 
@@ -67,13 +73,86 @@ class ContradictionWitness(NamedTuple):
 
 
 @cache
-def _tables() -> tuple[tuple, tuple, tuple]:
-    """Byte -> its set bits, ascending; pattern -> the values of inputs 0-7;
-    and bit -> the translate table mapping each byte to that bit of it.
-    Built for the first contradiction found, not at import."""
+def _tables() -> tuple[tuple, tuple]:
+    """Byte -> its set bits, ascending; and bit -> the translate table mapping
+    each byte to that bit of it.  Built for the first contradiction found, not
+    at import."""
     return (tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)),
-            tuple(tuple(bool(p >> i & 1) for i in range(8)) for p in range(256)),
             tuple(bytes(byte >> bit & 1 for byte in range(256)) for bit in range(8)))
+
+
+@cache
+def _values() -> tuple[tuple[bool, ...], ...]:
+    """Byte -> the values of the eight inputs that it holds, bit 0 first.
+    Built for the first witness read, not at import."""
+    return tuple(tuple(bool(byte >> bit & 1) for bit in range(8)) for byte in range(256))
+
+
+class Witnesses(AbstractSequence):
+    """A read-only family of contradiction witnesses.
+
+    ``patterns`` holds one assignment pattern per witness, ascending, in which
+    bit ``i`` is the value of ``inputs[i]``.  ``shared[k]`` is witness ``k``'s
+    ``(conflicted_signal, involved_requirements, fired_clauses)``: one tuple
+    for all the witnesses that fired the same rules and conflict alike.  Read
+    as a sequence, the family yields each :class:`ContradictionWitness` when
+    it is read, with an assignment dict of its own, and it equals the list or
+    tuple of the same witnesses.  `assignment_texts` writes the assignments
+    straight from the patterns instead.  No field may be mutated.
+    """
+
+    __slots__ = ("inputs", "patterns", "shared")
+
+    def __init__(self, inputs: tuple[str, ...], patterns: list[int], shared: list[tuple]) -> None:
+        self.inputs = inputs
+        self.patterns = patterns
+        self.shared = shared
+
+    def __len__(self) -> int:
+        return len(self.patterns)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return Witnesses(self.inputs, self.patterns[index], self.shared[index])
+        return self._witness(self.patterns[index], self.shared[index])
+
+    def __iter__(self) -> Iterator[ContradictionWitness]:
+        return map(self._witness, self.patterns, self.shared)
+
+    def _witness(self, pattern: int, shared: tuple) -> ContradictionWitness:
+        values = _values()
+        bits = chain(values[pattern & 255], values[pattern >> 8 & 255], values[pattern >> 16])
+        return ContradictionWitness(dict(zip(self.inputs, bits)), *shared)
+
+    def assignment_texts(self, names: Sequence[str], sep: str) -> list[Iterator[str]]:
+        """Per byte of the patterns, in order, each witness's text of the
+        inputs in that byte, read from one table of at most 256 entries:
+        input ``i`` is written ``names[i]`` and ``false`` or ``true``, with
+        ``sep`` between two inputs.  Joined in order, a witness's texts
+        spell its whole assignment."""
+        texts = [(name + "false" + sep, name + "true" + sep) for name in names]
+        if names:
+            texts[-1] = (names[-1] + "false", names[-1] + "true")
+        columns = []
+        for start in range(0, len(texts), 8):
+            table = [""]
+            for false, true in texts[start:start + 8]:
+                table = [text + false for text in table] + [text + true for text in table]
+            index = map(rshift, self.patterns, repeat(start)) if start else self.patterns
+            if start + 8 < len(texts):
+                index = map(and_, index, repeat(255))
+            columns.append(map(table.__getitem__, index))
+        return columns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Witnesses, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Witnesses({list(self)!r})"
 
 
 def conflict_candidates(reqs: Sequence[Requirement], wide: bool = False) -> list[tuple[str, str]]:
@@ -154,11 +233,10 @@ def _input_mask(index: int, width: int) -> int:
     return mask
 
 
-def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
-    """Witnesses for every input assignment deriving both polarities of a signal.
-
-    Witnesses come in ascending pattern order, where bit ``i`` of the pattern
-    is the value of ``rules.inputs[i]``.
+def find_contradictions(rules: RuleSet) -> Witnesses:
+    """The family of witnesses, one per input assignment that derives both
+    polarities of a signal, in ascending pattern order: bit ``i`` of the
+    pattern is the value of ``rules.inputs[i]``.
     """
     if len(rules.inputs) > MAX_INPUTS:
         raise ValueError(
@@ -179,7 +257,7 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
             conflicts.append((sig, both))
             hit |= both
     if not hit:
-        return []
+        return Witnesses(rules.inputs, [], [])
 
     # Read the witnesses off little-endian byte views of the masks.  Row r of
     # ``rows`` is the view of the r-th fired rule or conflict, so a strided
@@ -189,40 +267,21 @@ def find_contradictions(rules: RuleSet) -> list[ContradictionWitness]:
     fires = [(idx, new) for idx, new in log if new & hit]
     nfires = len(fires)
     rows = b"".join(mask.to_bytes(nbytes, "little") for _, mask in fires + conflicts)
-    clauses, owners, inputs = rules.clauses, rules.owners, rules.inputs
-    high_inputs = range(len(inputs) - 8)  # inputs 8 and up, empty for fewer
-    high_values: dict[int, tuple[bool, ...]] = {}  # pattern >> 8 -> their values
-    shared: dict[bytes, tuple] = {}  # flags -> (conflicted signal, owners, clauses)
-    by_fired: dict[bytes, tuple] = {}  # the fired rules' flags -> (owners, clauses)
-    witnesses: list[ContradictionWitness] = []
-    bits_of, low_values, flags_of = _tables()
-    for byte_index, byte in enumerate(hit.to_bytes(nbytes, "little")):
-        if not byte:
-            continue
-        column = rows[byte_index::nbytes]
-        high = byte_index >> 5
-        rest = high_values.get(high)
-        if rest is None:
-            rest = high_values[high] = tuple(bool(high >> i & 1) for i in high_inputs)
-        low = (byte_index & 31) << 3
-        for bit in bits_of[byte]:
-            flags = column.translate(flags_of[bit])
-            found = shared.get(flags)
-            if found is None:
-                tuples = by_fired.get(flags[:nfires])
-                if tuples is None:
-                    fired = [idx for (idx, _), flag in zip(fires, flags) if flag]
-                    tuples = by_fired[flags[:nfires]] = (
-                        tuple(sorted({owners[idx] for idx in fired if owners[idx]})),
-                        tuple([clauses[idx] for idx in fired]),
-                    )
-                found = shared[flags] = (conflicts[flags.index(1, nfires) - nfires][0], *tuples)
-            witnesses.append(
-                ContradictionWitness(dict(zip(inputs, low_values[low | bit] + rest)), *found))
-    return witnesses
+    fire_owners = [rules.owners[idx] for idx, _ in fires]
+    fire_clauses = [rules.clauses[idx] for idx, _ in fires]
+    by_fired = cache(lambda fired: (  # the fired rules' flags -> (owners, clauses)
+        tuple(sorted(set(compress(fire_owners, fired)) - {""})),
+        tuple(compress(fire_clauses, fired))))
+    by_flags = cache(lambda flags: (conflicts[flags.index(1, nfires) - nfires][0],
+                                    *by_fired(flags[:nfires])))
+    bits_of, flags_of = _tables()
+    patterns = [index << 3 | bit for index, byte in enumerate(hit.to_bytes(nbytes, "little"))
+                if byte for bit in bits_of[byte]]
+    shared = [by_flags(rows[p >> 3::nbytes].translate(flags_of[p & 7])) for p in patterns]
+    return Witnesses(rules.inputs, patterns, shared)
 
 
-def check_pair(r1: Requirement, r2: Requirement) -> tuple[ContradictionWitness, ...]:
-    """A conflict candidate's witnesses, from exactly two requirements; none
-    when the pair is consistent."""
-    return tuple(find_contradictions(RuleSet.from_requirements([r1, r2])))
+def check_pair(r1: Requirement, r2: Requirement) -> Witnesses:
+    """A conflict candidate's witness family, from exactly two requirements;
+    empty when the pair is consistent."""
+    return find_contradictions(RuleSet.from_requirements([r1, r2]))

@@ -35,8 +35,14 @@ fault tree with an ``XOR`` gate, where the token parser reads only that last
 block and names the gate's line and column.  The fourth is the
 20,000-deep chain with a comment inside its goal record, so that the token
 parser reads all of it.
+
+``conflicts --format machine`` runs on the bundled building's door conflict
+over 16 inputs: 16,384 witnesses, 11.7 MB of JSON, which must be the bytes
+of ``json.dumps`` of the payload that the test builds by hand.  It peaks at
+about 41 MB; 17 inputs take about 66 MB.
 """
 
+import hashlib
 import json
 import os
 import resource
@@ -216,6 +222,47 @@ def test_validate_and_process_run_on_a_two_thousand_round_scenario(tmp_path, kin
     transcript = json.loads(out)
     assert transcript["status"] == "exhausted"
     assert [r["round"] for r in transcript["rounds"]] == list(range(1, ROUNDS + 1))
+    assert peak < PEAK_KB
+
+
+DOOR_INPUTS = 16
+
+
+def door_case(n: int) -> tuple[str, dict]:
+    """building.ssm's door conflict over ``n`` inputs, ``n - 2`` of them
+    read by no rule, and its machine payload: every assignment with Fire
+    true and Auth false is a witness, in ascending pattern order."""
+    spare = [f"In{i:02d}" for i in range(n - 2)]
+    text = "".join([
+        f"requirement Door kind = safety trace = D {{\n  inputs = [{', '.join(['Fire', *spare[::2]])}]\n",
+        "  clause Fire => !Lock\n}\n",
+        f"requirement Guard kind = security_design trace = D {{\n"
+        f"  inputs = [{', '.join(['Auth', *spare[1::2]])}]\n",
+        "  clause !Auth => Lock\n}\n",
+    ])
+    inputs = ["Auth", "Fire", *spare]  # sorted, bit i of a pattern is input i
+    witnesses = [{
+        "pair": ["Door", "Guard"],
+        "assignment": {name: bool(pattern >> i & 1) for i, name in enumerate(inputs)},
+        "conflicted_signal": "Lock",
+        "involved_requirements": ["Door", "Guard"],
+        "fired_clauses": ["Fire => !Lock", "!Auth => Lock"],
+    } for pattern in range(2, 1 << n, 4)]
+    return text, {"command": "conflicts", "candidates": [["Door", "Guard"]],
+                  "contradictions": witnesses}
+
+
+def test_conflicts_on_a_sixteen_input_door_pair(tmp_path):
+    text, payload = door_case(DOOR_INPUTS)
+    path = tmp_path / "door.ssm"
+    path.write_text(text, encoding="utf-8")
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert len(payload["contradictions"]) == 2 ** (DOOR_INPUTS - 2)
+    del payload
+    code, out, err, peak = run_cli(["--format", "machine", "conflicts", str(path)], tmp_path)
+    assert (code, err) == (1, "")
+    assert len(out) == len(expected)
+    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
     assert peak < PEAK_KB
 
 
