@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import ExitStack
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -395,7 +396,8 @@ _BLOCK = 64  # text lines per write: a write per line costs more than rendering 
 
 def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False) -> None:
     """Print ``payload`` as JSON or as ``render``'s text lines; exit 1 on a finding."""
-    if click.get_current_context().obj == "machine":
+    ctx = click.get_current_context()
+    if ctx.obj == "machine":
         # ASCII bytes, as `_dumps` escapes every other character, go straight
         # to the binary stream: click neither scans them for ANSI codes nor
         # encodes them.  The newline goes apart, not copying the whole text.
@@ -406,7 +408,11 @@ def _emit(payload: dict, render: Callable[[dict], Lines], finding: bool = False)
             click.echo(text, nl=False)
         click.echo()
     else:
-        lines = (click.style(line, fg=colour) if colour else line for line, colour in render(payload))
+        # Style a line only where its colour shows, as `click.echo` decides
+        # (and `CliRunner` patches); echo still strips what it would strip.
+        plain = click.utils.should_strip_ansi(sys.stdout, ctx.color)
+        lines = (click.style(line, fg=colour) if colour and not plain else line
+                 for line, colour in render(payload))
         while block := list(islice(lines, _BLOCK)):
             click.echo("\n".join(block))
     if finding:
@@ -451,7 +457,7 @@ def main(ctx: click.Context, fmt: str) -> None:
     """Safety/security assurance analyses over .ssm model files."""
     ctx.obj = fmt
     if os.environ.get("SAFSEC_COLOR", "1") == "0":
-        ctx.color = False  # click strips the styles when it writes
+        ctx.color = False  # no line is styled
 
 
 def _group(name: str, help: str) -> click.Group:

@@ -1,21 +1,25 @@
-"""Parser for the ``.ssm`` model format, by two paths.
+"""Parser for the ``.ssm`` model format, by two paths that read one grammar.
+
+`GRAMMAR` is the one statement of each block kind: its header row, its
+body's records and how the block is built from them.  A row is a run of
+words and of ``key = value`` fields, each spelled once, in `FIELDS` (and in
+`NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a row
+token by token, `_fast_record` makes its pattern, and the printer writes
+its fields.  Only the records that nest or repeat, the GSN node with its
+attribute lines, the clause and the ADT node, keep a reader per path.
 
 `parse` first tries the fast path, `fast_parse`: one regex match per
-record (a block's header, a GSN node with its attribute lines, a security
-link, a gate, an event, an FMEA row, a clause, an ADT node header,
-``attr``, ``impact``, a ``}``, a scenario's action), laid out as the
-printer writes them, where any run of blanks may stand for a blank, with
-``#`` comment lines between records.  The patterns are built from
-`FIELDS`, `KEYWORDS` and `NODE_ATTRIBUTES`, and the values go through the
-token parser's converters.  On anything else (a comment inside a record,
-an identifier that starts with a non-ASCII letter, any lexical or syntax
-error, a reference that the token parser refuses, a converter's error) it
-gives up, and the token parser, `Parser`, reads on from the start of that
-block: it carries nothing from one block to the next but its diagnostics,
-and the fast path reads only lexically valid text that passes its checks.
-Only the token parser reports, so each diagnostic keeps its text and
-position; and it is the oracle that the tests hold the fast path to.  Which
-path reads a block depends on the text alone.
+record, laid out as the printer writes them, where any run of blanks may
+stand for a blank, with ``#`` comment lines between records.  The values go
+through the token parser's converters.  On anything else (a comment inside
+a record, an identifier that starts with a non-ASCII letter, any lexical or
+syntax error, a reference that the token parser refuses, a converter's
+error) it gives up, and the token parser, `Parser`, reads on from the start
+of that block: it carries nothing from one block to the next but its
+diagnostics, and the fast path reads only lexically valid text that passes
+its checks.  Only the token parser reports, so each diagnostic keeps its
+text and position; and it is the oracle that the tests hold the fast path
+to.  Which path reads a block depends on the text alone.
 
 A token is an index into the columns that `lexer.tokenize` gives in one
 pass: texts, one-letter kind codes, which `KIND_NAMES` spells out for
@@ -26,23 +30,18 @@ Diagnostics carry line/column of the offending token; a lexical error is
 the only one.  Parsing aborts after 20 errors.  Syntax errors inside a block
 skip ahead to the next top-level block keyword so that independent blocks
 still get checked.
-
-Every ``key = value`` field of a record is spelled once, in `FIELDS` (and
-in `NODE_ATTRIBUTES` for a GSN node's attributes): `Parser.fields` reads a
-row of it, `_fast_record` makes its pattern, and the printer writes it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cache
-from itertools import accumulate
-from typing import Callable, Iterable, Optional
+from functools import cache, partial
+from itertools import accumulate, takewhile
+from typing import Callable, Optional
 
 from ..adteval import UNASSESSED, VerdictPolicy
 from ..model import (
-    BLOCK_KEYWORDS,
     Actor,
     AddCounterAction,
     AdtNode,
@@ -68,7 +67,6 @@ from ..model import (
     Requirement,
     RequirementKind,
     Scenario,
-    ScenarioAction,
     SecurityLink,
     SetDefeatersAction,
     Thresholds,
@@ -85,15 +83,18 @@ _WHAT = {Impact: "impact level", GuideWord: "guide word", FailureMode: "failure 
          RequirementKind: "requirement kind"}
 
 # The kinds of a field's value, besides an enum, a tuple of the words it may
-# be and a record of `FIELDS`, which follows its keyword without ``=``.
+# be and a record of `FIELDS`, which follows its keyword without ``=``.  A
+# REF is an IDENT and REFS are IDS that the block must declare; a NODE, an
+# ADT node with all under it, ends its row.
 INT, NUM, STRING, IDENT, IDS, OP = "INT", "NUM", "STRING", "IDENT", "IDS", "OP"
+REF, REFS, NODE = "REF", "REFS", "NODE"
 
 # The fields of each record in the order that a file writes them and the
 # record holds them, after the record's leading id (FmeaRow.id,
 # SecurityLink.goal_id, Requirement.id, Scenario.name) or flag
 # (VerdictPolicy.unassessed): (field, kind) and, for an optional field, its
 # default, which the printer leaves out.  Requirement, Scenario and
-# AddCounterAction list only their headers; their bodies are read by hand.
+# AddCounterAction list only their headers; `GRAMMAR` states their bodies.
 FIELDS = {
     DefeaterCount: (("outruled", INT), ("total", INT)),
     HazardMeta: (("impact", Impact), ("mechanism", GuideWord), ("trace", IDENT)),
@@ -122,12 +123,14 @@ NODE_ATTRIBUTES = {"defeaters": DefeaterCount, "hazard": HazardMeta, "voter": Vo
 # A requirement's optional line of inputs, after its header.
 INPUTS = ("inputs", IDS, ())
 REQUIRED = object()  # the default of a field that a record must have
+_STRING, _IDENT, _NODE = (None, STRING), (None, IDENT), (None, NODE)  # bare values
 _BRANCHES = {"AND": Refinement.AND, "OR": Refinement.OR}
 
 
-def prefix(field: str, kind) -> str:
+def prefix(field: Optional[str], kind) -> str:
     """What a file writes before a field's value: ``keyword = ``, or for a
-    record ``keyword `` (or nothing, for a field without a keyword)."""
+    record ``keyword `` (or nothing, for a field without a keyword or a bare
+    value, whose field is None)."""
     keyword = KEYWORDS.get(field, field)
     return "" if keyword is None else f"{keyword} " if kind in FIELDS else f"{keyword} = "
 
@@ -233,22 +236,30 @@ class Parser:
             raise _SyntaxError(f"op must be \"<=\" or \">=\", got {op!r}", tok)
         return op
 
-    def fields(self, record) -> list:
-        """The values of the fields in ``record``'s row of `FIELDS` (or of
-        the one field that a GSN node attribute's name or `INPUTS` names),
-        read from the file in the row's order."""
+    def _ref(self, tok: int, message: str, of: str = "") -> str:
+        """The name at ``tok``, which the block must declare, else a
+        diagnostic says ``message`` of it (and of ``of``) once the block is read."""
+        self.refs.append((tok, message, of))
+        return self.values[tok]
+
+    def fields(self, steps: tuple) -> list:
+        """The values of a row that `_steps` resolved, read token by token:
+        its words, which give no value, its bare values and its fields."""
         values, out = self.values, []
-        for keyword, skip, read, default in _STEPS[record]:
-            tok = self.pos
-            if values[tok] != keyword:  # only an IDENT can equal a keyword
-                if default is REQUIRED:
-                    raise self._expected(repr(keyword), tok)
-                out.append(default)
-                continue
-            if skip == 2 and values[tok + 1] != "=":
-                self.pos = tok + 1
-                raise self._expected("'='", tok + 1)
-            self.pos = tok + skip
+        for keyword, skip, read, default in steps:
+            if keyword is not None:
+                tok = self.pos
+                if values[tok] != keyword:  # only an IDENT can equal a keyword
+                    if default is REQUIRED:
+                        raise self._expected(repr(keyword), tok)
+                    out.append(default)
+                    continue
+                if skip == 2 and values[tok + 1] != "=":
+                    self.pos = tok + 1
+                    raise self._expected("'='", tok + 1)
+                self.pos = tok + skip
+                if read is None:  # a word
+                    continue
             out.append(read(self))
         return out
 
@@ -268,7 +279,7 @@ class Parser:
                 depth += 1
             elif value == "}":
                 depth = max(0, depth - 1)
-            elif value in _BLOCKS and depth == 0:
+            elif value in GRAMMAR and depth == 0:
                 return
             self.pos += 1
 
@@ -290,15 +301,15 @@ class Parser:
         try:
             while self.kinds[self.pos] != "E":
                 tok = self.pos
-                read = _BLOCKS.get(self.values[tok])
+                keyword = self.values[tok]
                 self.pos = tok + 1
-                if read is None:
-                    self._record_at(f"expected block keyword ({', '.join(_BLOCKS)}), "
+                if keyword not in GRAMMAR:
+                    self._record_at(f"expected block keyword ({', '.join(GRAMMAR)}), "
                                     f"got {self._got(tok)}", tok)
                     self._skip_to_next_block()
                     continue
                 try:
-                    blocks.append(read(self))
+                    blocks.append(self._block(keyword))
                 except _SyntaxError as exc:
                     self._record_at(exc.message, exc.token)
                     self._skip_to_next_block()
@@ -312,51 +323,48 @@ class Parser:
 
     # --- blocks ----------------------------------------------------------
 
-    def _parse_gsn(self) -> GsnModel:
-        name = self.expect_string()
-        self.expect_word("{")
-        nodes: list[GsnNode] = []
-        links: list[SecurityLink] = []
-        under_refs: list[tuple[str, int]] = []
-        while not self.at("}"):
-            if self.at("goal", "strategy", "solution", "context"):
-                node, under_tok = self._parse_gsn_node()
-                nodes.append(node)
-                if under_tok is not None:
-                    under_refs.append((node.id, under_tok))
-            elif self.accept("security_link"):
-                self.expect_word("under")
-                goal_id = self.values[self.expect("I")]
-                links.append(SecurityLink(goal_id, *self.fields(SecurityLink)))
-            else:
-                raise self._expected("gsn node or security_link", self.pos)
-        self.expect_word("}")
-        known = {n.id for n in nodes}
-        for node_id, tok in under_refs:
-            if self.values[tok] not in known:
-                self._record_at(
-                    f"node {node_id!r} refers to undefined node {self.values[tok]!r}", tok
-                )
-        return GsnModel(name=name, nodes=tuple(nodes), security_links=tuple(links))
+    def _block(self, keyword: str):
+        """The block after ``keyword``, as its row of `GRAMMAR` reads it: each
+        record by its first word, or by its further leading words among those
+        that share it, else the last of those."""
+        steps, choices, build, what = _TOKEN[keyword]
+        values, records, self.refs = self.values, [], []
+        head = self.fields(steps)
+        while (word := values[self.pos]) != "}":
+            choice = choices.get(word)
+            if choice is None:
+                raise self._expected(what, self.pos)
+            for words, name, read in choice:
+                if not words or values[self.pos + 1:self.pos + 1 + len(words)] == words:
+                    break
+            records.append((name, read(self)))
+        self.pos += 1
+        block = build(head, records)
+        if self.refs:
+            declared = _DECLARED[keyword][0](block)
+            for tok, message, of in self.refs:
+                if values[tok] not in declared:
+                    self._record_at(message.format(values[tok], of), tok)
+        return block
 
-    def _parse_gsn_node(self) -> tuple[GsnNode, Optional[int]]:
-        kind = _MEMBERS[NodeKind][self.values[self.expect("I")]]
+    def _parse_gsn_node(self) -> GsnNode:
+        kind = _MEMBERS[NodeKind][self.values[self.pos]]
+        self.pos += 1
         node_id = self.values[self.expect("I")]
         text = self.expect_string()
         parent = None
-        under_tok = None
         if self.accept("under"):
-            under_tok = self.expect("I")
-            parent = self.values[under_tok]
+            parent = self._ref(self.expect("I"), "node {1!r} refers to undefined node {0!r}",
+                               node_id)
         attributes = {}
         if self.accept("{"):
             while not self.at("}"):
                 name = self.values[self.pos]
                 if name not in NODE_ATTRIBUTES:
                     raise _SyntaxError(f"unknown node attribute {name!r}", self.expect("I"))
-                (attributes[name],) = self.fields(name)
+                (attributes[name],) = self.fields(_STEPS[name])
             self.expect_word("}")
-        return GsnNode(node_id, kind, text, parent, **attributes), under_tok
+        return GsnNode(node_id, kind, text, parent, **attributes)
 
     def _parse_id_list(self) -> list[int]:
         self.expect_word("[")
@@ -366,78 +374,20 @@ class Parser:
         self.expect_word("]")
         return ids
 
-    def _parse_fta(self) -> FaultTree:
-        name = self.expect_string()
-        self.expect_word("{")
-        self.expect_word("top")
-        top_tok = self.expect("I")
-        gates: list[tuple[str, GateOp, tuple[str, ...]]] = []
-        events: list[str] = []
-        child_refs: list[int] = []
-        while not self.at("}"):
-            if self.accept("gate"):
-                gate_id = self.values[self.expect("I")]
-                op = _MEMBERS[GateOp][self.values[self.expect_word("AND", "OR")]]
-                child_tokens = self._parse_id_list()
-                child_refs.extend(child_tokens)
-                gates.append((gate_id, op, tuple(self.values[t] for t in child_tokens)))
-            elif self.accept("event"):
-                events.append(self.values[self.expect("I")])
-            else:
-                raise self._expected("gate or event", self.pos)
-        self.expect_word("}")
-        declared = {g for g, _, _ in gates} | set(events)
-        top = self.values[top_tok]
-        if top not in declared:
-            self._record_at(f"top event {top!r} not declared", top_tok)
-        for tok in child_refs:
-            if self.values[tok] not in declared:
-                self._record_at(f"undefined node {self.values[tok]!r}", tok)
-        return FaultTree(
-            name=name,
-            top=top,
-            gates=tuple(gates),
-            basic_events=frozenset(events),
-        )
-
-    def _parse_fmea(self) -> FmeaTable:
-        name = self.expect_string()
-        self.expect_word("{")
-        rows: list[FmeaRow] = []
-        while self.accept("row"):
-            rows.append(FmeaRow(self.values[self.expect("I")], *self.fields(FmeaRow)))
-        self.expect_word("}")
-        return FmeaTable(name=name, rows=tuple(rows))
-
-    def _parse_requirement(self) -> Requirement:
-        req_id = self.values[self.expect("I")]
-        kind, trace = self.fields(Requirement)
-        self.expect_word("{")
-        (inputs,) = self.fields(INPUTS)
-        clauses: list[Clause] = []
-        while self.accept("clause"):
-            body: list[Literal] = []
-            if not self.at("=>"):
+    def _parse_clause(self) -> Clause:
+        self.pos += 1  # its ``clause``
+        body: list[Literal] = []
+        if not self.at("=>"):
+            body.append(self._parse_literal())
+            while self.accept("&"):
                 body.append(self._parse_literal())
-                while self.accept("&"):
-                    body.append(self._parse_literal())
-            if not self.accept("=>"):
-                raise self._expected("'ARROW'", self.pos)
-            head = self._parse_literal()
-            clauses.append(Clause(body=tuple(body), head=head))
-        self.expect_word("}")
-        return Requirement(req_id, kind, trace, tuple(clauses), frozenset(inputs))
+        if not self.accept("=>"):
+            raise self._expected("'ARROW'", self.pos)
+        return Clause(body=tuple(body), head=self._parse_literal())
 
     def _parse_literal(self) -> Literal:
         positive = not self.accept("!")
         return Literal(signal=self.values[self.expect("I")], positive=positive)
-
-    def _parse_adt(self) -> AttackDefenseTree:
-        name = self.expect_string()
-        self.expect_word("{")
-        root = self._parse_adt_node()
-        self.expect_word("}")
-        return AttackDefenseTree(name=name, root=root)
 
     def _parse_adt_node(self) -> AdtNode:
         """An ADT node and all under it, read by one loop over an explicit stack."""
@@ -489,39 +439,19 @@ class Parser:
                     is_counter = False
                     break
 
-    def _parse_scenario(self) -> Scenario:
-        name = self.expect_string()
-        self.expect_word("{")
-        head = self.fields(Scenario)
-        actions: list[ScenarioAction] = []
-        while not self.at("}"):
-            actions.append(self._parse_action())
-        self.expect_word("}")
-        return Scenario(name, *head, tuple(actions))
 
-    def _parse_action(self) -> ScenarioAction:
-        action = self.values[self.expect_word("set_policy", "add_counter", "set_defeaters")]
-        if action == "set_policy":
-            if self.accept("unassessed"):
-                return UNASSESSED
-            return VerdictPolicy(False, *self.fields(VerdictPolicy))
-        if action == "add_counter":
-            (at_label,) = self.fields(AddCounterAction)
-            return AddCounterAction(at_label, self._parse_adt_node())
-        return SetDefeatersAction(*self.fields(SetDefeatersAction))
-
-
-# The reader of each block by its keyword, which `Parser.parse` has read.
-_BLOCKS = {keyword: getattr(Parser, f"_parse_{keyword}") for keyword in BLOCK_KEYWORDS.values()}
 _READERS = {INT: Parser.expect_int, NUM: Parser.expect_num, STRING: Parser.expect_string,
             IDENT: lambda p: p.values[p.expect("I")],
-            IDS: lambda p: tuple(p.values[t] for t in p._parse_id_list()), OP: Parser._op}
+            IDS: lambda p: tuple(p.values[t] for t in p._parse_id_list()), OP: Parser._op,
+            REF: lambda p: p._ref(p.expect("I"), "top event {!r} not declared"),
+            REFS: lambda p: tuple(p._ref(t, "undefined node {!r}") for t in p._parse_id_list()),
+            NODE: Parser._parse_adt_node}
 
 
 def _reader(kind) -> Callable[[Parser], object]:
     """The function that reads a value of ``kind``, after its keyword."""
     if kind in FIELDS:
-        return lambda p: kind(*p.fields(kind))
+        return lambda p, steps=_steps(FIELDS[kind]): kind(*p.fields(steps))
     if isinstance(kind, tuple):
         return lambda p: p.values[p.expect_word(*kind)]
     if isinstance(kind, str):
@@ -530,20 +460,25 @@ def _reader(kind) -> Callable[[Parser], object]:
 
 
 def _steps(row: tuple) -> tuple:
-    """A row of fields, resolved once: each field's keyword (a record without
-    one starts at its own first keyword), the count of tokens before its
-    value, its reader and its default."""
+    """A row of words and fields, resolved once: each item's keyword (a
+    word's own text; None for a bare value; a record without one starts at
+    its own first keyword), the count of tokens before its value, its reader
+    (None for a word) and its default."""
     steps = []
-    for field, kind, *default in row:
+    for item in row:
+        if isinstance(item, str):
+            steps.append((item, 1, None, REQUIRED))
+            continue
+        field, kind, *default = item
         words = prefix(field, kind).split()
-        keyword = words[0] if words else prefix(*FIELDS[kind][0][:2]).split()[0]
+        keyword = (words[0] if words else None if field is None
+                   else prefix(*FIELDS[kind][0][:2]).split()[0])
         steps.append((keyword, len(words), _reader(kind), default[0] if default else REQUIRED))
     return tuple(steps)
 
 
-_STEPS = {record: _steps(row) for record, row in FIELDS.items()}
-_STEPS.update((name, _steps(((name, kind),))) for name, kind in NODE_ATTRIBUTES.items())
-_STEPS[INPUTS] = _steps((INPUTS,))
+# The step of each GSN node attribute, which `Parser._parse_gsn_node` reads.
+_STEPS = {name: _steps(((name, kind),)) for name, kind in NODE_ATTRIBUTES.items()}
 
 
 # --- the fast path: one regex match per record ------------------------------
@@ -554,26 +489,32 @@ _VALUES = {INT: r"(\d+)", NUM: r"(\d+(?:\.\d+)?)", STRING: f'("{BODY}")', IDENT:
            OP: r'"([<>]=)"', IDS: rf"\[{_G}({_NAME}(?:{_G},{_G}{_NAME})*){_G}\]"}
 _CONVERT = {INT: int, NUM: lambda v: _number(v, 0), STRING: string_value, IDENT: str, OP: str,
             IDS: lambda v: tuple(map(str.strip, v.split(",")))}  # their errors make it give up
+_NAMES = {REF: IDENT, REFS: IDS}  # a reference reads as a name; the block is checked after
 _literal = cache(lambda: re.compile(rf"(!?){_G}({_NAME})"))  # a literal of a clause's body
 
 
-def _fast_record(*items, build: Callable = lambda *values: values) -> tuple[str, int, Callable]:
-    """A record of ``items``, each a pattern with no group (a keyword, or
-    ``\\{``) or a field as in `FIELDS`, where a field named None is a bare
-    value: its pattern, its count of groups, and the function from its
-    groups to ``build`` of the fields' values."""
-    pattern, count, parts, last = "", 0, [], None
+def _fast_record(*items, build: Callable = lambda *values: values) -> tuple:
+    """A row of ``items``, each a word or a field as in `FIELDS`, where a
+    field named None is a bare value: its pattern, its count of groups, the
+    function from its groups to ``build`` of the fields' values, and whether
+    it ends in a NODE, which the pattern leaves out: then the function gives
+    ``build`` of the values that awaits the node."""
+    pattern, count, parts, last, nests = "", 0, [], None, False
     for item in items:
-        gap = "" if last is None else _G if r"\{" in (item, last) else _W  # a blank between words
+        if item == _NODE:
+            nests = True
+            continue
+        gap = "" if last is None else _G if "{" in (item, last) else _W  # a blank between words
         last = item
         if isinstance(item, str):
-            pattern += gap + item
+            pattern += gap + re.escape(item)
             continue
         field, kind, *default = item
-        start = prefix(field, kind) if field else ""
+        kind = _NAMES.get(kind, kind)
+        start = prefix(field, kind)
         start = start.replace(" = ", f"{_G}={_G}") if "=" in start else start.replace(" ", _W)
         if kind in FIELDS:
-            part, n, read = _FLAT_RECORDS[kind]
+            part, n, read, _ = _FLAT_RECORDS[kind]
         else:
             part, n = _VALUES.get(kind, r"(\w+)"), 1
             read = (_CONVERT[kind] if isinstance(kind, str) else _MEMBERS[kind].__getitem__
@@ -583,7 +524,10 @@ def _fast_record(*items, build: Callable = lambda *values: values) -> tuple[str,
         parts.append((count if n == 1 else slice(count, count + n), read))
         part = gap + start + part
         pattern, count = pattern + (f"(?:{part})?" if default else part), count + n
-    return pattern, count, lambda groups: build(*[read(groups[at]) for at, read in parts])
+    if isinstance(last, str) and last.isidentifier():  # not the start of a longer word
+        pattern += r"\b"
+    build = partial(partial, build) if nests else build
+    return pattern, count, lambda groups: build(*[read(groups[at]) for at, read in parts]), nests
 
 
 # Each record whose fields hold no record, read as a field of another.
@@ -597,19 +541,20 @@ def _records(**alternatives) -> tuple[re.Pattern, dict[int, tuple]]:
     ``#`` comment lines, or else any one character, on which the fast path
     gives up.  Each alternative ends in an empty group named for it, which
     `Match.lastindex` gives; that maps to the alternative's name, its slice
-    of `Match.groups` and its reader."""
-    alternatives["note"] = (r"#[^\n]*(?:\n[ \t\r\n]*#[^\n]*)*", 0, None)
+    of `Match.groups`, its reader and whether a node follows it."""
+    alternatives["note"] = (r"#[^\n]*(?:\n[ \t\r\n]*#[^\n]*)*", 0, None, False)
     pattern = re.compile(_G + "(?:" + "|".join(f"{alternative}(?P<{name}>)" for name, (
         alternative, *_) in alternatives.items()) + "|(?s:.))")
     marks = [0, *map(pattern.groupindex.get, alternatives)]
-    return pattern, {b: (name, slice(a, b - 1), read) for (name, (*_, read)), a, b
+    return pattern, {b: (name, slice(a, b - 1), read, nests) for (name, (_, _, read, nests)), a, b
                      in zip(alternatives.items(), marks, marks[1:])}
 
 
 _adt = cache(lambda: _records(  # the records inside an ADT node, when a file first has one
-    attr=(rf"attr{_W}({_NAME}){_G}={_G}{_VALUES[NUM]}", 2, None), end=(r"\}", 0, None),
+    attr=(rf"attr{_W}({_NAME}){_G}={_G}{_VALUES[NUM]}", 2, None, False),
+    end=(r"\}", 0, None, False),
     node=(rf"(counter{_W})?(attack|defense)(?:{_W}(AND|OR))?{_G}{_VALUES[STRING]}({_G}\{{)?",
-          5, None), impact=(rf"impact{_G}={_G}(\w+)", 1, None)))
+          5, None, False), impact=(rf"impact{_G}={_G}(\w+)", 1, None, False)))
 
 
 def _fast_adt_node(text: str, pos: int) -> tuple[AdtNode, int]:
@@ -658,9 +603,14 @@ def _fast_adt_node(text: str, pos: int) -> tuple[AdtNode, int]:
 # groups of each attribute hold the values of its last line.  A record
 # attribute is read as the record.
 _ATTRIBUTES = [(pattern, n, _FLAT_RECORDS[kind][2] if kind in FIELDS else read) for kind, (
-    pattern, n, read) in ((kind, _fast_record((name, kind), build=lambda value: value))
-                          for name, kind in NODE_ATTRIBUTES.items())]
+    pattern, n, read, _) in ((kind, _fast_record((name, kind), build=lambda value: value))
+                             for name, kind in NODE_ATTRIBUTES.items())]
 _STARTS = list(accumulate([5] + [n for _, n, _ in _ATTRIBUTES]))  # of each one's groups
+_GSN_NODE = (rf"(goal|strategy|solution|context){_W}({_NAME}){_G}{_VALUES[STRING]}"
+             rf"(?:{_G}under{_W}({_NAME}))?(?:{_G}(\{{)(?:{_G}\b(?:"
+             + "|".join(pattern for pattern, _, _ in _ATTRIBUTES) + rf"))*{_G}\}})?")
+_CLAUSE = (rf"clause\b{_G}(?:((?:!{_G})?{_NAME}(?:{_G}&{_G}(?:!{_G})?{_NAME})*){_G})?=>{_G}"
+           rf"(!?){_G}({_NAME})")
 
 
 def _fast_node(groups: tuple) -> GsnNode:
@@ -678,78 +628,90 @@ def _fast_clause(groups: tuple) -> Clause:
 
 def _values(records: list, name: str) -> tuple:
     """The values of a block's records named ``name``, in order."""
-    return tuple(value for record, value in records if record == name)
+    return tuple([value for record, value in records if record == name])
 
 
-def _checked(block, references: Iterable[str], known: set):
-    """``block``, if each of ``references`` is ``known``, as the token parser checks."""
-    if not known.issuperset(references):
-        raise ValueError("an undefined reference")
-    return block
+# --- the grammar: both paths read each block by its row -------------------
 
-
-def _fast_gsn(head: tuple, records: list) -> GsnModel:
-    nodes = _values(records, "node")
-    return _checked(GsnModel(*head, nodes, _values(records, "link")),
-                    (node.parent for node in nodes if node.parent is not None),
-                    {node.id for node in nodes})
-
-
-def _fast_fta(head: tuple, records: list) -> FaultTree:
-    gates, events = _values(records, "gate"), frozenset(_values(records, "event"))
-    return _checked(FaultTree(*head, gates, events),
-                    (head[1], *(child for *_, children in gates for child in children)),
-                    events.union(gate for gate, _, _ in gates))
-
-
-def _fast_adt(head: tuple, records: list) -> AttackDefenseTree:
-    ((_, root),) = records  # its one root node
-    return AttackDefenseTree(*head, root)
-
-
-_STRING, _IDENT = (None, STRING), (None, IDENT)  # a bare name
-# Each block kind by its keyword: its header record, its body's records,
-# and the function from the header's values and the body's records, as
-# (name, value) pairs, to the block.
-_FAST_BLOCKS = {
-    "gsn": (_fast_record("gsn", _STRING, r"\{"), dict(
-        node=(rf"(goal|strategy|solution|context){_W}({_NAME}){_G}{_VALUES[STRING]}"
-              rf"(?:{_G}under{_W}({_NAME}))?(?:{_G}(\{{)(?:{_G}\b(?:"
-              + "|".join(pattern for pattern, _, _ in _ATTRIBUTES) + rf"))*{_G}\}})?", _STARTS[-1],
-              _fast_node),
-        link=_fast_record("security_link", "under", _IDENT, *FIELDS[SecurityLink],
-                          build=SecurityLink)),
-        _fast_gsn),
-    "adt": (_fast_record("adt", _STRING, r"\{"), dict(root=(r"(?=attack\b|defense\b)", 0, None)),
-            _fast_adt),
-    "fta": (_fast_record("fta", _STRING, r"\{", "top", _IDENT), dict(
-        gate=_fast_record("gate", _IDENT, (None, GateOp), (None, IDS)),
-        event=_fast_record("event", _IDENT, build=lambda event: event)), _fast_fta),
-    "fmea": (_fast_record("fmea", _STRING, r"\{"), dict(
-        row=_fast_record("row", _IDENT, *FIELDS[FmeaRow], build=FmeaRow)),
-        lambda head, records: FmeaTable(*head, _values(records, "row"))),
-    "requirement": (_fast_record("requirement", _IDENT, *FIELDS[Requirement], r"\{", INPUTS), dict(
-        clause=(rf"clause\b{_G}(?:((?:!{_G})?{_NAME}(?:{_G}&{_G}(?:!{_G})?{_NAME})*){_G})?=>{_G}"
-                rf"(!?){_G}({_NAME})", 3, _fast_clause)),
+# Each block kind by its keyword, in the order that a diagnostic lists them:
+# its header row, from the keyword to the ``{`` and the fields on the lines
+# after it; its body's records by name, each a row with the function from
+# its values to the record, or, for a record that nests or repeats, its
+# first words, its token reader and its fast pattern, group count and
+# reader; the function from the header's values and the body's records, as
+# (name, value) pairs, to the block; and what a diagnostic expects where no
+# record starts.
+GRAMMAR = {
+    "gsn": (("gsn", _STRING, "{"), dict(
+        node=(tuple(_MEMBERS[NodeKind]), Parser._parse_gsn_node,
+              (_GSN_NODE, _STARTS[-1], _fast_node)),
+        link=(("security_link", "under", _IDENT, *FIELDS[SecurityLink]), SecurityLink)),
+        lambda head, records: GsnModel(*head, _values(records, "node"), _values(records, "link")),
+        "gsn node or security_link"),
+    "adt": (("adt", _STRING, "{", _NODE), {}, lambda head, records: AttackDefenseTree(*head),
+            "'}'"),
+    "fta": (("fta", _STRING, "{", "top", (None, REF)), dict(
+        gate=(("gate", _IDENT, (None, ("AND", "OR")), (None, REFS)),
+              lambda gate, op, inputs: (gate, _MEMBERS[GateOp][op], inputs)),
+        event=(("event", _IDENT), str)),
+        lambda head, records: FaultTree(*head, _values(records, "gate"),
+                                        frozenset(_values(records, "event"))),
+        "gate or event"),
+    "fmea": (("fmea", _STRING, "{"), dict(row=(("row", _IDENT, *FIELDS[FmeaRow]), FmeaRow)),
+             lambda head, records: FmeaTable(*head, _values(records, "row")), "'}'"),
+    "requirement": (("requirement", _IDENT, *FIELDS[Requirement], "{", INPUTS), dict(
+        clause=(("clause",), Parser._parse_clause, (_CLAUSE, 3, _fast_clause))),
         lambda head, records: Requirement(*head[:3], _values(records, "clause"),
-                                          frozenset(head[3]))),
-    "scenario": (_fast_record("scenario", _STRING, r"\{", *FIELDS[Scenario]), dict(
-        unassessed=_fast_record("set_policy", r"unassessed\b", build=lambda: UNASSESSED),
-        policy=_fast_record("set_policy", *FIELDS[VerdictPolicy],
-                            build=lambda *values: VerdictPolicy(False, *values)),
-        add_counter=_fast_record("add_counter", *FIELDS[AddCounterAction]),
-        set_defeaters=_fast_record("set_defeaters", *FIELDS[SetDefeatersAction],
-                                   build=SetDefeatersAction)),
-        lambda head, records: Scenario(*head, tuple(value for _, value in records))),
+                                          frozenset(head[3])), "'}'"),
+    "scenario": (("scenario", _STRING, "{", *FIELDS[Scenario]), dict(
+        unassessed=(("set_policy", "unassessed"), lambda: UNASSESSED),
+        policy=(("set_policy", *FIELDS[VerdictPolicy]),
+                lambda *values: VerdictPolicy(False, *values)),
+        add_counter=(("add_counter", *FIELDS[AddCounterAction], _NODE), AddCounterAction),
+        set_defeaters=(("set_defeaters", *FIELDS[SetDefeatersAction]), SetDefeatersAction)),
+        lambda head, records: Scenario(*head, tuple(value for _, value in records)),
+        "'set_policy' or 'add_counter' or 'set_defeaters'"),
 }
-_BLOCK, _BLOCK_RECORDS = _records(end=(r"\Z", 0, None), **{
-    keyword: header for keyword, (header, _, _) in _FAST_BLOCKS.items()})
+# What a block declares, and the names in it that it must declare: the token
+# parser notes each reference as it reads it, the fast path gives up on any
+# that is not declared.
+_DECLARED = {
+    "gsn": (lambda gsn: {node.id for node in gsn.nodes},
+            lambda gsn: [node.parent for node in gsn.nodes if node.parent is not None]),
+    "fta": (lambda fta: fta.basic_events.union(gate for gate, _, _ in fta.gates),
+            lambda fta: [fta.top, *(child for *_, children in fta.gates for child in children)]),
+}
+
+
+def _choices(records: dict) -> dict[str, list]:
+    """A body's records by their first word: each one's further leading
+    words, its name and its token reader."""
+    choices: dict[str, list] = {}
+    for name, record in records.items():
+        if len(record) == 3:  # first words, token reader, fast pattern
+            for word in record[0]:
+                choices.setdefault(word, []).append(([], name, record[1]))
+            continue
+        row, build = record
+        first, *words = takewhile(lambda item: isinstance(item, str), row)
+        choices.setdefault(first, []).append(
+            (words, name, lambda p, steps=_steps(row), build=build: build(*p.fields(steps))))
+    return choices
+
+
+# What `Parser._block` reads each block kind by, after its keyword.
+_TOKEN = {keyword: (_steps(header[1:]), _choices(records), build, what)
+          for keyword, (header, records, build, what) in GRAMMAR.items()}
+_BLOCK, _BLOCK_RECORDS = _records(end=(r"\Z", 0, None, False), **{
+    keyword: _fast_record(*header) for keyword, (header, *_) in GRAMMAR.items()})
 
 
 @cache
 def _body(keyword: str) -> tuple[re.Pattern, dict[int, tuple]]:
     """The records of a block's body, compiled when a file first has one."""
-    return _records(end=(r"\}", 0, None), **_FAST_BLOCKS[keyword][1])
+    return _records(end=(r"\}", 0, None, False), **{
+        name: (*record[2], False) if len(record) == 3 else _fast_record(*record[0], build=record[1])
+        for name, record in GRAMMAR[keyword][1].items()})
 
 
 def _fast_body(text: str, pos: int, keyword: str) -> tuple[list, int]:
@@ -759,16 +721,17 @@ def _fast_body(text: str, pos: int, keyword: str) -> tuple[list, int]:
     records: list = []
     while True:  # again after each ADT node
         for m in pattern.finditer(text, pos):
-            name, groups, read = alternatives[m.lastindex]  # a KeyError on the catch-all
+            name, groups, read, nests = alternatives[m.lastindex]  # a KeyError on the catch-all
             if name == "end":
                 return records, m.end()
-            if read is not None:
-                records.append((name, read(m.groups()[groups])))
-            if name in ("root", "add_counter"):
+            if read is None:  # comments
+                continue
+            value = read(m.groups()[groups])
+            if nests:
                 node, pos = _fast_adt_node(text, m.end())
-                records.append((name, node) if read is None else (
-                    name, AddCounterAction(*records.pop()[1], node)))
+                records.append((name, value(node)))
                 break
+            records.append((name, value))
         else:
             raise ValueError("not read by the fast path")
 
@@ -780,14 +743,22 @@ def _fast_blocks(text: str) -> tuple[list, Optional[int]]:
     try:
         while True:
             m = _BLOCK.match(text, pos)  # never None: at the end, ``\Z`` matches
-            keyword, groups, read = _BLOCK_RECORDS[m.lastindex]  # a KeyError on the catch-all
+            keyword, groups, read, nests = _BLOCK_RECORDS[m.lastindex]  # KeyError: catch-all
             if keyword == "end":
                 return blocks, None
             end = m.end()
             if read is not None:  # else comments
                 head = read(m.groups()[groups])
+                if nests:
+                    node, end = _fast_adt_node(text, end)
+                    head = head(node)
                 records, end = _fast_body(text, end, keyword)
-                blocks.append(_FAST_BLOCKS[keyword][2](head, records))
+                block = GRAMMAR[keyword][2](head, records)
+                if keyword in _DECLARED:
+                    declared, references = _DECLARED[keyword]
+                    if not declared(block).issuperset(references(block)):
+                        raise ValueError("an undeclared reference")
+                blocks.append(block)
             pos = end
     except (LookupError, ValueError, _SyntaxError):  # a give-up, or a converter's error
         return blocks, pos

@@ -13,7 +13,10 @@ that is JSON (every command but ``derive`` and ``export``) must read as
 
 The edits drop, duplicate or move lines, point a GSN node's parent at
 another node (parent cycles), add a gate to a gate's inputs (gate cycles),
-empty an ADT refinement and push numbers out of range.  The ``--verdicts``
+empty an ADT refinement, push numbers out of range and break a line at a
+blank with a ``#`` comment line, which sends the block down the token path.
+Besides the bundled files, ``hazards.ssm`` from the goldens gives an FMEA
+table and derivation from fault-tree and FMEA solutions.  The ``--verdicts``
 and ``--policy`` files get edits of their own: a dropped ``=``, an unknown
 key or value, a non-finite threshold and bytes that are not UTF-8.  Deeper
 nesting is left out: parsing, validation, printing and DOT export walk an
@@ -34,9 +37,11 @@ from safsec.cli import main
 from safsec.modelfile import parse
 
 from conftest import load_bundled
+from test_cli_golden import HAZARDS
 
 BUNDLED = ("airbag.ssm", "servertheft.ssm", "building.ssm", "building_revised.ssm")
-SOURCES = {name: load_bundled(name).splitlines() for name in BUNDLED}
+TEXTS = {**{name: load_bundled(name) for name in BUNDLED}, "hazards.ssm": HAZARDS}
+SOURCES = {name: text.splitlines() for name, text in TEXTS.items()}
 MODEL = "model.ssm"
 VERDICTS = "verdicts.txt"
 POLICY = "policy.txt"
@@ -45,13 +50,14 @@ GSN_NODE = re.compile(r"^(\s*(?:goal|strategy|solution|context)\s+(\w+)\s+\"[^\"
 GATE = re.compile(r"^(\s*gate\s+(\w+)\s+(?:AND|OR)\s+\[)(.*)(\].*)$")
 REFINED = re.compile(r"^(\s*(?:attack|defense)\s+(?:AND|OR)\s+\"[^\"]*\")\s*\{\s*$")
 NUMBER = re.compile(r"(?<=[=\s])-?\d+(?:\.\d+)?(?=\s|$)")
+GAP = re.compile(r'"(?:[^"\\]|\\.)*"|(?<=\S)[ \t]+(?=\S)')  # a string, or a blank between tokens
 PARSE_DIAGNOSTIC = re.compile(rf"{re.escape(MODEL)}:\d+:\d+: error: ")
 OUT_OF_RANGE = ("-1", "-0.5", "0", "1.5", "2", "1000000", "99999999999999999999")
 
 
 def commands(name: str) -> list[list[str]]:
-    """Every command over the bundled file ``name``'s blocks (argv after --format)."""
-    doc = parse(load_bundled(name)).document
+    """Every command over the source file ``name``'s blocks (argv after --format)."""
+    doc = parse(TEXTS[name]).document
     out = [["validate", MODEL], ["conflicts", MODEL], ["conflicts", MODEL, "--wide-candidates"]]
     for tree in doc.ftas:
         out += [["fta", "cutsets", MODEL, "--tree", tree],
@@ -74,7 +80,7 @@ def commands(name: str) -> list[list[str]]:
     return out
 
 
-COMMANDS = {name: commands(name) for name in BUNDLED}
+COMMANDS = {name: commands(name) for name in TEXTS}
 
 
 def _emptied(lines: list[str], j: int) -> list[str]:
@@ -90,6 +96,8 @@ def _emptied(lines: list[str], j: int) -> list[str]:
 
 AIRBAG = SOURCES["airbag.ssm"]
 EMPTIED_AIRBAG = "\n".join(_emptied(AIRBAG, AIRBAG.index('  attack OR "Attack Airbag" {'))) + "\n"
+# A fault tree down the token path: a comment line inside a gate's record.
+NOTED_TREE = TEXTS["servertheft.ssm"].replace("gate AD AND", "gate AD\n    # note\n    AND")
 
 
 @st.composite
@@ -97,7 +105,7 @@ def mutation(draw, lines: list[str]) -> list[str]:
     """``lines`` after one random edit (unchanged when the edit has no target)."""
     lines = list(lines)
     kind = draw(st.sampled_from(
-        ["drop", "duplicate", "move", "parent", "gate", "empty", "number"]))
+        ["drop", "duplicate", "move", "parent", "gate", "empty", "number", "comment"]))
     if not lines:
         return lines
     i = draw(st.integers(0, len(lines) - 1))
@@ -124,6 +132,12 @@ def mutation(draw, lines: list[str]) -> list[str]:
         refined = [j for j, line in enumerate(lines) if REFINED.match(line)]
         if refined:
             lines = _emptied(lines, draw(st.sampled_from(refined)))
+    elif kind == "comment":  # a comment line inside a record
+        gaps = [(j, m.start()) for j, line in enumerate(lines) if not line.lstrip().startswith("#")
+                for m in GAP.finditer(line) if m[0].isspace()]
+        if gaps:
+            j, at = draw(st.sampled_from(gaps))
+            lines[j:j + 1] = [lines[j][:at], "    # note", "    " + lines[j][at:].lstrip()]
     else:
         numbered = [j for j, line in enumerate(lines) if NUMBER.search(line)]
         if numbered:
@@ -135,7 +149,7 @@ def mutation(draw, lines: list[str]) -> list[str]:
 
 @st.composite
 def mutated_model(draw) -> tuple[str, str]:
-    name = draw(st.sampled_from(BUNDLED))
+    name = draw(st.sampled_from(list(SOURCES)))
     lines = SOURCES[name]
     for _ in range(draw(st.integers(1, 3))):
         lines = draw(mutation(lines))
@@ -214,6 +228,7 @@ def check_contract(argv: list[str], fmt: str, result) -> None:
 # A childless refinement once ended ``adt eval`` and ``process run`` in a
 # TypeError from an empty ``reduce``.
 @example(("airbag.ssm", EMPTIED_AIRBAG))
+@example(("servertheft.ssm", NOTED_TREE))
 def test_every_command_keeps_the_exit_code_contract(workdir, case):
     name, text = case
     (workdir / MODEL).write_text(text, encoding="utf-8")

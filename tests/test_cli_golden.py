@@ -2,8 +2,10 @@
 
 The model files are the bundled ones plus ``extra.ssm`` (an FMEA table,
 goals without defeater evidence, countermeasures and a scenario that runs
-out of rounds).  Beside that matrix sit the error paths (exit 2) in both
-formats, and the coloured text lines as a colour terminal receives them.
+out of rounds).  ``hazards.ssm``, a hazard goal whose solutions name a
+fault tree and an FMEA table, adds derivation from those.  Beside that
+matrix sit the error paths (exit 2) in both formats, and the coloured text
+lines as a colour terminal receives them.
 The expected exit codes, stdout, stderr and written files live in
 ``golden/cli.json``.  Regenerate them (only on purpose, when an output is
 meant to change) with::
@@ -83,6 +85,41 @@ scenario "Stuck" {
   set_policy attribute = probability op = "<=" threshold = 0.5
 }
 """
+# Derivation from fault-tree and FMEA solutions: only its `derive adt`, `fta
+# cutsets` and `fmea rpn` are frozen.
+HAZARDS = """\
+# A hazard goal whose solutions name a fault tree and an FMEA table that
+# uses all four failure modes.
+
+gsn "Pump" {
+  goal G1 "Pump delivers coolant" {
+    hazard impact = high mechanism = stopping trace = Pump
+  }
+  strategy S1 "Argue over the pump's failure analyses" under G1
+  solution E1 "Fault tree of the loss of flow" under S1 {
+    fta_ref = "LossOfFlow"
+  }
+  solution E2 "FMEA of the pump" under S1 {
+    fmea_ref = "PumpFmea"
+  }
+}
+
+fta "LossOfFlow" {
+  top Loss
+  gate Loss OR [Motor, Valves]
+  gate Valves AND [ValveA, ValveB]
+  event Motor
+  event ValveA
+  event ValveB
+}
+
+fmea "PumpFmea" {
+  row P1 function = "drive motor" mode = loss_of_function severity = 9 occurrence = 2 detection = 3
+  row P2 function = "speed sensor" mode = erroneous severity = 6 occurrence = 4 detection = 5 effect = "wrong flow" cause = "drift"
+  row P3 function = "relief valve" mode = unintended_action severity = 3 occurrence = 1 detection = 2
+  row P4 function = "twin impeller" mode = partial_loss severity = 5 occurrence = 3 detection = 7
+}
+"""
 # Side files for the error paths, an invalid model and the second verdict colour.
 SIDE_FILES = {
     VERDICTS: "# every bundled ADT judged unacceptable\nAirbag Attack = unacceptable_risk\n",
@@ -138,6 +175,11 @@ def cases() -> dict[str, list[str]]:
         for model in sorted({**doc.gsns, **doc.adts, **doc.ftas}) or ["none"]:
             add("export", "dot", file, "--model", model)
 
+    for argv in (["derive", "adt", "hazards.ssm", "--gsn", "Pump", "--dot", DOT_OUT],
+                 ["fta", "cutsets", "hazards.ssm", "--tree", "LossOfFlow"],
+                 ["fmea", "rpn", "hazards.ssm", "--table", "PumpFmea"]):
+        out[f"hazards: {' '.join(argv)}"] = argv
+
     def error(*argv: str) -> None:
         out[f"error: {' '.join(argv)}"] = list(argv)
 
@@ -186,7 +228,7 @@ COLOR_CASES = {
 
 
 def _write_inputs(directory: Path) -> None:
-    for name, text in {**_sources(), **SIDE_FILES}.items():
+    for name, text in {**_sources(), "hazards.ssm": HAZARDS, **SIDE_FILES}.items():
         (directory / name).write_text(text, encoding="utf-8")
 
 

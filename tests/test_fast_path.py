@@ -24,7 +24,7 @@ from safsec.modelfile.printer import print_document
 from conftest import load_bundled
 from generators import random_document
 from test_cli_contract import mutated_model
-from test_cli_golden import EXTRA, SIDE_FILES
+from test_cli_golden import EXTRA, HAZARDS, SIDE_FILES
 
 BUNDLED = ("airbag.ssm", "servertheft.ssm", "building.ssm", "building_revised.ssm")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -130,6 +130,7 @@ def test_the_bundled_files_and_golden_inputs_agree():
     for name in BUNDLED:
         assert check(load_bundled(name)), name
     assert check(EXTRA)
+    assert check(HAZARDS)
     for name, text in SIDE_FILES.items():
         if name.endswith(".ssm"):
             check(text)
@@ -232,6 +233,23 @@ def test_blocks_after_those_the_fast_path_reads_agree(name):
     text = LATE[name]
     assert not check(text)
     assert parse(text).ok is (name == "comment in a node record")
+
+
+# A record of each block kind, in a file that has one: a comment line after
+# its first word sends that block down the token path.
+NOTED = {"gsn": (AIRBAG, "strategy S1"), "adt": (AIRBAG, 'attack OR "Trigger'),
+         "fta": (load_bundled("servertheft.ssm"), "gate AD AND"), "fmea": (EXTRA, "row V2"),
+         "requirement": (load_bundled("building.ssm"), "clause !Auth"),
+         "scenario": (AIRBAG, "set_policy attribute")}
+
+
+@pytest.mark.parametrize("kind", NOTED)
+def test_a_comment_inside_a_record_of_each_block_kind_takes_the_token_path(kind):
+    plain, record = NOTED[kind]
+    first, rest = record.split(" ", 1)
+    noted = plain.replace(record, f"{first}\n    # note\n    {rest}", 1)
+    assert noted != plain and not check(noted)
+    assert shape(parse(noted).document) == shape(parse(plain).document)
 
 
 def test_the_last_defeaters_and_impact_win_on_the_fast_path():

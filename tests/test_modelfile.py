@@ -250,8 +250,36 @@ class TestFieldDiagnostics:
         assert [(d.message, d.line, d.column) for d in result.diagnostics] == diagnostics
 
 
+
+class TestBodyDiagnostics:
+    """What a block's body reports where no record of it starts, where a
+    record's further leading words are missing, or where a reference names
+    nothing that the block declares, with line and column."""
+
+    @pytest.mark.parametrize("text, diagnostics", [
+        ('fta "t" {\n  top T\n  gate T OR [A]\n  evnt A\n}\n',
+         [("expected gate or event, got 'evnt'", 4, 3)]),
+        # Its first word picks the record; the ``adt`` of its field starts a new block.
+        ('gsn "g" {\n  goal G1 "a"\n  security_link G1 adt = "a" weight = 1\n}\n',
+         [("expected 'under', got 'G1'", 3, 17), ("expected 'STRING', got '='", 3, 24)]),
+        ('gsn "g" {\n  goal G1 "a"\n  goal G2 "b" under G9\n}\n',
+         [("node 'G2' refers to undefined node 'G9'", 3, 21)]),
+        ('fta "t" {\n  top T\n  gate T OR [A, B]\n  event A\n}\n',
+         [("undefined node 'B'", 3, 17)]),
+        ('fta "t" {\n  top X\n  gate T OR [A]\n  event A\n}\n',
+         [("top event 'X' not declared", 2, 7)]),
+        ('requirement R kind = safety trace = T {\n  clause A => B\n  rule C => D\n}\n',
+         [("expected '}', got 'rule'", 3, 3)]),
+        ('adt "a" {\n  attack "x"\n  attack "y"\n}\n', [("expected '}', got 'attack'", 3, 3)]),
+    ])
+    def test_message_and_position(self, text, diagnostics):
+        result = parse(text)
+        assert not result.ok
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == diagnostics
+
+
 # The fields that a record holds before its row of FIELDS (its leading id or
-# flag) and after it (the body that its block reads by hand).
+# flag) and after it (the body that `GRAMMAR` states).
 LEADING = {SecurityLink: ("goal_id",), FmeaRow: ("id",), VerdictPolicy: ("unassessed",),
            Requirement: ("id",), Scenario: ("name",)}
 BODY = {AddCounterAction: ("node",), Requirement: ("clauses", "inputs"), Scenario: ("actions",)}
