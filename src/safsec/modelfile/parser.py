@@ -279,7 +279,7 @@ class Parser:
                 depth += 1
             elif value == "}":
                 depth = max(0, depth - 1)
-            elif value in GRAMMAR and depth == 0:
+            elif value in GRAMMAR and depth == 0 and self.values[self.pos + 1] != "=":
                 return
             self.pos += 1
 

@@ -189,8 +189,7 @@ class TestFieldDiagnostics:
         (FMEA_ROW.format(ROW + ' cause "x"'), [("expected '=', got 'x'", 2, 90)]),
         (REQUIREMENT.format("kind = safety trace = T {\n  inputs [A]"),
          [("expected '=', got '['", 2, 10)]),
-        (SCENARIO_HEAD.replace('gsn = "g"', 'gsn "g"'),
-         [("expected '=', got 'g'", 2, 7), ("expected 'STRING', got '='", 3, 7)]),
+        (SCENARIO_HEAD.replace('gsn = "g"', 'gsn "g"'), [("expected '=', got 'g'", 2, 7)]),
         (ACTION.format('add_counter at "x" defense "d"'), [("expected '=', got 'x'", 6, 18)]),
         (SCENARIO_HEAD.replace("thresholds", "thresholds ="),
          [("expected 'min_belief', got '='", 4, 14)]),
@@ -259,9 +258,10 @@ class TestBodyDiagnostics:
     @pytest.mark.parametrize("text, diagnostics", [
         ('fta "t" {\n  top T\n  gate T OR [A]\n  evnt A\n}\n',
          [("expected gate or event, got 'evnt'", 4, 3)]),
-        # Its first word picks the record; the ``adt`` of its field starts a new block.
+        # Its first word picks the record; the ``adt`` of its field, followed
+        # by ``=``, starts no new block.
         ('gsn "g" {\n  goal G1 "a"\n  security_link G1 adt = "a" weight = 1\n}\n',
-         [("expected 'under', got 'G1'", 3, 17), ("expected 'STRING', got '='", 3, 24)]),
+         [("expected 'under', got 'G1'", 3, 17)]),
         ('gsn "g" {\n  goal G1 "a"\n  goal G2 "b" under G9\n}\n',
          [("node 'G2' refers to undefined node 'G9'", 3, 21)]),
         ('fta "t" {\n  top T\n  gate T OR [A, B]\n  event A\n}\n',
