@@ -7,10 +7,11 @@ sort_keys=True, indent=2)``, where a cut-set family (``fta.CutSets``) is the
 list of its rows in canonical order and the ``conflicts`` witness families
 (``conflicts.Witnesses``) are the list of their witnesses' dicts.  CPython
 writes an indented document in pure Python, one call per container, so
-`_dumps` writes the same bytes a column at a time: the values that start on
-one indent level, encoded together by one ``map`` per scalar type and joined
-into one text per container.  Families are written straight from their
-masks and patterns, without building the sets or witnesses they stand for.
+`_dumps` writes the same bytes off one explicit stack, each text once and in
+output order: a container of scalars is one join, and rows (plain dicts
+with the same keys, such as a GSN model's goals) are written a column at a
+time.  Families are written straight from their masks and patterns,
+without building the sets or witnesses they stand for.
 Text output is a rendering of the same payload, written in blocks of lines,
 so the two formats cannot disagree.  The exit code comes from the payload's
 finding: 0 success, 1 analysis finding (invariant violation, contradiction,
@@ -31,10 +32,10 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional
 
 import click
 
@@ -137,36 +138,49 @@ def _load(path: str, kind: str = "", name: str = "",
 _BOOLS = ("false", "true")
 
 
-def _floats(values: list) -> Iterable[str]:
-    """``repr`` of each float, or ``json.dumps`` for NaN and the infinities."""
-    if all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    return [repr(v) if math.isfinite(v) else json.dumps(v) for v in values]
+def _float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-# A scalar kind -> the JSON of a column of its values.  ``object`` stands for
-# every other scalar, subclasses included, which ``json.dumps`` writes alone.
-_SCALARS: dict[type, Callable[[list], Iterable[str]]] = {
-    str: lambda values: map(encode_basestring_ascii, values),
-    int: lambda values: map(int.__repr__, values),
-    float: _floats,
-    bool: lambda values: map(_BOOLS.__getitem__, values),
-    type(None): lambda values: repeat("null", len(values)),
-    object: lambda values: map(json.dumps, values),
+# A scalar type -> the JSON of one value of exactly that type; `_dumps` adds
+# ``str``.  Every other scalar, subclasses included, goes to ``json.dumps``.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    int: int.__repr__,
+    float: _float,
+    bool: _BOOLS.__getitem__,
+    type(None): lambda value: "null",
 }
 
-# A column's texts, one per value, from the texts of its child columns in order.
-Writer = Callable[[list], Iterable[str]]
+
+def _scalars(values: list, write: dict[type, Callable[[Any], str]]) -> Optional[Iterable[str]]:
+    """The JSON of each of ``values`` by ``write``, or None if a value's
+    type is not one of its keys."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        return map(write[kind], values) if kind in write else None
+    return [write[type(value)](value) for value in values] if kinds <= write.keys() else None
 
 
-def _kind(kind: type) -> type:
-    """How values of type ``kind`` are written: as a key of `_SCALARS` or of
-    `_FAMILIES`, as ``dict`` (dicts) or as ``list`` (lists and tuples)."""
-    if kind in _SCALARS or kind in _FAMILIES:
-        return kind
-    if issubclass(kind, dict):
-        return dict
-    return list if issubclass(kind, (list, tuple)) else object
+def _dicts(dicts: list, newline: str, encode: Callable[[str], str],
+           column: Callable[[list, str], Optional[Iterable[str]]]) -> Optional[Iterable[str]]:
+    """The texts of ``dicts``, which start on the line ``newline`` ends,
+    written a column at a time: each is one join of its keys and the texts
+    that ``column`` gives for each key's values.  None unless they are
+    non-empty plain dicts with the same keys and ``column`` writes each."""
+    first = dicts[0]
+    if set(map(type, dicts)) != {dict} or not first or not all(
+            map(first.keys().__eq__, map(dict.keys, dicts))):
+        return None
+    inner = newline + "  "
+    keys = sorted(first)
+    columns = [column(list(map(itemgetter(key), dicts)), inner) for key in keys]
+    if None in columns:
+        return None
+    heads = [f",{inner}{encode(key)}: " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return map("".join, zip(*chain.from_iterable(zip(map(repeat, heads), columns)),
+                            repeat(newline + "}")))
 
 
 def _family(family: fta_mod.CutSets, newline: str) -> str:
@@ -235,127 +249,6 @@ _FAMILIES: dict[type, Callable[[Any, str], str]] = {
 }
 
 
-def _box(values: list, kind: type, newline: str, jobs: list) -> list:
-    """The box that will hold the texts of a column of one ``kind``: now for
-    scalars and families (written when read), else once its job is written."""
-    if kind in _SCALARS:
-        return [_SCALARS[kind](values)]
-    if kind in _FAMILIES:
-        return [map(_FAMILIES[kind], values, repeat(newline))]
-    box: list = []
-    jobs.append((values, newline, kind, box))
-    return box
-
-
-def _merge(boxes: dict[type, list], kinds: list[type]) -> Iterator[str]:
-    """The texts of a mixed column from its kinds' boxes, ``kinds[i]`` being
-    the kind of its ``i``-th value."""
-    texts = {kind: iter(box.pop()) for kind, box in boxes.items()}
-    yield from map(next, map(texts.__getitem__, kinds))
-
-
-def _column(values: list, newline: str, jobs: list) -> list:
-    """The box of a column of ``values`` that start on the line ``newline``
-    ends.  A column of mixed kinds splits into one column per kind, merged
-    back in place when read."""
-    types = set(map(type, values))
-    kinds = set(map(_kind, types))
-    if len(kinds) == 1:
-        return _box(values, kinds.pop(), newline, jobs)
-    by_kind = list(map(dict(zip(types, map(_kind, types))).__getitem__, map(type, values)))
-    boxes = {kind: _box(list(compress(values, map(is_, by_kind, repeat(kind)))), kind, newline, jobs)
-             for kind in kinds}
-    return [_merge(boxes, by_kind)]
-
-
-def _joiner(heads: list[str], lengths: list[int], brackets: str, newline: str) -> Writer:
-    """The writer of containers of ``lengths`` items each, in order: each
-    container's text is one join of its items' heads (separators, and keys
-    in dicts) and texts, between its ``brackets``.  Heads start with a comma,
-    which a container's first head trades for its opening bracket."""
-    tails = [""] * len(heads)
-    end = 0
-    for length in filter(None, lengths):
-        heads[end] = brackets[0] + heads[end][1:]
-        end += length
-        tails[end - 1] = newline + brackets[1]
-
-    def write(parts: list) -> list[str]:
-        pieces = chain.from_iterable(zip(heads, *parts, tails))
-        texts = list(map("".join, map(islice, repeat(pieces), map((3).__mul__, lengths))))
-        return [text or brackets for text in texts] if 0 in lengths else texts
-    return write
-
-
-def _plan_dicts(dicts: list, newline: str, jobs: list) -> tuple[Writer, list]:
-    inner = newline + "  "
-    if len(dicts) > 1 and dicts[0] and all(map(tuple(dicts[0]).__eq__, map(tuple, dicts))):
-        # Dicts with one key order: one column per key, each dict one join.
-        keys = sorted(dicts[0])
-        heads = [f",{inner}{encode_basestring_ascii(key)}: " for key in keys]
-        heads[0] = "{" + heads[0][1:]
-        boxes = [_column(list(map(itemgetter(key), dicts)), inner, jobs) for key in keys]
-        return (lambda parts: list(map("".join, zip(*chain.from_iterable(zip(map(repeat, heads), parts)),
-                                                    repeat(newline + "}")))), boxes)
-    # One column of every dict's values, in sorted-key order.
-    items = list(chain.from_iterable(map(sorted, map(dict.items, dicts))))
-    heads = list(map(f",{inner}".__add__, map(str.__add__, map(
-        encode_basestring_ascii, map(itemgetter(0), items)), repeat(": "))))
-    boxes = [_column(list(map(itemgetter(1), items)), inner, jobs)] if items else []
-    return _joiner(heads, list(map(len, dicts)), "{}", newline), boxes
-
-
-def _plan_lists(lists: list, newline: str, jobs: list) -> tuple[Writer, list]:
-    inner = newline + "  "
-    lengths = list(map(len, lists))
-    if type(next(chain.from_iterable(lists), "")) is str:
-        try:  # lists of strings, each joined at once
-            bodies = list(map(("," + inner).join, map(map, repeat(encode_basestring_ascii), lists)))
-        except TypeError:
-            pass
-        else:
-            texts = list(map(str.join, bodies, repeat(("[" + inner, newline + "]"))))
-            if 0 in lengths:
-                texts = [text if length else "[]" for text, length in zip(texts, lengths)]
-            return lambda parts: texts, []
-    items = list(chain.from_iterable(lists))
-    return _joiner([f",{inner}"] * len(items), lengths, "[]", newline), [_column(items, inner, jobs)]
-
-
-def _plan_chain(value: Any, newline: str, jobs: list) -> tuple[Writer, list]:
-    """A container of one container of ... of one value, written by one join
-    instead of a copy of the text per level."""
-    heads, tails = [], []
-    while isinstance(value, (dict, list, tuple)) and len(value) == 1:
-        inner = newline + "  "
-        if isinstance(value, dict):
-            ((key, value),) = value.items()
-            heads.append(f"{{{inner}{encode_basestring_ascii(key)}: ")
-            tails.append(newline + "}")
-        else:
-            (value,) = value
-            heads.append("[" + inner)
-            tails.append(newline + "]")
-        newline = inner
-    tails.reverse()
-    return lambda parts: ["".join([*heads, *parts[0], *tails])], [_column([value], newline, jobs)]
-
-
-def _plan(values: list, newline: str, kind: type, jobs: list) -> tuple[Writer, list]:
-    """The writer of a column of dicts or lists (``kind``), and the boxes of
-    its child columns, which it adds to ``jobs``."""
-    plan = _plan_dicts if kind is dict else _plan_lists
-    if len(values) == 1:
-        return _plan_chain(values[0], newline, jobs) if len(values[0]) == 1 else plan(values, newline, jobs)
-    # A container met more than once is written once.
-    ids = list(map(id, values))
-    unique = dict(zip(ids, values))
-    if len(unique) == len(values):
-        return plan(values, newline, jobs)
-    write, boxes = plan(list(unique.values()), newline, jobs)
-    return lambda parts: list(map(dict(zip(unique, write(parts))).__getitem__, ids)), boxes
-
-
 def _dumps(value: Any) -> str:
     """``json.dumps(value, sort_keys=True, indent=2, default=...)``, byte for
     byte, where ``default`` turns a cut-set family into its canonical rows
@@ -363,32 +256,61 @@ def _dumps(value: Any) -> str:
     witnesses' dicts.
 
     CPython encodes with an ``indent`` in pure Python only, one generator
-    call per container.  This writer works a *column* at a time: the values
-    that start at one indent level, all at once.  Dicts that share their keys
-    in one order split into one column per key, other dicts pour their values
-    into one column in sorted-key order, and lists flatten into one column
-    of items; lists of strings are joined at once.  A column of one exact
-    scalar type is encoded by one ``map``, and a mixed column splits by
-    kind.  A cut-set family is written as its rows at once, each event
-    encoded once (`_family`); witness families are written from their
-    patterns, each witness one run of table entries and one encoded tail
-    (`_witnesses`).  One forward pass over the job list plans every column
-    of containers, and one reversed pass writes each column's texts from its
-    child columns', which it then drops, so nothing recurses.  A container's
-    text is copied once more for each level above it, except along a chain
-    of one-item containers, which is joined at once.  Dict keys are strings,
-    and the value holds no reference cycle.
+    call per container.  This writer pops (text before the value, the value,
+    the line break it starts on) off one stack and appends each text once,
+    in output order, so nothing recurses and nothing is copied per level.
+    A scalar is written by its type's entry of `_SCALARS`, a family by its
+    writer in `_FAMILIES`.  A container of scalars is written at once, and so
+    are rows: two or more plain dicts with the same keys, whose values are
+    scalars or plain dicts of scalars with the same keys, written a column
+    at a time (`_dicts`).  Any other container pushes its closing bracket
+    and its items.  Dict keys are strings, and the value holds no reference
+    cycle.
     """
-    jobs: list = []
-    root = _column([value], "\n", jobs)
-    plans = []
-    for index, (values, newline, kind, box) in enumerate(jobs):  # grows as it goes
-        jobs[index] = None
-        plans.append((*_plan(values, newline, kind, jobs), box))
-    while plans:
-        write, boxes, box = plans.pop()
-        box.append(write([child.pop() for child in boxes]))
-    return next(iter(root.pop()))
+    encode = encode_basestring_ascii  # looked up per call, so it can be swapped
+    write = {str: encode, **_SCALARS}
+    scalars = lambda values, newline: _scalars(values, write)
+    cells = lambda values, newline: (scalars(values, newline)
+                                     or _dicts(values, newline, encode, scalars))
+    pieces: list[str] = []
+    stack: list = [("", value, "\n")]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is str:  # a closing bracket
+            pieces.append(entry)
+            continue
+        before, value, newline = entry
+        pieces.append(before)
+        kind = type(value)
+        if kind in write:
+            pieces.append(write[kind](value))
+        elif kind in _FAMILIES:
+            pieces.append(_FAMILIES[kind](value, newline))
+        elif not isinstance(value, (dict, list, tuple)):
+            pieces.append(json.dumps(value))
+        elif not value:
+            pieces.append("{}" if isinstance(value, dict) else "[]")
+        else:
+            inner = newline + "  "
+            if isinstance(value, dict):
+                keys = sorted(value)
+                items = list(map(value.__getitem__, keys))
+                heads = [f",{inner}{encode(key)}: " for key in keys]
+                heads[0], close = "{" + heads[0][1:], newline + "}"
+            else:
+                items = value
+                heads = [f",{inner}"] * len(items)
+                heads[0], close = "[" + inner, newline + "]"
+            texts = scalars(items, inner)
+            if texts is None and len(items) > 1:
+                texts = _dicts(items, inner, encode, cells)
+            if texts is None:
+                stack.append(close)
+                stack += reversed(list(zip(heads, items, repeat(inner))))
+            else:
+                pieces += chain.from_iterable(zip(heads, texts))
+                pieces.append(close)
+    return "".join(pieces)
 
 
 _BLOCK = 64  # text lines per write: a write per line costs more than rendering it

@@ -1,19 +1,22 @@
 """The machine-output writer against its oracle, ``json.dumps(sort_keys=True, indent=2)``.
 
-``cli._dumps`` writes a column of values at a time: dicts that share their
-keys split into one column per key, other dicts and lists pour their items
-into one column, and each column of one scalar type is encoded at once.  A
-cut-set family is written as its canonical rows, the lists of its sets'
-names in ``fta.canonical_order``.  Every value it writes must come out byte
-for byte as the standard library's indenting encoder writes it, given a
-``default`` that turns a family into those rows.  The CLI writes that text
-as ASCII bytes, so a non-ASCII label must arrive escaped.
+``cli._dumps`` pops each value off one explicit stack and writes its text
+once, in output order.  A container of scalars is written by one join.
+Rows, two or more plain dicts with the same keys whose values are scalars
+or plain dicts of scalars with the same keys, are written a column at a
+time; any other container pushes its items.  A cut-set family is written
+as its canonical rows, the lists of its sets' names in
+``fta.canonical_order``.  Every value it writes must come out byte for byte
+as the standard library's indenting encoder writes it, given a ``default``
+that turns a family into those rows.  The CLI writes that text as ASCII
+bytes, so a non-ASCII label must arrive escaped.
 """
 
 import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -146,21 +149,47 @@ def test_each_scalar_beside_a_container(value):
         assert _dumps(payload) == oracle(payload)
 
 
-# Rows of one table: dicts that share their keys, each key's values of mixed
-# kinds, empty containers and subclasses among them, some rows with their
-# keys inserted in another order and some of them ``Record``s.
+# Rows of one table: dicts that share their keys, each key's cells drawn in
+# one of the shapes below; in some tables, rows with their keys inserted in
+# another order and ``Record``s among them.
 CELLS = (SCALARS | SUBCLASSED | st.sampled_from([[], {}, (), Row(), Record()])
          | containers(SCALARS | SUBCLASSED))
+# Cells of one scalar kind, ints with bools among them, floats with NaN and
+# the infinities, or scalars of mixed kinds.
+SCALAR_CELLS = st.sampled_from([
+    STRINGS, st.integers(), st.integers() | st.booleans(),
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]), st.none() | STRINGS, SCALARS])
+
+
+@st.composite
+def dict_cells(draw):
+    """Cells that are dicts of scalars with one key order, like the triples
+    of a GSN goal; in some columns, one now and then has its keys in
+    another order, is empty or is a ``Record``."""
+    keys = draw(st.lists(STRINGS, unique=True, min_size=1, max_size=4))
+    same = st.fixed_dictionaries({key: draw(SCALAR_CELLS) for key in keys})
+    if draw(st.booleans()):
+        return same
+    reordered = same.flatmap(lambda cell: st.permutations(list(cell.items())).map(dict))
+    return same | reordered | st.sampled_from([{}, Record()]) | same.map(Record)
+
+
+# How the cells of one column are drawn.
+COLUMNS = SCALAR_CELLS | dict_cells() | st.just(CELLS)
 
 
 @st.composite
 def tables(draw):
     keys = draw(st.lists(STRINGS, unique=True, max_size=5))
+    columns = {key: draw(COLUMNS) for key in keys}
+    odd = draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(min_value=2, max_value=8))):
-        row = draw(st.fixed_dictionaries({key: CELLS for key in keys}))
-        row = dict(draw(st.permutations(list(row.items()))))
-        rows.append(Record(row) if draw(st.booleans()) else row)
+        row = {key: draw(cells) for key, cells in columns.items()}
+        if odd and draw(st.booleans()):
+            row = dict(draw(st.permutations(list(row.items()))))
+            row = Record(row) if draw(st.booleans()) else row
+        rows.append(row)
     return rows
 
 
@@ -170,6 +199,13 @@ def test_rows_that_share_keys_match_indenting_encoder(rows):
     assert _dumps(rows) == oracle(rows)
     assert _dumps({"rows": rows, "nested": [rows, {"again": rows}]}) == oracle(
         {"rows": rows, "nested": [rows, {"again": rows}]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_rows_by_name_match_indenting_encoder(rows):
+    payload = {"goals": {f"G{i}": row for i, row in enumerate(rows)}, "n": len(rows)}
+    assert _dumps(payload) == oracle(payload)
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,6 +257,30 @@ def test_a_nest_with_a_sibling_at_each_level():
     for level in range(400):
         value = {"k": value, "n": level} if level % 2 else [level, value]
     assert _dumps(value) == oracle(value)
+
+
+def test_a_nest_with_a_sibling_at_each_level_takes_linear_time():
+    """3,000 levels that alternate ``[level, inner]`` and ``{"k": inner,
+    "n": level}`` are written in well under a second: each level is met
+    once.  ``json.dumps`` recurses too deep here, so the expected text is
+    built level by level, outermost first."""
+    value, depth = "end", 3000
+    for level in range(depth):
+        value = {"k": value, "n": level} if level % 2 else [level, value]
+    heads, tails = [], []
+    for level in reversed(range(depth)):
+        newline = "\n" + "  " * len(heads)
+        inner = newline + "  "
+        if level % 2:
+            heads.append(f'{{{inner}"k": ')
+            tails.append(f',{inner}"n": {level}{newline}}}')
+        else:
+            heads.append(f"[{inner}{level},{inner}")
+            tails.append(f"{newline}]")
+    start = time.perf_counter()
+    text = _dumps(value)
+    assert time.perf_counter() - start < 1
+    assert text == "".join(heads) + '"end"' + "".join(reversed(tails))
 
 
 # --- cut-set families ------------------------------------------------------------
